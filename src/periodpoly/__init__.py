@@ -27,16 +27,13 @@ from .lfunc import (
     Precision,
     gamma_completed,
     dirichlet_l,
-    completed_lambda,
     special_values,
     zeta_ratio_bound,
     verify_hypothesis,
 )
 from .sympow import (
     CurveSpec,
-    SatakePair,
     ap_count,
-    satake_pair,
     sym_local_factor,
     sym_dirichlet_coeffs,
     sym_hodge,
@@ -53,9 +50,7 @@ from .polys import (
     build_P_poly,
     build_Q_poly,
     l_value_ratios,
-    eval_F,
     partial_sum_T,
-    s_tail_bound,
     s_tail_parts,
     q_decomposition_residual,
 )
@@ -93,6 +88,7 @@ from .rv import (
     check_zeta_properties,
     deflate_at_one,
 )
+from .pipeline import Analysis, analyze, scale_estimate
 from .files import (
     SpecialValuesCache,
     parse_coefficient_file,
@@ -115,15 +111,15 @@ __all__ = [
     "InputError", "PoleError", "InsufficientCoefficients", "QuadratureError",
     "CertificationError", "VerificationError", "ConventionError",
     "LFunctionData", "SpecialValues", "Precision",
-    "gamma_completed", "dirichlet_l", "completed_lambda", "special_values",
+    "gamma_completed", "dirichlet_l", "special_values",
     "zeta_ratio_bound", "verify_hypothesis",
-    "CurveSpec", "SatakePair", "ap_count", "satake_pair", "sym_local_factor",
+    "CurveSpec", "ap_count", "sym_local_factor",
     "sym_dirichlet_coeffs", "sym_hodge", "sym_lfunction_data",
     "determine_root_number",
     "RealPolynomial", "ApproximantSeries", "LValueRatios", "SBoundParts",
     "binomial_weight", "build_p_poly", "build_P_poly", "build_Q_poly",
-    "l_value_ratios", "eval_F", "partial_sum_T", "s_tail_bound",
-    "s_tail_parts", "q_decomposition_residual",
+    "l_value_ratios", "partial_sum_T", "s_tail_parts",
+    "q_decomposition_residual",
     "UnitCircleReport", "DiscCount", "TrigScan", "poly_roots",
     "circle_report", "deflate_unit_pair", "count_disc_zeros",
     "disc_transition_table", "trig_sign_changes", "star_discrepancy",
@@ -133,6 +129,7 @@ __all__ = [
     "ZetaPolynomial", "ZetaCheck", "stirling_first", "rv_transform",
     "maclaurin_coefficients", "zeta_polynomial", "zeta_poly_closed_form",
     "check_zeta_properties", "deflate_at_one",
+    "Analysis", "analyze", "scale_estimate",
     "SpecialValuesCache", "parse_coefficient_file", "parse_coefficient_text",
     "coefficient_file_text", "write_coefficient_file", "parse_curve_file",
     "parse_curve_text", "parse_eps_overrides", "parse_eps_overrides_text",

@@ -20,11 +20,8 @@ identical inputs and settings produce byte-identical bytes.
 """
 
 import argparse
-import math
 import os
 import sys
-import time
-from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -35,60 +32,26 @@ from .errors import (CertificationError, ConventionError, InputError,
 from .files import (FORMAT_REPORT, SpecialValuesCache, canonical_report_text,
                     parse_coefficient_file, parse_curve_file,
                     parse_eps_overrides, sha256_file, write_report)
-from .gates import compute_A_m, rouche_transfer, theorem_gate
-from .lfunc import Precision, special_values, verify_hypothesis
-from .numutil import fmt_mpf, log_gamma_c_real
-from .polys import (build_P_poly, build_Q_poly, build_p_poly, l_value_ratios,
-                    q_decomposition_residual, s_tail_parts)
-from .rv import (check_zeta_properties, deflate_at_one, zeta_poly_closed_form,
-                 zeta_polynomial)
+from .gates import compute_A_m
+from .lfunc import Precision, special_values
+from .numutil import fmt_mpf
+from .pipeline import analyze, scale_estimate
 from .sympow import determine_root_number, sym_lfunction_data
-from .zeros import (circle_report, disc_transition_table, star_discrepancy,
-                    trig_sign_changes)
-
-_DEFAULT_BITS = 192
-_DEFAULT_COEFFS = 10000
+from .zeros import disc_transition_table
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
-
-    subcommand: str
-    coeffs_path: str = None
-    curve_path: str = None
-    sym: int = 0
-    label: str = None
-    eps_overrides_path: str = None
-    precision_bits: int = _DEFAULT_BITS
-    target_error: float = None
-    coeff_limit: int = _DEFAULT_COEFFS
-    cache_dir: str = None
-    output: str = None
-    radius: float = 1.0
-    table: bool = False
-    degree: int = 4
-    n_max: int = 800
-    m_max: int = 50
-
-    def __post_init__(self):
-        if int(self.precision_bits) < 64:
-            raise InputError("precision must be at least 64 bits")
-        if self.target_error is not None and not self.target_error > 0:
-            raise InputError("target error must be positive")
-        for path in (self.coeffs_path, self.curve_path,
-                     self.eps_overrides_path):
-            if path is not None and not os.path.exists(path):
-                raise InputError("input file not found: %s" % path)
-
-
-def _scale_estimate(data):
-    """Rough magnitude of Lambda(w), used to set an absolute error target."""
-    w = data.weight
-    ln = 0.5 * w * math.log(data.conductor)
-    for nu, h in enumerate(data.hodge):
-        ln += h * log_gamma_c_real(w - nu)
-    return max(1.0, math.exp(ln))
+def _check_args(args):
+    """Reject settings no subcommand can run with (argparse supplies the
+    defaults)."""
+    if args.precision_bits < 64:
+        raise InputError("precision must be at least 64 bits")
+    target = getattr(args, "target_error", None)
+    if target is not None and not target > 0:
+        raise InputError("target error must be positive")
+    for name in ("coeffs_path", "curve_path", "eps_overrides_path"):
+        path = getattr(args, name, None)
+        if path is not None and not os.path.exists(path):
+            raise InputError("input file not found: %s" % path)
 
 
 def _pair(v, e, digits):
@@ -100,39 +63,43 @@ def _poly_obj(p, digits):
         return p.to_json_obj(digits)
 
 
-def _emit(config, report, table_text):
-    body = table_text if config.table else canonical_report_text(report)
-    if config.output:
-        if config.table:
-            with open(config.output, "w", encoding="utf-8") as fh:
+def _emit(args, command, report, lines):
+    """Write the report (with its format header) or the table lines."""
+    report = dict(report, format=FORMAT_REPORT, library_version=__version__,
+                  command=command)
+    table_text = "\n".join(lines) + "\n"
+    body = table_text if args.table else canonical_report_text(report)
+    if args.output:
+        if args.table:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(table_text)
         else:
-            write_report(config.output, report)
+            write_report(args.output, report)
     else:
         sys.stdout.write(body)
 
 
-def _ingest(config, inputs):
+def _ingest(args, inputs):
     """Resolve the input files into (LFunctionData, sym, curve-or-None)."""
-    if (config.coeffs_path is None) == (config.curve_path is None):
+    if (args.coeffs_path is None) == (args.curve_path is None):
         raise InputError("exactly one of --coeffs or --curve is required")
-    if config.coeffs_path:
-        inputs[os.path.basename(config.coeffs_path)] = sha256_file(
-            config.coeffs_path)
-        data = parse_coefficient_file(config.coeffs_path,
-                                      bits=config.precision_bits)
+    if args.coeffs_path:
+        inputs[os.path.basename(args.coeffs_path)] = sha256_file(
+            args.coeffs_path)
+        data = parse_coefficient_file(args.coeffs_path,
+                                      bits=args.precision_bits)
         return data, 0, None
-    if config.sym < 1 or config.sym % 2 == 0:
+    if args.sym < 1 or args.sym % 2 == 0:
         raise InputError("--sym must be an odd positive integer "
                          "(self-dual odd weight)")
-    inputs[os.path.basename(config.curve_path)] = sha256_file(
-        config.curve_path)
-    curves = parse_curve_file(config.curve_path)
-    if config.label:
-        matches = [c for c in curves if c.label == config.label]
+    inputs[os.path.basename(args.curve_path)] = sha256_file(
+        args.curve_path)
+    curves = parse_curve_file(args.curve_path)
+    if args.label:
+        matches = [c for c in curves if c.label == args.label]
         if not matches:
             raise InputError("label %r not found in %s (have: %s)"
-                             % (config.label, config.curve_path,
+                             % (args.label, args.curve_path,
                                 ", ".join(c.label for c in curves)))
         curve = matches[0]
     elif len(curves) == 1:
@@ -142,109 +109,82 @@ def _ingest(config, inputs):
                          % len(curves))
 
     eps = None
-    if config.eps_overrides_path:
-        inputs[os.path.basename(config.eps_overrides_path)] = sha256_file(
-            config.eps_overrides_path)
-        table = parse_eps_overrides(config.eps_overrides_path)
-        eps = table.get((curve.label, config.sym))
+    if args.eps_overrides_path:
+        inputs[os.path.basename(args.eps_overrides_path)] = sha256_file(
+            args.eps_overrides_path)
+        table = parse_eps_overrides(args.eps_overrides_path)
+        eps = table.get((curve.label, args.sym))
     if eps is None:
         # No recorded sign: determine it by comparing the two-sided value
         # at s = w against the direct series.  Costly but self-contained.
-        eps, _margin = determine_root_number(curve, config.sym)
-    data = sym_lfunction_data(curve, config.sym, config.coeff_limit, eps)
-    return data, config.sym, curve
+        eps, _margin = determine_root_number(curve, args.sym)
+    data = sym_lfunction_data(curve, args.sym, args.coeff_limit, eps)
+    return data, args.sym, curve
 
 
-def cmd_analyze(config):
+def cmd_analyze(args):
     inputs = {}
-    data, sym, curve = _ingest(config, inputs)
-    bits = int(config.precision_bits)
-    digits = int(bits * 0.30103) + 8
+    data, sym, curve = _ingest(args, inputs)
     label = data.label or "dataset"
-
-    target = config.target_error
+    target = args.target_error
     if target is None:
-        target = _scale_estimate(data) * 1e-25
-    prec = Precision(mantissa_bits=bits, target_abs_error=target)
+        target = scale_estimate(data) * 1e-25
+    prec = Precision(mantissa_bits=args.precision_bits,
+                     target_abs_error=target)
 
-    cache = SpecialValuesCache(config.cache_dir) if config.cache_dir else None
+    cache = SpecialValuesCache(args.cache_dir) if args.cache_dir else None
     vals = None
     if cache is not None:
-        vals = cache.load(label, sym, bits, data.weight)
+        vals = cache.load(label, sym, args.precision_bits, data.weight)
     if vals is None:
         vals = special_values(data, prec)
         if cache is not None:
             cache.store(label, sym, vals)
 
-    violations = verify_hypothesis(data, vals)
-
-    p = build_p_poly(data, vals)
-    ratios = l_value_ratios(data, vals)
-    big_p = build_P_poly(data, vals)
-    big_q = build_Q_poly(data, vals, ratios)
-
-    forced_root = data.root_number == -1
-    p_hat = deflate_at_one(p, data.root_number)
-    circ = circle_report(p_hat)
-    angles = circ.on_angles()
-    if forced_root:
-        angles = angles + [0.0]
-    disc = star_discrepancy(sorted(angles))
-
-    scan = trig_sign_changes(big_p, data.root_number)
-
-    q_res, q_max_s = q_decomposition_residual(data, vals)
-    s_parts = None
-    if data.m >= 2:
-        s_parts = s_tail_parts(data, ratios)
-
     sym_context = (2, sym, curve.conductor) if curve is not None else None
-    gate = theorem_gate(data, vals, sym_context=sym_context)
+    result = analyze(data, vals, sym_context)
+    _emit(args, "analyze", _analysis_report(result, args, inputs, sym),
+          _analysis_lines(result))
+    checks = result.checks
+    if not checks["all_pass"]:
+        raise VerificationError(
+            "analysis checks failed: "
+            + ", ".join(k for k, v in checks.items() if not v and
+                        k != "all_pass"))
+    return 0
 
-    rouche_obj = {"skipped": "m = 1: the gate is unconditional"}
-    if data.m >= 2:
-        try:
-            rt = rouche_transfer(data, vals)
-            rouche_obj = {
-                "certified": rt.certified,
-                "min_t_on_circle": fmt_mpf(rt.min_t, 12),
-                "remainder_bound": fmt_mpf(rt.remainder_bound, 12),
-                "t_disc_zeros": rt.t_disc_zeros,
-                "f_disc_zeros": rt.f_disc_zeros,
-                "q_disc_zeros": rt.q_disc_zeros,
-            }
-        except (CertificationError, QuadratureError) as exc:
-            rouche_obj = {"certified": False, "error": str(exc)}
 
-    zp = zeta_polynomial(data, vals)
-    zp_closed, winner, closed_report = zeta_poly_closed_form(data, vals)
+def _rouche_obj(result):
+    rt = result.rouche
+    if rt is not None:
+        return {
+            "certified": rt.certified,
+            "min_t_on_circle": fmt_mpf(rt.min_t, 12),
+            "remainder_bound": fmt_mpf(rt.remainder_bound, 12),
+            "t_disc_zeros": rt.t_disc_zeros,
+            "f_disc_zeros": rt.f_disc_zeros,
+            "q_disc_zeros": rt.q_disc_zeros,
+        }
+    if result.rouche_error is not None:
+        return {"certified": False, "error": result.rouche_error}
+    return {"skipped": "m = 1: the gate is unconditional"}
+
+
+def _analysis_report(result, args, inputs, sym):
+    """The canonical JSON report of an analysis."""
+    data, vals, ratios = result.data, result.vals, result.ratios
+    circ, scan, gate = result.circle, result.trig, result.gate
+    zp, zcheck, s_parts = result.zeta, result.zeta_check, result.s_parts
+    bits = args.precision_bits
+    digits = int(bits * 0.30103) + 8
     with mp.workprec(bits + 16):
-        scale = max(abs(v) for v, _ in zp.coeffs)
-        agreement = float(
-            max(abs(a - b) for (a, _), (b, _) in
-                zip(zp.coeffs, zp_closed.coeffs[:len(zp.coeffs)])) / scale)
-    zcheck = check_zeta_properties(zp)
-    zeta_fe_ok = zcheck.fe_residual <= 1e-18
-    closed_ok = agreement <= 1e-9
-
-    checks = {
-        "hypothesis_clean": not violations,
-        "zeta_fe_ok": zeta_fe_ok,
-        "closed_form_ok": closed_ok,
-    }
-    checks["all_pass"] = all(checks.values())
-
-    with mp.workprec(bits + 16):
-        report = {
-            "format": FORMAT_REPORT,
-            "library_version": __version__,
-            "command": "analyze",
+        return {
             "inputs": inputs,
             "precision_bits": bits,
-            "target_error_requested": (None if config.target_error is None
-                                       else float(config.target_error)),
+            "target_error_requested": (None if args.target_error is None
+                                       else float(args.target_error)),
             "target_error_effective": float(vals.target),
-            "label": label,
+            "label": data.label or "dataset",
             "sym": sym,
             "weight": data.weight,
             "degree": data.degree,
@@ -256,13 +196,13 @@ def cmd_analyze(config):
                 str(s): _pair(vals.values[s][0], vals.values[s][1], digits)
                 for s in sorted(vals.values)
             },
-            "hypothesis_violations": list(violations),
+            "hypothesis_violations": list(result.violations),
             "polynomials": {
-                "p": _poly_obj(p, digits),
-                "p_deflated": _poly_obj(p_hat, digits),
-                "P": _poly_obj(big_p, digits),
-                "Q": _poly_obj(big_q, digits),
-                "forced_root_at_one": forced_root,
+                "p": _poly_obj(result.p, digits),
+                "p_deflated": _poly_obj(result.p_hat, digits),
+                "P": _poly_obj(result.big_p, digits),
+                "Q": _poly_obj(result.big_q, digits),
+                "forced_root_at_one": data.root_number == -1,
             },
             "ratios": {
                 "r": [_pair(v, e, digits) for v, e in ratios.ratios],
@@ -270,8 +210,8 @@ def cmd_analyze(config):
                                  digits),
             },
             "q_identity": {
-                "residual": fmt_mpf(q_res, 12),
-                "max_abs_remainder": fmt_mpf(q_max_s, 12),
+                "residual": fmt_mpf(result.q_residual, 12),
+                "max_abs_remainder": fmt_mpf(result.q_max_remainder, 12),
                 "remainder_bound": (None if s_parts is None else {
                     "series": fmt_mpf(s_parts.series, 12),
                     "central": fmt_mpf(s_parts.central, 12),
@@ -293,7 +233,7 @@ def cmd_analyze(config):
                 "num_on": circ.num_on,
                 "num_off": circ.num_off,
                 "num_uncertain": circ.num_uncertain,
-                "star_discrepancy": disc,
+                "star_discrepancy": result.discrepancy,
             },
             "trig_certificate": {
                 "kind": scan.kind,
@@ -318,7 +258,7 @@ def cmd_analyze(config):
                                          gate.margin_22[1], 12)),
                 "notes": list(gate.notes),
             },
-            "rouche": rouche_obj,
+            "rouche": _rouche_obj(result),
             "zeta": {
                 "e": zp.e,
                 "eps": zp.eps,
@@ -330,17 +270,23 @@ def cmd_analyze(config):
                 "fe_residual": zcheck.fe_residual,
                 "max_line_deviation": zcheck.max_line_deviation,
                 "line_ok": zcheck.ok,
-                "closed_form_winner": winner,
-                "closed_form_agreement": agreement,
-                "convention_report": {k: float(v)
-                                      for k, v in closed_report.items()},
+                "closed_form_winner": result.closed_form_winner,
+                "closed_form_agreement": result.closed_form_agreement,
+                "convention_report": {
+                    k: float(v)
+                    for k, v in result.closed_form_report.items()},
             },
-            "checks": checks,
+            "checks": result.checks,
         }
 
+
+def _analysis_lines(result):
+    """The human-readable rendering of an analysis."""
+    data, vals, violations = result.data, result.vals, result.violations
+    circ, zcheck = result.circle, result.zeta_check
     lines = [
         "dataset %s  (weight %d, degree %d, conductor %d, eps %+d)"
-        % (label, data.weight, data.degree, data.conductor,
+        % (data.label or "dataset", data.weight, data.degree, data.conductor,
            data.root_number),
         "special values:",
     ]
@@ -350,44 +296,37 @@ def cmd_analyze(config):
                         fmt_mpf(vals.values[s][1], 4)))
     lines.append("hypothesis violations: %s"
                  % (", ".join(violations) if violations else "none"))
-    lines.append("gate: %s (satisfied: %s)" % (gate.case, gate.satisfied))
+    lines.append("gate: %s (satisfied: %s)"
+                 % (result.gate.case, result.gate.satisfied))
     lines.append("circle: %d on / %d off / %d uncertain, discrepancy %.4f"
-                 % (circ.num_on, circ.num_off, circ.num_uncertain, disc))
-    if forced_root:
+                 % (circ.num_on, circ.num_off, circ.num_uncertain,
+                    result.discrepancy))
+    if data.root_number == -1:
         lines.append("forced root at z = 1 (eps = -1)")
     lines.append("trig certificate: %d roots certified on the circle"
-                 % scan.certified_on_circle)
+                 % result.trig.certified_on_circle)
     lines.append("zeta: FE residual %.3e, line deviation %.3e, "
                  "closed form %s agrees to %.3e"
-                 % (zcheck.fe_residual, zcheck.max_line_deviation, winner,
-                    agreement))
-    lines.append("checks: %s" % ("all pass" if checks["all_pass"]
+                 % (zcheck.fe_residual, zcheck.max_line_deviation,
+                    result.closed_form_winner, result.closed_form_agreement))
+    lines.append("checks: %s" % ("all pass" if result.checks["all_pass"]
                                  else "FAILED"))
-    _emit(config, report, "\n".join(lines) + "\n")
-
-    if not checks["all_pass"]:
-        raise VerificationError(
-            "analysis checks failed: "
-            + ", ".join(k for k, v in checks.items() if not v and
-                        k != "all_pass"))
-    return 0
+    return lines
 
 
-def cmd_disc_table(config):
-    d = int(config.degree)
+def cmd_disc_table(args):
+    d = int(args.degree)
     if d % 2 != 0 or not 2 <= d <= 12:
         raise InputError("degree must be even with 2 <= d <= 12")
-    n_max = int(config.n_max)
+    n_max = int(args.n_max)
     if n_max < 1:
         raise InputError("--n-max must be positive")
-    start = time.monotonic()
     failures = []
     try:
-        transitions = disc_transition_table(d, n_max, radius=config.radius)
+        transitions = disc_transition_table(d, n_max, radius=args.radius)
     except CertificationError as exc:
         failures.append(str(exc))
         transitions = []
-    elapsed = time.monotonic() - start
 
     segments = []
     for i, (n0, count) in enumerate(transitions):
@@ -395,60 +334,47 @@ def cmd_disc_table(config):
             else n_max
         segments.append({"from": n0, "to": n1, "count": count})
     report = {
-        "format": FORMAT_REPORT,
-        "library_version": __version__,
-        "command": "disc-table",
         "degree": d,
         "n_max": n_max,
-        "radius": float(config.radius),
+        "radius": float(args.radius),
         "transitions": [{"n": n, "count": c} for n, c in transitions],
         "segments": segments,
         "certification_failures": failures,
-        "elapsed_seconds": round(elapsed, 3),
     }
-    lines = ["disc-zero counts c_{%d,N} inside |z| < %g" % (d, config.radius)]
+    lines = ["disc-zero counts c_{%d,N} inside |z| < %g" % (d, args.radius)]
     for seg in segments:
         lines.append("  N in [%d, %d]: %d" % (seg["from"], seg["to"],
                                               seg["count"]))
     for f in failures:
         lines.append("  certification failure: %s" % f)
-    _emit(config, report, "\n".join(lines) + "\n")
+    _emit(args, "disc-table", report, lines)
     if failures:
         raise CertificationError("; ".join(failures))
     return 0
 
 
-def cmd_am_table(config):
-    m_max = int(config.m_max)
+def cmd_am_table(args):
+    m_max = int(args.m_max)
     if m_max < 2:
         raise InputError("--m-max must be at least 2")
-    bits = int(config.precision_bits)
-    start = time.monotonic()
+    bits = args.precision_bits
     rows = []
     with mp.workprec(bits):
         for m in range(2, m_max + 1):
             rows.append({"m": m, "a_m": fmt_mpf(compute_A_m(m, bits=bits),
                                                 20)})
-    elapsed = time.monotonic() - start
-    report = {
-        "format": FORMAT_REPORT,
-        "library_version": __version__,
-        "command": "am-table",
-        "precision_bits": bits,
-        "rows": rows,
-        "elapsed_seconds": round(elapsed, 3),
-    }
+    report = {"precision_bits": bits, "rows": rows}
     lines = ["gate constants A_m (decreasing to 2 pi)"]
     for row in rows:
         lines.append("  A_%d = %s" % (row["m"], row["a_m"]))
-    _emit(config, report, "\n".join(lines) + "\n")
+    _emit(args, "am-table", report, lines)
     return 0
 
 
-def cmd_cache(config):
-    if not config.cache_dir:
+def cmd_cache(args):
+    if not args.cache_dir:
         raise InputError("--dir is required")
-    cache = SpecialValuesCache(config.cache_dir)
+    cache = SpecialValuesCache(args.cache_dir)
     keys = sorted(cache.existing_keys())
     groups = {}
     for label, sym, s, bits in keys:
@@ -459,9 +385,6 @@ def cmd_cache(config):
         for (label, sym, bits), ss in sorted(groups.items())
     ]
     report = {
-        "format": FORMAT_REPORT,
-        "library_version": __version__,
-        "command": "cache",
         "path": cache.path,
         "total_records": len(keys),
         "entries": entries,
@@ -470,7 +393,7 @@ def cmd_cache(config):
     for e in entries:
         lines.append("  %s sym=%d bits=%d s=%s"
                      % (e["label"], e["sym"], e["bits"], e["s_values"]))
-    _emit(config, report, "\n".join(lines) + "\n")
+    _emit(args, "cache", report, lines)
     return 0
 
 
@@ -484,9 +407,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--precision-bits", type=int, default=_DEFAULT_BITS,
-                       help="working mantissa bits (default %d, min 64)"
-                            % _DEFAULT_BITS)
+        p.add_argument("--precision-bits", type=int, default=192,
+                       help="working mantissa bits (default %(default)s, "
+                            "min 64)")
         p.add_argument("--json", dest="table", action="store_false",
                        default=False, help="emit a canonical JSON report "
                                            "(default)")
@@ -508,9 +431,9 @@ def build_parser():
     pa.add_argument("--target-error", type=float, default=None,
                     help="absolute error target for completed values "
                          "(default: value scale * 1e-25)")
-    pa.add_argument("--coeff-limit", type=int, default=_DEFAULT_COEFFS,
+    pa.add_argument("--coeff-limit", type=int, default=10000,
                     help="how many Dirichlet coefficients to generate from "
-                         "a curve (default %d)" % _DEFAULT_COEFFS)
+                         "a curve (default %(default)s)")
     pa.add_argument("--cache-dir", help="special-values cache directory")
     common(pa)
 
@@ -535,18 +458,6 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    fields = ("coeffs_path", "curve_path", "sym", "label",
-              "eps_overrides_path", "target_error", "coeff_limit",
-              "cache_dir", "output", "radius", "table", "degree", "n_max",
-              "m_max", "precision_bits")
-    kwargs = {"subcommand": args.subcommand}
-    for f in fields:
-        if hasattr(args, f) and getattr(args, f) is not None:
-            kwargs[f] = getattr(args, f)
-    return RunConfig(**kwargs)
-
-
 _DISPATCH = {
     "analyze": cmd_analyze,
     "disc-table": cmd_disc_table,
@@ -559,8 +470,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.subcommand](config)
+        _check_args(args)
+        return _DISPATCH[args.subcommand](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -180,10 +180,9 @@ def parse_coefficient_file(path, bits=192):
                                   bits=bits)
 
 
-def coefficient_file_text(data, digits=None):
+def coefficient_file_text(data):
     """Serialize LFunctionData in the coefficient-file format."""
-    if digits is None:
-        digits = _digits_for_bits(192)
+    digits = _digits_for_bits(192)
     out = ["format=%s" % FORMAT_COEFFS,
            "degree=%d" % data.degree,
            "weight=%d" % data.weight,
@@ -197,9 +196,9 @@ def coefficient_file_text(data, digits=None):
     return "\n".join(out) + "\n"
 
 
-def write_coefficient_file(path, data, digits=None):
+def write_coefficient_file(path, data):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(coefficient_file_text(data, digits))
+        fh.write(coefficient_file_text(data))
 
 
 # ---------------------------------------------------------------------------

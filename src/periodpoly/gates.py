@@ -50,6 +50,9 @@ SYM_POWER_GAPS = {
 # symmetric powers of non-CM newforms of the given (modular weight, power).
 COROLLARY_LEVEL_FLOORS = {(2, 5): 46, (2, 7): 17, (4, 3): 17}
 
+_ROUCHE_GRID = 4096  # circle points where rouche_transfer samples |T|
+_GATE_BITS = 128  # precision of A_m and A_m^d in theorem_gate
+
 _ZETA_CACHE = {}
 _AM_CACHE = {}
 
@@ -170,7 +173,7 @@ class GateReport:
         return self.case in ("M1", "LARGE_N")
 
 
-def theorem_gate(data, vals=None, bits=128, sym_context=None):
+def theorem_gate(data, vals=None, sym_context=None):
     """Evaluate the unit-circle gates on one dataset.
 
     sym_context, when given, is (modular_weight, power, base_level) for a
@@ -187,8 +190,8 @@ def theorem_gate(data, vals=None, bits=128, sym_context=None):
         if case == "NONE":
             notes.append("m = 1 but h_0 = %d is outside {0, 1}" % data.hodge[0])
     else:
-        a_m = compute_A_m(m, bits=bits)
-        with mp.workprec(bits):
+        a_m = compute_A_m(m, bits=_GATE_BITS)
+        with mp.workprec(_GATE_BITS):
             a_pow = +(a_m ** data.degree)
         if hodge_ok and mp.mpf(data.conductor) > a_pow:
             case = "LARGE_N"
@@ -262,7 +265,7 @@ class RoucheTransfer:
     q_disc_zeros: object  # int when certified, else None
 
 
-def rouche_transfer(data, vals, grid=4096):
+def rouche_transfer(data, vals):
     """Run the circle comparison |Q - z^m T(1/z)| <= remainder < min |T|.
 
     The minimum of |T| over the circle is certified from a uniform grid
@@ -277,9 +280,9 @@ def rouche_transfer(data, vals, grid=4096):
     with mp.workprec(vals.bits):
         # |T'| on the circle is at most sum j |c_j|
         deriv_cap = mp.fsum(j * abs(v) for j, v in enumerate(t.values()))
-        step = 2 * mp.pi / grid
+        step = 2 * mp.pi / _ROUCHE_GRID
         mn = mp.inf
-        for i in range(grid):
+        for i in range(_ROUCHE_GRID):
             z = mp.expj(step * i)
             mn = min(mn, abs(t(z)))
         min_t = mn - deriv_cap * step / 2

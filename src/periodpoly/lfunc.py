@@ -32,7 +32,7 @@ style, not rigorous ball arithmetic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -50,6 +50,7 @@ _OFFSETS = (0, 2, 5, 9, 15, 24, 38, 60, 90, 130, 190, 270, 380, 520, 700, 950, 1
 
 _MAX_NODES = 25000
 _MAX_HALVINGS = 7
+_ZETA_RATIO_BITS = 128  # working precision of zeta_ratio_bound
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,8 @@ class LFunctionData:
     """Self-dual motivic L-function data of odd weight.
 
     coefficients[i] holds lambda(i+1); the list is immutable after
-    construction.  b_plus/b_minus are the counts of Gamma_R(s) and
-    Gamma_R(s+1) factors; under odd weight both must vanish, and they are
-    stored only so that the shape of general-weight data is representable.
+    construction.  Odd weight admits no Gamma_R factors, so the
+    archimedean factor is the Gamma_C product alone.
     """
 
     weight: int
@@ -86,8 +86,6 @@ class LFunctionData:
     root_number: int
     coefficients: tuple
     label: str = ""
-    b_plus: int = 0
-    b_minus: int = 0
 
     def __post_init__(self):
         w = self.weight
@@ -104,8 +102,6 @@ class LFunctionData:
             raise InputError("hodge numbers must be nonnegative")
         if not any(hodge):
             raise InputError("all Hodge numbers vanish; degree would be 0")
-        if self.b_plus != 0 or self.b_minus != 0:
-            raise InputError("b_plus/b_minus must be 0 for odd weight")
         if self.degree != 2 * sum(hodge):
             raise InputError(
                 "degree %d inconsistent with 2*sum(hodge) = %d"
@@ -130,9 +126,6 @@ class LFunctionData:
     def coeff_limit(self):
         return len(self.coefficients)
 
-    def lam(self, n):
-        return self.coefficients[n - 1]
-
 
 @dataclass(frozen=True)
 class SpecialValues:
@@ -154,10 +147,6 @@ class SpecialValues:
     def error(self, s):
         return self.values[s][1]
 
-    @property
-    def central(self):
-        return self.values[(self.weight + 1) // 2][0]
-
 
 def _min_offset(sigma, m):
     """Least admissible Re(u) for the kernel line at this sigma: keeps the
@@ -166,14 +155,12 @@ def _min_offset(sigma, m):
     return max(1.0, m + 1.75 - sigma)
 
 
-def gamma_completed(s, data, bits=None):
-    """L_inf(s) = prod Gamma_C(s - nu)^{h_nu} (times Gamma_R factors when
-    b_plus/b_minus are nonzero, which odd weight forbids).
+def gamma_completed(s, data, bits):
+    """L_inf(s) = prod Gamma_C(s - nu)^{h_nu} at bits (+8 guard bits).
 
     Raises PoleError when any factor is evaluated at a pole.
     """
-    work = bits if bits is not None else mp.mp.prec
-    with mp.workprec(work + 8):
+    with mp.workprec(bits + 8):
         sv = mp.mpmathify(s)
         out = mp.mpf(1)
         for nu, h in enumerate(data.hodge):
@@ -182,11 +169,6 @@ def gamma_completed(s, data, bits=None):
             z = sv - nu
             _check_pole(z)
             out *= (2 * (2 * mp.pi) ** (-z) * mp.gamma(z)) ** h
-        for half, b in ((0, data.b_plus), (1, data.b_minus)):
-            if b:
-                z = (sv + half) / 2
-                _check_pole(z)
-                out *= (mp.pi ** (-z) * mp.gamma(z)) ** b
         return +out
 
 
@@ -315,14 +297,19 @@ class _AfeEngine:
         # of |g| (the accounting is estimate-grade, documented).
         rung.bound = mp.mpf("1.25") * (h / mp.pi) * (abs(g[0]) / 2 + suffix[1])
 
-    def _probe(self, rung, ell):
+    @staticmethod
+    def _node_sum(rung, ell, count):
+        """Trapezoid kernel sum g_0/2 + sum_{0<k<count} g_k e^{i k h ell}."""
         z = mp.expj(rung.h * ell)
         acc = rung.g[0] / 2
         zk = mp.mpc(1)
-        for k in range(1, len(rung.g)):
+        for k in range(1, count):
             zk *= z
             acc += rung.g[k] * zk
-        return (rung.h / mp.pi) * mp.re(acc)
+        return acc
+
+    def _probe(self, rung, ell):
+        return (rung.h / mp.pi) * mp.re(self._node_sum(rung, ell, len(rung.g)))
 
     def _refine(self, sigma, rung, abs_target, ell_lo):
         """Halve h until the probe difference of the trapezoid kernel is
@@ -501,12 +488,7 @@ class _AfeEngine:
                     lo = mid + 1
             kc = lo
             skip_err += wt * pref * r.suffix[kc]
-            z = mp.expj(r.h * ell)
-            acc = r.g[0] / 2
-            zk = mp.mpc(1)
-            for k in range(1, kc):
-                zk *= z
-                acc += r.g[k] * zk
+            acc = self._node_sum(r, ell, kc)
             term = lam * mp.exp(-sig * lnn + r.c * ell) * (r.h / mp.pi) * mp.re(acc)
             total += term
             abs_total += abs(term)
@@ -547,22 +529,10 @@ def special_values(data, prec=Precision()):
     )
 
 
-def completed_lambda(s, data, prec=Precision()):
-    """Lambda(s) for one integer s in [1, w]; returns (value, error_bound)."""
-    if s != int(s) or not 1 <= int(s) <= data.weight:
-        raise InputError("s must be an integer in [1, w]")
-    s = int(s)
-    engine = _AfeEngine(data, prec)
-    with mp.workprec(engine.workbits):
-        a, ea = engine.one_sided(s)
-        b, eb = engine.one_sided(data.weight + 1 - s)
-        return +(a + data.root_number * b), +(ea + eb)
-
-
-def zeta_ratio_bound(a, b, d, bits=128):
+def zeta_ratio_bound(a, b, d):
     """(zeta(1+a)/zeta(1+b))^d, the coefficient-sum bound for ratios of
     L-values L(m+3/2+a)/L(m+3/2+b); requires 0 < a < b."""
-    with mp.workprec(bits):
+    with mp.workprec(_ZETA_RATIO_BITS):
         a = mp.mpf(a)
         b = mp.mpf(b)
         if not (0 < a < b):

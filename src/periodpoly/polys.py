@@ -38,6 +38,8 @@ from .errors import InputError, VerificationError
 from .lfunc import gamma_completed
 from .numutil import fmt_mpf
 
+_Q_CHECK_POINTS = 256  # circle samples of the Q-decomposition check
+
 
 @dataclass(frozen=True)
 class RealPolynomial:
@@ -147,18 +149,13 @@ def build_p_poly(data, vals):
 def build_P_poly(data, vals):
     """Degree-m folded polynomial: constant term (1/2) b_m Lambda(m+1),
     z^j coefficient b_{m-j} Lambda(m+1+j); satisfies
-    p(z) = eps z^m (P(z) + eps P(1/z))."""
+    p(z) = eps z^m (P(z) + eps P(1/z)).  These are the coefficients of p
+    from z^m down to z^0, the central one halved."""
     m = data.m
+    cs = build_p_poly(data, vals).coeffs[m::-1]
     with mp.workprec(vals.bits):
-        cs = []
-        for j in range(0, m + 1):
-            b = binomial_weight(m, data.hodge, j)
-            v = b * mp.mpf(vals.value(m + 1 + j))
-            e = b * mp.mpf(vals.error(m + 1 + j))
-            if j == 0:
-                v, e = v / 2, e / 2
-            cs.append((v, e))
-    return RealPolynomial(tuple(cs), bits=vals.bits, label=(vals.label or "P"))
+        cs = ((cs[0][0] / 2, cs[0][1] / 2),) + cs[1:]
+    return RealPolynomial(cs, bits=vals.bits, label=(vals.label or "P"))
 
 
 @dataclass(frozen=True)
@@ -169,9 +166,6 @@ class LValueRatios:
     ratios: tuple
     central: tuple
     bits: int = 192
-
-    def ratio(self, j):
-        return self.ratios[j][0]
 
 
 def l_value_ratios(data, vals):
@@ -192,29 +186,29 @@ def l_value_ratios(data, vals):
             )
         g_top = gamma_completed(w, data, bits=vals.bits)
         out = []
-        for j in range(0, m):
-            s = w - j
+        # s = w - j for j = 0..m-1, then the central s = m + 1
+        for s in [w - j for j in range(m)] + [m + 1]:
             v = mp.mpf(vals.value(s))
             e = mp.mpf(vals.error(s))
             g = gamma_completed(s, data, bits=vals.bits)
-            # L(w-j)/L(w) = Lambda(w-j)/Lambda(w) * N^{j/2} * g_top/g
-            fac = mp.power(data.conductor, mp.mpf(j) / 2) * g_top / g
+            # L(s)/L(w) = Lambda(s)/Lambda(w) * N^{(w-s)/2} * g_top/g
+            fac = mp.power(data.conductor, mp.mpf(w - s) / 2) * g_top / g
             r = v / top_v * fac
             re = (e / abs(top_v) + abs(v) * top_e / top_v ** 2) * abs(fac)
             out.append((+r, +re))
-        s = m + 1
-        v = mp.mpf(vals.value(s))
-        e = mp.mpf(vals.error(s))
-        g = gamma_completed(s, data, bits=vals.bits)
-        fac = mp.power(data.conductor, mp.mpf(w - s) / 2) * g_top / g
-        r = v / top_v * fac
-        re = (e / abs(top_v) + abs(v) * top_e / top_v ** 2) * abs(fac)
-        return LValueRatios(ratios=tuple(out), central=(+r, +re), bits=vals.bits)
+        return LValueRatios(ratios=tuple(out[:-1]), central=out[-1],
+                            bits=vals.bits)
 
 
 def _f_term_factor(d, n_cond, bits):
     with mp.workprec(bits):
         return mp.power(2 * mp.pi, mp.mpf(d) / 2) / mp.sqrt(n_cond)
+
+
+def _f_coeff(y, j, d):
+    """c_j = y^j / (j!)^{d/2}, the z^j coefficient of F_{d,N} when
+    y = (2pi)^{d/2}/sqrt(N), at the ambient precision."""
+    return mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2)
 
 
 def build_Q_poly(data, vals, ratios=None):
@@ -231,10 +225,10 @@ def build_Q_poly(data, vals, ratios=None):
         y = _f_term_factor(d, data.conductor, bits + 8)
         cs = [(mp.mpf(0), mp.mpf(0))] * (m + 1)
         for j in range(0, m):
-            c = mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2)
+            c = _f_coeff(y, j, d)
             r, re = ratios.ratios[j]
             cs[m - j] = (+(c * r), +(c * re))
-        c = mp.power(y, m) / mp.factorial(m) ** (mp.mpf(d) / 2)
+        c = _f_coeff(y, m, d)
         r, re = ratios.central
         cs[0] = (+(c * r / 2), +(c * re / 2))
     return RealPolynomial(tuple(cs), bits=bits, label=(vals.label or "Q"))
@@ -278,7 +272,7 @@ class ApproximantSeries:
         with mp.workprec(self.bits):
             jf = self.J if j_from is None else j_from
             y = self._y() * mp.mpf(radius)
-            t = mp.power(y, jf + 1) / mp.factorial(jf + 1) ** (mp.mpf(self.d) / 2)
+            t = _f_coeff(y, jf + 1, self.d)
             rho = y / mp.mpf(jf + 2) ** (mp.mpf(self.d) / 2)
             if rho >= 1:
                 return mp.inf
@@ -304,18 +298,6 @@ class ApproximantSeries:
                 return +mp.re(acc)
             return +acc
 
-    def eval_with_error(self, z):
-        """(value, bound): truncation tail at |z| plus rounding slack."""
-        with mp.workprec(self.bits):
-            v = self.eval(z)
-            tail = self.tail_bound(abs(mp.mpmathify(z)))
-            return v, +(tail + abs(v) * mp.mpf(2) ** (8 - self.bits))
-
-
-def eval_F(series, z):
-    """Functional form of ApproximantSeries.eval."""
-    return series.eval(z)
-
 
 def partial_sum_T(m, d, conductor, bits=192):
     """Degree-m truncation T_{m,d,N} of F_{d,N} as a RealPolynomial (its
@@ -326,7 +308,7 @@ def partial_sum_T(m, d, conductor, bits=192):
         y = _f_term_factor(d, conductor, bits + 8)
         cs = []
         for j in range(0, m + 1):
-            c = mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2)
+            c = _f_coeff(y, j, d)
             cs.append((+c, +(abs(c) * mp.mpf(2) ** (4 - bits))))
     return RealPolynomial(tuple(cs), bits=bits, label="T")
 
@@ -352,12 +334,12 @@ class SBoundParts:
         return self.series + self.central + self.corner
 
 
-def s_tail_parts(data, ratios, bits=None):
+def s_tail_parts(data, ratios):
     m = data.m
     if m < 2:
         raise InputError("remainder bound requires m >= 2")
     d = data.degree
-    bits = bits or ratios.bits
+    bits = ratios.bits
     with mp.workprec(bits):
         series = (
             mp.mpf(2) ** (2 - m)
@@ -365,20 +347,13 @@ def s_tail_parts(data, ratios, bits=None):
             * ApproximantSeries(d, data.conductor, bits=bits).eval(2)
         )
         y = _f_term_factor(d, data.conductor, bits)
-        c_m = mp.power(y, m) / mp.factorial(m) ** (mp.mpf(d) / 2)
+        c_m = _f_coeff(y, m, d)
         rc, rce = ratios.central
         central = c_m * (abs(rc) + rce) / 2
         return SBoundParts(series=+series, central=+central, corner=+c_m)
 
 
-def s_tail_bound(data, ratios, bits=None):
-    """Circle bound for the L-ratio remainder: the monotone zeta estimate
-    2^{2-m}(zeta(3/2)^d - 1) F_{d,N}(2) plus the central-term bound."""
-    parts = s_tail_parts(data, ratios, bits=bits)
-    return parts.series + parts.central
-
-
-def q_decomposition_residual(data, vals, points=256):
+def q_decomposition_residual(data, vals):
     """max over circle sample points of |Q(z) - z^m T(1/z) - central - S(z)|
     with S the exact remainder sum; also returns max |S| for the bound
     check.  Pure consistency diagnostic: everything is computed from the
@@ -391,12 +366,12 @@ def q_decomposition_residual(data, vals, points=256):
     t = partial_sum_T(m, d, data.conductor, bits=bits)
     with mp.workprec(bits):
         y = _f_term_factor(d, data.conductor, bits)
-        c = [mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2) for j in range(m + 1)]
+        c = [_f_coeff(y, j, d) for j in range(m + 1)]
         central = c[m] * ratios.central[0] / 2
         worst = mp.mpf(0)
         s_max = mp.mpf(0)
-        for i in range(points):
-            z = mp.expj(2 * mp.pi * mp.mpf(i) / points)
+        for i in range(_Q_CHECK_POINTS):
+            z = mp.expj(2 * mp.pi * mp.mpf(i) / _Q_CHECK_POINTS)
             tz = mp.power(z, m) * t(1 / z)
             s = mp.fsum(
                 (c[j] * (ratios.ratios[j][0] - 1)) * mp.power(z, m - j)

@@ -27,9 +27,9 @@ which this module evaluates under both readings of the Stirling
 convention and checks against the transform.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -37,42 +37,24 @@ from .errors import ConventionError, InputError, VerificationError
 from .polys import RealPolynomial, binomial_weight
 
 
+_CLOSED_FORM_REL_TOL = 1e-9  # closed form vs transform, relative
+_FE_GRID = 64  # complex sample points of the functional-equation check
+
+
 @dataclass(frozen=True)
-class ZetaPolynomial:
+class ZetaPolynomial(RealPolynomial):
     """Polynomial with real coefficients satisfying (when constructed
     from circle-rooted input) Z(s) = eps Z(1-s) with zeros on
     Re(s) = 1/2.
 
-    coeffs is ascending (value, error); exact optionally holds the same
-    coefficients as Fractions when the input was exact.  e is the
-    transform degree parameter; eps the functional-equation sign."""
+    exact optionally holds the coefficients as Fractions when the input
+    was exact.  e is the transform degree parameter; eps the
+    functional-equation sign."""
 
-    coeffs: tuple
+    _: KW_ONLY
     e: int
     eps: int
-    bits: int = 192
-    label: str = ""
     exact: tuple = None
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def values(self):
-        return [c[0] for c in self.coeffs]
-
-    def errors(self):
-        return [c[1] for c in self.coeffs]
-
-    def __call__(self, s):
-        with mp.workprec(self.bits):
-            acc = mp.mpf(0)
-            for v, _ in reversed(self.coeffs):
-                acc = acc * s + v
-            return acc
-
-    def to_real_polynomial(self):
-        return RealPolynomial(self.coeffs, bits=self.bits, label=self.label)
 
 
 def stirling_first(a):
@@ -95,25 +77,16 @@ def _stirling_rows(a_max):
     return rows
 
 
-def _as_pairs(poly_or_coeffs):
-    """Normalize input to ([(value, err)], bits, all_exact, exact_values)."""
-    if isinstance(poly_or_coeffs, RealPolynomial):
-        p = poly_or_coeffs
-        return list(p.coeffs), p.bits, False, None
-    vals = list(poly_or_coeffs)
-    if not vals:
-        raise InputError("need at least one coefficient")
-    if all(isinstance(v, (int, Fraction)) for v in vals):
-        exact = [Fraction(v) for v in vals]
-        return (
-            [(mp.mpf(0), mp.mpf(0))] * len(vals),  # placeholder, unused
-            192,
-            True,
-            exact,
-        )
-    with mp.workprec(192):
-        pairs = [(v if isinstance(v, mp.mpf) else mp.mpf(v), mp.mpf(0)) for v in vals]
-    return pairs, 192, False, None
+def _coefficients(u):
+    """(values, errors, bits, exact) of a RealPolynomial or an ascending
+    coefficient list; a list of ints and Fractions stays exact, with
+    zero errors."""
+    if not isinstance(u, RealPolynomial):
+        u = list(u)
+        if u and all(isinstance(v, (int, Fraction)) for v in u):
+            return [Fraction(v) for v in u], [0] * len(u), 192, True
+        u = RealPolynomial(tuple((v, 0) for v in u))
+    return u.values(), u.errors(), u.bits, False
 
 
 def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
@@ -126,123 +99,78 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
     as the functional-equation sign; otherwise it is inferred from the
     palindrome type of U (and left at +1 if U has no palindrome type).
     """
-    pairs, bits, exact_mode, exact_vals = _as_pairs(poly_or_coeffs)
-    n_coeff = len(exact_vals) if exact_mode else len(pairs)
+    vals, errs, bits, exact = _coefficients(poly_or_coeffs)
+    total = sum if exact else mp.fsum
+    n_coeff = len(vals)
     deg = n_coeff - 1
     if e is None:
         e = deg
     if e < deg:
         raise InputError("e must be at least deg U = %d" % deg)
 
-    if exact_mode:
-        u1 = sum(exact_vals)
-        if u1 == 0:
-            raise InputError("U(1) = 0: deflate the root at z = 1 first")
-        hs = [
-            sum(exact_vals[j] * comb(e + l - j, e) for j in range(n_coeff))
-            for l in range(e + 1)
-        ]
-        diffs = [list(hs)]
-        for _ in range(e):
-            prev = diffs[-1]
-            diffs.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-        dk = [diffs[k][0] for k in range(e + 1)]
-        rows = _stirling_rows(e)
-        zc = [Fraction(0)] * (e + 1)
-        for k in range(e + 1):
-            fk = Fraction(dk[k], 1) / Fraction(_factorial_int(k), 1)
-            for q in range(k + 1):
-                zc[q] += fk * rows[k][q]
-        zq = [((-1) ** q) * zc[q] for q in range(e + 1)]
-        with mp.workprec(192):
-            coeffs = tuple(
-                (mp.mpf(c.numerator) / c.denominator, mp.mpf(0)) for c in zq
-            )
-        if eps is None:
-            # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
-            eps = ((-1) ** e) * _palindrome_sign_exact(exact_vals, e)
-        return ZetaPolynomial(
-            coeffs=coeffs,
-            e=e,
-            eps=eps,
-            bits=192,
-            label=label,
-            exact=tuple(zq),
-        )
-
     with mp.workprec(bits + 16):
-        u1 = mp.fsum(v for v, _ in pairs)
-        u1e = mp.fsum(er for _, er in pairs)
+        u1 = total(vals)
+        u1e = total(errs)
         if abs(u1) <= u1e:
             raise InputError(
                 "U(1) = %s is not certified nonzero (error %s); deflate first"
                 % (mp.nstr(u1, 8), mp.nstr(u1e, 8))
             )
-        hs = []
-        hes = []
-        for l in range(e + 1):
-            hs.append(mp.fsum(pairs[j][0] * comb(e + l - j, e) for j in range(n_coeff)))
-            hes.append(mp.fsum(pairs[j][1] * comb(e + l - j, e) for j in range(n_coeff)))
-        dk = list(hs)
-        dke = list(hes)
-        diffs = [dk[0]]
-        diffe = [dke[0]]
-        cur, cure = dk, dke
+        # H(l) for l = 0..e, then its forward differences at l = 0
+        cur = [total(vals[j] * comb(e + l - j, e) for j in range(n_coeff))
+               for l in range(e + 1)]
+        cure = [total(errs[j] * comb(e + l - j, e) for j in range(n_coeff))
+                for l in range(e + 1)]
+        diffs = [cur[0]]
+        diffe = [cure[0]]
         for _ in range(e):
             cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
             cure = [cure[i + 1] + cure[i] for i in range(len(cure) - 1)]
             diffs.append(cur[0])
             diffe.append(cure[0])
         rows = _stirling_rows(e)
-        zv = [mp.mpf(0)] * (e + 1)
-        ze = [mp.mpf(0)] * (e + 1)
+        zv = [0] * (e + 1)
+        ze = [0] * (e + 1)
         for k in range(e + 1):
-            fk = diffs[k] / _factorial_int(k)
-            fke = diffe[k] / _factorial_int(k)
+            fk = diffs[k] / factorial(k)
+            fke = diffe[k] / factorial(k)
             for q in range(k + 1):
                 s = rows[k][q]
                 if s:
                     zv[q] += fk * s
                     ze[q] += fke * abs(s)
-        coeffs = tuple(
-            (+(((-1) ** q) * zv[q]), +ze[q]) for q in range(e + 1)
-        )
+        zq = [((-1) ** q) * zv[q] for q in range(e + 1)]
         if eps is None:
-            eps = ((-1) ** e) * _palindrome_sign_pairs(pairs, e)
+            # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
+            slack = 0 if exact else max(abs(v) for v in vals) * mp.mpf("1e-20")
+            eps = ((-1) ** e) * _palindrome_sign(vals, errs, e, slack)
+        if not exact:
+            coeffs = tuple((+zq[q], +ze[q]) for q in range(e + 1))
+    if exact:
+        with mp.workprec(bits):
+            coeffs = tuple(
+                (mp.mpf(c.numerator) / c.denominator, mp.mpf(0)) for c in zq
+            )
     return ZetaPolynomial(
-        coeffs=coeffs,
-        e=e,
-        eps=eps,
+        coeffs,
         bits=bits,
         label=label,
+        e=e,
+        eps=eps,
+        exact=tuple(zq) if exact else None,
     )
 
 
-def _factorial_int(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _palindrome_sign_exact(vals, e):
-    padded = list(vals) + [Fraction(0)] * (e + 1 - len(vals))
-    if all(padded[j] == padded[e - j] for j in range(e + 1)):
-        return 1
-    if all(padded[j] == -padded[e - j] for j in range(e + 1)):
-        return -1
-    return 1
-
-
-def _palindrome_sign_pairs(pairs, e):
-    vs = [v for v, _ in pairs] + [mp.mpf(0)] * (e + 1 - len(pairs))
-    es = [er for _, er in pairs] + [mp.mpf(0)] * (e + 1 - len(pairs))
-    scale = max(abs(v) for v in vs)
-    slack = scale * mp.mpf("1e-20")
-    if all(abs(vs[j] - vs[e - j]) <= es[j] + es[e - j] + slack for j in range(e + 1)):
-        return 1
-    if all(abs(vs[j] + vs[e - j]) <= es[j] + es[e - j] + slack for j in range(e + 1)):
-        return -1
+def _palindrome_sign(vals, errs, e, slack):
+    """+1 or -1 when U(z) = +-z^e U(1/z) within the coefficient errors
+    plus slack; +1 when neither holds."""
+    pad = [0] * (e + 1 - len(vals))
+    vs = list(vals) + pad
+    es = list(errs) + pad
+    for sign in (1, -1):
+        if all(abs(vs[j] - sign * vs[e - j]) <= es[j] + es[e - j] + slack
+               for j in range(e + 1)):
+            return sign
     return 1
 
 
@@ -298,18 +226,18 @@ def maclaurin_coefficients(u, e, count):
 
 def zeta_polynomial(data, vals):
     """The line polynomial of a dataset: transform of the (possibly
-    deflated) special-value polynomial, with e = w - (1 if eps = -1)."""
+    deflated) special-value polynomial, with e its degree (2m, or 2m - 1
+    when eps = -1)."""
     from .polys import build_p_poly
 
     p = build_p_poly(data, vals)
     u = deflate_at_one(p, data.root_number)
-    e = 2 * data.m + (0 if data.root_number == 1 else -1)
     return rv_transform(
-        u, e=e, eps=data.root_number, label=(data.label or "") + "-zeta"
+        u, e=u.degree, eps=data.root_number, label=(data.label or "") + "-zeta"
     )
 
 
-def zeta_poly_closed_form(data, vals, rel_tol=1e-9):
+def zeta_poly_closed_form(data, vals):
     """Evaluate the explicit double-sum formula for Z under both readings
     of the Stirling convention and return the one matching the transform.
 
@@ -334,7 +262,7 @@ def zeta_poly_closed_form(data, vals, rel_tol=1e-9):
     eps = data.root_number
     oracle = zeta_polynomial(data, vals)
     with mp.workprec(vals.bits):
-        fact = _factorial_int(n - 1)
+        fact = factorial(n - 1)
         mm = []
         mme = []
         for j in range(n):
@@ -349,14 +277,10 @@ def zeta_poly_closed_form(data, vals, rel_tol=1e-9):
             mm.append(acc / fact)
             mme.append(ace / fact)
 
-        rows_a = _stirling_rows(n - 1)
-
-        def row_b(a):
-            full = _stirling_rows(a + 1)[a + 1]
-            return full[: a + 1]
-
+        # reading B is row n truncated to degrees 0..n-1
+        rows = _stirling_rows(n)
         results = {}
-        for name, srow in (("A", rows_a[n - 1]), ("B", row_b(n - 1))):
+        for name, srow in (("A", rows[n - 1]), ("B", rows[n][:n])):
             zc = [mp.mpf(0)] * n
             zce = [mp.mpf(0)] * n
             for h in range(n):
@@ -372,7 +296,7 @@ def zeta_poly_closed_form(data, vals, rel_tol=1e-9):
             results[name] = (zc, zce)
 
         scale = max(abs(v) for v in oracle.values()) or mp.mpf(1)
-        tol = mp.mpf(rel_tol) * scale
+        tol = mp.mpf(_CLOSED_FORM_REL_TOL) * scale
         report = {}
         winner = None
         for name, (zc, zce) in results.items():
@@ -393,11 +317,11 @@ def zeta_poly_closed_form(data, vals, rel_tol=1e-9):
             )
         zc, zce = results[winner]
         zp = ZetaPolynomial(
-            coeffs=tuple((+zc[q], +zce[q]) for q in range(n)),
-            e=oracle.e,
-            eps=eps,
+            tuple((+zc[q], +zce[q]) for q in range(n)),
             bits=vals.bits,
             label=(data.label or "") + "-zeta-closed",
+            e=oracle.e,
+            eps=eps,
         )
     return zp, winner, report
 
@@ -412,7 +336,7 @@ class ZetaCheck:
     ok: bool
 
 
-def check_zeta_properties(zp, tol_fe=1e-18, tol_line=1e-8, grid=64):
+def check_zeta_properties(zp, tol_fe=1e-18, tol_line=1e-8):
     """Verify Z(s) = eps Z(1-s) on a deterministic complex grid (relative
     residual) and locate the roots, measuring max |Re(root) - 1/2|.
 
@@ -425,7 +349,7 @@ def check_zeta_properties(zp, tol_fe=1e-18, tol_line=1e-8, grid=64):
     with mp.workprec(zp.bits):
         worst = mp.mpf(0)
         scale = max(abs(v) for v, _ in vals)
-        for i in range(grid):
+        for i in range(_FE_GRID):
             s = mp.mpc(
                 mp.mpf(i % 8) / 2 - 1.5, mp.mpf(i // 8) / 4 - 1
             )

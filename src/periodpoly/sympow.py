@@ -1,8 +1,8 @@
 """Symmetric-power L-function data for rational elliptic curves.
 
 From a Weierstrass model over Q with squarefree conductor N, point counts
-a_p = p + 1 - #E(F_p) determine Satake parameters alpha_p (|alpha_p| = 1,
-alpha_p + conj(alpha_p) = a_p / sqrt(p)).  The n-th symmetric power has
+a_p = p + 1 - #E(F_p) determine the unit-circle Satake parameters alpha_p
+(alpha_p + conj(alpha_p) = a_p / sqrt(p)).  The n-th symmetric power has
 local factors
 
     good p:  prod_{j=0}^{n} (1 - alpha_p^{n-2j} p^{n/2} p^{-s})^{-1},
@@ -15,6 +15,7 @@ of the inverse roots are computed by Newton's identities from the integer
 power sums tr Sym^n(Frob_p^s), never from floating-point alpha powers.
 """
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -49,7 +50,7 @@ class CurveSpec:
         n = self.conductor
         if n < 1:
             raise InputError("conductor must be positive")
-        for p in primes_upto(_isqrt(n)):
+        for p in primes_upto(math.isqrt(n)):
             if n % (p * p) == 0:
                 raise InputError("conductor %d is not squarefree" % n)
         if self.cm_flag:
@@ -73,20 +74,6 @@ class CurveSpec:
     def discriminant(self):
         b2, b4, b6, b8 = self.b_invariants
         return -(b2 ** 2) * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
-
-
-@dataclass(frozen=True)
-class SatakePair:
-    """Unit-circle Satake parameter at a good prime: alpha + 1/alpha =
-    a_p / p^{(k-1)/2} with k = 2 in the elliptic-curve setting."""
-
-    p: int
-    alpha: complex
-    a_p: int
-
-
-def _isqrt(n):
-    return int(n ** 0.5) + 1
 
 
 def ap_count(curve, p):
@@ -114,16 +101,6 @@ def ap_count(curve, p):
     return int(-chi.sum())
 
 
-def satake_pair(curve, p):
-    """SatakePair at a good prime p (raises for p | N)."""
-    if curve.conductor % p == 0:
-        raise InputError("p = %d divides the conductor; no Satake pair" % p)
-    ap = ap_count(curve, p)
-    t = mp.mpf(ap) / (2 * mp.sqrt(p))
-    alpha = mp.mpc(t, mp.sqrt(max(mp.mpf(0), 1 - t * t)))
-    return SatakePair(p=p, alpha=complex(alpha), a_p=ap)
-
-
 def _power_traces(ap, p, n, count):
     """t[s] = alpha^s + beta^s (unnormalized: alpha beta = p), then
     w[s] = tr Sym^n(Frob^s) = sum_{j=0}^{n} alpha^{(n-j)s} beta^{js},
@@ -142,10 +119,10 @@ def _power_traces(ap, p, n, count):
     return w
 
 
-def sym_local_factor(n, p, sat, bad):
-    """Denominator polynomial of the Sym^n local factor at p, as the exact
-    integer coefficient list [1, c_1, ..., c_{n+1}] in X = p^{-s} (degree 1
-    for bad p).
+def sym_local_factor(n, p, a_p, bad):
+    """Denominator polynomial of the Sym^n local factor at p, given the
+    trace of Frobenius a_p, as the exact integer coefficient list
+    [1, c_1, ..., c_{n+1}] in X = p^{-s} (degree 1 for bad p).
 
     Good p: Newton's identities convert the power sums
     tr Sym^n(Frob^s) into elementary symmetric functions of the n+1
@@ -154,9 +131,9 @@ def sym_local_factor(n, p, sat, bad):
     if n < 1 or n % 2 == 0:
         raise InputError("symmetric power n must be odd and >= 1")
     if bad:
-        return [1, -sat.a_p ** n]
+        return [1, -a_p ** n]
     deg = n + 1
-    ps = _power_traces(sat.a_p, p, n, deg)
+    ps = _power_traces(a_p, p, n, deg)
     e = [1]
     for i in range(1, deg + 1):
         acc = 0
@@ -199,11 +176,7 @@ def sym_dirichlet_coeffs(curve, n, x):
     spf = smallest_prime_factors(x)
     prime_pow = {}
     for p in primes_upto(x):
-        if curve.conductor % p == 0:
-            ap = ap_count(curve, p)
-            d = [1, -(ap ** n)]
-        else:
-            d = sym_local_factor(n, p, satake_pair(curve, p), False)
+        d = sym_local_factor(n, p, ap_count(curve, p), curve.conductor % p == 0)
         prime_pow[p] = _local_expansion(d, p, x)
     for v in range(2, x + 1):
         p = int(spf[v])
@@ -223,7 +196,7 @@ def sym_hodge(n, k=2):
     return tuple(1 if (k == 2 or nu % (k - 1) == 0) else 0 for nu in range(m + 1))
 
 
-def sym_lfunction_data(curve, n, x, eps, label=None):
+def sym_lfunction_data(curve, n, x, eps):
     """LFunctionData for Sym^n of the curve: w = n, d = n+1, conductor N^n,
     coefficients to x.  The root number eps is an input (determined
     externally or via determine_root_number); nothing here computes it
@@ -238,7 +211,7 @@ def sym_lfunction_data(curve, n, x, eps, label=None):
         hodge=sym_hodge(n),
         root_number=eps,
         coefficients=tuple(coeffs),
-        label=label or ("%s-sym%d" % (curve.label or "curve", n)),
+        label="%s-sym%d" % (curve.label or "curve", n),
     )
 
 
@@ -250,8 +223,11 @@ def determine_root_number(curve, n, x=None, bits=96):
     Returns (eps, margin) where margin = mismatch(loser)/mismatch(winner);
     a margin near 1 means the determination is unreliable (raise x).  This
     is a numerical consistency device, not a proof.
+
+    The one-sided sums I(w) and I(1) do not depend on eps, so one set of
+    them gives Lambda(w) = I(w) + eps I(1) for both signs.
     """
-    from .lfunc import Precision, completed_lambda, gamma_completed
+    from .lfunc import Precision, _AfeEngine, gamma_completed
 
     w = n
     if x is None:
@@ -272,19 +248,12 @@ def determine_root_number(curve, n, x=None, bits=96):
             if lam
         )
         ref = scale * direct
-        mism = {}
-        for eps in (1, -1):
-            data = base if eps == 1 else LFunctionData(
-                weight=base.weight,
-                degree=base.degree,
-                conductor=base.conductor,
-                hodge=base.hodge,
-                root_number=eps,
-                coefficients=base.coefficients,
-                label=base.label,
-            )
-            val, _ = completed_lambda(w, data, prec)
-            mism[eps] = abs(val - ref)
+        engine = _AfeEngine(base, prec)
+        with mp.workprec(engine.workbits):
+            a, _ = engine.one_sided(w)
+            b, _ = engine.one_sided(1)
+            lam_w = {eps: +(a + eps * b) for eps in (1, -1)}
+        mism = {eps: abs(val - ref) for eps, val in lam_w.items()}
         winner = 1 if mism[1] <= mism[-1] else -1
         margin = float(mism[-winner] / max(mism[winner], mp.mpf("1e-300")))
         return winner, margin

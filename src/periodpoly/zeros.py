@@ -20,14 +20,16 @@ polynomials live:
    0.1 of an integer multiple of 2*pi.
 """
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from .errors import CertificationError, InputError, VerificationError
 from .polys import ApproximantSeries, RealPolynomial
+
+_ABERTH_ITERS = 60  # Aberth-Ehrlich sweeps before poly_roots stops
+_TRIG_SAMPLES = 16  # grid points per interval of the trig census
 
 
 def star_discrepancy(angles):
@@ -44,18 +46,7 @@ def star_discrepancy(angles):
     return d
 
 
-def _eval_with_coeff_err(p, z):
-    with mp.workprec(p.bits):
-        acc = mp.mpf(0)
-        err = mp.mpf(0)
-        az = abs(z)
-        for v, e in reversed(p.coeffs):
-            acc = acc * z + v
-            err = err * az + e
-        return acc, err
-
-
-def poly_roots(p, max_iters=60):
+def poly_roots(p):
     """All complex roots of a RealPolynomial with certified inclusion
     radii, as a list of (root, radius) sorted by argument.
 
@@ -86,7 +77,7 @@ def poly_roots(p, max_iters=60):
         ]
         dp = p.derivative()
         eps_stop = mp.mpf(2) ** (8 - p.bits)
-        for _ in range(max_iters):
+        for _ in range(_ABERTH_ITERS):
             moved = mp.mpf(0)
             for i in range(len(zs)):
                 pz = p(zs[i])
@@ -109,7 +100,7 @@ def poly_roots(p, max_iters=60):
                 break
         out = []
         for z in zs:
-            pz, perr = _eval_with_coeff_err(p, z)
+            pz, perr = p.eval_with_error(z)
             dpz = dp(z)
             lead = abs(p.values()[-1])
             if abs(dpz) > mp.mpf(2) ** (-p.bits // 2) * lead:
@@ -127,14 +118,12 @@ class UnitCircleReport:
     """Verdicts for each root against the unit circle.
 
     verdicts[i] is "on", "off", or "uncertain"; an "uncertain" root is
-    never counted as on.  discrepancy is the star discrepancy of the
-    angles of the certified-on roots (1.0 when there are none)."""
+    never counted as on."""
 
     roots: tuple
     radii: tuple
     verdicts: tuple
     tolerance: float
-    discrepancy: float
 
     @property
     def num_on(self):
@@ -159,6 +148,12 @@ class UnitCircleReport:
             if v == "on"
         ]
 
+    @property
+    def discrepancy(self):
+        """Star discrepancy of the angles of the certified-on roots (1.0
+        when there are none)."""
+        return star_discrepancy(self.on_angles())
+
 
 def circle_report(p, tolerance=1e-8):
     """Locate the roots of p and classify each against |z| = 1.
@@ -182,17 +177,11 @@ def circle_report(p, tolerance=1e-8):
                 verdicts.append("off")
             else:
                 verdicts.append("uncertain")
-    angles = [
-        float(mp.arg(z)) % (2.0 * float(mp.pi))
-        for z, v in zip(roots, verdicts)
-        if v == "on"
-    ]
     return UnitCircleReport(
         roots=roots,
         radii=radii,
         verdicts=tuple(verdicts),
         tolerance=tol,
-        discrepancy=star_discrepancy(angles),
     )
 
 
@@ -247,16 +236,11 @@ class TrigScan:
     boundary_zero: bool
 
     @property
-    def total_changes(self):
-        return sum(self.changes)
-
-    @property
     def certified_on_circle(self):
-        base = 2 * self.total_changes
-        return base + (2 if self.kind == "sin" else 0)
+        return 2 * sum(self.changes) + (2 if self.kind == "sin" else 0)
 
 
-def trig_sign_changes(P, eps, samples_per_interval=16):
+def trig_sign_changes(P, eps):
     """Census the circle values of p through its folded half P.
 
     For eps = +1, p(e^{i theta}) = 2 e^{i m theta} C(theta) with
@@ -272,35 +256,24 @@ def trig_sign_changes(P, eps, samples_per_interval=16):
     if n < 1:
         raise InputError("folded polynomial must have positive degree")
     a = P.values()
+    # C (eps = +1) or S (eps = -1): the sine sum has no j = 0 term
+    trig, j0 = (mp.cos, 0) if eps == 1 else (mp.sin, 1)
 
-    def C(theta):
+    def f(theta):
         with mp.workprec(P.bits):
-            return mp.fsum(a[j] * mp.cos(j * theta) for j in range(n + 1))
+            return mp.fsum(a[j] * trig(j * theta) for j in range(j0, n + 1))
 
-    def S(theta):
-        with mp.workprec(P.bits):
-            return mp.fsum(a[j] * mp.sin(j * theta) for j in range(1, n + 1))
-
-    f = C if eps == 1 else S
     den = 2 * n + 1
     with mp.workprec(P.bits):
-        if eps == 1:
-            ivs = [
-                (mp.pi * (2 * j - 1) / den, mp.pi * (2 * j + 1) / den)
-                for j in range(1, n + 1)
-            ]
-        else:
-            ivs = [
-                (2 * mp.pi * j / den, 2 * mp.pi * (j + 1) / den)
-                for j in range(0, n)
-            ]
+        ivs = [(mp.pi * (2 * k + 1 - j0) / den, mp.pi * (2 * k + 3 - j0) / den)
+               for k in range(n)]
         changes = []
         for lo, hi in ivs:
             width = hi - lo
             inset = width * mp.mpf("1e-9")
             grid = [
-                lo + inset + (width - 2 * inset) * k / (samples_per_interval - 1)
-                for k in range(samples_per_interval)
+                lo + inset + (width - 2 * inset) * k / (_TRIG_SAMPLES - 1)
+                for k in range(_TRIG_SAMPLES)
             ]
             signs = [mp.sign(f(t)) for t in grid]
             c = sum(
@@ -356,13 +329,6 @@ def _series_on_contour(d, conductor, r, ts):
     return acc
 
 
-def _winding(phases):
-    """Sum of wrapped phase increments and the largest single increment."""
-    d = np.diff(np.concatenate([phases, phases[:1]]))
-    d = (d + np.pi) % (2 * np.pi) - np.pi
-    return float(np.sum(d)), float(np.max(np.abs(d)))
-
-
 def count_disc_zeros(series, radius=1.0):
     """Count zeros of F_{d,N} inside |z| < radius by the argument
     principle, with certification.
@@ -383,7 +349,6 @@ def count_disc_zeros(series, radius=1.0):
     for attempt, bump in enumerate((0.0, 3e-4, -3e-4, 1e-3, -1e-3, 3e-3, -3e-3)):
         r = r0 * (1.0 + bump)
         ts = np.arange(2 ** 10, dtype=np.float64) / 2 ** 10
-        ok = False
         for _ in range(24):
             fv = _series_on_contour(d, cond, r, ts)
             mags = np.abs(fv)
@@ -392,9 +357,12 @@ def count_disc_zeros(series, radius=1.0):
             if med == 0 or mn < 1e-7 * med:
                 last_reason = "contour point too close to a zero"
                 break
+            # phase increments along the closed contour, wrapped into [-pi, pi)
             phases = np.angle(fv)
-            total, worst = _winding(phases)
-            if worst < np.pi / 2:
+            steps = np.diff(np.concatenate([phases, phases[:1]]))
+            steps = (steps + np.pi) % (2 * np.pi) - np.pi
+            total = float(np.sum(steps))
+            if float(np.max(np.abs(steps))) < np.pi / 2:
                 k = round(total / (2 * np.pi))
                 if abs(total - 2 * np.pi * k) < 0.1:
                     return DiscCount(
@@ -411,9 +379,7 @@ def count_disc_zeros(series, radius=1.0):
                 ts = np.arange(2 * len(ts), dtype=np.float64) / (2 * len(ts))
                 continue
             # local bisection of offending segments
-            dph = np.diff(np.concatenate([phases, phases[:1]]))
-            dph = (dph + np.pi) % (2 * np.pi) - np.pi
-            bad = np.nonzero(np.abs(dph) >= np.pi / 2)[0]
+            bad = np.nonzero(np.abs(steps) >= np.pi / 2)[0]
             if len(ts) > 2 ** 21:
                 last_reason = "contour refinement exploded"
                 break
@@ -429,7 +395,7 @@ def count_disc_zeros(series, radius=1.0):
     )
 
 
-def disc_transition_table(d, n_limit, radius=1.0, target=1e-30):
+def disc_transition_table(d, n_limit, radius=1.0):
     """Conductor thresholds where the |z| < radius zero count of F_{d,N}
     drops.  Returns [(N, count at N), ...] listing each first conductor
     with a new (lower) count, exploiting that the count is nonincreasing
@@ -441,7 +407,7 @@ def disc_transition_table(d, n_limit, radius=1.0, target=1e-30):
     def cnt(n):
         if n not in cache:
             cache[n] = count_disc_zeros(
-                ApproximantSeries(d, n, bits=64, target=target), radius
+                ApproximantSeries(d, n, bits=64), radius
             ).zeros
         return cache[n]
 

@@ -7,7 +7,6 @@ comparisons were computed at 192 bits with an absolute target well below
 every tolerance asserted against them.
 """
 
-import math
 import os
 
 import pytest
@@ -16,7 +15,7 @@ from mpmath import mp
 from periodpoly import (CurveSpec, LFunctionData, Precision, SpecialValues,
                         parse_curve_file, parse_eps_overrides,
                         special_values, sym_lfunction_data)
-from periodpoly.numutil import log_gamma_c_real
+from periodpoly.pipeline import scale_estimate
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -33,13 +32,6 @@ def curve_table():
 @pytest.fixture(scope="session")
 def eps_table():
     return parse_eps_overrides(data_path("eps_overrides.txt"))
-
-
-def _scale(data):
-    ln = 0.5 * data.weight * math.log(data.conductor)
-    for nu, h in enumerate(data.hodge):
-        ln += h * log_gamma_c_real(data.weight - nu)
-    return max(1.0, math.exp(ln))
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +58,7 @@ def sym5_data(curve_11a1, eps_table):
 
 @pytest.fixture(scope="session")
 def sym5_vals(sym5_data):
-    target = _scale(sym5_data) * 1e-25
+    target = scale_estimate(sym5_data) * 1e-25
     return special_values(sym5_data, Precision(192, target))
 
 
@@ -81,7 +73,7 @@ def sym7_data(curve_11a1, eps_table):
 def sym7_vals(sym7_data):
     # Reduced precision: the degree-8 tail majorants make a full 192-bit
     # certification far slower than anything the root-angle trend needs.
-    target = _scale(sym7_data) * 1e-9
+    target = scale_estimate(sym7_data) * 1e-9
     return special_values(sym7_data, Precision(128, target))
 
 
@@ -92,7 +84,7 @@ def trend_sym3(curve_table, eps_table):
     for label in ("11a1", "14a1", "15a1"):
         curve = curve_table[label]
         data = sym_lfunction_data(curve, 3, 10000, eps_table[(label, 3)])
-        target = _scale(data) * 1e-12
+        target = scale_estimate(data) * 1e-12
         out[label] = (data, special_values(data, Precision(128, target)))
     return out
 

@@ -109,6 +109,18 @@ class TestDiscTable:
         assert "even" in err
 
 
+class TestTableReproducibility:
+    @pytest.mark.parametrize("argv", [
+        ("am-table", "--m-max", "6"),
+        ("disc-table", "--degree", "4", "--n-max", "30"),
+    ])
+    def test_identical_runs_give_identical_bytes(self, capsys, argv):
+        code_a, out_a, _ = run_cli(capsys, *argv)
+        code_b, out_b, _ = run_cli(capsys, *argv)
+        assert code_a == code_b == 0
+        assert out_a == out_b
+
+
 class TestAnalyzeCurve:
     def test_symmetric_cube_runs_and_is_deterministic(
         self, capsys, tmp_path, sym3_vals

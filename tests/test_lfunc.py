@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from periodpoly import (InputError, LFunctionData, PoleError, Precision,
-                        SpecialValues, completed_lambda, dirichlet_l,
-                        gamma_completed, special_values, verify_hypothesis,
-                        zeta_ratio_bound)
+                        SpecialValues, dirichlet_l, gamma_completed,
+                        special_values, verify_hypothesis, zeta_ratio_bound)
 from periodpoly.numutil import divisor_count_at
 
 
@@ -23,7 +22,7 @@ class TestDataValidation:
     def test_accepts_valid(self):
         data = toy_data()
         assert data.m == 1
-        assert data.lam(2) == mp.mpf("0.5")
+        assert data.coefficients[1] == mp.mpf("0.5")
 
     def test_rejects_even_weight(self):
         with pytest.raises(InputError):
@@ -48,10 +47,6 @@ class TestDataValidation:
     def test_rejects_lambda1(self):
         with pytest.raises(InputError):
             toy_data(coefficients=(mp.mpf(2), mp.mpf(1)))
-
-    def test_rejects_gamma_r_counts(self):
-        with pytest.raises(InputError):
-            toy_data(b_plus=1)
 
     def test_rejects_bad_conductor(self):
         with pytest.raises(InputError):
@@ -139,13 +134,7 @@ class TestSpecialValues:
 
     def test_central_nonnegative(self, sym3_vals):
         with mp.workprec(192):
-            assert sym3_vals.central >= 0
-
-    def test_completed_lambda_matches_special_values(self, sym3_data,
-                                                     sym3_vals):
-        val, err = completed_lambda(2, sym3_data, Precision(192, 1e-25))
-        with mp.workprec(224):
-            assert abs(val - sym3_vals.value(2)) <= err + sym3_vals.error(2)
+            assert sym3_vals.value(2) >= 0  # Lambda(m + 1), m = 1
 
 
 class TestVerifyHypothesis:

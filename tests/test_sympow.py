@@ -1,4 +1,4 @@
-"""Point counting, Satake parameters, and symmetric-power assembly.
+"""Point counting, local factors, and symmetric-power assembly.
 
 The point-count oracle is a brute-force enumeration of the affine curve
 over F_p, written independently of the quadratic-character path the
@@ -16,14 +16,12 @@ from periodpoly import (
     InputError,
     ap_count,
     determine_root_number,
-    satake_pair,
     sym_dirichlet_coeffs,
     sym_hodge,
     sym_lfunction_data,
     sym_local_factor,
 )
 from periodpoly.numutil import divisor_counts, primes_upto
-from periodpoly.sympow import SatakePair
 
 
 def brute_ap(curve, p):
@@ -68,44 +66,31 @@ class TestPointCounts:
             assert a * a <= 4 * p
 
 
-class TestSatake:
-    def test_unit_modulus_and_trace(self):
-        for p in (3, 5, 13):
-            sat = satake_pair(CURVE_11A1, p)
-            assert abs(abs(sat.alpha) - 1) < 1e-14
-            assert abs(2 * sat.alpha.real - sat.a_p / p ** 0.5) < 1e-14
-
-    def test_rejects_bad_prime(self):
-        with pytest.raises(InputError):
-            satake_pair(CURVE_11A1, 11)
-
-
 class TestLocalFactors:
     def test_sym1_is_the_curve_factor(self):
         for p in (2, 3, 5, 7):
-            sat = satake_pair(CURVE_11A1, p)
-            assert sym_local_factor(1, p, sat, False) == [1, -sat.a_p, p]
+            a = ap_count(CURVE_11A1, p)
+            assert sym_local_factor(1, p, a, False) == [1, -a, p]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_sym3_elementary_symmetric(self, p):
         # inverse roots a^3, pa, pb, b^3 with a+b = a_p, ab = p
-        sat = satake_pair(CURVE_11A1, p)
-        a = sat.a_p
+        a = ap_count(CURVE_11A1, p)
         e1 = a ** 3 - 2 * p * a
         e2 = p * a ** 4 - 3 * p ** 2 * a ** 2 + 2 * p ** 3
-        got = sym_local_factor(3, p, sat, False)
+        got = sym_local_factor(3, p, a, False)
         assert got == [1, -e1, e2, -p ** 3 * e1, p ** 6]
 
     def test_bad_prime_linear(self):
-        sat = SatakePair(p=11, alpha=0j, a_p=1)
-        assert sym_local_factor(5, 11, sat, True) == [1, -1]
-        sat37 = SatakePair(p=37, alpha=0j, a_p=1)
-        assert sym_local_factor(3, 37, sat37, True) == [1, -1]
+        # split at 11 (a_p = 1), non-split at 37 (a_p = -1)
+        a11 = ap_count(CURVE_11A1, 11)
+        assert sym_local_factor(5, 11, a11, True) == [1, -1]
+        a37 = ap_count(CURVE_37A1, 37)
+        assert sym_local_factor(3, 37, a37, True) == [1, 1]
 
     def test_rejects_even_power(self):
-        sat = satake_pair(CURVE_11A1, 3)
         with pytest.raises(InputError):
-            sym_local_factor(2, 3, sat, False)
+            sym_local_factor(2, 3, ap_count(CURVE_11A1, 3), False)
 
 
 def hecke_an(curve, x):
@@ -163,7 +148,7 @@ class TestDirichletCoefficients:
     def test_prime_power_recursion_sym3(self):
         # at a good prime the local factor reproduces its own expansion
         lam = sym_dirichlet_coeffs(CURVE_11A1, 3, 64)
-        d = sym_local_factor(3, 2, satake_pair(CURVE_11A1, 2), False)
+        d = sym_local_factor(3, 2, ap_count(CURVE_11A1, 2), False)
         # lam[2^e] satisfies sum_{i} d_i lam_{2^{e-i}} = 0 for e >= 1
         po2 = [lam[2 ** e - 1] for e in range(0, 7)]
         for e in range(1, 7):

@@ -156,7 +156,7 @@ class TestTrigCensus:
         scan = trig_sign_changes(P, -1)
         assert scan.kind == "sin"
         assert scan.boundary_zero
-        assert scan.certified_on_circle == 2 * scan.total_changes + 2
+        assert scan.certified_on_circle == 2 * sum(scan.changes) + 2
 
     def test_rejects_bad_eps(self):
         with pytest.raises(InputError):
