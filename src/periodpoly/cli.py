@@ -135,7 +135,8 @@ def cmd_analyze(args):
     cache = SpecialValuesCache(args.cache_dir) if args.cache_dir else None
     vals = None
     if cache is not None:
-        vals = cache.load(label, sym, args.precision_bits, data.weight)
+        vals = cache.load(label, sym, args.precision_bits, data.weight,
+                          target)
     if vals is None:
         vals = special_values(data, prec)
         if cache is not None:
@@ -377,12 +378,12 @@ def cmd_cache(args):
     cache = SpecialValuesCache(args.cache_dir)
     keys = sorted(cache.existing_keys())
     groups = {}
-    for label, sym, s, bits in keys:
-        groups.setdefault((label, sym, bits), []).append(s)
+    for label, sym, s, bits, target in keys:
+        groups.setdefault((label, sym, bits, target), []).append(s)
     entries = [
-        {"label": label, "sym": sym, "bits": bits,
+        {"label": label, "sym": sym, "bits": bits, "target": target,
          "s_values": sorted(ss), "records": len(ss)}
-        for (label, sym, bits), ss in sorted(groups.items())
+        for (label, sym, bits, target), ss in sorted(groups.items())
     ]
     report = {
         "path": cache.path,
@@ -391,8 +392,9 @@ def cmd_cache(args):
     }
     lines = ["cache %s: %d records" % (cache.path, len(keys))]
     for e in entries:
-        lines.append("  %s sym=%d bits=%d s=%s"
-                     % (e["label"], e["sym"], e["bits"], e["s_values"]))
+        lines.append("  %s sym=%d bits=%d target=%s s=%s"
+                     % (e["label"], e["sym"], e["bits"], e["target"],
+                        e["s_values"]))
     _emit(args, "cache", report, lines)
     return 0
 

@@ -318,12 +318,13 @@ def _record_checksum(record):
 class SpecialValuesCache:
     """Append-only JSONL store for completed special values.
 
-    Records are keyed by (label, sym power, s, precision bits).  Writes
-    are write-once: a key already present is never rewritten, so a cache
-    file only ever grows and earlier readers stay valid.  A load is a hit
-    only if every s = 1..w is present at exactly the requested precision;
-    asking at a different bit count misses rather than returning rounded
-    survivors.
+    Records are keyed by (label, sym power, s, precision bits, target).
+    Writes are write-once: a key already present is never rewritten, so a
+    cache file only ever grows and earlier readers stay valid.  A load is
+    a hit only if every s = 1..w is present at exactly the requested
+    precision and under one stored target no looser than the requested
+    one; asking at a different bit count or a tighter target misses
+    rather than returning rounded survivors or wider bounds.
     """
 
     FILENAME = "special_values.jsonl"
@@ -356,7 +357,7 @@ class SpecialValuesCache:
         seen = {}
         for record in self._iter_records():
             key = (record["label"], record["sym"], record["s"],
-                   record["bits"])
+                   record["bits"], record.get("target"))
             if key not in seen:  # write-once: first record wins
                 seen[key] = record
             yield key, seen[key]
@@ -369,11 +370,12 @@ class SpecialValuesCache:
         os.makedirs(self.directory, exist_ok=True)
         present = self.existing_keys()
         bits = int(values.bits)
+        target = float(values.target)
         digits = _digits_for_bits(bits)
         added = 0
         with open(self.path, "a", encoding="utf-8") as fh:
             for s in sorted(values.values):
-                key = (label, int(sym), int(s), bits)
+                key = (label, int(sym), int(s), bits, target)
                 if key in present:
                     continue
                 val, err = values.values[s]
@@ -387,7 +389,7 @@ class SpecialValuesCache:
                         "s": int(s),
                         "bits": bits,
                         "weight": int(values.weight),
-                        "target": float(values.target),
+                        "target": target,
                         "value": mpf_to_obj(val),
                         "value_dec": fmt_mpf(val, digits),
                         "error": mpf_to_obj(err),
@@ -399,24 +401,31 @@ class SpecialValuesCache:
                 added += 1
         return added
 
-    def load(self, label, sym, bits, weight):
-        """Return SpecialValues covering s = 1..weight, or None on a miss."""
+    def load(self, label, sym, bits, weight, target):
+        """Return SpecialValues covering s = 1..weight, or None on a miss.
+
+        Of the complete sets stored under a target <= ``target``, the
+        loosest is returned, so an exact match reproduces what a cold
+        computation at ``target`` gives."""
         bits = int(bits)
-        found = {}
-        target = None
+        sets = {}
         for key, record in self._index():
+            stored = key[4]
             if key[0] != label or key[1] != int(sym) or key[3] != bits:
+                continue
+            if stored is None or stored > target:
                 continue
             if int(record.get("weight", -1)) != int(weight):
                 continue
-            found[key[2]] = (mpf_from_obj(record["value"]),
-                             mpf_from_obj(record["error"]))
-            target = record.get("target", target)
-        if set(found) != set(range(1, int(weight) + 1)):
+            sets.setdefault(stored, {})[key[2]] = (
+                mpf_from_obj(record["value"]), mpf_from_obj(record["error"]))
+        full = [t for t, found in sets.items()
+                if set(found) == set(range(1, int(weight) + 1))]
+        if not full:
             return None
-        return SpecialValues(weight=int(weight), values=found, bits=bits,
-                             target=target if target is not None else 0.0,
-                             label=label)
+        best = max(full)
+        return SpecialValues(weight=int(weight), values=sets[best], bits=bits,
+                             target=best, label=label)
 
 
 # ---------------------------------------------------------------------------

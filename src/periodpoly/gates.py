@@ -33,7 +33,7 @@ import mpmath as mp
 
 from .errors import InputError
 from .lfunc import gamma_completed
-from .polys import ApproximantSeries, l_value_ratios, partial_sum_T, s_tail_parts
+from .polys import ApproximantSeries, partial_sum_T, s_tail_parts
 from .zeros import count_disc_zeros, poly_roots
 
 # Conductor ranges of odd symmetric powers of weight-2 newforms that the
@@ -265,19 +265,19 @@ class RoucheTransfer:
     q_disc_zeros: object  # int when certified, else None
 
 
-def rouche_transfer(data, vals):
+def rouche_transfer(data, ratios):
     """Run the circle comparison |Q - z^m T(1/z)| <= remainder < min |T|.
 
     The minimum of |T| over the circle is certified from a uniform grid
-    and a derivative bound (|T'| summed coefficient magnitudes)."""
+    and a derivative bound (|T'| summed coefficient magnitudes).  ratios
+    is l_value_ratios(data, vals)."""
     m = data.m
     if m < 2:
         raise InputError("the transfer device applies to m >= 2")
     d = data.degree
-    ratios = l_value_ratios(data, vals)
     parts = s_tail_parts(data, ratios)
-    t = partial_sum_T(m, d, data.conductor, bits=vals.bits)
-    with mp.workprec(vals.bits):
+    t = partial_sum_T(m, d, data.conductor, bits=ratios.bits)
+    with mp.workprec(ratios.bits):
         # |T'| on the circle is at most sum j |c_j|
         deriv_cap = mp.fsum(j * abs(v) for j, v in enumerate(t.values()))
         step = 2 * mp.pi / _ROUCHE_GRID

@@ -25,16 +25,35 @@ convergent (sigma + c > w/2 + 1) and stays right of every Gamma pole
 (sigma + c - m > 0).  The kernel integral is evaluated by trapezoidal
 quadrature on the vertical line; the integrand decays like
 exp(-(pi d / 4) |t|), so a few hundred nodes suffice at 192-bit precision.
+
+The kernel is built to be cheap:
+
+  (a) each node costs one complex loggamma, at z - m' for the largest
+      index m' with h_{m'} > 0; every other Gamma(z - nu) follows from it
+      by the rising factors (z - m')(z - m' + 1)...(z - nu - 1), and
+      log 2, log 2 pi are computed once per engine;
+  (b) when refinement halves the step h, the nodes already built are the
+      even-indexed nodes at h/2 (k h is exact in binary), so only the odd
+      ones are new; the node list is bit-identical to a fresh build;
+  (c) the trapezoid sums Re(sum_k g_k e^{i k h ell}) run by Horner's rule
+      in Python integers with F = working bits + 16 fractional bits; the
+      nodes of each list are scaled by a power of two and converted once.
+
 Each reported value carries an explicit error bound summing the
 quadrature-refinement estimate, skipped-node mass, coefficient-tail
-majorant, and rounding slack.  The accounting is worst-case interval
-style, not rigorous ball arithmetic.
+majorant, and rounding.  The rounding component holds a working-precision
+slack plus an explicit bound on the fixed-point kernel sums: the
+truncated nodes and Horner steps (each under one unit of 2^-F in either
+part, relative to the largest node) and the quantised e^{i h ell}, whose
+error moves node k by k times as much.  The accounting is worst-case
+interval style, not rigorous ball arithmetic.
 """
 
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import InputError, PoleError, InsufficientCoefficients, QuadratureError
 from .numutil import divisor_counts, divisor_tail, log_gamma_c_real
@@ -42,6 +61,10 @@ from .numutil import divisor_counts, divisor_tail, log_gamma_c_real
 # Extra working bits beyond the requested mantissa, absorbing accumulated
 # rounding across the long kernel sums.
 _GUARD_BITS = 32
+
+# Fractional bits F = working bits + this guard of the fixed-point kernel
+# sums; their rounding bound scales with 2^-F.
+_FIX_GUARD_BITS = 16
 
 # Ladder of kernel-line offsets above the minimal admissible Re(u).  Large
 # offsets only pay off for terms far out in the Dirichlet series; the
@@ -218,9 +241,19 @@ class _Rung:
     since the integrand is conjugate-symmetric.  suffix[k] holds
     sum_{j >= k} |g_j| plus the beyond-last-node decay estimate, so terms
     can certify how much kernel mass a truncated node sum skips.
+
+    When the step halves, the nodes already built are the even-indexed
+    nodes of the new list and are kept; only the odd ones are computed.
+
+    For the kernel sums the nodes are also held in fixed point: gre[k] and
+    gim[k] are the real and imaginary parts of g_k * 2^(fix_shift),
+    truncated to integers (g_0 halved, as the trapezoid rule weights it),
+    with fix_shift chosen so the largest |g_k| sits just below 2^F.
+    fix_err bounds the rounding of one such sum (see _AfeEngine._node_sum).
     """
 
-    __slots__ = ("c", "h", "g", "suffix", "bound", "quad_diff", "weight_sum")
+    __slots__ = ("c", "h", "g", "suffix", "bound", "quad_diff", "weight_sum",
+                 "gre", "gim", "fix_shift", "fix_err")
 
     def __init__(self, c):
         self.c = c
@@ -230,6 +263,10 @@ class _Rung:
         self.bound = None
         self.quad_diff = None
         self.weight_sum = mp.mpf(0)
+        self.gre = None
+        self.gim = None
+        self.fix_shift = None
+        self.fix_err = None
 
 
 class _AfeEngine:
@@ -240,9 +277,22 @@ class _AfeEngine:
         self.prec = prec
         self.bits = int(prec.mantissa_bits)
         self.workbits = self.bits + _GUARD_BITS
+        self.fixbits = self.workbits + _FIX_GUARD_BITS
         self.target = mp.mpf(prec.target_abs_error)
         with mp.workprec(self.workbits):
             self.ln_sqrt_n = mp.log(data.conductor) / 2
+            self._ln2 = mp.log(2)
+            self._ln2pi = mp.log(2 * mp.pi)
+        # L_inf(z) = 2^H (2 pi)^{-(H z - S)} Gamma(z - top)^H
+        #            * prod_{j <= top} (z - j)^{e_j},
+        # from Gamma(z - nu) = Gamma(z - top) (z - top) ... (z - nu - 1):
+        # H = sum h_nu, S = sum nu h_nu, e_j = sum_{nu < j} h_nu.
+        hodge = data.hodge
+        self._top = max(nu for nu, h in enumerate(hodge) if h)
+        self._h_total = sum(hodge)
+        self._h_moment = sum(nu * h for nu, h in enumerate(hodge))
+        rising = ((j, sum(hodge[:j])) for j in range(1, self._top + 1))
+        self._rising = [(j, e) for j, e in rising if e]
         self._ln_cache = {1: mp.mpf(0)}
         self._sums = {}
 
@@ -256,25 +306,35 @@ class _AfeEngine:
     # -- node construction -------------------------------------------------
 
     def _g_value(self, sigma, c, t):
-        z_re = mp.mpf(sigma) + c
-        arg = mp.mpc(z_re, t)
-        acc = mp.mpc(0)
-        for nu, h in enumerate(self.data.hodge):
-            if h:
-                zz = arg - nu
-                acc += h * (mp.log(2) - zz * mp.log(2 * mp.pi) + mp.loggamma(zz))
-        return mp.exp(acc) / mp.mpc(c, t)
+        """L_inf(sigma + c + i t) / (c + i t) with one loggamma call.
+
+        Re(z - top) >= 1.75 by _min_offset, so the rising factors never
+        reach a Gamma pole."""
+        z = mp.mpc(mp.mpf(sigma) + c, t)
+        big_h = self._h_total
+        g = mp.exp(big_h * (self._ln2 + mp.loggamma(z - self._top))
+                   - self._ln2pi * (big_h * z - self._h_moment))
+        for j, e in self._rising:
+            g *= (z - j) ** e
+        return g / mp.mpc(c, t)
 
     def _build_nodes(self, sigma, rung, h):
+        # halving the step: old node j is new node 2j, since k h is exact
+        old = rung.g if rung.h is not None and rung.h == 2 * h else ()
         floor = None
         g = []
+        mags = []
         k = 0
         while True:
-            gk = self._g_value(sigma, rung.c, k * h)
+            if k % 2 == 0 and k // 2 < len(old):
+                gk = old[k // 2]
+            else:
+                gk = self._g_value(sigma, rung.c, k * h)
             g.append(gk)
+            mags.append(abs(gk))
             if k == 0:
-                floor = abs(gk) * mp.mpf(2) ** (-(self.bits + 16))
-            elif abs(gk) < floor and k >= 8:
+                floor = mags[0] * mp.mpf(2) ** (-(self.bits + 16))
+            elif mags[-1] < floor and k >= 8:
                 break
             k += 1
             if k > _MAX_NODES:
@@ -285,31 +345,58 @@ class _AfeEngine:
         rung.h = h
         rung.g = g
         # decay estimate for nodes beyond the last computed one
-        ratio = abs(g[-1]) / abs(g[-5]) if len(g) >= 5 else mp.mpf("0.5")
+        ratio = mags[-1] / mags[-5] if len(g) >= 5 else mp.mpf("0.5")
         rho = min(mp.mpf("0.97"), ratio ** mp.mpf("0.25"))
-        beyond = abs(g[-1]) * rho / (1 - rho)
+        beyond = mags[-1] * rho / (1 - rho)
         suffix = [mp.mpf(0)] * (len(g) + 1)
         suffix[len(g)] = beyond
         for i in range(len(g) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + abs(g[i])
+            suffix[i] = suffix[i + 1] + mags[i]
         rung.suffix = suffix
         # 1.25 covers the gap between the node sum and the true integral
         # of |g| (the accounting is estimate-grade, documented).
-        rung.bound = mp.mpf("1.25") * (h / mp.pi) * (abs(g[0]) / 2 + suffix[1])
+        rung.bound = mp.mpf("1.25") * (h / mp.pi) * (mags[0] / 2 + suffix[1])
+        self._fix_nodes(rung, mags)
 
-    @staticmethod
-    def _node_sum(rung, ell, count):
-        """Trapezoid kernel sum g_0/2 + sum_{0<k<count} g_k e^{i k h ell}."""
-        z = mp.expj(rung.h * ell)
-        acc = rung.g[0] / 2
-        zk = mp.mpc(1)
-        for k in range(1, count):
-            zk *= z
-            acc += rung.g[k] * zk
-        return acc
+    def _fix_nodes(self, rung, mags):
+        """Fixed-point copy of the rung's nodes and its rounding bound."""
+        fix = self.fixbits
+        _, _, exp, bc = max(mags)._mpf_
+        mag_exp = exp + bc  # every |g_k| < 2^mag_exp
+        shift = fix - mag_exp
+        parts = [gk._mpc_ for gk in rung.g]
+        rung.gre = [to_fixed(re, shift) for re, _ in parts]
+        rung.gim = [to_fixed(im, shift) for _, im in parts]
+        # the trapezoid rule weights g_0 by 1/2
+        rung.gre[0] = to_fixed(parts[0][0], shift - 1)
+        rung.gim[0] = to_fixed(parts[0][1], shift - 1)
+        rung.fix_shift = shift
+        # Each truncation (g_k, every Horner step) is below sqrt(2) units
+        # of 2^-shift; |z - zhat| < 1.5 * 2^-fix moves node k by k times
+        # that.  (1 + 2^(1-fix))^k < 1.01 for k <= _MAX_NODES.
+        moment = mp.fsum(k * mk for k, mk in enumerate(mags))
+        rung.fix_err = (3 * len(mags) * mp.mpf(2) ** mag_exp + 2 * moment) \
+            * mp.mpf(2) ** (-fix)
+
+    def _node_sum(self, rung, ell, count):
+        """Re(g_0/2 + sum_{0<k<count} g_k e^{i k h ell}), the trapezoid
+        kernel sum, by Horner's rule in fixed-point integers.  Its error
+        is at most rung.fix_err before the result is rounded to the
+        ambient precision."""
+        fix = self.fixbits
+        with mp.workprec(fix + 8):
+            z_re, z_im = mp.expj(rung.h * ell)._mpc_
+        zr = to_fixed(z_re, fix)
+        zi = to_fixed(z_im, fix)
+        gre, gim = rung.gre, rung.gim
+        ar, ai = gre[count - 1], gim[count - 1]
+        for k in range(count - 2, -1, -1):
+            ar, ai = (((ar * zr - ai * zi) >> fix) + gre[k],
+                      ((ar * zi + ai * zr) >> fix) + gim[k])
+        return mp.mpf((ar, -rung.fix_shift))
 
     def _probe(self, rung, ell):
-        return (rung.h / mp.pi) * mp.re(self._node_sum(rung, ell, len(rung.g)))
+        return (rung.h / mp.pi) * self._node_sum(rung, ell, len(rung.g))
 
     def _refine(self, sigma, rung, abs_target, ell_lo):
         """Halve h until the probe difference of the trapezoid kernel is
@@ -474,7 +561,8 @@ class _AfeEngine:
             lam = mp.mpf(data.coefficients[n - 1])
             lnn = self._ln(n)
             ell = self.ln_sqrt_n - lnn
-            w_plain = abs(lam) * mp.exp(-sig * lnn + r.c * ell)
+            weight = mp.exp(-sig * lnn + r.c * ell)
+            w_plain = abs(lam) * weight
             r.weight_sum += w_plain
             wt = w_plain * (r.h / mp.pi)
             # certified node cutoff: drop trailing nodes whose total mass
@@ -488,8 +576,7 @@ class _AfeEngine:
                     lo = mid + 1
             kc = lo
             skip_err += wt * pref * r.suffix[kc]
-            acc = self._node_sum(r, ell, kc)
-            term = lam * mp.exp(-sig * lnn + r.c * ell) * (r.h / mp.pi) * mp.re(acc)
+            term = lam * weight * (r.h / mp.pi) * self._node_sum(r, ell, kc)
             total += term
             abs_total += abs(term)
 
@@ -499,7 +586,12 @@ class _AfeEngine:
         )
 
         value = pref * total
+        # working-precision slack, plus the fixed-point kernel sums' bound
         rounding = (pref * abs_total + abs(value)) * mp.mpf(2) ** (-(self.workbits - 16))
+        rounding += pref * mp.fsum(
+            (rungs[idx].h / mp.pi) * rungs[idx].fix_err * rungs[idx].weight_sum
+            for idx in used
+        )
         err = tail + quad_err + skip_err + rounding
         return +value, +err
 

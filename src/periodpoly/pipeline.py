@@ -1,9 +1,11 @@
 """The analysis of one dataset as a library call.
 
-analyze() calls each step of the analysis once and keeps what it returns;
-some steps rebuild their own inputs from (data, vals).  Obtaining the
-values (special_values or a cache) and rendering the result stay with the
-caller.
+analyze() calls each step of the analysis once and keeps what it returns.
+The L-value ratios and the zeta-polynomial Z are built once and handed to
+the steps that read them (build_Q_poly, q_decomposition_residual,
+rouche_transfer, zeta_poly_closed_form); build_P_poly and zeta_polynomial
+still rebuild p from (data, vals).  Obtaining the values (special_values
+or a cache) and rendering the result stay with the caller.
 """
 
 import math
@@ -89,17 +91,18 @@ def analyze(data, vals, sym_context=None):
     angles = circ.on_angles()
     if data.root_number == -1:
         angles.append(0.0)
-    q_res, q_max_s = q_decomposition_residual(data, vals)
+    q_res, q_max_s = q_decomposition_residual(data, ratios)
 
     rouche = rouche_error = None
     if data.m >= 2:
         try:
-            rouche = rouche_transfer(data, vals)
+            rouche = rouche_transfer(data, ratios)
         except (CertificationError, QuadratureError) as exc:
             rouche_error = str(exc)
 
     zeta = zeta_polynomial(data, vals)
-    zeta_closed, winner, closed_report = zeta_poly_closed_form(data, vals)
+    zeta_closed, winner, closed_report = zeta_poly_closed_form(data, vals,
+                                                               zeta)
     with mp.workprec(vals.bits + 16):
         scale = max(abs(v) for v in zeta.values())
         agreement = float(
@@ -113,7 +116,7 @@ def analyze(data, vals, sym_context=None):
         p_hat=p_hat,
         big_p=big_p,
         ratios=ratios,
-        big_q=build_Q_poly(data, vals, ratios),
+        big_q=build_Q_poly(data, ratios),
         circle=circ,
         discrepancy=star_discrepancy(angles),
         trig=trig_sign_changes(big_p, data.root_number),

@@ -211,13 +211,11 @@ def _f_coeff(y, j, d):
     return mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2)
 
 
-def build_Q_poly(data, vals, ratios=None):
+def build_Q_poly(data, ratios):
     """Gamma-normalized degree-m polynomial (ascending coefficients):
     Q(z) = sum_{j=0}^{m-1} c_j r_j z^{m-j} + (1/2) c_m r_central,
     with c_j = y^j/(j!)^{d/2}, y = (2pi)^{d/2}/sqrt(N).  The j = 0
-    coefficient is exactly 1."""
-    if ratios is None:
-        ratios = l_value_ratios(data, vals)
+    coefficient is exactly 1.  ratios is l_value_ratios(data, vals)."""
     m = data.m
     d = data.degree
     bits = ratios.bits
@@ -231,7 +229,7 @@ def build_Q_poly(data, vals, ratios=None):
         c = _f_coeff(y, m, d)
         r, re = ratios.central
         cs[0] = (+(c * r / 2), +(c * re / 2))
-    return RealPolynomial(tuple(cs), bits=bits, label=(vals.label or "Q"))
+    return RealPolynomial(tuple(cs), bits=bits, label=(data.label or "Q"))
 
 
 @dataclass(frozen=True)
@@ -353,16 +351,16 @@ def s_tail_parts(data, ratios):
         return SBoundParts(series=+series, central=+central, corner=+c_m)
 
 
-def q_decomposition_residual(data, vals):
+def q_decomposition_residual(data, ratios):
     """max over circle sample points of |Q(z) - z^m T(1/z) - central - S(z)|
     with S the exact remainder sum; also returns max |S| for the bound
     check.  Pure consistency diagnostic: everything is computed from the
-    same ratios, so the residual should sit at rounding level."""
-    ratios = l_value_ratios(data, vals)
+    same ratios (l_value_ratios(data, vals)), so the residual should sit
+    at rounding level."""
     m = data.m
     d = data.degree
     bits = ratios.bits
-    q = build_Q_poly(data, vals, ratios)
+    q = build_Q_poly(data, ratios)
     t = partial_sum_T(m, d, data.conductor, bits=bits)
     with mp.workprec(bits):
         y = _f_term_factor(d, data.conductor, bits)

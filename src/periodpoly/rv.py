@@ -237,7 +237,7 @@ def zeta_polynomial(data, vals):
     )
 
 
-def zeta_poly_closed_form(data, vals):
+def zeta_poly_closed_form(data, vals, zeta):
     """Evaluate the explicit double-sum formula for Z under both readings
     of the Stirling convention and return the one matching the transform.
 
@@ -254,13 +254,13 @@ def zeta_poly_closed_form(data, vals):
     is an identity on the coefficients of p, independent of the functional
     equation.  (For eps = -1 the numerator has a root at z = 1, so this is
     the same series as the deflated quotient over (1-z)^{n-1}, which is
-    what the transform route computes.)  Returns
+    what the transform route computes.)  zeta is that transform, as
+    zeta_polynomial(data, vals) returns it.  Returns
     (ZetaPolynomial, winning_reading, report dict).  Raises
     ConventionError when neither reading reproduces the transform."""
     n = data.weight  # = 2m + 1
     m = data.m
     eps = data.root_number
-    oracle = zeta_polynomial(data, vals)
     with mp.workprec(vals.bits):
         fact = factorial(n - 1)
         mm = []
@@ -295,15 +295,15 @@ def zeta_poly_closed_form(data, vals):
                 zce[h] = ace
             results[name] = (zc, zce)
 
-        scale = max(abs(v) for v in oracle.values()) or mp.mpf(1)
+        scale = max(abs(v) for v in zeta.values()) or mp.mpf(1)
         tol = mp.mpf(_CLOSED_FORM_REL_TOL) * scale
         report = {}
         winner = None
         for name, (zc, zce) in results.items():
             worst = mp.mpf(0)
             for q in range(n):
-                ov = oracle.values()[q] if q <= oracle.degree else mp.mpf(0)
-                oe = oracle.errors()[q] if q <= oracle.degree else mp.mpf(0)
+                ov = zeta.values()[q] if q <= zeta.degree else mp.mpf(0)
+                oe = zeta.errors()[q] if q <= zeta.degree else mp.mpf(0)
                 worst = max(worst, abs(zc[q] - ov) - (zce[q] + oe))
             report[name] = +worst
             if worst <= tol and winner is None:
@@ -320,7 +320,7 @@ def zeta_poly_closed_form(data, vals):
             tuple((+zc[q], +zce[q]) for q in range(n)),
             bits=vals.bits,
             label=(data.label or "") + "-zeta-closed",
-            e=oracle.e,
+            e=zeta.e,
             eps=eps,
         )
     return zp, winner, report

@@ -33,6 +33,7 @@ from periodpoly import (
     dirichlet_l,
     disc_transition_table,
     gamma_completed,
+    l_value_ratios,
     maclaurin_coefficients,
     poly_roots,
     q_decomposition_residual,
@@ -43,6 +44,7 @@ from periodpoly import (
     theorem_gate,
     verify_hypothesis,
     zeta_poly_closed_form,
+    zeta_polynomial,
 )
 
 
@@ -202,6 +204,24 @@ def test_sym3_end_to_end():
     )
 
 
+def test_bound_coverage_sym3(sym3_data, sym3_vals):
+    # the 64-bit, 1e-3 values against the 192-bit, 1e-25 ones: the true
+    # error must lie inside the sum of the two reported bounds
+    low = special_values(sym3_data, Precision(64, 1e-3))
+    ok = True
+    shares = []
+    with mp.workprec(256):
+        for s in sorted(low.values):
+            v, e = low.values[s]
+            v_ref, e_ref = sym3_vals.values[s]
+            gap = abs(mp.mpf(v) - v_ref)
+            ok = ok and gap <= e + e_ref
+            shares.append("s=%d %.2e/%.2e (%.2f%%)"
+                          % (s, float(gap), float(e), 100 * float(gap / e)))
+    criterion("bound-coverage-sym3", ok,
+              "true error / bound at 64 bits, 1e-3: " + ", ".join(shares))
+
+
 def test_sym5_central_ratio(request):
     t0 = time.perf_counter()
     vals = request.getfixturevalue("sym5_vals")
@@ -277,7 +297,8 @@ def test_closed_form_equivalence(sym3_data, sym3_vals, sym5_data, sym5_vals):
     outcomes = []
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
-        zp, winner, report = zeta_poly_closed_form(data, vals)
+        zp, winner, report = zeta_poly_closed_form(
+            data, vals, zeta_polynomial(data, vals))
         outcomes.append("%s: winner %s A-dev %.1e B-dev %.1e"
                         % (data.label, winner, float(report["A"]),
                            float(report["B"])))
@@ -289,7 +310,8 @@ def test_q_identity(sym3_data, sym3_vals, sym5_data, sym5_vals):
     outcomes = []
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
-        resid, s_max = q_decomposition_residual(data, vals)
+        resid, s_max = q_decomposition_residual(
+            data, l_value_ratios(data, vals))
         outcomes.append("%s: residual %.2e (max |S| %.3f)"
                         % (data.label, float(resid), float(s_max)))
         ok = ok and resid < mp.mpf("1e-20")

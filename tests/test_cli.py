@@ -158,6 +158,25 @@ class TestAnalyzeCurve:
         assert report["circle"]["num_uncertain"] == 0
         assert report["gate"]["case"] in {"M1", "M2", "NONE"}
 
+    def test_cache_misses_under_tighter_target(self, capsys, tmp_path):
+        # values cached under 1e-3 must not answer a request for 1e-8
+        argv = (
+            "analyze",
+            "--curve", data_path("curves.txt"),
+            "--label", "11a1",
+            "--sym", "3",
+            "--eps-overrides", data_path("eps_overrides.txt"),
+            "--precision-bits", "64",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        for target in (1e-3, 1e-8):
+            code, out, _ = run_cli(capsys, *argv, "--target-error", str(target))
+            assert code == 0
+            report = json.loads(out)
+            errors = [float(e) for _, e in report["special_values"].values()]
+            assert max(errors) <= target
+            assert report["target_error_effective"] == target
+
     def test_unknown_label_is_an_input_error(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -162,7 +162,7 @@ class TestExactSerialization:
         assert float(mpf_from_obj(mpf_to_obj(0.1))) == 0.1
 
 
-def make_values(bits, weight=3, seed=1):
+def make_values(bits, weight=3, seed=1, target=1e-20):
     with mp.workprec(bits):
         vals = {}
         for s in range(1, weight + 1):
@@ -172,7 +172,7 @@ def make_values(bits, weight=3, seed=1):
         for s in range(1, (weight + 1) // 2 + 1):
             vals[weight + 1 - s] = vals[s]
     return SpecialValues(weight=weight, values=vals, bits=bits,
-                         target=1e-20, label="cache-test")
+                         target=target, label="cache-test")
 
 
 class TestCache:
@@ -180,7 +180,7 @@ class TestCache:
         cache = SpecialValuesCache(str(tmp_path))
         vals = make_values(224)
         cache.store("cache-test", 3, vals)
-        again = cache.load("cache-test", 3, 224, 3)
+        again = cache.load("cache-test", 3, 224, 3, 1e-20)
         assert again is not None
         for s in (1, 2, 3):
             assert again.values[s][0]._mpf_ == vals.values[s][0]._mpf_
@@ -189,12 +189,29 @@ class TestCache:
     def test_miss_on_other_bits(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
         cache.store("cache-test", 3, make_values(224))
-        assert cache.load("cache-test", 3, 192, 3) is None
+        assert cache.load("cache-test", 3, 192, 3, 1e-20) is None
 
     def test_miss_on_weight_mismatch(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
         cache.store("cache-test", 3, make_values(224))
-        assert cache.load("cache-test", 3, 224, 5) is None
+        assert cache.load("cache-test", 3, 224, 5, 1e-20) is None
+
+    def test_miss_on_tighter_target(self, tmp_path):
+        cache = SpecialValuesCache(str(tmp_path))
+        cache.store("cache-test", 3, make_values(224, target=1e-3))
+        assert cache.load("cache-test", 3, 224, 3, 1e-8) is None
+        assert cache.load("cache-test", 3, 224, 3, 1e-2).target == 1e-3
+
+    def test_tighter_set_stored_after_looser(self, tmp_path):
+        cache = SpecialValuesCache(str(tmp_path))
+        cache.store("cache-test", 3, make_values(224, seed=1, target=1e-3))
+        tight = make_values(224, seed=2, target=1e-8)
+        assert cache.store("cache-test", 3, tight) == 3
+        got = cache.load("cache-test", 3, 224, 3, 1e-8)
+        assert got.target == 1e-8
+        assert got.values[1][0]._mpf_ == tight.values[1][0]._mpf_
+        # the loosest qualifying set answers a looser request
+        assert cache.load("cache-test", 3, 224, 3, 1e-3).target == 1e-3
 
     def test_store_is_idempotent(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
@@ -214,15 +231,13 @@ class TestCache:
         lines[0] = json.dumps(rec)
         path.write_text("\n".join(["not json at all"] + lines) + "\n")
         # the record with a broken checksum no longer completes the set
-        assert cache.load("cache-test", 3, 224, 3) is None
+        assert cache.load("cache-test", 3, 224, 3, 1e-20) is None
 
     def test_existing_keys(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
         cache.store("cache-test", 3, make_values(224))
         keys = cache.existing_keys()
-        assert ("cache-test", 3, 1, 224) in keys or any(
-            k[0] == "cache-test" for k in keys
-        )
+        assert ("cache-test", 3, 1, 224, 1e-20) in keys
 
 
 class TestReports:

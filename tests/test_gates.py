@@ -13,6 +13,7 @@ from periodpoly import (
     compute_A_m,
     coefficient_inequalities,
     hodge_condition,
+    l_value_ratios,
     rouche_transfer,
     theorem_gate,
 )
@@ -138,7 +139,7 @@ class TestGateVerdicts:
 
 class TestRoucheTransfer:
     def test_sym5_consistency(self, sym5_data, sym5_vals):
-        rt = rouche_transfer(sym5_data, sym5_vals)
+        rt = rouche_transfer(sym5_data, l_value_ratios(sym5_data, sym5_vals))
         assert rt.f_disc_zeros >= 0
         if rt.certified:
             assert rt.min_t > rt.remainder_bound
@@ -148,4 +149,4 @@ class TestRoucheTransfer:
 
     def test_rejects_m1(self, sym3_data, sym3_vals):
         with pytest.raises(InputError):
-            rouche_transfer(sym3_data, sym3_vals)
+            rouche_transfer(sym3_data, l_value_ratios(sym3_data, sym3_vals))

@@ -6,6 +6,7 @@ from mpmath import mp
 from periodpoly import (InputError, LFunctionData, PoleError, Precision,
                         SpecialValues, dirichlet_l, gamma_completed,
                         special_values, verify_hypothesis, zeta_ratio_bound)
+from periodpoly.lfunc import _AfeEngine, _Rung, _min_offset
 from periodpoly.numutil import divisor_count_at
 
 
@@ -135,6 +136,85 @@ class TestSpecialValues:
     def test_central_nonnegative(self, sym3_vals):
         with mp.workprec(192):
             assert sym3_vals.value(2) >= 0  # Lambda(m + 1), m = 1
+
+
+def kernel_data(hodge, conductor=11):
+    m = len(hodge) - 1
+    return LFunctionData(weight=2 * m + 1, degree=2 * sum(hodge),
+                         conductor=conductor, hodge=hodge, root_number=1,
+                         coefficients=(1,), label="kernel")
+
+
+def kernel_rung(engine, sigma, h):
+    with mp.workprec(engine.workbits):
+        rung = _Rung(mp.mpf(_min_offset(sigma, engine.data.m)) + 2)
+        engine._build_nodes(sigma, rung, mp.mpf(h))
+    return rung
+
+
+class TestAfeKernel:
+    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("hodge", [(1, 1), (1, 0, 1), (0, 1, 1),
+                                       (1, 2, 3, 4)])
+    def test_g_value_matches_gamma_completed(self, hodge, bits):
+        data = kernel_data(hodge)
+        engine = _AfeEngine(data, Precision(bits, 1e-3))
+        for sigma in (1, data.weight):
+            c = mp.mpf(_min_offset(sigma, data.m)) + 2
+            for t in ("0", "0.375", "3.5", "17.25", "60"):
+                with mp.workprec(engine.workbits):
+                    got = engine._g_value(sigma, c, mp.mpf(t))
+                with mp.workprec(bits + 64):
+                    u = mp.mpc(c, mp.mpf(t))
+                    want = gamma_completed(sigma + u, data, bits + 64) / u
+                    assert abs(got - want) <= abs(want) * mp.mpf(2) ** (8 - bits)
+
+    def test_halving_keeps_nodes_bit_identical(self):
+        engine = _AfeEngine(kernel_data((1, 1)), Precision(64, 1e-3))
+        halved = kernel_rung(engine, 1, "0.5")
+        old = len(halved.g)
+        computed = []
+        g_value = engine._g_value
+
+        def counted(sigma, c, t):
+            computed.append(t)
+            return g_value(sigma, c, t)
+
+        engine._g_value = counted
+        with mp.workprec(engine.workbits):
+            engine._build_nodes(1, halved, halved.h / 2)
+        engine._g_value = g_value
+        fresh = kernel_rung(engine, 1, "0.25")
+        assert [g._mpc_ for g in halved.g] == [g._mpc_ for g in fresh.g]
+        assert halved.suffix == fresh.suffix
+        assert (halved.gre, halved.gim) == (fresh.gre, fresh.gim)
+        # only the odd nodes (and any past the old list's reach) are new
+        assert len(computed) == sum(1 for k in range(len(fresh.g))
+                                    if k % 2 or k // 2 >= old)
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_fixed_point_sum_within_bound(self, bits):
+        engine = _AfeEngine(kernel_data((1, 1), conductor=1331),
+                            Precision(bits, 1e-3))
+        rung = kernel_rung(engine, 1, "0.125")
+        with mp.workprec(engine.workbits):
+            mass = mp.fsum(abs(g) for g in rung.g)
+        assert rung.fix_err < mass * mp.mpf(2) ** (-(bits + 16))
+        smallest = mass
+        for ell in ("3.6", "0.7", "0", "-1.7", "-4.25"):
+            for count in (len(rung.g), len(rung.g) // 3):
+                # enough bits that the integer result converts exactly
+                with mp.workprec(engine.fixbits + 96):
+                    got = engine._node_sum(rung, mp.mpf(ell), count)
+                    z = mp.expj(rung.h * mp.mpf(ell))
+                    acc = rung.g[count - 1]
+                    for k in range(count - 2, 0, -1):
+                        acc = acc * z + rung.g[k]
+                    ref = mp.re(acc * z + rung.g[0] / 2)
+                    assert abs(got - ref) <= rung.fix_err
+                    smallest = min(smallest, abs(ref))
+        # the sums include one that cancels to far below the node mass
+        assert smallest < mass * mp.mpf("1e-12")
 
 
 class TestVerifyHypothesis:

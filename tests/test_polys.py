@@ -85,13 +85,14 @@ class TestSym3Polynomials:
         assert near(r.central[0], "1.00697708686343655932", "1e-18")
 
     def test_Q_coefficients(self, sym3_data, sym3_vals):
-        Q = build_Q_poly(sym3_data, sym3_vals)
+        Q = build_Q_poly(sym3_data, l_value_ratios(sym3_data, sym3_vals))
         assert Q.degree == 1
         assert near(Q.values()[0], "0.544829107712380524", "1e-15")
         assert Q.values()[1] == 1  # c_0 r_0 exactly
 
     def test_q_decomposition_residual(self, sym3_data, sym3_vals):
-        res, smax = q_decomposition_residual(sym3_data, sym3_vals)
+        res, smax = q_decomposition_residual(
+            sym3_data, l_value_ratios(sym3_data, sym3_vals))
         assert res < mp.mpf("1e-50")
         assert float(smax) == pytest.approx(1.0821083, rel=1e-5)
 

@@ -197,9 +197,9 @@ class TestZetaPolynomial:
         assert chk.max_line_deviation < 1e-50
 
     def test_sym3_closed_form(self, sym3_data, sym3_vals):
-        zc, winner, report = zeta_poly_closed_form(sym3_data, sym3_vals)
-        assert winner == "A"
         zp = zeta_polynomial(sym3_data, sym3_vals)
+        zc, winner, report = zeta_poly_closed_form(sym3_data, sym3_vals, zp)
+        assert winner == "A"
         with mp.workprec(256):
             scale = max(abs(v) for v in zp.values())
             for (a, _), (b, _) in zip(zc.coeffs, zp.coeffs):
@@ -215,7 +215,7 @@ class TestZetaPolynomial:
         with mp.workprec(192):
             assert abs(zp.values()[0] - mp.mpf("2.75")) < 1e-40
             assert abs(zp.values()[1] + mp.mpf("5.5")) < 1e-40
-        zc, winner, _ = zeta_poly_closed_form(data, vals)
+        zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
         with mp.workprec(192):
             # written to full length 2m+1, the leading coefficient drops
@@ -233,7 +233,7 @@ class TestZetaPolynomial:
         )
         zp = zeta_polynomial(data, vals)
         assert zp.e == 3
-        zc, winner, _ = zeta_poly_closed_form(data, vals)
+        zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
         with mp.workprec(256):
             scale = max(abs(v) for v in zp.values())
@@ -248,7 +248,7 @@ class TestZetaPolynomial:
         )
         zp = zeta_polynomial(data, vals)
         assert zp.e == 4
-        zc, winner, _ = zeta_poly_closed_form(data, vals)
+        zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
         chk = check_zeta_properties(zp, tol_fe=1e-30)
         assert chk.ok
@@ -257,7 +257,8 @@ class TestZetaPolynomial:
         # the two Stirling readings are genuinely different formulas; the
         # report shows B missing by a wide margin while A is exact
         data, vals = synthetic_dataset(3, 1, ("1", "3"), (1, 1))
-        _, winner, report = zeta_poly_closed_form(data, vals)
+        _, winner, report = zeta_poly_closed_form(
+            data, vals, zeta_polynomial(data, vals))
         assert winner == "A"
         assert set(report) == {"A", "B"}
         with mp.workprec(192):
