@@ -519,18 +519,20 @@ class _AfeEngine:
         # per-term line selection (float argmin over the ladder)
         assign = {}
         log_w = {}
+        ladder_f = [float(c) for c in ladder]
+        sig_f = float(sig)
         for n in range(1, n0 + 1):
             lam = data.coefficients[n - 1]
             if not lam:
                 continue
             lnn = math.log(n)
             bi, bv = 0, None
-            for idx, (c, lb) in enumerate(zip(ladder, proxies)):
-                v = lb + float(c) * (lnsq_f - lnn)
+            for idx, (cf, lb) in enumerate(zip(ladder_f, proxies)):
+                v = lb + cf * (lnsq_f - lnn)
                 if bv is None or v < bv:
                     bi, bv = idx, v
             assign[n] = bi
-            lw = math.log(abs(float(lam))) - float(sig) * lnn + float(ladder[bi]) * (
+            lw = math.log(abs(float(lam))) - sig_f * lnn + ladder_f[bi] * (
                 lnsq_f - lnn
             )
             log_w.setdefault(bi, []).append(lw)
@@ -556,27 +558,29 @@ class _AfeEngine:
         n_terms = max(1, len(assign))
         skip_share = budget / 4 / n_terms
         pref = mp.power(data.conductor, sig / 2)
+        h_pi = {idx: rungs[idx].h / mp.pi for idx in used}
         for n in sorted(assign):
-            r = rungs[assign[n]]
+            idx = assign[n]
+            r = rungs[idx]
             lam = mp.mpf(data.coefficients[n - 1])
             lnn = self._ln(n)
             ell = self.ln_sqrt_n - lnn
             weight = mp.exp(-sig * lnn + r.c * ell)
             w_plain = abs(lam) * weight
             r.weight_sum += w_plain
-            wt = w_plain * (r.h / mp.pi)
+            wt_pref = w_plain * h_pi[idx] * pref
             # certified node cutoff: drop trailing nodes whose total mass
             # cannot move this term by more than its skip share
             lo, hi = 1, len(r.g)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if wt * pref * r.suffix[mid] <= skip_share:
+                if wt_pref * r.suffix[mid] <= skip_share:
                     hi = mid
                 else:
                     lo = mid + 1
             kc = lo
-            skip_err += wt * pref * r.suffix[kc]
-            term = lam * weight * (r.h / mp.pi) * self._node_sum(r, ell, kc)
+            skip_err += wt_pref * r.suffix[kc]
+            term = lam * weight * h_pi[idx] * self._node_sum(r, ell, kc)
             total += term
             abs_total += abs(term)
 
@@ -589,7 +593,7 @@ class _AfeEngine:
         # working-precision slack, plus the fixed-point kernel sums' bound
         rounding = (pref * abs_total + abs(value)) * mp.mpf(2) ** (-(self.workbits - 16))
         rounding += pref * mp.fsum(
-            (rungs[idx].h / mp.pi) * rungs[idx].fix_err * rungs[idx].weight_sum
+            h_pi[idx] * rungs[idx].fix_err * rungs[idx].weight_sum
             for idx in used
         )
         err = tail + quad_err + skip_err + rounding
