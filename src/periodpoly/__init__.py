@@ -91,6 +91,7 @@ from .rv import (
 from .pipeline import Analysis, analyze, scale_estimate
 from .files import (
     SpecialValuesCache,
+    data_digest,
     parse_coefficient_file,
     parse_coefficient_text,
     coefficient_file_text,
@@ -130,9 +131,10 @@ __all__ = [
     "maclaurin_coefficients", "zeta_polynomial", "zeta_poly_closed_form",
     "check_zeta_properties", "deflate_at_one",
     "Analysis", "analyze", "scale_estimate",
-    "SpecialValuesCache", "parse_coefficient_file", "parse_coefficient_text",
-    "coefficient_file_text", "write_coefficient_file", "parse_curve_file",
-    "parse_curve_text", "parse_eps_overrides", "parse_eps_overrides_text",
+    "SpecialValuesCache", "data_digest", "parse_coefficient_file",
+    "parse_coefficient_text", "coefficient_file_text",
+    "write_coefficient_file", "parse_curve_file", "parse_curve_text",
+    "parse_eps_overrides", "parse_eps_overrides_text",
     "mpf_to_obj", "mpf_from_obj", "canonical_report_text", "write_report",
     "sha256_file",
 ]

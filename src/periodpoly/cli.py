@@ -30,7 +30,7 @@ from .errors import (CertificationError, ConventionError, InputError,
                      InsufficientCoefficients, QuadratureError,
                      VerificationError)
 from .files import (FORMAT_REPORT, SpecialValuesCache, canonical_report_text,
-                    parse_coefficient_file, parse_curve_file,
+                    data_digest, parse_coefficient_file, parse_curve_file,
                     parse_eps_overrides, sha256_file, write_report)
 from .gates import compute_A_m
 from .lfunc import Precision, special_values
@@ -135,12 +135,13 @@ def cmd_analyze(args):
     cache = SpecialValuesCache(args.cache_dir) if args.cache_dir else None
     vals = None
     if cache is not None:
+        digest = data_digest(data)
         vals = cache.load(label, sym, args.precision_bits, data.weight,
-                          target)
+                          target, digest)
     if vals is None:
         vals = special_values(data, prec)
         if cache is not None:
-            cache.store(label, sym, vals)
+            cache.store(label, sym, vals, digest)
 
     sym_context = (2, sym, curve.conductor) if curve is not None else None
     result = analyze(data, vals, sym_context)
@@ -378,12 +379,12 @@ def cmd_cache(args):
     cache = SpecialValuesCache(args.cache_dir)
     keys = sorted(cache.existing_keys())
     groups = {}
-    for label, sym, s, bits, target in keys:
-        groups.setdefault((label, sym, bits, target), []).append(s)
+    for label, sym, s, bits, target, digest in keys:
+        groups.setdefault((label, sym, bits, target, digest), []).append(s)
     entries = [
         {"label": label, "sym": sym, "bits": bits, "target": target,
-         "s_values": sorted(ss), "records": len(ss)}
-        for (label, sym, bits, target), ss in sorted(groups.items())
+         "data_sha256": digest, "s_values": sorted(ss), "records": len(ss)}
+        for (label, sym, bits, target, digest), ss in sorted(groups.items())
     ]
     report = {
         "path": cache.path,

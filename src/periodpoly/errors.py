@@ -33,7 +33,8 @@ class InsufficientCoefficients(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Contour quadrature failed to converge within the refinement cap."""
+    """A kernel line reached its node cap before the nodes it drops fell
+    below the share of the error budget they may take."""
 
 
 class CertificationError(RuntimeError):

@@ -7,12 +7,12 @@ written by a future incompatible release instead of misparsing them.
 Parse errors always carry the 1-based line number of the offending line.
 
 The cache is append-only JSONL, one record per (label, sym power, s,
-precision bits).  Values are stored twice: as an exact mantissa tuple
-(sign, mantissa, exponent, bit count), which makes reloads bit-identical,
-and as a decimal string for human inspection.  Each record carries a
-sha256 checksum over its canonical serialization; records that fail the
-checksum or do not parse are skipped, which sends the caller down the
-recompute path rather than aborting.
+precision bits, target, data digest).  Values are stored twice: as an
+exact mantissa tuple (sign, mantissa, exponent, bit count), which makes
+reloads bit-identical, and as a decimal string for human inspection.
+Each record carries a sha256 checksum over its canonical serialization;
+records that fail the checksum or do not parse are skipped, which sends
+the caller down the recompute path rather than aborting.
 """
 
 import hashlib
@@ -315,16 +315,35 @@ def _record_checksum(record):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def data_digest(data):
+    """sha256 of what the special values of ``data`` depend on: the
+    conductor, the Hodge numbers, the root number and every coefficient,
+    each coefficient exactly (an int in decimal, an mpf as its mantissa
+    tuple)."""
+    digest = hashlib.sha256()
+    digest.update(("%d|%s|%d|" % (data.conductor,
+                                   ",".join(map(str, data.hodge)),
+                                   data.root_number)).encode("ascii"))
+    digest.update(";".join(
+        str(lam) if isinstance(lam, int)
+        else "%d:%s:%d" % tuple(mpf_to_obj(lam)[:3])
+        for lam in data.coefficients).encode("ascii"))
+    return digest.hexdigest()
+
+
 class SpecialValuesCache:
     """Append-only JSONL store for completed special values.
 
-    Records are keyed by (label, sym power, s, precision bits, target).
-    Writes are write-once: a key already present is never rewritten, so a
-    cache file only ever grows and earlier readers stay valid.  A load is
-    a hit only if every s = 1..w is present at exactly the requested
-    precision and under one stored target no looser than the requested
-    one; asking at a different bit count or a tighter target misses
-    rather than returning rounded survivors or wider bounds.
+    Records are keyed by (label, sym power, s, precision bits, target,
+    data digest), the digest being data_digest of the dataset the values
+    were computed from; records without one never match.  Writes are
+    write-once: a key already present is never rewritten, so a cache file
+    only ever grows and earlier readers stay valid.  A load is a hit only
+    if every s = 1..w is present for the same data, at exactly the
+    requested precision and under one stored target no looser than the
+    requested one; other coefficients under the same label, a different
+    bit count or a tighter target miss rather than returning stale
+    values, rounded survivors or wider bounds.
     """
 
     FILENAME = "special_values.jsonl"
@@ -357,7 +376,8 @@ class SpecialValuesCache:
         seen = {}
         for record in self._iter_records():
             key = (record["label"], record["sym"], record["s"],
-                   record["bits"], record.get("target"))
+                   record["bits"], record.get("target"),
+                   record.get("data_sha256"))
             if key not in seen:  # write-once: first record wins
                 seen[key] = record
             yield key, seen[key]
@@ -365,8 +385,9 @@ class SpecialValuesCache:
     def existing_keys(self):
         return {key for key, _ in self._index()}
 
-    def store(self, label, sym, values):
-        """Append records for each s in ``values`` not already cached."""
+    def store(self, label, sym, values, digest):
+        """Append records for each s in ``values`` not already cached;
+        ``digest`` is data_digest of the dataset they were computed from."""
         os.makedirs(self.directory, exist_ok=True)
         present = self.existing_keys()
         bits = int(values.bits)
@@ -375,7 +396,7 @@ class SpecialValuesCache:
         added = 0
         with open(self.path, "a", encoding="utf-8") as fh:
             for s in sorted(values.values):
-                key = (label, int(sym), int(s), bits, target)
+                key = (label, int(sym), int(s), bits, target, digest)
                 if key in present:
                     continue
                 val, err = values.values[s]
@@ -390,6 +411,7 @@ class SpecialValuesCache:
                         "bits": bits,
                         "weight": int(values.weight),
                         "target": target,
+                        "data_sha256": digest,
                         "value": mpf_to_obj(val),
                         "value_dec": fmt_mpf(val, digits),
                         "error": mpf_to_obj(err),
@@ -401,17 +423,19 @@ class SpecialValuesCache:
                 added += 1
         return added
 
-    def load(self, label, sym, bits, weight, target):
+    def load(self, label, sym, bits, weight, target, digest):
         """Return SpecialValues covering s = 1..weight, or None on a miss.
 
-        Of the complete sets stored under a target <= ``target``, the
-        loosest is returned, so an exact match reproduces what a cold
-        computation at ``target`` gives."""
+        Of the complete sets stored for ``digest`` under a target <=
+        ``target``, the loosest is returned, so an exact match reproduces
+        what a cold computation at ``target`` gives."""
         bits = int(bits)
         sets = {}
         for key, record in self._index():
             stored = key[4]
             if key[0] != label or key[1] != int(sym) or key[3] != bits:
+                continue
+            if key[5] is None or key[5] != digest:
                 continue
             if stored is None or stored > target:
                 continue

@@ -22,9 +22,67 @@ a contour shift through u = 0 combined with the functional equation gives
 
 valid whenever each line Re u = c keeps the Dirichlet series absolutely
 convergent (sigma + c > w/2 + 1) and stays right of every Gamma pole
-(sigma + c - m > 0).  The kernel integral is evaluated by trapezoidal
-quadrature on the vertical line; the integrand decays like
-exp(-(pi d / 4) |t|), so a few hundred nodes suffice at 192-bit precision.
+(sigma + c - m > 0).  On the line u = c + i t the kernel is
+
+    K_sigma(n) = (e^{c ell} / 2 pi) int g(t) e^{i t ell} dt,
+    g(t) = L_inf(sigma + c + i t) / (c + i t),   ell = log(sqrt(N)/n),
+
+evaluated by the trapezoidal rule with step h, (h/pi) Re(g_0/2 +
+sum_{k>0} g_k e^{i k h ell}) times e^{c ell}; g is conjugate-symmetric,
+so only t >= 0 is built.
+
+The step is chosen a priori, once per kernel line that some term uses.
+g(t) e^{i t ell} is analytic in the strip |Im t| < a whenever
+a < min(c, sigma + c - top), top the largest nu with h_nu > 0: the strip
+then avoids the pole of 1/u and those of Gamma(z - top).  By Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56
+(2014), Thm 5.1, the trapezoid error is at most 2M/(e^{2 pi a/h} - 1),
+M the largest L1 norm of the integrand on a line of the strip.  Shifting
+t by i b moves the line to Re u = c - b and multiplies by e^{-b ell}; the
+L1 norm on vertical lines is log-convex across a strip (Doetsch's
+three-lines theorem), so its largest value is at an edge, and over the
+ell range [ell_lo, ell_hi] of the line's terms
+
+    M <= 2 pi E(a),  E(a) = max(e^{-a ell_lo} mass(c - a), e^{a ell_hi} mass(c + a)),
+
+with mass(c') >= (1/pi) int_0^oo |g| on the line Re u = c'.  A term of
+weight w = |lambda(n)| n^{-sigma} e^{c ell} then errs by at most
+N^{sigma/2} w 2 E(a) / (e^{2 pi a/h} - 1).  For the line's share of the
+quadrature budget, h is the largest step meeting it over a grid of a.
+
+The bound mass comes from Stirling's formula with Binet's remainder,
+|mu(z)| <= 1/(12 Re z) for Re z > 0:
+
+    log|Gamma(x + i t)| <= (x - 1/2) log|x + i t| - t atan(t/x) - x
+                           + log(2 pi)/2 + 1/(12 x),
+
+applied to every Gamma_C factor of L_inf.  Call the product, over
+|c + i t|, S(t).  Its log-derivative is at most -decay(t) = -sum h_nu
+atan(t/x_nu) < 0, so S decreases: a left Riemann sum of S bounds its
+integral, and int_T^oo S <= S(T)/decay(T) closes the sum.  |g| itself
+decreases on t >= 0, as |Gamma(x)/Gamma(x+it)|^2 = prod_n (1 +
+t^2/(x+n)^2), so the nodes a line drops past its last one, K, weigh at
+most (1/h) int_{(K-1)h}^oo |g| <= S((K-1)h)/(h decay((K-1)h)).  Node
+building stops at the first K where that is below what the line's
+heaviest term may skip.  These sizings run in double precision, with an
+allowance for its rounding.
+
+Lambda(s) = I(s) + eps I(w+1-s) is budgeted at target/32, so each
+one-sided sum gets target/64, split as coefficient tail 3/8, quadrature
+3/8 (equal shares per used line) and skipped nodes 1/8 (equal shares per
+term): at most 7/8 of target/32 before rounding.  The margin of 32 costs
+little, as the node counts grow with log(1/budget) and the term count
+with a small power of it (Sym^3 of seven curves at X = 10^4, 64 bits,
+target 1e-3: 35% more loggamma calls than spending the whole target),
+and the bounds set the coefficient errors of p and so its root
+inclusion radii, which the circle certificates compare with fixed
+tolerances.  The rounding component, the remaining 1/8, is computed
+rather than budgeted: it holds a working-precision slack plus an
+explicit bound on the fixed-point kernel sums (the truncated nodes and
+Horner steps, each under one unit of 2^-F in either part relative to the
+largest node, and the quantised e^{i h ell}, whose error moves node k by
+k times as much).  The accounting is worst-case interval style, not
+rigorous ball arithmetic.
 
 The kernel is built to be cheap:
 
@@ -32,21 +90,12 @@ The kernel is built to be cheap:
       index m' with h_{m'} > 0; every other Gamma(z - nu) follows from it
       by the rising factors (z - m')(z - m' + 1)...(z - nu - 1), and
       log 2, log 2 pi are computed once per engine;
-  (b) when refinement halves the step h, the nodes already built are the
-      even-indexed nodes at h/2 (k h is exact in binary), so only the odd
-      ones are new; the node list is bit-identical to a fresh build;
+  (b) each used line is built once, at its a-priori step, and a line no
+      term uses is never built: the truncation point is planned from the
+      Stirling mass bounds alone;
   (c) the trapezoid sums Re(sum_k g_k e^{i k h ell}) run by Horner's rule
       in Python integers with F = working bits + 16 fractional bits; the
       nodes of each list are scaled by a power of two and converted once.
-
-Each reported value carries an explicit error bound summing the
-quadrature-refinement estimate, skipped-node mass, coefficient-tail
-majorant, and rounding.  The rounding component holds a working-precision
-slack plus an explicit bound on the fixed-point kernel sums: the
-truncated nodes and Horner steps (each under one unit of 2^-F in either
-part, relative to the largest node) and the quantised e^{i h ell}, whose
-error moves node k by k times as much.  The accounting is worst-case
-interval style, not rigorous ball arithmetic.
 """
 
 import math
@@ -56,7 +105,10 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import InputError, PoleError, InsufficientCoefficients, QuadratureError
-from .numutil import divisor_counts, divisor_tail, log_gamma_c_real
+from .numutil import divisor_counts, divisor_tail
+
+_LN2 = math.log(2)
+_LN2PI = math.log(2 * math.pi)
 
 # Extra working bits beyond the requested mantissa, absorbing accumulated
 # rounding across the long kernel sums.
@@ -71,8 +123,13 @@ _FIX_GUARD_BITS = 16
 # per-term selection below picks the cheapest admissible line.
 _OFFSETS = (0, 2, 5, 9, 15, 24, 38, 60, 90, 130, 190, 270, 380, 520, 700, 950, 1250)
 
+# Strip half-widths a / a_max tried when picking the trapezoid step.
+_STRIP_FRACTIONS = (0.25, 0.5, 0.75, 0.875, 0.9375, 0.96875)
+
+# Lambda(s) is budgeted at target / _TARGET_MARGIN; see the module docstring.
+_TARGET_MARGIN = 32
+
 _MAX_NODES = 25000
-_MAX_HALVINGS = 7
 _ZETA_RATIO_BITS = 128  # working precision of zeta_ratio_bound
 
 
@@ -238,12 +295,9 @@ class _Rung:
     """One vertical quadrature line Re(u) = c with its trapezoid nodes.
 
     g[k] = L_inf(sigma + c + i k h) / (c + i k h); only t >= 0 is stored
-    since the integrand is conjugate-symmetric.  suffix[k] holds
-    sum_{j >= k} |g_j| plus the beyond-last-node decay estimate, so terms
+    since the integrand is conjugate-symmetric.  suffix[k] bounds
+    sum_{j >= k} |g_j|, the nodes beyond the last one included, so terms
     can certify how much kernel mass a truncated node sum skips.
-
-    When the step halves, the nodes already built are the even-indexed
-    nodes of the new list and are kept; only the odd ones are computed.
 
     For the kernel sums the nodes are also held in fixed point: gre[k] and
     gim[k] are the real and imaginary parts of g_k * 2^(fix_shift),
@@ -252,21 +306,34 @@ class _Rung:
     fix_err bounds the rounding of one such sum (see _AfeEngine._node_sum).
     """
 
-    __slots__ = ("c", "h", "g", "suffix", "bound", "quad_diff", "weight_sum",
-                 "gre", "gim", "fix_shift", "fix_err")
+    __slots__ = ("c", "h", "g", "suffix", "gre", "gim", "fix_shift", "fix_err")
 
-    def __init__(self, c):
+    def __init__(self, c, h):
         self.c = c
-        self.h = None
+        self.h = h
         self.g = None
         self.suffix = None
-        self.bound = None
-        self.quad_diff = None
-        self.weight_sum = mp.mpf(0)
         self.gre = None
         self.gim = None
         self.fix_shift = None
         self.fix_err = None
+
+
+def log_abs_gamma_bound(x, t):
+    """Upper bound for log|Gamma(x + i t)|, x > 0, in double precision.
+
+    Stirling's formula with Binet's remainder bound |mu(z)| <= 1/(12 Re z),
+    plus an allowance far above the rounding of the doubles."""
+    t = abs(t)
+    power = (x - 0.5) * 0.5 * math.log(x * x + t * t)
+    phase = t * math.atan2(t, x)
+    return (power - phase - x + 0.5 * _LN2PI + 1 / (12 * x)
+            + 1e-12 * (abs(power) + phase + x + 1))
+
+
+def _softplus(r):
+    """log(1 + e^r) without overflow."""
+    return max(r, 0.0) + math.log1p(math.exp(-abs(r)))
 
 
 class _AfeEngine:
@@ -288,7 +355,8 @@ class _AfeEngine:
         # from Gamma(z - nu) = Gamma(z - top) (z - top) ... (z - nu - 1):
         # H = sum h_nu, S = sum nu h_nu, e_j = sum_{nu < j} h_nu.
         hodge = data.hodge
-        self._top = max(nu for nu, h in enumerate(hodge) if h)
+        self._gammas = [(nu, h) for nu, h in enumerate(hodge) if h]
+        self._top = self._gammas[-1][0]
         self._h_total = sum(hodge)
         self._h_moment = sum(nu * h for nu, h in enumerate(hodge))
         rising = ((j, sum(hodge[:j])) for j in range(1, self._top + 1))
@@ -302,6 +370,53 @@ class _AfeEngine:
             v = mp.log(n)
             self._ln_cache[n] = v
         return v
+
+    # -- a-priori bounds on the kernel (double precision) ---------------------
+
+    def _g_bound(self, sigma, c, t):
+        """(log S(t), decay(t)): S(t) >= |g(t)| on the line Re u = c by
+        Stirling, and decay(t) = sum h_nu atan(t / x_nu) <= -(log S)'(t')
+        for every t' >= t.  Needs c > 0 and sigma + c - top > 0."""
+        t = abs(t)
+        log_s = -0.5 * math.log(c * c + t * t)
+        decay = 0.0
+        for nu, h in self._gammas:
+            x = sigma + c - nu
+            log_s += h * (_LN2 - x * _LN2PI + log_abs_gamma_bound(x, t))
+            decay += h * math.atan2(t, x)
+        return log_s, decay
+
+    def _log_mass(self, sigma, c):
+        """log of an upper bound for (1/pi) int_0^oo |g(t)| dt on the line
+        Re u = c: a left Riemann sum of the decreasing S, closed by
+        int_T^oo S <= S(T) / decay(T)."""
+        s0, _ = self._g_bound(sigma, c, 0.0)
+        # about half the width of the Gaussian core exp(-t^2 sum h/(2 x))
+        step = 0.5 / math.sqrt(sum(h / (sigma + c - nu) for nu, h in self._gammas))
+        acc = 0.0
+        k = 0
+        while True:
+            log_s, decay = self._g_bound(sigma, c, k * step)
+            if k and log_s - s0 < -12:
+                acc += math.exp(log_s - s0) / decay
+                return s0 + math.log(acc / math.pi)
+            acc += step * math.exp(log_s - s0)
+            k += 1
+
+    def _pick_step(self, sigma, c, ell_lo, ell_hi, log_scale):
+        """Largest step h, over a grid of strip half-widths a, whose alias
+        bound times e^log_scale, 2 E(a) e^log_scale / (e^{2 pi a/h} - 1),
+        is at most 1; returns (h, a, log E(a)).  See the module docstring."""
+        a_max = min(c, sigma + c - self._top)
+        best = None
+        for frac in _STRIP_FRACTIONS:
+            a = a_max * frac
+            log_e = max(self._log_mass(sigma, c - a) - a * ell_lo,
+                        self._log_mass(sigma, c + a) + a * ell_hi)
+            h = 2 * math.pi * a / _softplus(_LN2 + log_e + log_scale)
+            if best is None or h > best[0]:
+                best = (h, a, log_e)
+        return best
 
     # -- node construction -------------------------------------------------
 
@@ -318,44 +433,37 @@ class _AfeEngine:
             g *= (z - j) ** e
         return g / mp.mpc(c, t)
 
-    def _build_nodes(self, sigma, rung, h):
-        # halving the step: old node j is new node 2j, since k h is exact
-        old = rung.g if rung.h is not None and rung.h == 2 * h else ()
-        floor = None
+    def _build_nodes(self, sigma, rung, log_thresh):
+        """Nodes g_0..g_{K-1} at the rung's step, K the first count whose
+        dropped nodes weigh at most e^log_thresh.  |g| decreases on
+        t >= 0, so sum_{k >= K} |g_k| <= (1/h) int_{(K-1)h}^oo |g|
+        <= S((K-1)h) / (h decay((K-1)h))."""
+        h = rung.h
+        hf = float(h)
         g = []
         mags = []
         k = 0
         while True:
-            if k % 2 == 0 and k // 2 < len(old):
-                gk = old[k // 2]
-            else:
-                gk = self._g_value(sigma, rung.c, k * h)
+            gk = self._g_value(sigma, rung.c, k * h)
             g.append(gk)
             mags.append(abs(gk))
-            if k == 0:
-                floor = mags[0] * mp.mpf(2) ** (-(self.bits + 16))
-            elif mags[-1] < floor and k >= 8:
-                break
+            if k:
+                log_s, decay = self._g_bound(sigma, rung.c, k * hf)
+                log_beyond = log_s - math.log(hf * decay)
+                if log_beyond <= log_thresh:
+                    break
             k += 1
-            if k > _MAX_NODES:
+            if k >= _MAX_NODES:
                 raise QuadratureError(
-                    "kernel node count exceeded %d on line c=%s"
+                    "kernel node count reached %d on line c=%s"
                     % (_MAX_NODES, mp.nstr(rung.c, 6))
                 )
-        rung.h = h
         rung.g = g
-        # decay estimate for nodes beyond the last computed one
-        ratio = mags[-1] / mags[-5] if len(g) >= 5 else mp.mpf("0.5")
-        rho = min(mp.mpf("0.97"), ratio ** mp.mpf("0.25"))
-        beyond = mags[-1] * rho / (1 - rho)
         suffix = [mp.mpf(0)] * (len(g) + 1)
-        suffix[len(g)] = beyond
+        suffix[len(g)] = mp.exp(log_beyond)
         for i in range(len(g) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + mags[i]
         rung.suffix = suffix
-        # 1.25 covers the gap between the node sum and the true integral
-        # of |g| (the accounting is estimate-grade, documented).
-        rung.bound = mp.mpf("1.25") * (h / mp.pi) * (mags[0] / 2 + suffix[1])
         self._fix_nodes(rung, mags)
 
     def _fix_nodes(self, rung, mags):
@@ -395,32 +503,6 @@ class _AfeEngine:
                       ((ar * zi + ai * zr) >> fix) + gim[k])
         return mp.mpf((ar, -rung.fix_shift))
 
-    def _probe(self, rung, ell):
-        return (rung.h / mp.pi) * self._node_sum(rung, ell, len(rung.g))
-
-    def _refine(self, sigma, rung, abs_target, ell_lo):
-        """Halve h until the probe difference of the trapezoid kernel is
-        below abs_target (on the kernel scale, before the (sqrt(N)/n)^c
-        weight).  Records the final difference as the rung's alias
-        estimate."""
-        ells = [ell_lo + (self.ln_sqrt_n - ell_lo) * mp.mpf(i) / 4 for i in range(5)]
-        if self.ln_sqrt_n > 0 and ell_lo < 0:
-            ells.append(mp.mpf(0))
-        vals = [self._probe(rung, ell) for ell in ells]
-        for _ in range(_MAX_HALVINGS):
-            self._build_nodes(sigma, rung, rung.h / 2)
-            new = [self._probe(rung, ell) for ell in ells]
-            diff = max(abs(a - b) for a, b in zip(vals, new))
-            # 3x spread factor: probes sample the oscillation in ell
-            rung.quad_diff = 3 * diff + abs(vals[0]) * mp.mpf(2) ** (-self.workbits + 4)
-            vals = new
-            if rung.quad_diff <= abs_target:
-                return
-        raise QuadratureError(
-            "quadrature failed to reach %s on line c=%s after %d halvings"
-            % (mp.nstr(abs_target, 6), mp.nstr(rung.c, 6), _MAX_HALVINGS)
-        )
-
     # -- truncation planning ------------------------------------------------
 
     def _tail_bound(self, sigma, c, bound, n0):
@@ -456,34 +538,29 @@ class _AfeEngine:
 
     def _one_sided_impl(self, sigma):
         data = self.data
-        m = data.m
         sig = mp.mpf(sigma)
-        budget = self.target / 4
-        cmin = _min_offset(sigma, m)
-        ladder = [mp.mpf(cmin) + off for off in _OFFSETS]
+        # Lambda(s) adds two one-sided sums; see the module docstring
+        budget = self.target / (2 * _TARGET_MARGIN)
+        tail_budget = budget * 3 / 8
+        quad_budget = budget * 3 / 8
+        skip_budget = budget / 8
+        cmin = _min_offset(sigma, data.m)
+        ladder = [cmin + off for off in _OFFSETS]
+        log_mass = [self._log_mass(sigma, c) for c in ladder]
         lnsq_f = float(self.ln_sqrt_n)
 
-        # Planning pass in float logs: proxy bound for each line is
-        # |g(0)| = L_inf(sigma+c)/c, good to a modest factor.
-        proxies = []
-        for c in ladder:
-            cf = float(c)
-            lb = -math.log(cf)
-            for nu, h in enumerate(data.hodge):
-                if h:
-                    lb += h * log_gamma_c_real(float(sig) + cf - nu)
-            proxies.append(lb)
-
+        # truncation point: the line whose kernel-mass bound reaches the
+        # tail budget with the fewest terms
         cap = data.coeff_limit
         best = None
-        for idx, (c, lb) in enumerate(zip(ladder, proxies)):
-            n0 = self._search_n0(sigma, c, 2 * mp.exp(lb), budget / 8, cap)
+        for c, lm in zip(ladder, log_mass):
+            n0 = self._search_n0(sigma, c, mp.exp(lm), tail_budget, cap)
             if n0 is not None and (best is None or n0 < best[0]):
-                best = (n0, idx)
+                best = (n0, c, lm)
         if best is None:
             need = None
-            for idx, (c, lb) in enumerate(zip(ladder, proxies)):
-                n_req = self._search_n0(sigma, c, 2 * mp.exp(lb), budget / 8, 1 << 40)
+            for c, lm in zip(ladder, log_mass):
+                n_req = self._search_n0(sigma, c, mp.exp(lm), tail_budget, 1 << 40)
                 if n_req is not None and (need is None or n_req < need):
                     need = n_req
             raise InsufficientCoefficients(
@@ -492,83 +569,61 @@ class _AfeEngine:
                 % (cap, mp.nstr(self.target, 6), sigma, need),
                 required=need,
             )
-        n0, tail_idx = best
+        n0, tail_c, tail_lm = best
+        tail = self._tail_bound(sigma, tail_c, mp.exp(tail_lm), n0)
 
-        rungs = {}
-
-        def built(idx):
-            if idx not in rungs:
-                r = _Rung(ladder[idx])
-                self._build_nodes(sigma, r, mp.mpf("0.5"))
-                rungs[idx] = r
-            return rungs[idx]
-
-        # certify the truncation point against the real node bound
-        tail_rung = built(tail_idx)
-        tail = self._tail_bound(sigma, tail_rung.c, tail_rung.bound, n0)
-        while tail > budget and n0 < cap:
-            n0 = min(cap, n0 + max(8, n0 // 5))
-            tail = self._tail_bound(sigma, tail_rung.c, tail_rung.bound, n0)
-        if tail > budget:
-            raise InsufficientCoefficients(
-                "coefficient list (X = %d) cannot certify the tail at s = %d"
-                % (cap, sigma),
-                required=None,
-            )
-
-        # per-term line selection (float argmin over the ladder)
-        assign = {}
-        log_w = {}
-        ladder_f = [float(c) for c in ladder]
-        sig_f = float(sig)
+        # per-term line selection (float argmin of the kernel-mass bound
+        # times (sqrt(N)/n)^c over the ladder)
+        terms = []
+        lines = {}  # idx -> [weight sum, largest weight, first n, last n]
         for n in range(1, n0 + 1):
             lam = data.coefficients[n - 1]
             if not lam:
                 continue
-            lnn = math.log(n)
-            bi, bv = 0, None
-            for idx, (cf, lb) in enumerate(zip(ladder_f, proxies)):
-                v = lb + cf * (lnsq_f - lnn)
-                if bv is None or v < bv:
-                    bi, bv = idx, v
-            assign[n] = bi
-            lw = math.log(abs(float(lam))) - sig_f * lnn + ladder_f[bi] * (
-                lnsq_f - lnn
-            )
-            log_w.setdefault(bi, []).append(lw)
+            lnn_f = math.log(n)
+            idx = min(range(len(ladder)),
+                      key=lambda i: log_mass[i] + ladder[i] * (lnsq_f - lnn_f))
+            lam = mp.mpf(lam)
+            lnn = self._ln(n)
+            ell = self.ln_sqrt_n - lnn
+            weight = mp.exp(-sig * lnn + ladder[idx] * ell)
+            w_abs = abs(lam) * weight
+            terms.append((idx, lam, ell, weight, w_abs))
+            line = lines.setdefault(idx, [0, 0, n, n])
+            line[0] += w_abs
+            line[1] = max(line[1], w_abs)
+            line[3] = n
 
-        used = sorted(set(assign.values()))
-        n_sigma_log = float(sig) * math.log(data.conductor) / 2
-
-        # refine every used line to its share of the quadrature budget
-        ell_lo = self.ln_sqrt_n - self._ln(n0)
-        for idx in used:
-            r = built(idx)
-            lws = log_w[idx]
-            mx = max(lws)
-            w_proxy = mx + math.log(sum(math.exp(v - mx) for v in lws))
-            share = budget / max(1, len(used))
-            abs_target = share * mp.exp(-mp.mpf(w_proxy + n_sigma_log))
-            self._refine(sigma, r, abs_target, ell_lo)
+        # each used line: step from the strip bound, nodes built once
+        pref = mp.power(data.conductor, sig / 2)
+        skip_share = skip_budget / max(1, len(terms))
+        quad_share = quad_budget / max(1, len(lines))
+        rungs = {}
+        h_pi = {}
+        quad_err = mp.mpf(0)
+        for idx in sorted(lines):
+            w_sum, w_max, n_first, n_last = lines[idx]
+            log_scale = float(mp.log(pref * w_sum / quad_share))
+            h, a, log_e = self._pick_step(sigma, ladder[idx],
+                                          lnsq_f - math.log(n_last),
+                                          lnsq_f - math.log(n_first), log_scale)
+            # 24 bits of h, rounded down: k h is exact at every node
+            m, e = math.frexp(h)
+            r = _Rung(ladder[idx], mp.ldexp(math.floor(m * 2 ** 24), e - 24))
+            h_pi[idx] = r.h / mp.pi
+            quad_err += (pref * w_sum * 2 * mp.exp(log_e)
+                         / mp.expm1(2 * mp.pi * a / r.h))
+            log_thresh = mp.log(skip_share / (pref * h_pi[idx] * w_max))
+            self._build_nodes(sigma, r, float(log_thresh))
+            rungs[idx] = r
 
         # accumulation (ascending n: deterministic summation order)
         total = mp.mpf(0)
         abs_total = mp.mpf(0)
         skip_err = mp.mpf(0)
-        n_terms = max(1, len(assign))
-        skip_share = budget / 4 / n_terms
-        pref = mp.power(data.conductor, sig / 2)
-        h_pi = {idx: rungs[idx].h / mp.pi for idx in used}
-        for n in sorted(assign):
-            idx = assign[n]
+        for idx, lam, ell, weight, w_abs in terms:
             r = rungs[idx]
-            lam = mp.mpf(data.coefficients[n - 1])
-            lnn = self._ln(n)
-            ell = self.ln_sqrt_n - lnn
-            weight = mp.exp(-sig * lnn + r.c * ell)
-            w_plain = abs(lam) * weight
-            r.weight_sum += w_plain
-            wt_pref = w_plain * h_pi[idx] * pref
+            wt_pref = w_abs * h_pi[idx] * pref
             # certified node cutoff: drop trailing nodes whose total mass
             # cannot move this term by more than its skip share
             lo, hi = 1, len(r.g)
@@ -584,17 +639,11 @@ class _AfeEngine:
             total += term
             abs_total += abs(term)
 
-        # quad_diff is on the kernel scale (includes h/pi); weight_sum is not
-        quad_err = pref * mp.fsum(
-            rungs[idx].quad_diff * rungs[idx].weight_sum for idx in used
-        )
-
         value = pref * total
         # working-precision slack, plus the fixed-point kernel sums' bound
         rounding = (pref * abs_total + abs(value)) * mp.mpf(2) ** (-(self.workbits - 16))
         rounding += pref * mp.fsum(
-            h_pi[idx] * rungs[idx].fix_err * rungs[idx].weight_sum
-            for idx in used
+            h_pi[idx] * rungs[idx].fix_err * lines[idx][0] for idx in rungs
         )
         err = tail + quad_err + skip_err + rounding
         return +value, +err

@@ -249,7 +249,9 @@ def trig_sign_changes(P, eps):
     change of C.  For eps = -1 the circle restriction is the sine
     polynomial S(theta) = sum_j a_j sin(j theta), scanned on
     (2j pi/(2n+1), 2(j+1) pi/(2n+1)), j = 0..n-1, with theta = 0 (and by
-    oddness theta = pi) an exact zero on top of the census."""
+    oddness theta = pi) an exact zero on top of the census.  A sign
+    change counts only between samples where |C| (or |S|) exceeds
+    sum_j err_j, the bound P's coefficient errors put on it."""
     if eps not in (1, -1):
         raise InputError("eps must be +1 or -1")
     n = P.degree
@@ -258,6 +260,8 @@ def trig_sign_changes(P, eps):
     a = P.values()
     # C (eps = +1) or S (eps = -1): the sine sum has no j = 0 term
     trig, j0 = (mp.cos, 0) if eps == 1 else (mp.sin, 1)
+    with mp.workprec(P.bits):
+        noise = mp.fsum(P.errors()[j0:])
 
     def f(theta):
         with mp.workprec(P.bits):
@@ -275,12 +279,10 @@ def trig_sign_changes(P, eps):
                 lo + inset + (width - 2 * inset) * k / (_TRIG_SAMPLES - 1)
                 for k in range(_TRIG_SAMPLES)
             ]
-            signs = [mp.sign(f(t)) for t in grid]
-            c = sum(
-                1
-                for s0, s1 in zip(signs, signs[1:])
-                if s0 != 0 and s1 != 0 and s0 != s1
-            )
+            # samples whose sign the coefficient errors could flip are
+            # dropped; a change between the remaining neighbours is certain
+            signs = [mp.sign(v) for v in map(f, grid) if abs(v) > noise]
+            c = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
             changes.append(c)
     failing = tuple(i for i, c in enumerate(changes) if c == 0)
     return TrigScan(

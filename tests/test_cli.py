@@ -12,7 +12,7 @@ import os
 import pytest
 
 from periodpoly.cli import main
-from periodpoly.files import SpecialValuesCache
+from periodpoly.files import SpecialValuesCache, data_digest
 
 DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "data"))
 
@@ -123,10 +123,11 @@ class TestTableReproducibility:
 
 class TestAnalyzeCurve:
     def test_symmetric_cube_runs_and_is_deterministic(
-        self, capsys, tmp_path, sym3_vals
+        self, capsys, tmp_path, sym3_data, sym3_vals
     ):
         cache_dir = tmp_path / "cache"
-        SpecialValuesCache(str(cache_dir)).store("11a1-sym3", 3, sym3_vals)
+        SpecialValuesCache(str(cache_dir)).store("11a1-sym3", 3, sym3_vals,
+                                                 data_digest(sym3_data))
         out_a = tmp_path / "report_a.json"
         out_b = tmp_path / "report_b.json"
         argv = (
@@ -227,6 +228,24 @@ class TestAnalyzeCoefficientFiles:
         assert "input error" in err
         assert "broken.txt" in err
 
+    def test_cache_keys_on_the_coefficients(self, capsys, tmp_path):
+        # two files share a label; the second must not get the first's values
+        paths = {}
+        for name, lambda_2 in (("a", "0"), ("b", "0.5")):
+            paths[name] = tmp_path / (name + ".txt")
+            paths[name].write_text(coeff_file_lines(
+                "shared", "-1", trivial_pairs(50, lambda_2=lambda_2)))
+        cache = ("--cache-dir", str(tmp_path / "cache"))
+        reports = {}
+        for key, argv in (("a", ("--coeffs", str(paths["a"])) + cache),
+                          ("b", ("--coeffs", str(paths["b"])) + cache),
+                          ("b-cold", ("--coeffs", str(paths["b"])))):
+            code, out, _ = run_cli(capsys, "analyze", *argv)
+            assert code == 0
+            reports[key] = json.loads(out)["special_values"]
+        assert reports["b"] == reports["b-cold"]
+        assert reports["b"] != reports["a"]
+
     def test_short_coefficient_list_is_a_certification_failure(
         self, capsys, tmp_path
     ):
@@ -258,15 +277,18 @@ class TestAnalyzeCoefficientFiles:
 
 
 class TestCacheCommand:
-    def test_lists_seeded_entries(self, capsys, tmp_path, sym3_vals):
+    def test_lists_seeded_entries(self, capsys, tmp_path, sym3_data, sym3_vals):
         cache_dir = tmp_path / "cache"
-        SpecialValuesCache(str(cache_dir)).store("11a1-sym3", 3, sym3_vals)
+        digest = data_digest(sym3_data)
+        SpecialValuesCache(str(cache_dir)).store("11a1-sym3", 3, sym3_vals,
+                                                 digest)
         code, out, _ = run_cli(capsys, "cache", "--dir", str(cache_dir))
         assert code == 0
         report = json.loads(out)
         entries = report["entries"]
         assert len(entries) == 1
         assert entries[0]["label"] == "11a1-sym3"
+        assert entries[0]["data_sha256"] == digest
         assert entries[0]["records"] == 3
         assert entries[0]["s_values"] == [1, 2, 3]
 

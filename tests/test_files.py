@@ -12,6 +12,7 @@ from periodpoly import (
     SpecialValuesCache,
     canonical_report_text,
     coefficient_file_text,
+    data_digest,
     mpf_from_obj,
     mpf_to_obj,
     parse_coefficient_text,
@@ -21,6 +22,7 @@ from periodpoly import (
     write_coefficient_file,
     write_report,
 )
+from periodpoly.files import _record_checksum
 
 GOOD = """# weight-3 toy dataset
 format=periodpoly-coeffs-1
@@ -175,12 +177,22 @@ def make_values(bits, weight=3, seed=1, target=1e-20):
                          target=target, label="cache-test")
 
 
+DIGEST = "0" * 64
+
+
+def toy_lfunction(**kw):
+    args = dict(weight=3, degree=2, conductor=11, hodge=(0, 1),
+                root_number=1, label="toy")
+    args.update(kw)
+    return LFunctionData(**args)
+
+
 class TestCache:
     def test_store_load_bit_identical(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
         vals = make_values(224)
-        cache.store("cache-test", 3, vals)
-        again = cache.load("cache-test", 3, 224, 3, 1e-20)
+        cache.store("cache-test", 3, vals, DIGEST)
+        again = cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST)
         assert again is not None
         for s in (1, 2, 3):
             assert again.values[s][0]._mpf_ == vals.values[s][0]._mpf_
@@ -188,42 +200,42 @@ class TestCache:
 
     def test_miss_on_other_bits(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
-        cache.store("cache-test", 3, make_values(224))
-        assert cache.load("cache-test", 3, 192, 3, 1e-20) is None
+        cache.store("cache-test", 3, make_values(224), DIGEST)
+        assert cache.load("cache-test", 3, 192, 3, 1e-20, DIGEST) is None
 
     def test_miss_on_weight_mismatch(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
-        cache.store("cache-test", 3, make_values(224))
-        assert cache.load("cache-test", 3, 224, 5, 1e-20) is None
+        cache.store("cache-test", 3, make_values(224), DIGEST)
+        assert cache.load("cache-test", 3, 224, 5, 1e-20, DIGEST) is None
 
     def test_miss_on_tighter_target(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
-        cache.store("cache-test", 3, make_values(224, target=1e-3))
-        assert cache.load("cache-test", 3, 224, 3, 1e-8) is None
-        assert cache.load("cache-test", 3, 224, 3, 1e-2).target == 1e-3
+        cache.store("cache-test", 3, make_values(224, target=1e-3), DIGEST)
+        assert cache.load("cache-test", 3, 224, 3, 1e-8, DIGEST) is None
+        assert cache.load("cache-test", 3, 224, 3, 1e-2, DIGEST).target == 1e-3
 
     def test_tighter_set_stored_after_looser(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
-        cache.store("cache-test", 3, make_values(224, seed=1, target=1e-3))
+        cache.store("cache-test", 3, make_values(224, seed=1, target=1e-3), DIGEST)
         tight = make_values(224, seed=2, target=1e-8)
-        assert cache.store("cache-test", 3, tight) == 3
-        got = cache.load("cache-test", 3, 224, 3, 1e-8)
+        assert cache.store("cache-test", 3, tight, DIGEST) == 3
+        got = cache.load("cache-test", 3, 224, 3, 1e-8, DIGEST)
         assert got.target == 1e-8
         assert got.values[1][0]._mpf_ == tight.values[1][0]._mpf_
         # the loosest qualifying set answers a looser request
-        assert cache.load("cache-test", 3, 224, 3, 1e-3).target == 1e-3
+        assert cache.load("cache-test", 3, 224, 3, 1e-3, DIGEST).target == 1e-3
 
     def test_store_is_idempotent(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
         vals = make_values(224)
-        cache.store("cache-test", 3, vals)
+        cache.store("cache-test", 3, vals, DIGEST)
         size1 = (tmp_path / "special_values.jsonl").stat().st_size
-        cache.store("cache-test", 3, vals)
+        cache.store("cache-test", 3, vals, DIGEST)
         assert (tmp_path / "special_values.jsonl").stat().st_size == size1
 
     def test_corrupted_lines_skipped(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
-        cache.store("cache-test", 3, make_values(224))
+        cache.store("cache-test", 3, make_values(224), DIGEST)
         path = tmp_path / "special_values.jsonl"
         lines = path.read_text().splitlines()
         rec = json.loads(lines[0])
@@ -231,13 +243,41 @@ class TestCache:
         lines[0] = json.dumps(rec)
         path.write_text("\n".join(["not json at all"] + lines) + "\n")
         # the record with a broken checksum no longer completes the set
-        assert cache.load("cache-test", 3, 224, 3, 1e-20) is None
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+
+    def test_miss_on_other_data(self, tmp_path):
+        cache = SpecialValuesCache(str(tmp_path))
+        cache.store("cache-test", 3, make_values(224), DIGEST)
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, "1" * 64) is None
+
+    def test_record_without_digest_misses(self, tmp_path):
+        cache = SpecialValuesCache(str(tmp_path))
+        cache.store("cache-test", 3, make_values(224), DIGEST)
+        path = tmp_path / "special_values.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in records:
+            del rec["data_sha256"]
+            rec["checksum"] = _record_checksum(rec)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, None) is None
+
+    def test_data_digest_follows_the_data(self):
+        data = toy_lfunction(coefficients=(1, 3, -2))
+        same = toy_lfunction(coefficients=(1, 3, -2), label="other")
+        assert data_digest(data) == data_digest(same)
+        for other in (toy_lfunction(coefficients=(1, 3, -2, 0)),
+                      toy_lfunction(coefficients=(1, 3, -1)),
+                      toy_lfunction(coefficients=(1, 3, -2), conductor=13),
+                      toy_lfunction(coefficients=(1, 3, -2), root_number=-1),
+                      toy_lfunction(coefficients=(1, mp.mpf("3.5"), -2))):
+            assert data_digest(other) != data_digest(data)
 
     def test_existing_keys(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
-        cache.store("cache-test", 3, make_values(224))
+        cache.store("cache-test", 3, make_values(224), DIGEST)
         keys = cache.existing_keys()
-        assert ("cache-test", 3, 1, 224, 1e-20) in keys
+        assert ("cache-test", 3, 1, 224, 1e-20, DIGEST) in keys
 
 
 class TestReports:

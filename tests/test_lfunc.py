@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,8 @@ from mpmath import mp
 from periodpoly import (InputError, LFunctionData, PoleError, Precision,
                         SpecialValues, dirichlet_l, gamma_completed,
                         special_values, verify_hypothesis, zeta_ratio_bound)
-from periodpoly.lfunc import _AfeEngine, _Rung, _min_offset
+from periodpoly.lfunc import (_OFFSETS, _AfeEngine, _Rung, _min_offset,
+                              log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at
 
 
@@ -145,11 +148,29 @@ def kernel_data(hodge, conductor=11):
                          coefficients=(1,), label="kernel")
 
 
-def kernel_rung(engine, sigma, h):
+def kernel_rung(engine, sigma, h, c=None, log_thresh=None):
+    """Nodes of one line at step h; by default the line two above the
+    least offset, built until the dropped nodes weigh 2^-(bits+16) of the
+    line's kernel-mass bound."""
+    if c is None:
+        c = _min_offset(sigma, engine.data.m) + 2
+    if log_thresh is None:
+        log_thresh = (engine._log_mass(sigma, c)
+                      - (engine.bits + 16) * math.log(2))
     with mp.workprec(engine.workbits):
-        rung = _Rung(mp.mpf(_min_offset(sigma, engine.data.m)) + 2)
-        engine._build_nodes(sigma, rung, mp.mpf(h))
+        rung = _Rung(c, mp.mpf(h))
+        engine._build_nodes(sigma, rung, log_thresh)
     return rung
+
+
+def kernel_integral(data, sigma, c, ell, bits):
+    """(1/2 pi) int g(t) e^{i t ell} dt by mp.quad, for reference."""
+    with mp.workprec(bits):
+        def f(t):
+            u = mp.mpc(c, t)
+            return mp.re(gamma_completed(sigma + u, data, bits) / u
+                         * mp.expj(t * ell))
+        return mp.quad(f, [0, 5, 20, mp.inf]) / mp.pi
 
 
 class TestAfeKernel:
@@ -169,28 +190,106 @@ class TestAfeKernel:
                     want = gamma_completed(sigma + u, data, bits + 64) / u
                     assert abs(got - want) <= abs(want) * mp.mpf(2) ** (8 - bits)
 
-    def test_halving_keeps_nodes_bit_identical(self):
-        engine = _AfeEngine(kernel_data((1, 1)), Precision(64, 1e-3))
-        halved = kernel_rung(engine, 1, "0.5")
-        old = len(halved.g)
-        computed = []
-        g_value = engine._g_value
+    def test_stirling_bound_covers_gamma(self):
+        with mp.workprec(96):
+            for x in (0.03, 0.4, 1, 1.75, 3.5, 12, 60.25, 400, 1500):
+                for t in (0, 0.2, 1, 4.5, 30, 150, 900):
+                    true = mp.re(mp.loggamma(mp.mpc(x, t)))
+                    bound = log_abs_gamma_bound(x, t)
+                    assert true <= bound
+                    assert bound == log_abs_gamma_bound(x, -t)
+                    # Binet's 1/(12 x) is the only slack at large x
+                    if x >= 12:
+                        assert bound - true <= 1 / (12 * x) + 1e-8
+
+    @pytest.mark.parametrize("hodge", [(1, 1), (1, 0, 1), (1, 2, 3, 4)])
+    def test_kernel_mass_bound_covers_quad(self, hodge):
+        data = kernel_data(hodge)
+        engine = _AfeEngine(data, Precision(64, 1e-3))
+        for sigma in (1, data.weight):
+            cmin = _min_offset(sigma, data.m)
+            for c in (cmin, cmin + 5, cmin + 24):
+                with mp.workprec(80):
+                    def abs_g(t, c=c):
+                        u = mp.mpc(c, t)
+                        return abs(gamma_completed(sigma + u, data, 80) / u)
+                    true = mp.quad(abs_g, [0, 2, 10, 40, mp.inf]) / mp.pi
+                    bound = engine._log_mass(sigma, c)
+                    assert mp.log(true) <= bound
+                    # a sizing bound, not a wild one
+                    assert bound <= mp.log(true) + 2
+
+    @pytest.mark.parametrize("hodge", [(1, 1), (1, 0, 1), (1, 2, 3, 4)])
+    def test_a_priori_step_meets_alias_bound(self, hodge):
+        data = kernel_data(hodge)
+        bits = 64
+        engine = _AfeEngine(data, Precision(bits, 1e-3))
+        fine = _AfeEngine(data, Precision(bits + 64, 1e-3))
+        worst = 0
+        for sigma in (1, data.weight):
+            cmin = _min_offset(sigma, data.m)
+            for c in (cmin, cmin + 2, cmin + 9):
+                for ell in (1.2, 0, -0.8, -3.5):
+                    # h sized for an alias bound of 1e-6 of the kernel mass
+                    log_scale = -engine._log_mass(sigma, c) + 6 * math.log(10)
+                    h, a, log_e = engine._pick_step(sigma, c, ell, ell,
+                                                    log_scale)
+                    assert 0 < a < min(c, sigma + c - engine._top)
+                    with mp.workprec(bits + 64):
+                        alias = 2 * mp.exp(log_e) / mp.expm1(2 * mp.pi * a / h)
+                        assert alias <= mp.exp(-log_scale) * (1 + 1e-9)
+                        thresh = float(mp.log(alias * 1e-4 * mp.pi / h))
+                    rung = kernel_rung(engine, sigma, h, c, thresh)
+                    ref = kernel_rung(fine, sigma, h / 4, c,
+                                      thresh - 25 * math.log(10))
+                    with mp.workprec(bits + 64):
+                        got = rung.h / mp.pi * engine._node_sum(
+                            rung, mp.mpf(ell), len(rung.g))
+                        want = ref.h / mp.pi * fine._node_sum(
+                            ref, mp.mpf(ell), len(ref.g))
+                        assert abs(got - want) <= alias
+                        worst = max(worst, abs(got - want) / alias)
+        print("worst true error / alias bound %.3g" % worst)
+        # the bound is not vacuous: some case comes within 100x of it
+        assert worst > 1e-2
+
+    def test_reference_sum_matches_quad(self):
+        # the 4x-finer trapezoid used as reference above is the integral
+        data = kernel_data((1, 1))
+        fine = _AfeEngine(data, Precision(128, 1e-3))
+        sigma, ell = 1, -0.8
+        c = _min_offset(sigma, data.m) + 2
+        rung = kernel_rung(fine, sigma, 0.1, c)
+        with mp.workprec(128):
+            got = rung.h / mp.pi * fine._node_sum(rung, mp.mpf(ell), len(rung.g))
+            want = kernel_integral(data, sigma, c, ell, 128)
+            assert abs(got - want) <= abs(want) * mp.mpf("1e-25")
+
+    def test_each_used_line_built_once(self, sym3_data):
+        engine = _AfeEngine(sym3_data, Precision(64, 1e-3))
+        nodes = []
+        built = []
+        g_value, build = engine._g_value, engine._build_nodes
 
         def counted(sigma, c, t):
-            computed.append(t)
+            nodes.append((sigma, c, t))
             return g_value(sigma, c, t)
 
-        engine._g_value = counted
-        with mp.workprec(engine.workbits):
-            engine._build_nodes(1, halved, halved.h / 2)
-        engine._g_value = g_value
-        fresh = kernel_rung(engine, 1, "0.25")
-        assert [g._mpc_ for g in halved.g] == [g._mpc_ for g in fresh.g]
-        assert halved.suffix == fresh.suffix
-        assert (halved.gre, halved.gim) == (fresh.gre, fresh.gim)
-        # only the odd nodes (and any past the old list's reach) are new
-        assert len(computed) == sum(1 for k in range(len(fresh.g))
-                                    if k % 2 or k // 2 >= old)
+        def recorded(sigma, rung, log_thresh):
+            build(sigma, rung, log_thresh)
+            built.append((sigma, rung))
+
+        engine._g_value, engine._build_nodes = counted, recorded
+        for sigma in (1, 2, 3):
+            engine.one_sided(sigma)
+        assert len(nodes) == sum(len(r.g) for _, r in built)
+        lines = [(sigma, r.c) for sigma, r in built]
+        assert len(set(lines)) == len(lines)
+        want = sorted((sigma, r.c, k * r.h) for sigma, r in built
+                      for k in range(len(r.g)))
+        assert sorted(nodes) == want
+        # the three sigma use fewer lines than the ladder holds
+        assert len(lines) < 3 * len(_OFFSETS)
 
     @pytest.mark.parametrize("bits", [64, 192])
     def test_fixed_point_sum_within_bound(self, bits):

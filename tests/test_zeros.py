@@ -162,6 +162,16 @@ class TestTrigCensus:
         with pytest.raises(InputError):
             trig_sign_changes(rp(1, 1), 0)
 
+    @pytest.mark.parametrize("err, changes", [("0.2", 1), ("0.5", 0)])
+    def test_error_dominated_samples_do_not_count(self, err, changes):
+        # C(theta) = 1/2 + cos(theta) runs from 1 to -1/2 on (pi/3, pi);
+        # its change counts only while |C| beats sum err_j = 2 err at the
+        # samples on both sides
+        P = RealPolynomial((("0.5", err), ("1", err)), bits=96)
+        scan = trig_sign_changes(P, 1)
+        assert scan.changes == (changes,)
+        assert scan.failing == (() if changes else (0,))
+
 
 class TestDiscCounts:
     def test_unit_disc_counts_degree_4(self):
