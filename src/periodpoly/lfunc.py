@@ -84,7 +84,7 @@ largest node, and the quantised e^{i h ell}, whose error moves node k by
 k times as much).  The accounting is worst-case interval style, not
 rigorous ball arithmetic.
 
-The kernel is built to be cheap:
+The kernel and its planning are built to be cheap:
 
   (a) each node costs one complex loggamma, at z - m' for the largest
       index m' with h_{m'} > 0; every other Gamma(z - nu) follows from it
@@ -95,7 +95,13 @@ The kernel is built to be cheap:
       Stirling mass bounds alone;
   (c) the trapezoid sums Re(sum_k g_k e^{i k h ell}) run by Horner's rule
       in Python integers with F = working bits + 16 fractional bits; the
-      nodes of each list are scaled by a power of two and converted once.
+      nodes of each list are scaled by a power of two and converted once;
+  (d) the truncation point n0 of each ladder line is planned in double
+      precision, by bisecting the log of the divisor-tail majorant
+      (numutil.log_divisor_tail); the mpmath majorant then confirms that
+      n0 passes and n0 - 1 fails, and steps n0 only where the doubles
+      erred, so n0, the line chosen and every bound are those an mpmath
+      bisection gives, at one or two mpmath evaluations per line.
 """
 
 import math
@@ -105,7 +111,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import InputError, PoleError, InsufficientCoefficients, QuadratureError
-from .numutil import divisor_counts, divisor_tail
+from .numutil import divisor_counts, divisor_tail, log_divisor_tail
 
 _LN2 = math.log(2)
 _LN2PI = math.log(2 * math.pi)
@@ -510,21 +516,43 @@ class _AfeEngine:
         pref = mp.power(self.data.conductor, (mp.mpf(sigma) + c) / 2) * bound
         return pref * divisor_tail(n0, t, self.data.degree)
 
-    def _search_n0(self, sigma, c, bound, budget, cap):
-        """Smallest n0 <= cap with the coefficient-tail majorant below
-        budget, or None."""
-        if self._tail_bound(sigma, c, bound, cap) > budget:
-            return None
-        lo, hi = 1, 1
-        while self._tail_bound(sigma, c, bound, hi) > budget:
-            lo, hi = hi, min(cap, hi * 2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._tail_bound(sigma, c, bound, mid) > budget:
-                lo = mid + 1
-            else:
-                hi = mid
-        return hi
+    def _search_n0(self, sigma, c, log_bound, budget, cap):
+        """Smallest n0 <= cap with _tail_bound(sigma, c, e^log_bound, n0)
+        <= budget, or None.
+
+        The majorant decreases in n0.  Bisecting its closed-form log in
+        double precision places n0; the mpmath bound then confirms it
+        (n0 passes, n0 - 1 fails) and, where the doubles erred near the
+        crossing, steps n0 one at a time until it does."""
+        bound = mp.exp(log_bound)
+        data = self.data
+        t = sigma + c - data.weight / 2
+        log_pref = (sigma + c) / 2 * math.log(data.conductor) + log_bound
+        log_budget = float(mp.log(budget))
+
+        def fails(n):
+            return log_pref + log_divisor_tail(n, t, data.degree) > log_budget
+
+        if fails(cap):
+            n0 = cap
+            if self._tail_bound(sigma, c, bound, cap) > budget:
+                return None
+        else:
+            lo, hi = 1, cap  # the answer lies in [lo, hi]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if fails(mid):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            n0 = hi
+            while self._tail_bound(sigma, c, bound, n0) > budget:
+                if n0 == cap:
+                    return None
+                n0 += 1
+        while n0 > 1 and self._tail_bound(sigma, c, bound, n0 - 1) <= budget:
+            n0 -= 1
+        return n0
 
     # -- main one-sided sum ---------------------------------------------------
 
@@ -554,13 +582,13 @@ class _AfeEngine:
         cap = data.coeff_limit
         best = None
         for c, lm in zip(ladder, log_mass):
-            n0 = self._search_n0(sigma, c, mp.exp(lm), tail_budget, cap)
+            n0 = self._search_n0(sigma, c, lm, tail_budget, cap)
             if n0 is not None and (best is None or n0 < best[0]):
                 best = (n0, c, lm)
         if best is None:
             need = None
             for c, lm in zip(ladder, log_mass):
-                n_req = self._search_n0(sigma, c, mp.exp(lm), tail_budget, 1 << 40)
+                n_req = self._search_n0(sigma, c, lm, tail_budget, 1 << 40)
                 if n_req is not None and (need is None or n_req < need):
                     need = n_req
             raise InsufficientCoefficients(

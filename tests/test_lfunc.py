@@ -316,6 +316,75 @@ class TestAfeKernel:
         assert smallest < mass * mp.mpf("1e-12")
 
 
+def bisected_n0(engine, sigma, c, log_bound, budget, cap):
+    """Smallest n0 <= cap whose mpmath tail majorant is within budget, or
+    None: doubling then bisection on _tail_bound alone, the reference for
+    the double-precision planning in _search_n0."""
+    bound = mp.exp(log_bound)
+
+    def fails(n):
+        return engine._tail_bound(sigma, c, bound, n) > budget
+
+    if fails(cap):
+        return None
+    lo, hi = 1, 1
+    while fails(hi):
+        lo, hi = hi, min(cap, hi * 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
+class TestTruncationPlanning:
+    @pytest.mark.parametrize("hodge,conductor", [((1, 1), 11 ** 3),
+                                                 ((1, 1, 1, 1), 11 ** 7)])
+    def test_n0_equals_mpmath_bisection(self, hodge, conductor):
+        data = kernel_data(hodge, conductor)
+        engine = _AfeEngine(data, Precision(64, 1e-3))
+        seen = {"cap": 0, "none": 0, "inside": 0}
+        with mp.workprec(engine.workbits):
+            for sigma in (1, data.m + 1, data.weight):
+                cmin = _min_offset(sigma, data.m)
+                for c in (cmin, cmin + 9, cmin + 130):
+                    for log_bound in (-20.0, 0.0, 35.0):
+                        for budget in ("1e-3", "1e-12", "1e-40"):
+                            budget = mp.mpf(budget)
+                            args = (sigma, c, log_bound, budget)
+                            need = bisected_n0(engine, *args, 1 << 40)
+                            assert engine._search_n0(*args, 1 << 40) == need
+                            caps = [1, 40, 10 ** 4]
+                            if need is not None:
+                                caps += [need, need - 1]
+                            for cap in filter(None, caps):
+                                want = bisected_n0(engine, *args, cap)
+                                assert engine._search_n0(*args, cap) == want
+                                if want is None:
+                                    seen["none"] += 1
+                                elif want == cap:
+                                    seen["cap"] += 1
+                                else:
+                                    seen["inside"] += 1
+        assert all(seen.values()), seen
+
+    def test_few_mpmath_bounds_per_sigma(self, sym3_data, monkeypatch):
+        calls = []
+        tail_bound = _AfeEngine._tail_bound
+
+        def counted(self, sigma, c, bound, n0):
+            calls.append(sigma)
+            return tail_bound(self, sigma, c, bound, n0)
+
+        monkeypatch.setattr(_AfeEngine, "_tail_bound", counted)
+        special_values(sym3_data, Precision(64, 1e-3))
+        for sigma in (1, 2, 3):
+            # one or two per ladder line, one for the chosen line's tail
+            assert calls.count(sigma) <= 2 * len(_OFFSETS) + 2
+
+
 class TestVerifyHypothesis:
     def _vals(self, data, triple, bits=160):
         with mp.workprec(bits + 16):

@@ -1,12 +1,29 @@
 import math
+import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from periodpoly.numutil import (divisor_count_at, divisor_counts,
-                                divisor_tail, fmt_mpf, log_gamma_c_real,
-                                primes_upto, smallest_prime_factors)
+                                divisor_tail, fmt_mpf, log_divisor_tail,
+                                log_gamma_c_real, primes_upto,
+                                smallest_prime_factors)
+
+
+def convolved_divisor_counts(x, k):
+    """d_k(0..x) by k - 1 Dirichlet convolutions with the constant 1, the
+    definition, as the reference for the sieve."""
+    cur = np.ones(x + 1, dtype=np.int64)
+    cur[0] = 0
+    for _ in range(k - 1):
+        nxt = np.zeros(x + 1, dtype=np.int64)
+        for a in range(1, x + 1):
+            nxt[a::a] += cur[1 : x // a + 1]
+        cur = nxt
+    return cur
 
 
 def test_primes_upto():
@@ -31,6 +48,24 @@ def test_divisor_counts_small():
     assert d4[6] == 16         # multiplicative: 4 * 4
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_divisor_counts_match_convolution(k):
+    for x in (0, 1, 2, 3, 4, 3000):
+        assert np.array_equal(divisor_counts(x, k),
+                              convolved_divisor_counts(x, k))
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_divisor_counts_match_factorization(k):
+    x = 10 ** 5
+    d = divisor_counts(x, k)
+    sample = random.Random(k).sample(range(1, x + 1), 3000)
+    sample += [x, 99991, 2 ** 16, 3 ** 10, 2 * 3 * 5 * 7 * 11 * 13, 316 ** 2,
+               317 * 313]
+    for n in sample:
+        assert d[n] == divisor_count_at(n, k)
+
+
 @given(st.integers(2, 400), st.integers(2, 400), st.integers(2, 5))
 @settings(max_examples=60, deadline=None)
 def test_divisor_count_multiplicative(a, b, k):
@@ -53,6 +88,15 @@ def test_divisor_tail_majorizes_partial_tails(x, t, k):
     partial = sum(divisor_count_at(n, k) * n ** (-t)
                   for n in range(x + 1, x + 600))
     assert partial <= bound
+
+
+def test_log_divisor_tail_matches_mpmath():
+    with mp.workprec(96):
+        for x in (1, 7, 10 ** 4, 1 << 40):
+            for t in (1.25, 2.5, 600.0):
+                for k in (2, 4, 8):
+                    want = mp.log(divisor_tail(x, t, k))
+                    assert abs(log_divisor_tail(x, t, k) - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_divisor_tail_decreasing_in_x():

@@ -8,6 +8,7 @@ elementary symmetric functions of {a^3, pa, pb, b^3} worked out by hand
 recursion.
 """
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -22,6 +23,7 @@ from periodpoly import (
     sym_local_factor,
 )
 from periodpoly.numutil import divisor_counts, primes_upto
+from periodpoly.sympow import MAX_COUNT_PRIME
 
 
 def brute_ap(curve, p):
@@ -32,6 +34,19 @@ def brute_ap(curve, p):
             rhs = (x ** 3 + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
             count += lhs == rhs
     return p - count
+
+
+def character_sum_ap(curve, p):
+    """a_p = -sum_x chi(f(x)) for odd p, reducing mod p after every
+    step, as the reference for ap_count's Horner form."""
+    b2, b4, b6, _ = curve.b_invariants
+    x = np.arange(p, dtype=np.int64)
+    f = ((4 * x % p + b2 % p) * x % p + (2 * b4) % p) * x % p
+    f = (f + b6) % p
+    sq = np.zeros(p, dtype=bool)
+    sq[(x * x) % p] = True
+    chi = np.where(f == 0, 0, np.where(sq[f], 1, -1))
+    return int(-chi.sum())
 
 
 CURVE_11A1 = CurveSpec(0, -1, 1, -10, -20, 11, "11a1")
@@ -59,6 +74,18 @@ class TestPointCounts:
         # is a quadratic non-residue mod 37)
         assert ap_count(CURVE_11A1, 11) == 1
         assert ap_count(CURVE_37A1, 37) == -1
+
+    @pytest.mark.parametrize("curve", [CURVE_11A1, CURVE_37A1])
+    def test_matches_character_sum(self, curve):
+        for p in primes_upto(20000)[1:]:
+            assert ap_count(curve, p) == character_sum_ap(curve, p)
+
+    def test_largest_countable_prime(self):
+        p = primes_upto(MAX_COUNT_PRIME)[-1]
+        for curve in (CURVE_11A1, CURVE_37A1):
+            assert ap_count(curve, p) == character_sum_ap(curve, p)
+        with pytest.raises(InputError):
+            ap_count(CURVE_11A1, MAX_COUNT_PRIME + 1)
 
     def test_hasse_bound(self):
         for p in primes_upto(200):
