@@ -652,12 +652,14 @@ class _AfeEngine:
         for idx, lam, ell, weight, w_abs in terms:
             r = rungs[idx]
             wt_pref = w_abs * h_pi[idx] * pref
-            # certified node cutoff: drop trailing nodes whose total mass
-            # cannot move this term by more than its skip share
+            # node cutoff: drop trailing nodes whose total mass should not
+            # move this term by more than its skip share; skip_err below
+            # certifies what is actually dropped
+            limit = skip_share / wt_pref
             lo, hi = 1, len(r.g)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if wt_pref * r.suffix[mid] <= skip_share:
+                if r.suffix[mid] <= limit:
                     hi = mid
                 else:
                     lo = mid + 1
