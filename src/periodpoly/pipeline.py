@@ -1,11 +1,12 @@
 """The analysis of one dataset as a library call.
 
 analyze() calls each step of the analysis once and keeps what it returns.
-The L-value ratios and the zeta-polynomial Z are built once and handed to
-the steps that read them (build_Q_poly, q_decomposition_residual,
-rouche_transfer, zeta_poly_closed_form); build_P_poly and zeta_polynomial
-still rebuild p from (data, vals).  Obtaining the values (special_values
-or a cache) and rendering the result stay with the caller.
+The L-value ratios, Q, the remainder-bound parts and the zeta-polynomial Z
+are built once and handed to the steps that read them (build_Q_poly,
+q_decomposition_residual, rouche_transfer, zeta_poly_closed_form);
+build_P_poly and zeta_polynomial still rebuild p from (data, vals).
+Obtaining the values (special_values or a cache) and rendering the result
+stay with the caller.
 """
 
 import math
@@ -91,12 +92,14 @@ def analyze(data, vals, sym_context=None):
     angles = circ.on_angles()
     if data.root_number == -1:
         angles.append(0.0)
-    q_res, q_max_s = q_decomposition_residual(data, ratios)
+    big_q = build_Q_poly(data, ratios)
+    q_res, q_max_s = q_decomposition_residual(data, ratios, big_q)
 
-    rouche = rouche_error = None
+    s_parts = rouche = rouche_error = None
     if data.m >= 2:
+        s_parts = s_tail_parts(data, ratios)
         try:
-            rouche = rouche_transfer(data, ratios)
+            rouche = rouche_transfer(data, s_parts, ratios.bits)
         except (CertificationError, QuadratureError) as exc:
             rouche_error = str(exc)
 
@@ -116,13 +119,13 @@ def analyze(data, vals, sym_context=None):
         p_hat=p_hat,
         big_p=big_p,
         ratios=ratios,
-        big_q=build_Q_poly(data, ratios),
+        big_q=big_q,
         circle=circ,
         discrepancy=star_discrepancy(angles),
         trig=trig_sign_changes(big_p, data.root_number),
         q_residual=q_res,
         q_max_remainder=q_max_s,
-        s_parts=s_tail_parts(data, ratios) if data.m >= 2 else None,
+        s_parts=s_parts,
         gate=theorem_gate(data, vals, sym_context=sym_context),
         rouche=rouche,
         rouche_error=rouche_error,

@@ -351,16 +351,16 @@ def s_tail_parts(data, ratios):
         return SBoundParts(series=+series, central=+central, corner=+c_m)
 
 
-def q_decomposition_residual(data, ratios):
+def q_decomposition_residual(data, ratios, q):
     """max over circle sample points of |Q(z) - z^m T(1/z) - central - S(z)|
     with S the exact remainder sum; also returns max |S| for the bound
     check.  Pure consistency diagnostic: everything is computed from the
-    same ratios (l_value_ratios(data, vals)), so the residual should sit
-    at rounding level."""
+    same ratios (l_value_ratios(data, vals)), and q is
+    build_Q_poly(data, ratios), so the residual should sit at rounding
+    level."""
     m = data.m
     d = data.degree
     bits = ratios.bits
-    q = build_Q_poly(data, ratios)
     t = partial_sum_T(m, d, data.conductor, bits=bits)
     with mp.workprec(bits):
         y = _f_term_factor(d, data.conductor, bits)

@@ -25,6 +25,7 @@ from periodpoly import (
     RealPolynomial,
     SpecialValues,
     binomial_weight,
+    build_Q_poly,
     build_p_poly,
     check_zeta_properties,
     circle_report,
@@ -310,8 +311,9 @@ def test_q_identity(sym3_data, sym3_vals, sym5_data, sym5_vals):
     outcomes = []
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
+        ratios = l_value_ratios(data, vals)
         resid, s_max = q_decomposition_residual(
-            data, l_value_ratios(data, vals))
+            data, ratios, build_Q_poly(data, ratios))
         outcomes.append("%s: residual %.2e (max |S| %.3f)"
                         % (data.label, float(resid), float(s_max)))
         ok = ok and resid < mp.mpf("1e-20")

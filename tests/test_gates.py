@@ -15,6 +15,7 @@ from periodpoly import (
     hodge_condition,
     l_value_ratios,
     rouche_transfer,
+    s_tail_parts,
     theorem_gate,
 )
 
@@ -139,7 +140,8 @@ class TestGateVerdicts:
 
 class TestRoucheTransfer:
     def test_sym5_consistency(self, sym5_data, sym5_vals):
-        rt = rouche_transfer(sym5_data, l_value_ratios(sym5_data, sym5_vals))
+        r = l_value_ratios(sym5_data, sym5_vals)
+        rt = rouche_transfer(sym5_data, s_tail_parts(sym5_data, r), r.bits)
         assert rt.f_disc_zeros >= 0
         if rt.certified:
             assert rt.min_t > rt.remainder_bound
@@ -149,4 +151,4 @@ class TestRoucheTransfer:
 
     def test_rejects_m1(self, sym3_data, sym3_vals):
         with pytest.raises(InputError):
-            rouche_transfer(sym3_data, l_value_ratios(sym3_data, sym3_vals))
+            rouche_transfer(sym3_data, None, 128)

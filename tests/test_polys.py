@@ -91,8 +91,9 @@ class TestSym3Polynomials:
         assert Q.values()[1] == 1  # c_0 r_0 exactly
 
     def test_q_decomposition_residual(self, sym3_data, sym3_vals):
-        res, smax = q_decomposition_residual(
-            sym3_data, l_value_ratios(sym3_data, sym3_vals))
+        r = l_value_ratios(sym3_data, sym3_vals)
+        res, smax = q_decomposition_residual(sym3_data, r,
+                                             build_Q_poly(sym3_data, r))
         assert res < mp.mpf("1e-50")
         assert float(smax) == pytest.approx(1.0821083, rel=1e-5)
 
