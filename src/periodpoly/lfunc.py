@@ -521,35 +521,27 @@ class _AfeEngine:
         <= budget, or None.
 
         The majorant decreases in n0.  Bisecting its closed-form log in
-        double precision places n0; the mpmath bound then confirms it
-        (n0 passes, n0 - 1 fails) and, where the doubles erred near the
-        crossing, steps n0 one at a time until it does."""
-        bound = mp.exp(log_bound)
+        double precision places n0 (at cap when even cap fails there); the
+        mpmath bound then confirms it (n0 passes, n0 - 1 fails) and, where
+        the doubles erred near the crossing, steps n0 one at a time until
+        it does."""
         data = self.data
         t = sigma + c - data.weight / 2
-        log_pref = (sigma + c) / 2 * math.log(data.conductor) + log_bound
-        log_budget = float(mp.log(budget))
-
-        def fails(n):
-            return log_pref + log_divisor_tail(n, t, data.degree) > log_budget
-
-        if fails(cap):
-            n0 = cap
-            if self._tail_bound(sigma, c, bound, cap) > budget:
+        log_budget = (float(mp.log(budget)) - log_bound
+                      - (sigma + c) / 2 * math.log(data.conductor))
+        lo, hi = 1, cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if log_divisor_tail(mid, t, data.degree) > log_budget:
+                lo = mid + 1
+            else:
+                hi = mid
+        n0 = hi
+        bound = mp.exp(log_bound)
+        while self._tail_bound(sigma, c, bound, n0) > budget:
+            if n0 == cap:
                 return None
-        else:
-            lo, hi = 1, cap  # the answer lies in [lo, hi]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if fails(mid):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            n0 = hi
-            while self._tail_bound(sigma, c, bound, n0) > budget:
-                if n0 == cap:
-                    return None
-                n0 += 1
+            n0 += 1
         while n0 > 1 and self._tail_bound(sigma, c, bound, n0 - 1) <= budget:
             n0 -= 1
         return n0

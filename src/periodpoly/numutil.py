@@ -12,6 +12,7 @@ truncation logic relies on, so its derivation is recorded once:
 for t > 1, substituting x = X e^y in the last step.  The summatory bound
 D_k(x) <= x (1 + ln x)^{k-1} follows by induction on k from
 D_k(x) = sum_{a <= x} D_{k-1}(x/a) and sum_{a <= x} 1/a <= 1 + ln x.
+
 log_divisor_tail is the log of the same closed form in double precision,
 for planning only; every bound that enters a certificate uses divisor_tail.
 
@@ -65,8 +66,8 @@ def divisor_counts(x, k=2):
         raise ValueError("k must be >= 1")
     d = np.ones(x + 1, dtype=np.int64)
     d[0] = 0
-    by_exponent = np.array([comb(e + k - 1, k - 1) for e in range(x.bit_length() + 1)],
-                           dtype=np.int64)
+    by_exponent = np.array(
+        [comb(e + k - 1, k - 1) for e in range(x.bit_length() + 1)], dtype=np.int64)
     smooth = np.ones(x + 1, dtype=np.int64)  # part of n over primes <= sqrt(x)
     for p in primes_upto(math.isqrt(x)):
         e = np.zeros(x // p + 1, dtype=np.int64)  # e[j] = v_p(j p), j >= 1

@@ -149,6 +149,6 @@ class TestRoucheTransfer:
         else:
             assert rt.q_disc_zeros is None
 
-    def test_rejects_m1(self, sym3_data, sym3_vals):
+    def test_rejects_m1(self, sym3_data):
         with pytest.raises(InputError):
             rouche_transfer(sym3_data, None, 128)
