@@ -38,7 +38,6 @@ from .sympow import (
     sym_dirichlet_coeffs,
     sym_hodge,
     sym_lfunction_data,
-    determine_root_number,
 )
 from .polys import (
     RealPolynomial,
@@ -60,7 +59,6 @@ from .zeros import (
     TrigScan,
     poly_roots,
     circle_report,
-    deflate_unit_pair,
     count_disc_zeros,
     disc_transition_table,
     trig_sign_changes,
@@ -116,13 +114,12 @@ __all__ = [
     "zeta_ratio_bound", "verify_hypothesis",
     "CurveSpec", "ap_count", "sym_local_factor",
     "sym_dirichlet_coeffs", "sym_hodge", "sym_lfunction_data",
-    "determine_root_number",
     "RealPolynomial", "ApproximantSeries", "LValueRatios", "SBoundParts",
     "binomial_weight", "build_p_poly", "build_P_poly", "build_Q_poly",
     "l_value_ratios", "partial_sum_T", "s_tail_parts",
     "q_decomposition_residual",
     "UnitCircleReport", "DiscCount", "TrigScan", "poly_roots",
-    "circle_report", "deflate_unit_pair", "count_disc_zeros",
+    "circle_report", "count_disc_zeros",
     "disc_transition_table", "trig_sign_changes", "star_discrepancy",
     "GateReport", "RoucheTransfer", "SYM_POWER_GAPS",
     "COROLLARY_LEVEL_FLOORS", "compute_A_m", "hodge_condition",

@@ -36,7 +36,7 @@ from .gates import compute_A_m
 from .lfunc import Precision, special_values
 from .numutil import fmt_mpf
 from .pipeline import analyze, scale_estimate
-from .sympow import determine_root_number, sym_lfunction_data
+from .sympow import sym_lfunction_data
 from .zeros import disc_transition_table
 
 
@@ -89,9 +89,6 @@ def _ingest(args, inputs):
         data = parse_coefficient_file(args.coeffs_path,
                                       bits=args.precision_bits)
         return data, 0, None
-    if args.sym < 1 or args.sym % 2 == 0:
-        raise InputError("--sym must be an odd positive integer "
-                         "(self-dual odd weight)")
     inputs[os.path.basename(args.curve_path)] = sha256_file(
         args.curve_path)
     curves = parse_curve_file(args.curve_path)
@@ -108,17 +105,20 @@ def _ingest(args, inputs):
         raise InputError("curve file holds %d curves; pick one with --label"
                          % len(curves))
 
-    eps = None
+    recorded = None
     if args.eps_overrides_path:
         inputs[os.path.basename(args.eps_overrides_path)] = sha256_file(
             args.eps_overrides_path)
         table = parse_eps_overrides(args.eps_overrides_path)
-        eps = table.get((curve.label, args.sym))
-    if eps is None:
-        # No recorded sign: determine it by comparing the two-sided value
-        # at s = w against the direct series.  Costly but self-contained.
-        eps, _margin = determine_root_number(curve, args.sym)
-    data = sym_lfunction_data(curve, args.sym, args.coeff_limit, eps)
+        recorded = table.get((curve.label, args.sym))
+    data = sym_lfunction_data(curve, args.sym, args.coeff_limit)
+    # the recorded sign is a cross-check of the exact one, never a source
+    if recorded not in (None, data.root_number):
+        raise InputError("%s Sym^%d: %s records root number %+d, but the "
+                         "local data give %+d"
+                         % (curve.label, args.sym,
+                            os.path.basename(args.eps_overrides_path),
+                            recorded, data.root_number))
     return data, args.sym, curve
 
 
@@ -427,10 +427,12 @@ def build_parser():
     pa.add_argument("--curve", dest="curve_path",
                     help="curve file (format=periodpoly-curves-1)")
     pa.add_argument("--sym", type=int, default=0,
-                    help="odd symmetric-power index (curve input only)")
+                    help="odd symmetric-power index n >= 3 (curve input "
+                         "only)")
     pa.add_argument("--label", help="curve label to pick from the file")
     pa.add_argument("--eps-overrides", dest="eps_overrides_path",
-                    help="recorded root numbers (format=periodpoly-eps-1)")
+                    help="recorded root numbers to check the computed "
+                         "ones against (format=periodpoly-eps-1)")
     pa.add_argument("--target-error", type=float, default=None,
                     help="absolute error target for completed values "
                          "(default: value scale * 1e-25)")

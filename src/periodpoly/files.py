@@ -247,9 +247,8 @@ def parse_curve_file(path):
 def parse_eps_overrides_text(text, source="<eps>"):
     """Parse ``label n eps`` lines into {(label, n): eps}.
 
-    Root numbers are inputs to the pipeline; determining one from scratch
-    costs a full two-sided evaluation at s = w, so known values are
-    shipped alongside the curve list and looked up by (label, sym power).
+    The pipeline computes the root number of a curve's Sym^n exactly;
+    recorded values, looked up by (label, sym power), only cross-check it.
     """
     lines = _significant_lines(text)
     _check_format(lines, FORMAT_EPS, source)

@@ -1,10 +1,11 @@
 """The analysis of one dataset as a library call.
 
 analyze() calls each step of the analysis once and keeps what it returns.
-The L-value ratios, Q, the remainder-bound parts and the zeta-polynomial Z
-are built once and handed to the steps that read them (build_Q_poly,
-q_decomposition_residual, rouche_transfer, zeta_poly_closed_form);
-build_P_poly and zeta_polynomial still rebuild p from (data, vals).
+p, the L-value ratios, Q, the remainder-bound parts and the zeta-polynomial
+Z are built once and handed to the steps that read them (build_P_poly,
+build_Q_poly, q_decomposition_residual, rouche_transfer,
+zeta_poly_closed_form); zeta_polynomial still rebuilds p from
+(data, vals).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
 """
@@ -86,7 +87,7 @@ def analyze(data, vals, sym_context=None):
     violations = verify_hypothesis(data, vals)
     p = build_p_poly(data, vals)
     ratios = l_value_ratios(data, vals)
-    big_p = build_P_poly(data, vals)
+    big_p = build_P_poly(p)
     p_hat = deflate_at_one(p, data.root_number)
     circ = circle_report(p_hat)
     angles = circ.on_angles()

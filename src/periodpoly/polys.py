@@ -146,16 +146,17 @@ def build_p_poly(data, vals):
     return RealPolynomial(tuple(cs), bits=vals.bits, label=(vals.label or "p"))
 
 
-def build_P_poly(data, vals):
-    """Degree-m folded polynomial: constant term (1/2) b_m Lambda(m+1),
-    z^j coefficient b_{m-j} Lambda(m+1+j); satisfies
-    p(z) = eps z^m (P(z) + eps P(1/z)).  These are the coefficients of p
-    from z^m down to z^0, the central one halved."""
-    m = data.m
-    cs = build_p_poly(data, vals).coeffs[m::-1]
-    with mp.workprec(vals.bits):
+def build_P_poly(p):
+    """Fold the degree-2m special-value polynomial p (build_p_poly) into
+    the degree-m P: constant term (1/2) b_m Lambda(m+1), z^j coefficient
+    b_{m-j} Lambda(m+1+j); satisfies p(z) = eps z^m (P(z) + eps P(1/z)).
+    These are the coefficients of p from z^m down to z^0, the central one
+    halved."""
+    m = p.degree // 2
+    cs = p.coeffs[m::-1]
+    with mp.workprec(p.bits):
         cs = ((cs[0][0] / 2, cs[0][1] / 2),) + cs[1:]
-    return RealPolynomial(cs, bits=vals.bits, label=(vals.label or "P"))
+    return RealPolynomial(cs, bits=p.bits, label=p.label)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ for every 0 <= nu <= m = (n-1)/2 (weight-2 case).  All local-factor
 coefficients are exact integers here: the elementary symmetric functions
 of the inverse roots are computed by Newton's identities from the integer
 power sums tr Sym^n(Frob_p^s), never from floating-point alpha powers.
+The root number is exact too: for a semistable curve it follows from the
+Hodge numbers and the signs a_p = +-1 at the bad primes, with no
+numerical search (see sym_lfunction_data).
 """
 
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InputError
@@ -207,64 +209,53 @@ def sym_hodge(n, k=2):
     return tuple(1 if (k == 2 or nu % (k - 1) == 0) else 0 for nu in range(m + 1))
 
 
-def sym_lfunction_data(curve, n, x, eps):
+def _prime_factors(n):
+    """The primes dividing the squarefree n, ascending."""
+    primes = []
+    for p in primes_upto(math.isqrt(n)):
+        if n % p == 0:
+            primes.append(p)
+            n //= p
+    # what is left has no prime factor <= sqrt of the original n
+    return primes + [n] if n > 1 else primes
+
+
+def sym_lfunction_data(curve, n, x):
     """LFunctionData for Sym^n of the curve: w = n, d = n+1, conductor N^n,
-    coefficients to x.  The root number eps is an input (determined
-    externally or via determine_root_number); nothing here computes it
-    from local data."""
+    coefficients to x, and the exact root number
+
+        eps = eps_inf * prod_{p | N} (-a_p),
+        eps_inf = prod_nu i^{(w - 2 nu + 1) h_nu}
+
+    (-1 for n = 3, +1 for n = 5 and 7).  At a multiplicative p, Sym^n is
+    the special representation twisted by the unramified character
+    taking the value a_p at p, with root number (-a_p)^n = -a_p (Martin &
+    Watkins, "Symmetric powers of elliptic curve L-functions", ANTS VII,
+    2006).  a_p is read from lambda_p = a_p^n = a_p when p <= x and
+    counted otherwise, so each prime is counted once.  Raises InputError
+    when a prime of the conductor has a_p other than +-1.
+    """
     if n < 3 or n % 2 == 0:
         raise InputError("symmetric power n must be odd and >= 3")
     coeffs = sym_dirichlet_coeffs(curve, n, x)
+    hodge = sym_hodge(n)
+    # every exponent w - 2 nu + 1 is even for odd w, and i^(2k) = (-1)^k
+    eps = (-1) ** (sum((n - 2 * nu + 1) * h
+                       for nu, h in enumerate(hodge)) // 2)
+    for p in _prime_factors(curve.conductor):
+        a_p = coeffs[p - 1] if p <= x else ap_count(curve, p)
+        if a_p not in (1, -1):
+            raise InputError(
+                "%s: the reduction at p = %d, a prime of the conductor %d, "
+                "is not multiplicative (a_p is not +-1)"
+                % (curve.label or "curve", p, curve.conductor))
+        eps *= -a_p
     return LFunctionData(
         weight=n,
         degree=n + 1,
         conductor=curve.conductor ** n,
-        hodge=sym_hodge(n),
+        hodge=hodge,
         root_number=eps,
         coefficients=tuple(coeffs),
         label="%s-sym%d" % (curve.label or "curve", n),
     )
-
-
-def determine_root_number(curve, n, x=None, bits=96):
-    """Experimentally pick eps in {+1, -1} for Sym^n by comparing the AFE
-    value of Lambda(w) under each sign against the absolutely convergent
-    direct series N^{w/2} L_inf(w) L(w).
-
-    Returns (eps, margin) where margin = mismatch(loser)/mismatch(winner);
-    a margin near 1 means the determination is unreliable (raise x).  This
-    is a numerical consistency device, not a proof.
-
-    The one-sided sums I(w) and I(1) do not depend on eps, so one set of
-    them gives Lambda(w) = I(w) + eps I(1) for both signs.
-    """
-    from .lfunc import Precision, _AfeEngine, gamma_completed
-
-    w = n
-    if x is None:
-        # the certified tail majorant for degree d needs roughly this reach
-        # at a 1e-8 relative target (divisor-function polylog overhead)
-        x = {3: 4000, 5: 20000}.get(n, 75000)
-    with mp.workprec(bits + 16):
-        base = sym_lfunction_data(curve, n, x, 1)
-        scale = mp.power(base.conductor, mp.mpf(w) / 2) * gamma_completed(
-            w, base, bits=bits
-        )
-        prec = Precision(
-            mantissa_bits=bits, target_abs_error=float(scale * mp.mpf("1e-8"))
-        )
-        direct = mp.fsum(
-            mp.mpf(lam) * mp.power(k, -w)
-            for k, lam in enumerate(base.coefficients, start=1)
-            if lam
-        )
-        ref = scale * direct
-        engine = _AfeEngine(base, prec)
-        with mp.workprec(engine.workbits):
-            a, _ = engine.one_sided(w)
-            b, _ = engine.one_sided(1)
-            lam_w = {eps: +(a + eps * b) for eps in (1, -1)}
-        mism = {eps: abs(val - ref) for eps, val in lam_w.items()}
-        winner = 1 if mism[1] <= mism[-1] else -1
-        margin = float(mism[-winner] / max(mism[winner], mp.mpf("1e-300")))
-        return winner, margin

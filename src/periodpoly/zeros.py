@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .errors import CertificationError, InputError, VerificationError
-from .polys import ApproximantSeries, RealPolynomial
+from .errors import CertificationError, InputError
+from .polys import ApproximantSeries
 
 _ABERTH_ITERS = 60  # Aberth-Ehrlich sweeps before poly_roots stops
 _TRIG_SAMPLES = 16  # grid points per interval of the trig census
@@ -182,39 +182,6 @@ def circle_report(p, tolerance=1e-8):
         radii=radii,
         verdicts=tuple(verdicts),
         tolerance=tol,
-    )
-
-
-def deflate_unit_pair(p):
-    """Exact synthetic division of p by (z^2 - 1), for the eps = -1 case
-    whose functional equation forces roots at z = +1 and z = -1.
-
-    Returns the quotient; raises VerificationError when either remainder
-    coefficient is not explained by the propagated coefficient errors."""
-    n = p.degree
-    if n < 2:
-        raise InputError("degree must be at least 2 to deflate (z^2 - 1)")
-    with mp.workprec(p.bits):
-        q = [None] * (n - 1)
-        qe = [None] * (n - 1)
-        pv, pe = p.values(), p.errors()
-        for k in range(n, 1, -1):
-            up_v = q[k] if k <= n - 2 else mp.mpf(0)
-            up_e = qe[k] if k <= n - 2 else mp.mpf(0)
-            q[k - 2] = pv[k] + up_v
-            qe[k - 2] = pe[k] + up_e
-        r1 = pv[1] + q[1] if n >= 3 else pv[1]
-        r1e = pe[1] + (qe[1] if n >= 3 else mp.mpf(0))
-        r0 = pv[0] + q[0]
-        r0e = pe[0] + qe[0]
-        slack = mp.mpf(2) ** (8 - p.bits) * max(abs(v) for v in pv)
-        if abs(r0) > r0e + slack or abs(r1) > r1e + slack:
-            raise VerificationError(
-                "remainder after dividing by (z^2 - 1) is nonzero: %s, %s"
-                % (mp.nstr(r0, 8), mp.nstr(r1, 8))
-            )
-    return RealPolynomial(
-        tuple(zip(q, qe)), bits=p.bits, label=p.label + "/(z^2-1)"
     )
 
 

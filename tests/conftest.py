@@ -40,9 +40,8 @@ def curve_11a1(curve_table):
 
 
 @pytest.fixture(scope="session")
-def sym3_data(curve_11a1, eps_table):
-    return sym_lfunction_data(curve_11a1, 3, 10000,
-                              eps_table[("11a1", 3)])
+def sym3_data(curve_11a1):
+    return sym_lfunction_data(curve_11a1, 3, 10000)
 
 
 @pytest.fixture(scope="session")
@@ -51,9 +50,8 @@ def sym3_vals(sym3_data):
 
 
 @pytest.fixture(scope="session")
-def sym5_data(curve_11a1, eps_table):
-    return sym_lfunction_data(curve_11a1, 5, 100000,
-                              eps_table[("11a1", 5)])
+def sym5_data(curve_11a1):
+    return sym_lfunction_data(curve_11a1, 5, 100000)
 
 
 @pytest.fixture(scope="session")
@@ -63,10 +61,9 @@ def sym5_vals(sym5_data):
 
 
 @pytest.fixture(scope="session")
-def sym7_data(curve_11a1, eps_table):
+def sym7_data(curve_11a1):
     # the degree-8 tail majorant asks for ~77k terms at the target below
-    return sym_lfunction_data(curve_11a1, 7, 90000,
-                              eps_table[("11a1", 7)])
+    return sym_lfunction_data(curve_11a1, 7, 90000)
 
 
 @pytest.fixture(scope="session")
@@ -78,12 +75,12 @@ def sym7_vals(sym7_data):
 
 
 @pytest.fixture(scope="session")
-def trend_sym3(curve_table, eps_table):
+def trend_sym3(curve_table):
     """Weight-3 datasets over several conductors for the angle trend."""
     out = {}
     for label in ("11a1", "14a1", "15a1"):
         curve = curve_table[label]
-        data = sym_lfunction_data(curve, 3, 10000, eps_table[(label, 3)])
+        data = sym_lfunction_data(curve, 3, 10000)
         target = scale_estimate(data) * 1e-12
         out[label] = (data, special_values(data, Precision(128, target)))
     return out

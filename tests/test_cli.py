@@ -12,7 +12,7 @@ import os
 import pytest
 
 from periodpoly.cli import main
-from periodpoly.files import SpecialValuesCache, data_digest
+from periodpoly.files import SpecialValuesCache, data_digest, sha256_file
 
 DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "data"))
 
@@ -177,6 +177,53 @@ class TestAnalyzeCurve:
             errors = [float(e) for _, e in report["special_values"].values()]
             assert max(errors) <= target
             assert report["target_error_effective"] == target
+
+    def test_disagreeing_override_is_an_input_error(self, capsys, tmp_path):
+        # 11a1 Sym^3 has root number +1; a file recording -1 is refused
+        overrides = tmp_path / "eps.txt"
+        overrides.write_text("format=periodpoly-eps-1\n11a1 3 -1\n")
+        code, out, err = run_cli(
+            capsys,
+            "analyze", "--curve", data_path("curves.txt"),
+            "--label", "11a1", "--sym", "3",
+            "--eps-overrides", str(overrides),
+            "--coeff-limit", "2000", "--precision-bits", "64",
+            "--target-error", "1e-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "11a1 Sym^3" in err and "-1" in err and "+1" in err
+
+    def test_overrides_only_add_an_input_hash(self, capsys):
+        argv = (
+            "analyze", "--curve", data_path("curves.txt"),
+            "--label", "53a1", "--sym", "3",
+            "--precision-bits", "64", "--target-error", "1e-3",
+        )
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, checked, _ = run_cli(
+            capsys, *argv, "--eps-overrides", data_path("eps_overrides.txt"))
+        assert code == 0
+        plain, checked = json.loads(plain), json.loads(checked)
+        assert plain["root_number"] == -1
+        assert checked.pop("inputs") == dict(
+            plain.pop("inputs"),
+            **{"eps_overrides.txt": sha256_file(data_path("eps_overrides.txt"))})
+        assert plain == checked
+
+    def test_sym_must_be_odd_and_at_least_three(self, capsys):
+        errors = set()
+        for sym in ("0", "1", "4"):
+            code, _, err = run_cli(
+                capsys,
+                "analyze", "--curve", data_path("curves.txt"),
+                "--label", "11a1", "--sym", sym,
+            )
+            assert code == 2
+            errors.add(err)
+        assert errors == {"input error: symmetric power n must be odd and "
+                          ">= 3\n"}
 
     def test_unknown_label_is_an_input_error(self, capsys):
         code, _, err = run_cli(

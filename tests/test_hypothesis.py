@@ -131,16 +131,6 @@ class TestDeflationProperties:
         quotient = deflate_at_one(real_poly(p), -1)
         assert quotient.values() == [mp.mpf(v) for v in q]
 
-    @LIGHT
-    @given(int_coeff_lists(max_deg=6))
-    def test_unit_pair_deflation_inverts_multiplication(self, q):
-        from periodpoly import deflate_unit_pair
-
-        assume(sum(c * (-1) ** j for j, c in enumerate(q)) != 0)  # q(-1) != 0
-        p = conv(q, [-1, 0, 1])  # (z^2 - 1) * q
-        quotient = deflate_unit_pair(real_poly(p))
-        assert quotient.values() == [mp.mpf(v) for v in q]
-
 
 class TestRootRecovery:
     @HEAVY
@@ -205,7 +195,7 @@ class TestSpecialValuePolynomials:
     def test_fold_identity(self, pair):
         data, vals = pair
         p = build_p_poly(data, vals)
-        P = build_P_poly(data, vals)
+        P = build_P_poly(p)
         eps = data.root_number
         m = data.m
         with mp.workprec(192):

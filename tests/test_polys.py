@@ -60,7 +60,7 @@ class TestSym3Polynomials:
         assert p.values()[0] == p.values()[2]
 
     def test_P_coefficients(self, sym3_data, sym3_vals):
-        P = build_P_poly(sym3_data, sym3_vals)
+        P = build_P_poly(build_p_poly(sym3_data, sym3_vals))
         assert P.degree == 1
         assert near(P.values()[0], "24.473226847609759135198", "1e-20")
         assert near(P.values()[1], "44.919088391528016466489", "1e-20")
@@ -68,7 +68,7 @@ class TestSym3Polynomials:
     def test_fold_identity(self, sym3_data, sym3_vals):
         # p(z) = eps z^m (P(z) + eps P(1/z)) away from z = 0
         p = build_p_poly(sym3_data, sym3_vals)
-        P = build_P_poly(sym3_data, sym3_vals)
+        P = build_P_poly(p)
         eps = sym3_data.root_number
         m = sym3_data.m
         with mp.workprec(192):

@@ -16,12 +16,12 @@ from periodpoly import (
     CurveSpec,
     InputError,
     ap_count,
-    determine_root_number,
     sym_dirichlet_coeffs,
     sym_hodge,
     sym_lfunction_data,
     sym_local_factor,
 )
+from periodpoly import sympow
 from periodpoly.numutil import divisor_counts, primes_upto
 from periodpoly.sympow import MAX_COUNT_PRIME
 
@@ -194,7 +194,7 @@ class TestHodgeAndData:
         assert sym_hodge(3, k=3) == (1, 0, 1)
 
     def test_dataset_shape(self):
-        data = sym_lfunction_data(CURVE_11A1, 3, 300, 1)
+        data = sym_lfunction_data(CURVE_11A1, 3, 300)
         assert data.weight == 3
         assert data.degree == 4
         assert data.conductor == 11 ** 3
@@ -206,13 +206,42 @@ class TestHodgeAndData:
 
     def test_rejects_even_or_small_power(self):
         with pytest.raises(InputError):
-            sym_lfunction_data(CURVE_11A1, 2, 100, 1)
+            sym_lfunction_data(CURVE_11A1, 2, 100)
         with pytest.raises(InputError):
-            sym_lfunction_data(CURVE_11A1, 1, 100, 1)
+            sym_lfunction_data(CURVE_11A1, 1, 100)
 
 
 class TestRootNumberDetermination:
+    """The exact root number eps_inf * prod_{p | N} (-a_p); no AFE runs."""
+
     def test_sym3_11a1_positive(self):
-        eps, margin = determine_root_number(CURVE_11A1, 3, x=2000, bits=80)
-        assert eps == 1
-        assert margin > 100
+        # eps_inf = -1 for Sym^3 and a_11 = +1
+        assert sym_lfunction_data(CURVE_11A1, 3, 300).root_number == 1
+
+    def test_matches_recorded_signs(self, curve_table, eps_table):
+        for (label, n), eps in sorted(eps_table.items()):
+            data = sym_lfunction_data(curve_table[label], n, 100)
+            assert data.root_number == eps, (label, n)
+
+    def test_37a1_sym5_positive(self):
+        # eps_inf = +1 for Sym^5 and a_37 = -1
+        assert sym_lfunction_data(CURVE_37A1, 5, 100).root_number == 1
+
+    def test_bad_prime_above_x_is_counted_once(self, curve_table,
+                                               monkeypatch):
+        counted = []
+
+        def counting(curve, p):
+            counted.append(p)
+            return ap_count(curve, p)
+
+        monkeypatch.setattr(sympow, "ap_count", counting)
+        data = sym_lfunction_data(curve_table["89a1"], 3, 50)
+        assert data.root_number == -1
+        assert sorted(counted) == primes_upto(50) + [89]
+
+    def test_non_multiplicative_bad_prime_rejected(self):
+        # the 11a1 model declared with conductor 13, where a_13 = 4
+        curve = CurveSpec(0, -1, 1, -10, -20, 13, "11a1")
+        with pytest.raises(InputError, match="p = 13"):
+            sym_lfunction_data(curve, 3, 100)

@@ -14,12 +14,10 @@ from periodpoly import (
     CertificationError,
     InputError,
     RealPolynomial,
-    VerificationError,
     build_P_poly,
     build_p_poly,
     circle_report,
     count_disc_zeros,
-    deflate_unit_pair,
     disc_transition_table,
     poly_roots,
     star_discrepancy,
@@ -124,24 +122,9 @@ class TestCircleReport:
         assert angles[1] == pytest.approx(4.136203674836867, abs=1e-9)
 
 
-class TestDeflateUnitPair:
-    def test_exact_quotient(self):
-        # (z^2 - 1)(z^2 + z + 1) = z^4 + z^3 - z - 1
-        q = deflate_unit_pair(rp(-1, -1, 0, 1, 1))
-        assert [float(c) for c in q.values()] == [1.0, 1.0, 1.0]
-
-    def test_rejects_nonzero_remainder(self):
-        with pytest.raises(VerificationError):
-            deflate_unit_pair(rp(1, 0, 1))
-
-    def test_rejects_low_degree(self):
-        with pytest.raises(InputError):
-            deflate_unit_pair(rp(1, 1))
-
-
 class TestTrigCensus:
     def test_sym3_cosine_census(self, sym3_data, sym3_vals):
-        P = build_P_poly(sym3_data, sym3_vals)
+        P = build_P_poly(build_p_poly(sym3_data, sym3_vals))
         scan = trig_sign_changes(P, sym3_data.root_number)
         assert scan.kind == "cos"
         assert scan.changes == (1,)
