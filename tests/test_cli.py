@@ -192,7 +192,8 @@ class TestAnalyzeCurve:
         )
         assert code == 2
         assert out == ""
-        assert "11a1 Sym^3" in err and "-1" in err and "+1" in err
+        assert ("11a1 Sym^3: eps.txt records root number -1, but the local "
+                "data give +1") in err
 
     def test_overrides_only_add_an_input_hash(self, capsys):
         argv = (

@@ -215,8 +215,11 @@ class TestRootNumberDetermination:
     """The exact root number eps_inf * prod_{p | N} (-a_p); no AFE runs."""
 
     def test_sym3_11a1_positive(self):
-        # eps_inf = -1 for Sym^3 and a_11 = +1
-        assert sym_lfunction_data(CURVE_11A1, 3, 300).root_number == 1
+        # eps_inf = -1 for Sym^3 and a_11 = +1, whether a_11 is read from
+        # lambda_11 (x = 300) or counted (x = 10)
+        signs = {sym_lfunction_data(CURVE_11A1, 3, x).root_number
+                 for x in (10, 300)}
+        assert signs == {1}
 
     def test_matches_recorded_signs(self, curve_table, eps_table):
         for (label, n), eps in sorted(eps_table.items()):
@@ -227,8 +230,9 @@ class TestRootNumberDetermination:
         # eps_inf = +1 for Sym^5 and a_37 = -1
         assert sym_lfunction_data(CURVE_37A1, 5, 100).root_number == 1
 
-    def test_bad_prime_above_x_is_counted_once(self, curve_table,
-                                               monkeypatch):
+    @pytest.mark.parametrize("x", [50, 89])
+    def test_each_prime_is_counted_once(self, curve_table, monkeypatch, x):
+        # x = 50 stops below the bad prime 89, so a_89 is counted for eps
         counted = []
 
         def counting(curve, p):
@@ -236,9 +240,9 @@ class TestRootNumberDetermination:
             return ap_count(curve, p)
 
         monkeypatch.setattr(sympow, "ap_count", counting)
-        data = sym_lfunction_data(curve_table["89a1"], 3, 50)
+        data = sym_lfunction_data(curve_table["89a1"], 3, x)
         assert data.root_number == -1
-        assert sorted(counted) == primes_upto(50) + [89]
+        assert sorted(counted) == sorted(set(primes_upto(x)) | {89})
 
     def test_non_multiplicative_bad_prime_rejected(self):
         # the 11a1 model declared with conductor 13, where a_13 = 4
