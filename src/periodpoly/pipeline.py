@@ -1,11 +1,10 @@
 """The analysis of one dataset as a library call.
 
 analyze() calls each step of the analysis once and keeps what it returns.
-p, the L-value ratios, Q, the remainder-bound parts and the zeta-polynomial
-Z are built once and handed to the steps that read them (build_P_poly,
-build_Q_poly, q_decomposition_residual, rouche_transfer,
-zeta_poly_closed_form); zeta_polynomial still rebuilds p from
-(data, vals).
+p, its deflation p_hat, the L-value ratios, Q, the remainder-bound parts
+and the zeta-polynomial Z are built once and handed to the steps that read
+them (build_P_poly, zeta_polynomial, build_Q_poly,
+q_decomposition_residual, rouche_transfer, zeta_poly_closed_form).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
 """
@@ -104,7 +103,7 @@ def analyze(data, vals, sym_context=None):
         except (CertificationError, QuadratureError) as exc:
             rouche_error = str(exc)
 
-    zeta = zeta_polynomial(data, vals)
+    zeta = zeta_polynomial(data, p_hat)
     zeta_closed, winner, closed_report = zeta_poly_closed_form(data, vals,
                                                                zeta)
     with mp.workprec(vals.bits + 16):

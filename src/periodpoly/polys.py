@@ -91,7 +91,9 @@ class RealPolynomial:
 
     def eval_with_error(self, z):
         """(value, bound) where bound covers coefficient uncertainty
-        sum err_j |z|^j (evaluation rounding is far below it)."""
+        sum err_j |z|^j.  The value is rounded at self.bits and the bound
+        leaves that rounding out: with zero errors the bound is 0, however
+        far the computed value is from the exact one."""
         with mp.workprec(self.bits):
             acc = mp.mpf(0)
             err = mp.mpf(0)

@@ -224,17 +224,12 @@ def maclaurin_coefficients(u, e, count):
         return out
 
 
-def zeta_polynomial(data, vals):
-    """The line polynomial of a dataset: transform of the (possibly
-    deflated) special-value polynomial, with e its degree (2m, or 2m - 1
-    when eps = -1)."""
-    from .polys import build_p_poly
-
-    p = build_p_poly(data, vals)
-    u = deflate_at_one(p, data.root_number)
-    return rv_transform(
-        u, e=u.degree, eps=data.root_number, label=(data.label or "") + "-zeta"
-    )
+def zeta_polynomial(data, p_hat):
+    """The line polynomial of a dataset: transform of its special-value
+    polynomial p_hat, already deflated at z = 1 when eps = -1
+    (deflate_at_one), with e its degree (2m, or 2m - 1 when eps = -1)."""
+    return rv_transform(p_hat, e=p_hat.degree, eps=data.root_number,
+                        label=(data.label or "") + "-zeta")
 
 
 def zeta_poly_closed_form(data, vals, zeta):
@@ -255,7 +250,7 @@ def zeta_poly_closed_form(data, vals, zeta):
     equation.  (For eps = -1 the numerator has a root at z = 1, so this is
     the same series as the deflated quotient over (1-z)^{n-1}, which is
     what the transform route computes.)  zeta is that transform, as
-    zeta_polynomial(data, vals) returns it.  Returns
+    zeta_polynomial returns it.  Returns
     (ZetaPolynomial, winning_reading, report dict).  Raises
     ConventionError when neither reading reproduces the transform."""
     n = data.weight  # = 2m + 1

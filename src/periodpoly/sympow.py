@@ -35,9 +35,11 @@ MAX_COUNT_PRIME = 2_000_000
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
-    with squarefree conductor (multiplicative reduction at every bad prime)
-    and no CM."""
+    """Minimal integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2
+    + a4 x + a6 of a semistable curve (squarefree conductor, multiplicative
+    reduction at every bad prime) without CM.  For such a model the primes
+    dividing the conductor are exactly those dividing the discriminant;
+    a conductor that breaks this is an InputError."""
 
     a1: int
     a2: int
@@ -49,14 +51,26 @@ class CurveSpec:
     cm_flag: bool = False
 
     def __post_init__(self):
-        if self.discriminant == 0:
+        disc = self.discriminant
+        if disc == 0:
             raise InputError("singular Weierstrass model (discriminant 0)")
         n = self.conductor
         if n < 1:
             raise InputError("conductor must be positive")
+        rest = abs(disc)  # |disc| with the primes of the conductor removed
+        cofactor = n
         for p in primes_upto(math.isqrt(n)):
             if n % (p * p) == 0:
                 raise InputError("conductor %d is not squarefree" % n)
+            if cofactor % p == 0:
+                cofactor //= p
+                rest = _strip_prime(rest, p, n, disc)
+        if cofactor > 1:  # the one prime factor above sqrt(n)
+            rest = _strip_prime(rest, cofactor, n, disc)
+        if rest > 1:
+            raise InputError(
+                "conductor %d does not match the model: the discriminant %d"
+                " has the factor %d prime to it" % (n, disc, rest))
         if self.cm_flag:
             raise InputError("CM curves are out of scope (cm_flag must be false)")
 
@@ -78,6 +92,17 @@ class CurveSpec:
     def discriminant(self):
         b2, b4, b6, b8 = self.b_invariants
         return -(b2 ** 2) * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
+
+
+def _strip_prime(rest, p, n, disc):
+    """rest with every factor p removed; p must divide it."""
+    if rest % p:
+        raise InputError(
+            "conductor %d does not match the model: p = %d divides it but"
+            " not the discriminant %d" % (n, p, disc))
+    while rest % p == 0:
+        rest //= p
+    return rest
 
 
 def ap_count(curve, p):

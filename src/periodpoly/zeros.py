@@ -3,11 +3,21 @@
 Three independent devices certify where the zeros of the special-value
 polynomials live:
 
-1. poly_roots: Aberth-Ehrlich refinement of companion-matrix seeds, with
-   a per-root inclusion radius.  The radius combines the classical bound
-   (the disc of radius deg * |p(z)/p'(z)| about z contains a root) with a
+1. poly_roots: root isolation in two stages, with a per-root inclusion
+   radius.  Aberth-Ehrlich sweeps in complex128 converge all roots from
+   companion-matrix seeds together; then each root is polished alone by
+   Newton steps (with the Aberth correction against the complex128
+   positions of the others) in fixed-point Python integers, and stops
+   once its step has converged or stopped shrinking.  The polish scales
+   each root by the power of two rho nearest |z|, so its integers hold
+   c_j rho^j relative to max_j |c_j| rho^j: one absolute scale for all
+   roots would lose to cancellation the digits of the high-degree
+   zeta-polynomials.  The radius combines the classical bound (the disc
+   of radius deg * |p(z)/p'(z)| about z contains a root) with a
    first-order coefficient-perturbation term, since our coefficients are
-   special values known only to an explicit error bound.
+   special values known only to an explicit error bound, and with the
+   Horner rounding bound of its own fixed-point evaluation, added to
+   |p(z)| and subtracted from |p'(z)|.
 
 2. trig_sign_changes: on |z| = 1 a (anti)palindromic real polynomial
    reduces to a pure cosine (eps = +1) or sine (eps = -1) polynomial in
@@ -20,15 +30,20 @@ polynomials live:
    0.1 of an integer multiple of 2*pi.
 """
 
+import math
 from dataclasses import dataclass
+from math import isqrt
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import mpf_neg, to_fixed
 
 from .errors import CertificationError, InputError
 from .polys import ApproximantSeries
 
-_ABERTH_ITERS = 60  # Aberth-Ehrlich sweeps before poly_roots stops
+_ABERTH_ITERS = 60  # cap on complex128 sweeps and on each root's polish steps
+_FLOAT_STOP = 1e-14  # relative step that ends the complex128 sweeps
+_POLISH_GUARD_BITS = 32  # fractional bits of the polish beyond p.bits + 16
 _TRIG_SAMPLES = 16  # grid points per interval of the trig census
 
 
@@ -46,15 +61,108 @@ def star_discrepancy(angles):
     return d
 
 
+def _fixed(x, f):
+    """floor(x 2^f) for a float x, exactly."""
+    n, d = float(x).as_integer_ratio()
+    return (n << f) // d
+
+
+def _horner(cs, ur, ui, f):
+    """q(u) and q'(u) for q(u) = sum_j cs[j] u^j 2^-f at u = (ur + i ui)
+    2^-f, by one Horner pass on integers; all four results are in units
+    of 2^-f.  Each product is truncated, so every step is off by less
+    than sqrt(2) units."""
+    ar = ai = br = bi = 0
+    for c in reversed(cs):
+        br, bi = (((br * ur - bi * ui) >> f) + ar,
+                  ((br * ui + bi * ur) >> f) + ai)
+        ar, ai = (((ar * ur - ai * ui) >> f) + c,
+                  (ar * ui + ai * ur) >> f)
+    return ar, ai, br, bi
+
+
+def _error_bounds(es, ur, ui, f):
+    """Upper bounds, in units of 2^-f, on sum_j es[j] |u|^j and on how far
+    _horner's q(u) and q'(u) lie from those of the exact coefficients,
+    given that each cs[j] is within one unit of its exact value."""
+
+    def up(x):  # ceil(x 2^-f)
+        return -(-x >> f)
+
+    t = isqrt(ur * ur + ui * ui) + 1  # >= |u| 2^f
+    err = ra = rb = 0
+    for ej in reversed(es):
+        # per step: q' gains the error of q and sqrt(2) < 2 units; q gains
+        # sqrt(2) + 1 < 3 units (product and coefficient)
+        rb = up(rb * t) + ra + 2
+        ra = up(ra * t) + 3
+        err = up(err * t) + ej
+    return err, ra, rb
+
+
+def _aberth_float(desc, seeds):
+    """complex128 Aberth-Ehrlich sweeps over all roots of the polynomial
+    with descending coefficients desc, until every step is below
+    _FLOAT_STOP of its root or after _ABERTH_ITERS sweeps."""
+    ddesc = np.polyder(desc)
+    z = seeds.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(_ABERTH_ITERS):
+            w = np.polyval(desc, z) / np.polyval(ddesc, z)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            step = w / (1 - w * (1 / diff).sum(axis=1))
+            step[~np.isfinite(step)] = 0
+            z -= step
+            if np.all(np.abs(step) <= _FLOAT_STOP * np.abs(z)):
+                break
+    return z
+
+
+def _polish(cs, ur, ui, others, f, stop):
+    """Newton steps with the Aberth correction against the complex128
+    positions others of the other roots (all in the scaled variable u),
+    from u = (ur + i ui) 2^-f, until the squared step (in units of
+    2^-2f) is at most stop or no smaller than the one before, or after
+    _ABERTH_ITERS steps."""
+    one = 1 << f
+    last = None
+    for _ in range(_ABERTH_ITERS):
+        ar, ai, br, bi = _horner(cs, ur, ui, f)
+        sig = complex(np.sum(1 / (complex(ur / one, ui / one) - others)))
+        if not np.isfinite(sig):
+            sig = 0j
+        sr, si = _fixed(sig.real, f), _fixed(sig.imag, f)
+        # u -= q / (q' - q sigma), sigma = sum_j 1/(u - u_j)
+        dr = br - ((ar * sr - ai * si) >> f)
+        di = bi - ((ar * si + ai * sr) >> f)
+        den = dr * dr + di * di
+        if den == 0:
+            break
+        step_r = ((ar * dr + ai * di) << f) // den
+        step_i = ((ai * dr - ar * di) << f) // den
+        ur -= step_r
+        ui -= step_i
+        size = step_r * step_r + step_i * step_i
+        if size <= stop or (last is not None and size >= last):
+            break
+        last = size
+    return ur, ui
+
+
 def poly_roots(p):
     """All complex roots of a RealPolynomial with certified inclusion
     radii, as a list of (root, radius) sorted by argument.
 
-    Seeds come from the numpy companion matrix at double precision;
-    Aberth-Ehrlich iteration then polishes all roots simultaneously at
-    p.bits.  Each radius covers both the residual |p| at the returned
-    point and the coefficient error bounds.  Raises InputError for a
-    degenerate (leading coefficient not certifiably nonzero) input.
+    Seeds come from the numpy companion matrix.  Aberth-Ehrlich sweeps
+    in complex128 converge all roots together; each root is then
+    polished alone in fixed point at p.bits + 16 plus guard bits, scaled
+    by the power of two nearest its modulus, and stops once its step
+    falls below 2^(8 - p.bits) of the root or stops shrinking.  Roots are
+    returned at p.bits + 16.  Each radius covers the residual |p| at the
+    returned point, the coefficient error bounds and the rounding of
+    that evaluation.  Raises InputError for a degenerate (leading
+    coefficient not certifiably nonzero) input.
     """
     if p.degenerate:
         raise InputError(
@@ -67,47 +175,51 @@ def poly_roots(p):
     scale = max(abs(v) for v in vals)
     if scale == 0:
         raise InputError("zero polynomial")
-    seeds = np.roots([v / scale for v in reversed(vals)])
-    with mp.workprec(p.bits + 16):
-        zs = [mp.mpc(complex(s)) for s in seeds]
-        # tiny deterministic stagger so exactly coincident seeds separate
-        zs = [
-            z + mp.mpc(1e-12 * ((k * 7) % 11 - 5), 1e-12 * ((k * 3) % 7 - 3))
-            for k, z in enumerate(zs)
-        ]
-        dp = p.derivative()
-        eps_stop = mp.mpf(2) ** (8 - p.bits)
-        for _ in range(_ABERTH_ITERS):
-            moved = mp.mpf(0)
-            for i in range(len(zs)):
-                pz = p(zs[i])
-                dpz = dp(zs[i])
-                if pz == 0:
-                    continue
-                if dpz == 0:
-                    zs[i] += mp.mpf("1e-8")
-                    continue
-                w = pz / dpz
-                s = mp.fsum(
-                    (1 / (zs[i] - zs[j]) for j in range(len(zs)) if j != i),
-                    absolute=False,
-                )
-                denom = 1 - w * s
-                step = w if denom == 0 else w / denom
-                zs[i] -= step
-                moved = max(moved, abs(step) / (1 + abs(zs[i])))
-            if moved < eps_stop:
-                break
-        out = []
-        for z in zs:
-            pz, perr = p.eval_with_error(z)
-            dpz = dp(z)
+    desc = np.array(vals[::-1]) / scale
+    seeds = np.roots(desc)
+    # tiny deterministic stagger so exactly coincident seeds separate
+    idx = np.arange(len(seeds))
+    seeds = seeds + 1e-12 * (((idx * 7) % 11 - 5) + 1j * ((idx * 3) % 7 - 3))
+    zf = _aberth_float(desc, seeds)
+
+    f = p.bits + 16 + _POLISH_GUARD_BITS
+    stop = 1 << 2 * (f + 8 - p.bits)
+    parts = [v._mpf_ for v in p.values()]
+    neg_errs = [mpf_neg(e._mpf_) for e in p.errors()]
+    out = []
+    for i, z0 in enumerate(zf):
+        # z = 2^k u with |u| near 1; q(u) = p(2^k u) 2^-m has every
+        # coefficient below 1 in modulus and the largest above 1/2
+        k = round(math.log2(abs(z0))) if z0 else 0
+        m = max(exp + bc + j * k
+                for j, (_, man, exp, bc) in enumerate(parts) if man)
+        cs = [to_fixed(c, f + j * k - m) for j, c in enumerate(parts)]
+        others = np.delete(zf, i) / 2.0 ** k
+        ur, ui = _polish(cs, _fixed(z0.real / 2.0 ** k, f),
+                         _fixed(z0.imag / 2.0 ** k, f), others, f, stop)
+        if ui * ui <= stop:
+            # p is real: an imaginary part below the step tolerance is
+            # noise, whose sign would otherwise decide whether a positive
+            # real root sorts first or last
+            ui = 0
+        with mp.workprec(p.bits + 16):
+            z = mp.mpc(mp.mpf((ur, k - f)), mp.mpf((ui, k - f)))
+            # rounding to p.bits + 16 leaves z on the fixed-point grid,
+            # so the radius pass evaluates at exactly the returned z
+            ur = to_fixed(z.real._mpf_, f - k)
+            ui = to_fixed(z.imag._mpf_, f - k)
+            ar, ai, br, bi = _horner(cs, ur, ui, f)
+            # the coefficient errors scaled like cs, rounded up
+            es = [-to_fixed(e, f + j * k - m) for j, e in enumerate(neg_errs)]
+            perr, ra, rb = _error_bounds(es, ur, ui, f)
             lead = abs(p.values()[-1])
-            if abs(dpz) > mp.mpf(2) ** (-p.bits // 2) * lead:
-                rad = deg * (abs(pz) + perr) / abs(dpz)
+            resid = mp.ldexp(mp.sqrt(ar * ar + ai * ai) + perr + ra, m - f)
+            dp_low = mp.ldexp(mp.sqrt(br * br + bi * bi) - rb, m - k - f)
+            if dp_low > mp.ldexp(lead, -(p.bits // 2)):
+                rad = deg * resid / dp_low
             else:
                 # clustered/multiple root: product-of-distances bound
-                rad = ((abs(pz) + perr) / lead) ** (mp.mpf(1) / deg)
+                rad = (resid / lead) ** (mp.mpf(1) / deg)
             out.append((z, +rad))
     out.sort(key=lambda t: (mp.arg(t[0]) % (2 * mp.pi), abs(t[0])))
     return out

@@ -12,12 +12,16 @@ the real builds.
 """
 
 import math
+import os
 import random
+import sys
 import time
+from collections import Counter
 
 import mpmath as mp
 import pytest
 
+from periodpoly import zeros
 from periodpoly import (
     CurveSpec,
     LFunctionData,
@@ -47,6 +51,10 @@ from periodpoly import (
     zeta_poly_closed_form,
     zeta_polynomial,
 )
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
 
 
 def criterion(name, ok, detail):
@@ -258,13 +266,13 @@ def test_bound_coverage_sym3(sym3_data, sym3_vals):
               "true error / bound at 64 bits, 1e-3: " + ", ".join(shares))
 
 
-def test_rv_random_circle_suite():
+def random_circle_suite():
+    """The 200 exact-coefficient unit-circle polynomials of the random
+    suite: products of 1 to 18 quadratics z^2 - 2 cos(t) z + 1 and up to
+    four factors 1 + z, of degree at most 40, from a fixed seed."""
     rng = random.Random(20260816)
-    t0 = time.perf_counter()
-    line_failures = []
-    mac_failures = []
-    mac_checked = 0
-    for i in range(200):
+    out = []
+    for _ in range(200):
         n_quad = rng.randint(1, 18)
         j_plus = rng.randint(0, min(4, 40 - 2 * n_quad))
         with mp.workprec(192):
@@ -274,18 +282,27 @@ def test_rv_random_circle_suite():
                 coeffs = conv(coeffs, [mp.mpf(1), -2 * mp.cos(theta), mp.mpf(1)])
             for _ in range(j_plus):
                 coeffs = conv(coeffs, [mp.mpf(1), mp.mpf(1)])
-        u = real_poly(coeffs)
+        out.append(real_poly(coeffs))
+    return out
+
+
+def test_rv_random_circle_suite():
+    t0 = time.perf_counter()
+    line_failures = []
+    mac_failures = []
+    mac_checked = 0
+    for i, u in enumerate(random_circle_suite()):
         z = rv_transform(u)
         chk = check_zeta_properties(z, tol_fe=1e-18, tol_line=1e-8)
         if not chk.ok:
             line_failures.append(i)
         if i % 5 == 0:
             mac_checked += 1
-            e = len(coeffs) - 1
+            e = u.degree
             count = 3 * e + 1
             mac = maclaurin_coefficients(u, e, count)
             with mp.workprec(192):
-                series = [mp.mpf(c) for c in coeffs]
+                series = list(u.values())
                 series += [mp.mpf(0)] * (count - len(series))
                 series = series[:count]
                 for _ in range(e + 1):  # multiply by 1/(1-z), term by term
@@ -298,7 +315,7 @@ def test_rv_random_circle_suite():
                         mac_failures.append(i)
                         break
     elapsed = time.perf_counter() - t0
-    ok = not line_failures and not mac_failures
+    ok = not line_failures and not mac_failures and elapsed < 20.0
     criterion(
         "rv-random-circle-suite", ok,
         "200 transforms, line failures %s, maclaurin checked %d failures %s, %.1fs"
@@ -306,12 +323,60 @@ def test_rv_random_circle_suite():
     )
 
 
+def test_root_radius_coverage():
+    """On exact-coefficient inputs every root lies within its radius of the
+    root found at 512 bits: the polynomials of a circle-rv pass at seed 1
+    (each U without a 1 + z factor, and every Z) and three Z of degree
+    36-40 from the random suite."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CIRCLE_SHAPES, circle_polynomials
+
+    polys = []
+    for u, n_plus in circle_polynomials(1, CIRCLE_SHAPES):
+        polys.append(rv_transform(u))
+        if n_plus == 0:
+            polys.append(u)
+    suite = random_circle_suite()
+    polys += [rv_transform(suite[i]) for i in (99, 145, 161)]
+    worst = 0
+    for p in polys:
+        ref = [w for w, _ in poly_roots(RealPolynomial(p.coeffs, bits=512))]
+        with mp.workprec(512):
+            for z, r in poly_roots(p):
+                worst = max(worst, min(abs(z - w) for w in ref) / r)
+    criterion("root-radius-coverage", worst <= 1,
+              "%d polynomials, largest distance/radius %.3g"
+              % (len(polys), worst))
+
+
+def test_polish_stops_early(monkeypatch):
+    """Each root of suite polynomial 99 (Z of degree 36) stops polishing
+    within 8 steps; one more kernel pass gives its radius."""
+    z = rv_transform(random_circle_suite()[99])
+    kernel = zeros._horner
+    passes = []
+
+    def counting(cs, *args):
+        passes.append(cs)  # keeps each root's coefficient list, and id, alive
+        return kernel(cs, *args)
+
+    monkeypatch.setattr(zeros, "_horner", counting)
+    poly_roots(z)
+    # each root is polished on its own scaled coefficient list
+    per_root = Counter(map(id, passes))
+    steps = max(per_root.values()) - 1
+    criterion("polish-stops-early", len(per_root) == z.degree and steps <= 8,
+              "degree %d, %d roots, at most %d polish steps per root"
+              % (z.degree, len(per_root), steps))
+
+
 def test_closed_form_equivalence(sym3_data, sym3_vals, sym5_data, sym5_vals):
     outcomes = []
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
+        p_hat = deflate_at_one(build_p_poly(data, vals), data.root_number)
         zp, winner, report = zeta_poly_closed_form(
-            data, vals, zeta_polynomial(data, vals))
+            data, vals, zeta_polynomial(data, p_hat))
         outcomes.append("%s: winner %s A-dev %.1e B-dev %.1e"
                         % (data.label, winner, float(report["A"]),
                            float(report["B"])))

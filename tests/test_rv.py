@@ -21,6 +21,7 @@ from periodpoly import (
     RealPolynomial,
     SpecialValues,
     VerificationError,
+    build_p_poly,
     check_zeta_properties,
     deflate_at_one,
     maclaurin_coefficients,
@@ -33,6 +34,11 @@ from periodpoly import (
 
 def rp(*coeffs, bits=192):
     return RealPolynomial(tuple((c, 0) for c in coeffs), bits=bits)
+
+
+def zeta_of(data, vals):
+    p_hat = deflate_at_one(build_p_poly(data, vals), data.root_number)
+    return zeta_polynomial(data, p_hat)
 
 
 class TestStirling:
@@ -183,7 +189,7 @@ def synthetic_dataset(weight, eps, upper_values, hodge, conductor=7,
 
 class TestZetaPolynomial:
     def test_sym3_frozen(self, sym3_data, sym3_vals):
-        zp = zeta_polynomial(sym3_data, sym3_vals)
+        zp = zeta_of(sym3_data, sym3_vals)
         assert zp.e == 2
         assert zp.eps == 1
         want = ("44.9190883915280165", "-69.3923152391377756",
@@ -197,7 +203,7 @@ class TestZetaPolynomial:
         assert chk.max_line_deviation < 1e-50
 
     def test_sym3_closed_form(self, sym3_data, sym3_vals):
-        zp = zeta_polynomial(sym3_data, sym3_vals)
+        zp = zeta_of(sym3_data, sym3_vals)
         zc, winner, report = zeta_poly_closed_form(sym3_data, sym3_vals, zp)
         assert winner == "A"
         with mp.workprec(256):
@@ -209,7 +215,7 @@ class TestZetaPolynomial:
         # weight 3, eps = -1: p = a (1 - z^2), deflated to a (1 + z),
         # whose transform at e = 1 is a (1 - 2s)
         data, vals = synthetic_dataset(3, -1, ("0", "2.75"), (0, 1))
-        zp = zeta_polynomial(data, vals)
+        zp = zeta_of(data, vals)
         assert zp.e == 1
         assert zp.eps == -1
         with mp.workprec(192):
@@ -231,7 +237,7 @@ class TestZetaPolynomial:
         data, vals = synthetic_dataset(
             5, -1, ("0", "1.25", "9"), (1, 1, 1), conductor=11
         )
-        zp = zeta_polynomial(data, vals)
+        zp = zeta_of(data, vals)
         assert zp.e == 3
         zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
@@ -246,7 +252,7 @@ class TestZetaPolynomial:
         data, vals = synthetic_dataset(
             5, 1, ("4", "1.25", "9"), (1, 1, 1), conductor=11
         )
-        zp = zeta_polynomial(data, vals)
+        zp = zeta_of(data, vals)
         assert zp.e == 4
         zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
@@ -258,7 +264,7 @@ class TestZetaPolynomial:
         # report shows B missing by a wide margin while A is exact
         data, vals = synthetic_dataset(3, 1, ("1", "3"), (1, 1))
         _, winner, report = zeta_poly_closed_form(
-            data, vals, zeta_polynomial(data, vals))
+            data, vals, zeta_of(data, vals))
         assert winner == "A"
         assert set(report) == {"A", "B"}
         with mp.workprec(192):

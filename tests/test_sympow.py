@@ -245,7 +245,14 @@ class TestRootNumberDetermination:
         assert sorted(counted) == sorted(set(primes_upto(x)) | {89})
 
     def test_non_multiplicative_bad_prime_rejected(self):
-        # the 11a1 model declared with conductor 13, where a_13 = 4
-        curve = CurveSpec(0, -1, 1, -10, -20, 13, "11a1")
+        # the 11a1 model declared with conductor 13, where a_13 = 4: 13
+        # does not divide the discriminant -11^5, so the model is refused
         with pytest.raises(InputError, match="p = 13"):
+            curve = CurveSpec(0, -1, 1, -10, -20, 13, "11a1")
             sym_lfunction_data(curve, 3, 100)
+
+    def test_conductor_missing_a_bad_prime_rejected(self):
+        # declared with conductor 1, 11 would count as a good prime and
+        # Sym^3 would get root number -1 (the true sign is +1)
+        with pytest.raises(InputError, match="factor 161051 prime to it"):
+            CurveSpec(0, -1, 1, -10, -20, 1, "11a1")
