@@ -33,7 +33,6 @@ import mpmath as mp
 
 from .errors import InputError
 from .lfunc import gamma_completed
-from .polys import ApproximantSeries, partial_sum_T
 from .zeros import count_disc_zeros, poly_roots
 
 # Conductor ranges of odd symmetric powers of weight-2 newforms that the
@@ -265,20 +264,18 @@ class RoucheTransfer:
     q_disc_zeros: object  # int when certified, else None
 
 
-def rouche_transfer(data, parts, bits):
+def rouche_transfer(data, parts, t):
     """Run the circle comparison |Q - z^m T(1/z)| <= remainder < min |T|
-    at bits of precision.
+    at t.bits of precision.
 
     The minimum of |T| over the circle is certified from a uniform grid
     and a derivative bound (|T'| summed coefficient magnitudes).  parts
-    is s_tail_parts(data, ratios), the remainder bound; bits is
-    ratios.bits."""
+    is s_tail_parts(data, ratios), the remainder bound; t is
+    partial_sum_T(m, d, N, bits=ratios.bits)."""
     m = data.m
     if m < 2:
         raise InputError("the transfer device applies to m >= 2")
-    d = data.degree
-    t = partial_sum_T(m, d, data.conductor, bits=bits)
-    with mp.workprec(bits):
+    with mp.workprec(t.bits):
         # |T'| on the circle is at most sum j |c_j|
         deriv_cap = mp.fsum(j * abs(v) for j, v in enumerate(t.values()))
         step = 2 * mp.pi / _ROUCHE_GRID
@@ -294,9 +291,7 @@ def rouche_transfer(data, parts, bits):
     # a root straddling the circle makes the reversal count ambiguous
     if any(abs(z) - r <= 1 <= abs(z) + r for z, r in located):
         certified = False
-    f_count = count_disc_zeros(
-        ApproximantSeries(d, data.conductor, bits=64), 1.0
-    ).zeros
+    f_count = count_disc_zeros(data.degree, data.conductor).zeros
     return RoucheTransfer(
         certified=bool(certified),
         min_t=+min_t,

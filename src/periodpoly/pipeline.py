@@ -1,9 +1,9 @@
 """The analysis of one dataset as a library call.
 
 analyze() calls each step of the analysis once and keeps what it returns.
-p, its deflation p_hat, the L-value ratios, Q, the remainder-bound parts
-and the zeta-polynomial Z are built once and handed to the steps that read
-them (build_P_poly, zeta_polynomial, build_Q_poly,
+p, its deflation p_hat, the L-value ratios, Q, the truncation T, the
+remainder-bound parts and the zeta-polynomial Z are built once and handed
+to the steps that read them (build_P_poly, zeta_polynomial, build_Q_poly,
 q_decomposition_residual, rouche_transfer, zeta_poly_closed_form).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
@@ -19,9 +19,9 @@ from .gates import rouche_transfer, theorem_gate
 from .lfunc import verify_hypothesis
 from .numutil import log_gamma_c_real
 from .polys import (build_P_poly, build_Q_poly, build_p_poly, l_value_ratios,
-                    q_decomposition_residual, s_tail_parts)
-from .rv import (check_zeta_properties, deflate_at_one, zeta_poly_closed_form,
-                 zeta_polynomial)
+                    partial_sum_T, q_decomposition_residual, s_tail_parts)
+from .rv import (_CLOSED_FORM_REL_TOL, _FE_TOL, check_zeta_properties,
+                 deflate_at_one, zeta_poly_closed_form, zeta_polynomial)
 from .zeros import circle_report, star_discrepancy, trig_sign_changes
 
 
@@ -71,8 +71,9 @@ class Analysis:
         plus all_pass."""
         checks = {
             "hypothesis_clean": not self.violations,
-            "zeta_fe_ok": self.zeta_check.fe_residual <= 1e-18,
-            "closed_form_ok": self.closed_form_agreement <= 1e-9,
+            "zeta_fe_ok": self.zeta_check.fe_residual <= _FE_TOL,
+            "closed_form_ok": (self.closed_form_agreement
+                               <= _CLOSED_FORM_REL_TOL),
         }
         checks["all_pass"] = all(checks.values())
         return checks
@@ -93,13 +94,14 @@ def analyze(data, vals, sym_context=None):
     if data.root_number == -1:
         angles.append(0.0)
     big_q = build_Q_poly(data, ratios)
-    q_res, q_max_s = q_decomposition_residual(data, ratios, big_q)
+    t = partial_sum_T(data.m, data.degree, data.conductor, bits=ratios.bits)
+    q_res, q_max_s = q_decomposition_residual(data, ratios, big_q, t)
 
     s_parts = rouche = rouche_error = None
     if data.m >= 2:
         s_parts = s_tail_parts(data, ratios)
         try:
-            rouche = rouche_transfer(data, s_parts, ratios.bits)
+            rouche = rouche_transfer(data, s_parts, t)
         except (CertificationError, QuadratureError) as exc:
             rouche_error = str(exc)
 

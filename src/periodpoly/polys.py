@@ -26,7 +26,9 @@ degree-m partial sum of F and S is the exact remainder; on |z| = 1,
 which is the certificate that transfers disc-zero counts from F to T to Q
 (Rouche).  Note the degree-m partial sum z^m T(1/z) contributes a constant
 c_m that the j <= m-1 sum in Q lacks; the remainder S here absorbs that
-corner term, so the decomposition above is exact.
+corner term, so the decomposition above is exact.  q_decomposition_residual
+checks it coefficient by coefficient: the sum of the absolute coefficients
+of a polynomial bounds its maximum on |z| = 1.
 """
 
 from dataclasses import dataclass
@@ -37,8 +39,6 @@ import mpmath as mp
 from .errors import InputError, VerificationError
 from .lfunc import gamma_completed
 from .numutil import fmt_mpf
-
-_Q_CHECK_POINTS = 256  # circle samples of the Q-decomposition check
 
 
 @dataclass(frozen=True)
@@ -88,35 +88,6 @@ class RealPolynomial:
             for v, _ in reversed(self.coeffs):
                 acc = acc * z + v
             return acc
-
-    def eval_with_error(self, z):
-        """(value, bound) where bound covers coefficient uncertainty
-        sum err_j |z|^j.  The value is rounded at self.bits and the bound
-        leaves that rounding out: with zero errors the bound is 0, however
-        far the computed value is from the exact one."""
-        with mp.workprec(self.bits):
-            acc = mp.mpf(0)
-            err = mp.mpf(0)
-            az = abs(mp.mpmathify(z))
-            for v, e in reversed(self.coeffs):
-                acc = acc * z + v
-                err = err * az + e
-            return acc, err
-
-    def derivative(self):
-        if self.degree == 0:
-            return RealPolynomial(((mp.mpf(0), mp.mpf(0)),), bits=self.bits)
-        with mp.workprec(self.bits):
-            cs = tuple(
-                (j * v, j * e) for j, (v, e) in enumerate(self.coeffs) if j >= 1
-            )
-        return RealPolynomial(cs, bits=self.bits, label=self.label + "'")
-
-    def scale(self, t):
-        with mp.workprec(self.bits):
-            t = t if isinstance(t, mp.mpf) else mp.mpf(t)
-            cs = tuple((v * t, e * abs(t)) for v, e in self.coeffs)
-        return RealPolynomial(cs, bits=self.bits, label=self.label)
 
     def to_json_obj(self, digits=None):
         return [[fmt_mpf(v, digits), fmt_mpf(e, digits)] for v, e in self.coeffs]
@@ -354,31 +325,26 @@ def s_tail_parts(data, ratios):
         return SBoundParts(series=+series, central=+central, corner=+c_m)
 
 
-def q_decomposition_residual(data, ratios, q):
-    """max over circle sample points of |Q(z) - z^m T(1/z) - central - S(z)|
-    with S the exact remainder sum; also returns max |S| for the bound
-    check.  Pure consistency diagnostic: everything is computed from the
-    same ratios (l_value_ratios(data, vals)), and q is
-    build_Q_poly(data, ratios), so the residual should sit at rounding
-    level."""
+def q_decomposition_residual(data, ratios, q, t):
+    """Compare Q(z) and z^m T(1/z) + central + S(z) coefficient by
+    coefficient, with S(z) = sum_{j<m} c_j (r_j - 1) z^{m-j} - c_m the
+    exact remainder.  Returns (sum_k |residual_k|, sum_k |S_k|); each sum
+    bounds the maximum of its polynomial over |z| = 1, the second for the
+    remainder-bound check.  Pure consistency diagnostic: q is
+    build_Q_poly(data, ratios) and t is partial_sum_T at ratios.bits, all
+    built from the same ratios (l_value_ratios(data, vals)), so the
+    residual should sit at rounding level."""
     m = data.m
     d = data.degree
     bits = ratios.bits
-    t = partial_sum_T(m, d, data.conductor, bits=bits)
     with mp.workprec(bits):
         y = _f_term_factor(d, data.conductor, bits)
         c = [_f_coeff(y, j, d) for j in range(m + 1)]
         central = c[m] * ratios.central[0] / 2
-        worst = mp.mpf(0)
-        s_max = mp.mpf(0)
-        for i in range(_Q_CHECK_POINTS):
-            z = mp.expj(2 * mp.pi * mp.mpf(i) / _Q_CHECK_POINTS)
-            tz = mp.power(z, m) * t(1 / z)
-            s = mp.fsum(
-                (c[j] * (ratios.ratios[j][0] - 1)) * mp.power(z, m - j)
-                for j in range(m)
-            ) - c[m]
-            resid = abs(q(z) - tz - central - s)
-            worst = max(worst, resid)
-            s_max = max(s_max, abs(s))
-        return +worst, +s_max
+        # coefficients of z^{m-j}, j = 0..m: S has these, z^m T(1/z) has t_j
+        s = [c[j] * (ratios.ratios[j][0] - 1) for j in range(m)] + [-c[m]]
+        resid = mp.fsum(
+            abs(q.values()[m - j] - t.values()[j] - s[j]
+                - (central if j == m else 0))
+            for j in range(m + 1))
+        return +resid, +mp.fsum(abs(v) for v in s)

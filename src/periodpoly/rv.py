@@ -24,7 +24,9 @@ and the value moments
     M(j) = (1/(2m)!) sum_q b_q Lambda(q+1) q^j      (0^0 = 1),
 
 which this module evaluates under both readings of the Stirling
-convention and checks against the transform.
+convention and checks against the transform.  check_zeta_properties
+checks the functional equation exactly on the coefficients of Z, in
+Python integers, and the critical line on its isolated roots.
 """
 
 from dataclasses import KW_ONLY, dataclass
@@ -32,13 +34,15 @@ from fractions import Fraction
 from math import comb, factorial
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import ConventionError, InputError, VerificationError
 from .polys import RealPolynomial, binomial_weight
 
 
 _CLOSED_FORM_REL_TOL = 1e-9  # closed form vs transform, relative
-_FE_GRID = 64  # complex sample points of the functional-equation check
+_FE_TOL = 1e-18  # functional-equation residual, relative
+_LINE_TOL = 1e-8  # max |Re(root) - 1/2| of the roots of Z
 
 
 @dataclass(frozen=True)
@@ -331,26 +335,29 @@ class ZetaCheck:
     ok: bool
 
 
-def check_zeta_properties(zp, tol_fe=1e-18, tol_line=1e-8):
-    """Verify Z(s) = eps Z(1-s) on a deterministic complex grid (relative
-    residual) and locate the roots, measuring max |Re(root) - 1/2|.
+def check_zeta_properties(zp):
+    """Check Z(s) = eps Z(1-s) on the coefficients and locate the roots.
+
+    fe_residual is max_k |d_k| / max_q |z_q|, where d_k = z_k - eps (-1)^k
+    sum_{q >= k} C(q, k) z_q is the coefficient of s^k in Z(s) - eps
+    Z(1-s).  Every stored z_q is an integer multiple of 2^E, E the
+    smallest exponent among their mantissas, so d_k is exact in Python
+    integers and only the final quotient is rounded.  ok needs
+    fe_residual <= _FE_TOL and max |Re(root) - 1/2| <= _LINE_TOL.
 
     Degenerate leading coefficients (the eps = -1 drop when the closed
     form is written to full length) are stripped before root finding."""
+    parts = [v._mpf_ for v in zp.values()]
+    low = min(exp for _, man, exp, _ in parts if man)
+    n = [to_fixed(c, -low) for c in parts]
+    d = [n[k] - zp.eps * (-1) ** k
+         * sum(comb(q, k) * n[q] for q in range(k, len(n)))
+         for k in range(len(n))]
+    fe_res = max(abs(x) for x in d) / max(abs(x) for x in n)
     vals = list(zp.coeffs)
     while len(vals) > 1 and abs(vals[-1][0]) <= vals[-1][1]:
         vals.pop()
     rp = RealPolynomial(tuple(vals), bits=zp.bits, label=zp.label)
-    with mp.workprec(zp.bits):
-        worst = mp.mpf(0)
-        scale = max(abs(v) for v, _ in vals)
-        for i in range(_FE_GRID):
-            s = mp.mpc(
-                mp.mpf(i % 8) / 2 - 1.5, mp.mpf(i // 8) / 4 - 1
-            )
-            r = abs(zp(s) - zp.eps * zp(1 - s))
-            worst = max(worst, r)
-        fe_res = float(worst / scale)
     from .zeros import poly_roots
 
     if rp.degree >= 1:
@@ -366,5 +373,5 @@ def check_zeta_properties(zp, tol_fe=1e-18, tol_line=1e-8):
         fe_residual=fe_res,
         max_line_deviation=max_dev,
         roots=roots,
-        ok=(fe_res <= tol_fe and max_dev <= tol_line),
+        ok=(fe_res <= _FE_TOL and max_dev <= _LINE_TOL),
     )

@@ -39,7 +39,6 @@ import numpy as np
 from mpmath.libmp import mpf_neg, to_fixed
 
 from .errors import CertificationError, InputError
-from .polys import ApproximantSeries
 
 _ABERTH_ITERS = 60  # cap on complex128 sweeps and on each root's polish steps
 _FLOAT_STOP = 1e-14  # relative step that ends the complex128 sweeps
@@ -410,7 +409,7 @@ def _series_on_contour(d, conductor, r, ts):
     return acc
 
 
-def count_disc_zeros(series, radius=1.0):
+def count_disc_zeros(d, conductor, radius=1.0):
     """Count zeros of F_{d,N} inside |z| < radius by the argument
     principle, with certification.
 
@@ -420,18 +419,19 @@ def count_disc_zeros(series, radius=1.0):
     0.1 of 2 pi k.  A contour point too close to a zero (min |F| below
     1e-7 of the median) triggers retries at perturbed radii; persistent
     failure raises CertificationError."""
-    if not isinstance(series, ApproximantSeries):
-        raise InputError("series must be an ApproximantSeries")
+    if d < 2 or d % 2:
+        raise InputError("d must be a positive even integer")
+    if conductor < 1:
+        raise InputError("conductor must be positive")
     r0 = float(radius)
     if not 0.5 <= r0 <= 2.0:
         raise InputError("radius must lie in [0.5, 2]")
-    d, cond = series.d, series.conductor
     last_reason = ""
     for attempt, bump in enumerate((0.0, 3e-4, -3e-4, 1e-3, -1e-3, 3e-3, -3e-3)):
         r = r0 * (1.0 + bump)
         ts = np.arange(2 ** 10, dtype=np.float64) / 2 ** 10
         for _ in range(24):
-            fv = _series_on_contour(d, cond, r, ts)
+            fv = _series_on_contour(d, conductor, r, ts)
             mags = np.abs(fv)
             med = float(np.median(mags))
             mn = float(np.min(mags))
@@ -487,9 +487,7 @@ def disc_transition_table(d, n_limit, radius=1.0):
 
     def cnt(n):
         if n not in cache:
-            cache[n] = count_disc_zeros(
-                ApproximantSeries(d, n, bits=64), radius
-            ).zeros
+            cache[n] = count_disc_zeros(d, n, radius).zeros
         return cache[n]
 
     out = [(1, cnt(1))]

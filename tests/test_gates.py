@@ -14,6 +14,7 @@ from periodpoly import (
     coefficient_inequalities,
     hodge_condition,
     l_value_ratios,
+    partial_sum_T,
     rouche_transfer,
     s_tail_parts,
     theorem_gate,
@@ -141,7 +142,9 @@ class TestGateVerdicts:
 class TestRoucheTransfer:
     def test_sym5_consistency(self, sym5_data, sym5_vals):
         r = l_value_ratios(sym5_data, sym5_vals)
-        rt = rouche_transfer(sym5_data, s_tail_parts(sym5_data, r), r.bits)
+        t = partial_sum_T(sym5_data.m, sym5_data.degree, sym5_data.conductor,
+                          bits=r.bits)
+        rt = rouche_transfer(sym5_data, s_tail_parts(sym5_data, r), t)
         assert rt.f_disc_zeros >= 0
         if rt.certified:
             assert rt.min_t > rt.remainder_bound
@@ -151,4 +154,4 @@ class TestRoucheTransfer:
 
     def test_rejects_m1(self, sym3_data):
         with pytest.raises(InputError):
-            rouche_transfer(sym3_data, None, 128)
+            rouche_transfer(sym3_data, None, None)

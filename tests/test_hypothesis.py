@@ -119,7 +119,7 @@ class TestTransformProperties:
             for _ in range(k_minus_one):
                 coeffs = conv(coeffs, [mp.mpf(1), mp.mpf(1)])
         z = rv_transform(real_poly(coeffs))
-        chk = check_zeta_properties(z, tol_fe=mp.mpf("1e-18"), tol_line=1e-8)
+        chk = check_zeta_properties(z)
         assert chk.ok
 
 

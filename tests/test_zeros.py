@@ -10,7 +10,6 @@ import pytest
 from mpmath import mp
 
 from periodpoly import (
-    ApproximantSeries,
     CertificationError,
     InputError,
     RealPolynomial,
@@ -159,26 +158,26 @@ class TestTrigCensus:
 class TestDiscCounts:
     def test_unit_disc_counts_degree_4(self):
         for n, want in ((1, 4), (4, 3), (26, 2), (30, 1), (800, 0)):
-            got = count_disc_zeros(ApproximantSeries(4, n, bits=64))
+            got = count_disc_zeros(4, n)
             assert got.zeros == want, n
 
     def test_count_result_fields(self):
-        c = count_disc_zeros(ApproximantSeries(4, 10, bits=64))
+        c = count_disc_zeros(4, 10)
         assert c.requested_radius == 1.0
         assert 0.99 <= c.radius <= 1.01
         assert c.points >= 1024
         assert c.min_abs > 0
 
     def test_radius_validation(self):
-        F = ApproximantSeries(4, 10, bits=64)
         with pytest.raises(InputError):
-            count_disc_zeros(F, radius=0.2)
+            count_disc_zeros(4, 10, radius=0.2)
         with pytest.raises(InputError):
-            count_disc_zeros(F, radius=3.0)
+            count_disc_zeros(4, 10, radius=3.0)
 
-    def test_rejects_non_series(self):
-        with pytest.raises(InputError):
-            count_disc_zeros(object())
+    def test_rejects_bad_series_parameters(self):
+        for d, conductor in ((3, 10), (0, 10), (4, 0)):
+            with pytest.raises(InputError):
+                count_disc_zeros(d, conductor)
 
     def test_transition_table_d4(self):
         assert disc_transition_table(4, 800) == [
