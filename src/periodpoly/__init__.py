@@ -41,7 +41,6 @@ from .sympow import (
 )
 from .polys import (
     RealPolynomial,
-    ApproximantSeries,
     LValueRatios,
     SBoundParts,
     binomial_weight,
@@ -114,7 +113,7 @@ __all__ = [
     "zeta_ratio_bound", "verify_hypothesis",
     "CurveSpec", "ap_count", "sym_local_factor",
     "sym_dirichlet_coeffs", "sym_hodge", "sym_lfunction_data",
-    "RealPolynomial", "ApproximantSeries", "LValueRatios", "SBoundParts",
+    "RealPolynomial", "LValueRatios", "SBoundParts",
     "binomial_weight", "build_p_poly", "build_P_poly", "build_Q_poly",
     "l_value_ratios", "partial_sum_T", "s_tail_parts",
     "q_decomposition_residual",

@@ -262,7 +262,7 @@ def _analysis_report(result, args, inputs, sym):
             },
             "rouche": _rouche_obj(result),
             "zeta": {
-                "e": zp.e,
+                "e": zp.degree,
                 "eps": zp.eps,
                 "coefficients": [_pair(v, err, digits)
                                  for v, err in zp.coeffs],

@@ -206,71 +206,6 @@ def build_Q_poly(data, ratios):
     return RealPolynomial(tuple(cs), bits=bits, label=(data.label or "Q"))
 
 
-@dataclass(frozen=True)
-class ApproximantSeries:
-    """The entire limit series F_{d,N}(z) = sum_j y^j z^j / (j!)^{d/2}
-    (y = (2pi)^{d/2}/sqrt(N)) with a fixed term budget J.
-
-    J is chosen so the ratio-test tail majorant at radius 2 is below
-    target; eval enforces the same certificate at the requested point.
-    """
-
-    d: int
-    conductor: int
-    J: int = 0
-    bits: int = 192
-    target: float = 1e-30
-
-    def __post_init__(self):
-        if self.d < 2 or self.d % 2:
-            raise InputError("d must be a positive even integer")
-        if self.conductor < 1:
-            raise InputError("conductor must be positive")
-        if self.J <= 0:
-            with mp.workprec(self.bits):
-                j = 4
-                while self.tail_bound(2, j) > mp.mpf(self.target):
-                    j += 2
-                    if j > 10000:
-                        raise InputError("term budget exploded; bad parameters")
-            object.__setattr__(self, "J", j)
-
-    def _y(self):
-        return _f_term_factor(self.d, self.conductor, self.bits)
-
-    def tail_bound(self, radius, j_from=None):
-        """Majorant for sum_{j > J} |term_j| at |z| = radius, by the ratio
-        test: first omitted term times 1/(1-rho)."""
-        with mp.workprec(self.bits):
-            jf = self.J if j_from is None else j_from
-            y = self._y() * mp.mpf(radius)
-            t = _f_coeff(y, jf + 1, self.d)
-            rho = y / mp.mpf(jf + 2) ** (mp.mpf(self.d) / 2)
-            if rho >= 1:
-                return mp.inf
-            return +(t / (1 - rho))
-
-    def eval(self, z):
-        """F_{d,N}(z) with the tail certificate enforced at |z|."""
-        with mp.workprec(self.bits):
-            z = mp.mpmathify(z)
-            tail = self.tail_bound(abs(z))
-            if not tail <= mp.mpf(self.target) * 4:
-                raise InputError(
-                    "tail budget exceeded at |z| = %s (bound %s); increase J"
-                    % (mp.nstr(abs(z), 6), mp.nstr(tail, 6))
-                )
-            y = self._y()
-            term = mp.mpc(1)
-            acc = mp.mpc(1)
-            for j in range(1, self.J + 1):
-                term = term * (y * z) / mp.mpf(j) ** (mp.mpf(self.d) / 2)
-                acc += term
-            if mp.im(acc) == 0:
-                return +mp.re(acc)
-            return +acc
-
-
 def partial_sum_T(m, d, conductor, bits=192):
     """Degree-m truncation T_{m,d,N} of F_{d,N} as a RealPolynomial (its
     coefficient errors are pure rounding slack)."""
@@ -306,6 +241,26 @@ class SBoundParts:
         return self.series + self.central + self.corner
 
 
+def _f_at_two(d, conductor, bits):
+    """Upper bound on F_{d,N}(2): the partial sum of c_j 2^j up to the
+    first j whose ratio-test tail is below 2^-bits of the sum, plus that
+    tail, plus 2^-bits of the sum for the rounding of its terms (summed
+    with 16 guard bits)."""
+    with mp.workprec(bits + 16):
+        y2 = 2 * _f_term_factor(d, conductor, bits + 16)
+        total = mp.mpf(0)
+        j = 0
+        while True:
+            total += _f_coeff(y2, j, d)
+            # the terms after j + 1 shrink at least by the factor rho
+            rho = y2 / mp.mpf(j + 2) ** (mp.mpf(d) / 2)
+            if rho < 1:
+                tail = _f_coeff(y2, j + 1, d) / (1 - rho)
+                if tail < mp.mpf(2) ** -bits * total:
+                    return total + tail + mp.mpf(2) ** -bits * total
+            j += 1
+
+
 def s_tail_parts(data, ratios):
     m = data.m
     if m < 2:
@@ -316,7 +271,7 @@ def s_tail_parts(data, ratios):
         series = (
             mp.mpf(2) ** (2 - m)
             * (mp.zeta(mp.mpf(3) / 2) ** d - 1)
-            * ApproximantSeries(d, data.conductor, bits=bits).eval(2)
+            * _f_at_two(d, data.conductor, bits)
         )
         y = _f_term_factor(d, data.conductor, bits)
         c_m = _f_coeff(y, m, d)

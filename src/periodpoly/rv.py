@@ -24,20 +24,23 @@ and the value moments
     M(j) = (1/(2m)!) sum_q b_q Lambda(q+1) q^j      (0^0 = 1),
 
 which this module evaluates under both readings of the Stirling
-convention and checks against the transform.  check_zeta_properties
-checks the functional equation exactly on the coefficients of Z, in
-Python integers, and the critical line on its isolated roots.
+convention and checks against the transform.  The transform itself is
+exact, in Python integers, and rounds each coefficient of Z once.
+check_zeta_properties checks the functional equation exactly on the
+coefficients of Z, in Python integers, and the critical line on its
+isolated roots.
 """
 
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_rational, round_nearest, round_up, to_rational
 
 from .errors import ConventionError, InputError, VerificationError
 from .polys import RealPolynomial, binomial_weight
+from .zeros import poly_roots
 
 
 _CLOSED_FORM_REL_TOL = 1e-9  # closed form vs transform, relative
@@ -51,12 +54,11 @@ class ZetaPolynomial(RealPolynomial):
     from circle-rooted input) Z(s) = eps Z(1-s) with zeros on
     Re(s) = 1/2.
 
-    exact optionally holds the coefficients as Fractions when the input
-    was exact.  e is the transform degree parameter; eps the
-    functional-equation sign."""
+    eps is the functional-equation sign.  exact holds the coefficients
+    as Fractions: rv_transform always sets it, the closed form (an mpf
+    sum) leaves it None."""
 
     _: KW_ONLY
-    e: int
     eps: int
     exact: tuple = None
 
@@ -81,99 +83,102 @@ def _stirling_rows(a_max):
     return rows
 
 
-def _coefficients(u):
-    """(values, errors, bits, exact) of a RealPolynomial or an ascending
-    coefficient list; a list of ints and Fractions stays exact, with
-    zero errors."""
-    if not isinstance(u, RealPolynomial):
-        u = list(u)
-        if u and all(isinstance(v, (int, Fraction)) for v in u):
-            return [Fraction(v) for v in u], [0] * len(u), 192, True
-        u = RealPolynomial(tuple((v, 0) for v in u))
-    return u.values(), u.errors(), u.bits, False
+def _integers(values):
+    """Integers n and one positive integer den with values[j] = n[j] / den
+    exactly.  den is the lcm of the denominators: 2^-E for mpf values, E
+    the smallest exponent among their mantissas (1 when E >= 0)."""
+    fracs = [Fraction(*to_rational(v._mpf_)) if isinstance(v, mp.mpf)
+             else Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
     """Transform U into the line polynomial Z(s) = H(-s).
 
     poly_or_coeffs: a RealPolynomial or an ascending coefficient list
-    (ints and Fractions are processed exactly).  e defaults to deg U and
+    (ints, Fractions or mpf; bits 192 for a list).  e defaults to deg U and
     must be >= deg U.  U(1) must be certified nonzero, since the
     critical-line property fails without it.  eps, when given, is stored
     as the functional-equation sign; otherwise it is inferred from the
     palindrome type of U (and left at +1 if U has no palindrome type).
+
+    The values and errors of U become integers over one denominator and
+    the transform runs on them exactly: exact holds Z as Fractions, and
+    coeffs rounds it once at bits + 16 (values to nearest, errors up).
     """
-    vals, errs, bits, exact = _coefficients(poly_or_coeffs)
-    total = sum if exact else mp.fsum
-    n_coeff = len(vals)
-    deg = n_coeff - 1
+    if isinstance(poly_or_coeffs, RealPolynomial):
+        vals = poly_or_coeffs.values()
+        errs = poly_or_coeffs.errors()
+        bits = poly_or_coeffs.bits
+    else:
+        vals = list(poly_or_coeffs)
+        errs = [0] * len(vals)
+        bits = 192
+    deg = len(vals) - 1
     if e is None:
         e = deg
     if e < deg:
         raise InputError("e must be at least deg U = %d" % deg)
-
-    with mp.workprec(bits + 16):
-        u1 = total(vals)
-        u1e = total(errs)
-        if abs(u1) <= u1e:
-            raise InputError(
-                "U(1) = %s is not certified nonzero (error %s); deflate first"
-                % (mp.nstr(u1, 8), mp.nstr(u1e, 8))
-            )
-        # H(l) for l = 0..e, then its forward differences at l = 0
-        cur = [total(vals[j] * comb(e + l - j, e) for j in range(n_coeff))
-               for l in range(e + 1)]
-        cure = [total(errs[j] * comb(e + l - j, e) for j in range(n_coeff))
-                for l in range(e + 1)]
-        diffs = [cur[0]]
-        diffe = [cure[0]]
-        for _ in range(e):
-            cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-            cure = [cure[i + 1] + cure[i] for i in range(len(cure) - 1)]
-            diffs.append(cur[0])
-            diffe.append(cure[0])
-        rows = _stirling_rows(e)
-        zv = [0] * (e + 1)
-        ze = [0] * (e + 1)
-        for k in range(e + 1):
-            fk = diffs[k] / factorial(k)
-            fke = diffe[k] / factorial(k)
-            for q in range(k + 1):
-                s = rows[k][q]
-                if s:
-                    zv[q] += fk * s
-                    ze[q] += fke * abs(s)
-        zq = [((-1) ** q) * zv[q] for q in range(e + 1)]
-        if eps is None:
-            # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
-            slack = 0 if exact else max(abs(v) for v in vals) * mp.mpf("1e-20")
-            eps = ((-1) ** e) * _palindrome_sign(vals, errs, e, slack)
-        if not exact:
-            coeffs = tuple((+zq[q], +ze[q]) for q in range(e + 1))
-    if exact:
-        with mp.workprec(bits):
-            coeffs = tuple(
-                (mp.mpf(c.numerator) / c.denominator, mp.mpf(0)) for c in zq
-            )
+    ints, den = _integers(vals + errs)
+    pad = [0] * (e - deg)
+    a = ints[:deg + 1] + pad
+    b = ints[deg + 1:] + pad
+    if abs(sum(a)) <= sum(b):
+        raise InputError(
+            "U(1) = %.8g is not certified nonzero (error %.8g); deflate first"
+            % (sum(a) / den, sum(b) / den)
+        )
+    # H(l) for l = 0..e, then its forward differences at l = 0
+    cur = [sum(a[j] * comb(e + l - j, e) for j in range(e + 1))
+           for l in range(e + 1)]
+    cure = [sum(b[j] * comb(e + l - j, e) for j in range(e + 1))
+            for l in range(e + 1)]
+    diffs = [cur[0]]
+    diffe = [cure[0]]
+    for _ in range(e):
+        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
+        cure = [cure[i + 1] + cure[i] for i in range(len(cure) - 1)]
+        diffs.append(cur[0])
+        diffe.append(cure[0])
+    # e! Z(s) = sum_k (e!/k!) Delta^k H(0) sum_q s(k, q) (-s)^q, and
+    # (-1)^q s(k, q) = (-1)^k |s(k, q)|
+    rows = _stirling_rows(e)
+    zq = [0] * (e + 1)
+    ze = [0] * (e + 1)
+    for k in range(e + 1):
+        w = factorial(e) // factorial(k)
+        for q in range(k + 1):
+            s = abs(rows[k][q]) * w
+            zq[q] += (-1) ** k * diffs[k] * s
+            ze[q] += diffe[k] * s
+    if eps is None:
+        # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
+        eps = (-1) ** e * _palindrome_sign(a, b)
+    scale = den * factorial(e)
+    coeffs = tuple(
+        (mp.make_mpf(from_rational(zq[q], scale, bits + 16, round_nearest)),
+         mp.make_mpf(from_rational(ze[q], scale, bits + 16, round_up)))
+        for q in range(e + 1))
     return ZetaPolynomial(
         coeffs,
         bits=bits,
         label=label,
-        e=e,
         eps=eps,
-        exact=tuple(zq) if exact else None,
+        exact=tuple(Fraction(z, scale) for z in zq),
     )
 
 
-def _palindrome_sign(vals, errs, e, slack):
-    """+1 or -1 when U(z) = +-z^e U(1/z) within the coefficient errors
-    plus slack; +1 when neither holds."""
-    pad = [0] * (e + 1 - len(vals))
-    vs = list(vals) + pad
-    es = list(errs) + pad
+def _palindrome_sign(a, b):
+    """+1 or -1 when U(z) = +-z^e U(1/z) (e = len(a) - 1) within the
+    coefficient errors plus 1e-20 max |U_j| (circle products rounded in
+    mpf are only nearly palindromic); +1 when neither holds.  a and b are
+    U's values and errors as integers over one denominator."""
+    slack = max(abs(v) for v in a)
     for sign in (1, -1):
-        if all(abs(vs[j] - sign * vs[e - j]) <= es[j] + es[e - j] + slack
-               for j in range(e + 1)):
+        if all(10 ** 20 * abs(a[j] - sign * a[-1 - j])
+               <= 10 ** 20 * (b[j] + b[-1 - j]) + slack
+               for j in range(len(a))):
             return sign
     return 1
 
@@ -319,7 +324,6 @@ def zeta_poly_closed_form(data, vals, zeta):
             tuple((+zc[q], +zce[q]) for q in range(n)),
             bits=vals.bits,
             label=(data.label or "") + "-zeta-closed",
-            e=zeta.e,
             eps=eps,
         )
     return zp, winner, report
@@ -340,16 +344,13 @@ def check_zeta_properties(zp):
 
     fe_residual is max_k |d_k| / max_q |z_q|, where d_k = z_k - eps (-1)^k
     sum_{q >= k} C(q, k) z_q is the coefficient of s^k in Z(s) - eps
-    Z(1-s).  Every stored z_q is an integer multiple of 2^E, E the
-    smallest exponent among their mantissas, so d_k is exact in Python
-    integers and only the final quotient is rounded.  ok needs
-    fe_residual <= _FE_TOL and max |Re(root) - 1/2| <= _LINE_TOL.
+    Z(1-s).  The stored z_q are integers over one power of two
+    (_integers), so d_k is exact and only the final quotient is rounded.
+    ok needs fe_residual <= _FE_TOL and max |Re(root) - 1/2| <= _LINE_TOL.
 
     Degenerate leading coefficients (the eps = -1 drop when the closed
     form is written to full length) are stripped before root finding."""
-    parts = [v._mpf_ for v in zp.values()]
-    low = min(exp for _, man, exp, _ in parts if man)
-    n = [to_fixed(c, -low) for c in parts]
+    n, _ = _integers(zp.values())
     d = [n[k] - zp.eps * (-1) ** k
          * sum(comb(q, k) * n[q] for q in range(k, len(n)))
          for k in range(len(n))]
@@ -358,8 +359,6 @@ def check_zeta_properties(zp):
     while len(vals) > 1 and abs(vals[-1][0]) <= vals[-1][1]:
         vals.pop()
     rp = RealPolynomial(tuple(vals), bits=zp.bits, label=zp.label)
-    from .zeros import poly_roots
-
     if rp.degree >= 1:
         located = poly_roots(rp)
         with mp.workprec(zp.bits):

@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -348,6 +349,54 @@ def test_root_radius_coverage():
     criterion("root-radius-coverage", worst <= 1,
               "%d polynomials, largest distance/radius %.3g"
               % (len(polys), worst))
+
+
+def _mpf_fraction(v):
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _nearest(v, x, prec):
+    """Whether the mpf v is the Fraction x rounded to nearest at prec bits:
+    v has at most prec bits and lies within half an ulp of x."""
+    if not x:
+        return not v
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    if abs(x) < Fraction(2) ** k:
+        k -= 1  # now 2^k <= |x| < 2^(k+1)
+    return (v._mpf_[1].bit_length() <= prec
+            and abs(_mpf_fraction(v) - x) <= Fraction(2) ** (k - prec))
+
+
+def test_rv_transform_is_exact():
+    """On the circle-rv polynomials at seed 1 and suite polynomials 99, 145
+    and 161, exact is the transform of the exact mpf input: Z(-l) equals
+    the Maclaurin coefficient sum_j U_j C(e + l - j, e) for l = 0..e,
+    which fixes Z of degree e.  Each stored value is exact rounded to
+    nearest at bits + 16."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CIRCLE_SHAPES, circle_polynomials
+
+    suite = random_circle_suite()
+    inputs = [u for u, _ in circle_polynomials(1, CIRCLE_SHAPES)]
+    inputs += [suite[i] for i in (99, 145, 161)]
+    inexact = []
+    misrounded = []
+    for i, u in enumerate(inputs):
+        z = rv_transform(u)
+        e = u.degree
+        us = [_mpf_fraction(v) for v in u.values()]
+        if z.exact is None or any(
+                sum(c * (-l) ** q for q, c in enumerate(z.exact))
+                != sum(us[j] * math.comb(e + l - j, e) for j in range(e + 1))
+                for l in range(e + 1)):
+            inexact.append(i)
+        elif not all(_nearest(v, x, z.bits + 16)
+                     for v, x in zip(z.values(), z.exact)):
+            misrounded.append(i)
+    criterion("rv-transform-exact", not inexact and not misrounded,
+              "%d inputs, inexact %s, misrounded %s"
+              % (len(inputs), inexact, misrounded))
 
 
 def test_polish_stops_early(monkeypatch):

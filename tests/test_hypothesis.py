@@ -74,10 +74,11 @@ class TestTransformProperties:
         assume(sum(w) != 0)
         e = n - 1
         zu = rv_transform(u, e)
-        zv = rv_transform(v, e)
+        zv = rv_transform(real_poly(v), e)
         zw = rv_transform(w, e)
         combined = tuple(a * x + b * y for x, y in zip(zu.exact, zv.exact))
         assert zw.exact == combined
+        assert rv_transform(real_poly(w), e).exact == combined
 
     @LIGHT
     @given(int_coeff_lists(), st.integers(0, 3))
@@ -85,13 +86,13 @@ class TestTransformProperties:
         # Z(-l) must reproduce h_l = sum_j U_j C(e + l - j, e), the l-th
         # Maclaurin coefficient of U(z)/(1-z)^{e+1}, exactly.
         e = len(u) - 1 + pad
-        z = rv_transform(u, e)
-        for ell in range(e + 5):
-            h = sum(u[j] * comb(e + ell - j, e) for j in range(len(u)))
-            z_val = sum(
-                Fraction(c) * Fraction(-ell) ** k for k, c in enumerate(z.exact)
-            )
-            assert z_val == h
+        for z in (rv_transform(u, e), rv_transform(real_poly(u), e)):
+            for ell in range(e + 5):
+                h = sum(u[j] * comb(e + ell - j, e) for j in range(len(u)))
+                z_val = sum(
+                    c * Fraction(-ell) ** k for k, c in enumerate(z.exact)
+                )
+                assert z_val == h
 
     @HEAVY
     @given(int_coeff_lists(max_deg=6), st.integers(1, 12))

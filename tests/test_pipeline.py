@@ -1,6 +1,14 @@
-"""The analysis as a library call, without the command line."""
+"""The library interface: the analysis without the command line, and the
+names the package exports."""
 
+import periodpoly
 from periodpoly import analyze
+
+
+def test_all_names_resolve_once():
+    names = periodpoly.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(periodpoly, n)] == []
 
 
 def test_sym3_analysis_passes(sym3_data, sym3_vals):

@@ -8,8 +8,8 @@ their certified error bounds.
 import pytest
 from mpmath import mp
 
+from periodpoly import polys
 from periodpoly import (
-    ApproximantSeries,
     InputError,
     RealPolynomial,
     binomial_weight,
@@ -129,35 +129,21 @@ class TestRatioFailure:
 
 
 class TestApproximantSeries:
-    def test_term_budget_and_value(self):
-        F = ApproximantSeries(4, 1331, bits=192)
-        assert F.J == 20
-        assert near(F.eval(2), "4.65834510864966844", "1e-14")
+    """The limit series F_{d,N}(z) = sum_j c_j z^j at d = 4, N = 1331."""
 
-    def test_tail_bound_monotone_in_budget(self):
-        F = ApproximantSeries(4, 1331, bits=192)
-        with mp.workprec(192):
-            assert F.tail_bound(2, 24) < F.tail_bound(2, 20)
-            assert F.tail_bound(2) <= mp.mpf(F.target) * 4
-
-    def test_eval_refuses_outside_certificate(self):
-        F = ApproximantSeries(4, 1331, bits=192)
-        with mp.workprec(192):
-            r = 4
-            assert F.tail_bound(r) > mp.mpf(F.target) * 4
-        with pytest.raises(InputError):
-            F.eval(r)
-
-    def test_rejects_odd_degree(self):
-        with pytest.raises(InputError):
-            ApproximantSeries(3, 100)
+    def test_value_at_two_is_an_upper_bound(self):
+        f2 = polys._f_at_two(4, 1331, 192)
+        assert near(f2, "4.65834510864966844", "1e-14")
+        with mp.workprec(400):
+            y2 = 2 * (2 * mp.pi) ** 2 / mp.sqrt(1331)
+            true = mp.fsum(y2 ** j / mp.factorial(j) ** 2 for j in range(120))
+            assert true <= f2 <= true * (1 + mp.mpf(2) ** -180)
 
     def test_partial_sum_matches_series_terms(self):
         T = partial_sum_T(3, 4, 1331, bits=192)
-        F = ApproximantSeries(4, 1331, bits=192)
         assert T.values()[0] == 1
         with mp.workprec(192):
-            y = F._y()
+            y = (2 * mp.pi) ** 2 / mp.sqrt(1331)
             for j in (1, 2, 3):
                 want = y ** j / mp.factorial(j) ** 2
                 assert abs(T.values()[j] - want) < mp.mpf("1e-50") * want

@@ -77,7 +77,7 @@ class TestTransformAnchors:
         z = rv_transform(u, e=e)
         assert z.exact == tuple(Fraction(w) for w in want)
         assert z.eps == eps
-        assert z.e == e
+        assert z.degree == e
 
     def test_values_at_negative_integers(self):
         # Z(-l) must equal the Maclaurin coefficient of U/(1-z)^{e+1}
@@ -121,13 +121,10 @@ class TestTransformAnchors:
                 replace(z, coeffs=tuple(cs), exact=None)).ok, q
 
     def test_float_path_matches_exact(self):
-        u = [2, 3, 4]
-        ze = rv_transform(u, e=3)
+        ze = rv_transform([2, 3, 4], e=3)
         zf = rv_transform(rp(2, 3, 4), e=3)
-        with mp.workprec(192):
-            for (fv, _), frac in zip(zf.coeffs, ze.exact):
-                want = mp.mpf(frac.numerator) / frac.denominator
-                assert abs(fv - want) < mp.mpf("1e-45") * (1 + abs(want))
+        assert zf.coeffs == ze.coeffs
+        assert zf.exact == ze.exact
 
     def test_rejects_vanishing_at_one(self):
         with pytest.raises(InputError):
@@ -206,7 +203,7 @@ def synthetic_dataset(weight, eps, upper_values, hodge, conductor=7,
 class TestZetaPolynomial:
     def test_sym3_frozen(self, sym3_data, sym3_vals):
         zp = zeta_of(sym3_data, sym3_vals)
-        assert zp.e == 2
+        assert zp.degree == 2
         assert zp.eps == 1
         want = ("44.9190883915280165", "-69.3923152391377756",
                 "69.3923152391377756")
@@ -240,7 +237,7 @@ class TestZetaPolynomial:
         # whose transform at e = 1 is a (1 - 2s)
         data, vals = synthetic_dataset(3, -1, ("0", "2.75"), (0, 1))
         zp = zeta_of(data, vals)
-        assert zp.e == 1
+        assert zp.degree == 1
         assert zp.eps == -1
         with mp.workprec(192):
             assert abs(zp.values()[0] - mp.mpf("2.75")) < 1e-40
@@ -263,7 +260,7 @@ class TestZetaPolynomial:
             5, -1, ("0", "1.25", "9"), (1, 1, 1), conductor=11
         )
         zp = zeta_of(data, vals)
-        assert zp.e == 3
+        assert zp.degree == 3
         zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
         with mp.workprec(256):
@@ -279,7 +276,7 @@ class TestZetaPolynomial:
             5, 1, ("4", "1.25", "9"), (1, 1, 1), conductor=11
         )
         zp = zeta_of(data, vals)
-        assert zp.e == 4
+        assert zp.degree == 4
         zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
         assert winner == "A"
         chk = check_zeta_properties(zp)
