@@ -77,25 +77,43 @@ target 1e-3: 35% more loggamma calls than spending the whole target),
 and the bounds set the coefficient errors of p and so its root
 inclusion radii, which the circle certificates compare with fixed
 tolerances.  The rounding component, the remaining 1/8, is computed
-rather than budgeted: it holds a working-precision slack plus an
-explicit bound on the fixed-point kernel sums (the truncated nodes and
-Horner steps, each under one unit of 2^-F in either part relative to the
-largest node, and the quantised e^{i h ell}, whose error moves node k by
-k times as much).  The accounting is worst-case interval style, not
-rigorous ball arithmetic.
+rather than budgeted, from the operations the term pipeline (c) counts:
+per line, its weight sum times the node sum's bound (the truncated
+nodes and Horner steps, each under one unit of 2^-F in either part
+relative to the largest node; the error of e^{i h ell}, which moves
+node k by k times as much; and the nodes' own error at F bits), the
+weights' relative error times the line's absolute sum, and the line
+constant's relative error; then the roundings of I(sigma) and of
+Lambda(s) to the working precision.  It assumes only that each mpmath operation errs by
+at most 2 ulp of its result.  The accounting is worst-case interval
+style, not rigorous ball arithmetic.
 
 The kernel and its planning are built to be cheap:
 
-  (a) each node costs one complex loggamma, at z - m' for the largest
-      index m' with h_{m'} > 0; every other Gamma(z - nu) follows from it
-      by the rising factors (z - m')(z - m' + 1)...(z - nu - 1), and
-      log 2, log 2 pi are computed once per engine;
+  (a) each node costs one complex loggamma at F bits, at z - m' for the
+      largest index m' with h_{m'} > 0; every other Gamma(z - nu) follows
+      from it by the rising factors (z - m')(z - m' + 1)...(z - nu - 1),
+      and log 2, log 2 pi are computed once per engine;
   (b) each used line is built once, at its a-priori step, and a line no
       term uses is never built: the truncation point is planned from the
       Stirling mass bounds alone;
-  (c) the trapezoid sums Re(sum_k g_k e^{i k h ell}) run by Horner's rule
-      in Python integers with F = working bits + 16 fractional bits; the
-      nodes of each list are scaled by a power of two and converted once;
+  (c) the terms run in Python integers, with no mpmath number per term.
+      ln n comes from an additive sieve over the smallest prime factors
+      (one log per prime per engine, F + 32 fractional bits).  As
+      sigma + c_min is a multiple of 1/4, n^-(sigma + c_min) is
+      completely multiplicative: one exp per prime and one integer
+      multiply per n along the same sieve give it as a mantissa of F + 8
+      bits and a power of two, and a term on line i divides by the exact
+      integer n^off_i.  The angle h ell is exact (h has a 24-bit
+      mantissa), e^{i h ell} comes from mpf_cos_sin at F + 8 bits
+      truncated to F, and the trapezoid sums Re(sum_k g_k e^{i k h ell})
+      run by Horner's rule with F = working bits + 16 fractional bits, on
+      nodes scaled by a power of two and converted once per line.  The
+      node cutoff bisects integer suffix masses, and each line sums its
+      terms, their absolute values and the skipped mass exactly, at its
+      finest power of two; the line constant N^{c/2} (h/pi) N^{sigma/2}
+      multiplies the line's sum once, and the lines add exactly before
+      one rounding;
   (d) the truncation point n0 of each ladder line is planned in double
       precision, by bisecting the log of the divisor-tail majorant
       (numutil.log_divisor_tail); the mpmath majorant then confirms that
@@ -105,13 +123,17 @@ The kernel and its planning are built to be cheap:
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+import numpy as np
+from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_exp,
+                          mpf_log, to_fixed)
 
 from .errors import InputError, PoleError, InsufficientCoefficients, QuadratureError
-from .numutil import divisor_counts, divisor_tail, log_divisor_tail
+from .numutil import (divisor_counts, divisor_tail, log_divisor_tail,
+                      smallest_prime_factors)
 
 _LN2 = math.log(2)
 _LN2PI = math.log(2 * math.pi)
@@ -123,6 +145,13 @@ _GUARD_BITS = 32
 # Fractional bits F = working bits + this guard of the fixed-point kernel
 # sums; their rounding bound scales with 2^-F.
 _FIX_GUARD_BITS = 16
+
+# Fractional bits of the ln n table beyond F: an angle h ell errs by h
+# times the table's error, which these bits keep far below 2^-F.
+_LN_GUARD_BITS = 32
+
+# Mantissa bits of the weights n^-(sigma + c) beyond F.
+_WEIGHT_GUARD_BITS = 8
 
 # Ladder of kernel-line offsets above the minimal admissible Re(u).  Large
 # offsets only pay off for terms far out in the Dirichlet series; the
@@ -301,18 +330,21 @@ class _Rung:
     """One vertical quadrature line Re(u) = c with its trapezoid nodes.
 
     g[k] = L_inf(sigma + c + i k h) / (c + i k h); only t >= 0 is stored
-    since the integrand is conjugate-symmetric.  suffix[k] bounds
-    sum_{j >= k} |g_j|, the nodes beyond the last one included, so terms
-    can certify how much kernel mass a truncated node sum skips.
+    since the integrand is conjugate-symmetric.
 
     For the kernel sums the nodes are also held in fixed point: gre[k] and
     gim[k] are the real and imaginary parts of g_k * 2^(fix_shift),
     truncated to integers (g_0 halved, as the trapezoid rule weights it),
     with fix_shift chosen so the largest |g_k| sits just below 2^F.
-    fix_err bounds the rounding of one such sum (see _AfeEngine._node_sum).
+    suffix[k] is an integer at least 2^(fix_shift) sum_{j >= k} |g_j|, the
+    nodes beyond the last one included, so terms can certify how much
+    kernel mass a truncated node sum skips.  fix_err bounds the rounding
+    of one such sum (see _AfeEngine._node_sum), and node_err bounds
+    sum_k |g_k - g(k h)|, what the nodes themselves err by.
     """
 
-    __slots__ = ("c", "h", "g", "suffix", "gre", "gim", "fix_shift", "fix_err")
+    __slots__ = ("c", "h", "g", "suffix", "gre", "gim", "fix_shift", "fix_err",
+                 "node_err")
 
     def __init__(self, c, h):
         self.c = c
@@ -323,6 +355,7 @@ class _Rung:
         self.gim = None
         self.fix_shift = None
         self.fix_err = None
+        self.node_err = None
 
 
 def log_abs_gamma_bound(x, t):
@@ -335,6 +368,15 @@ def log_abs_gamma_bound(x, t):
     phase = t * math.atan2(t, x)
     return (power - phase - x + 0.5 * _LN2PI + 1 / (12 * x)
             + 1e-12 * (abs(power) + phase + x + 1))
+
+
+def _dyadic(x):
+    """(man, exp) with x = man * 2^exp exactly, for an int or an mpf (any
+    other number through mpf at the ambient precision)."""
+    if isinstance(x, int):
+        return x, 0
+    sign, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    return (-man if sign else man), exp
 
 
 def _softplus(r):
@@ -351,9 +393,12 @@ class _AfeEngine:
         self.bits = int(prec.mantissa_bits)
         self.workbits = self.bits + _GUARD_BITS
         self.fixbits = self.workbits + _FIX_GUARD_BITS
+        self.lnbits = self.fixbits + _LN_GUARD_BITS
+        self.weightbits = self.fixbits + _WEIGHT_GUARD_BITS
         self.target = mp.mpf(prec.target_abs_error)
         with mp.workprec(self.workbits):
             self.ln_sqrt_n = mp.log(data.conductor) / 2
+        with mp.workprec(self.fixbits):  # for the nodes
             self._ln2 = mp.log(2)
             self._ln2pi = mp.log(2 * mp.pi)
         # L_inf(z) = 2^H (2 pi)^{-(H z - S)} Gamma(z - top)^H
@@ -367,15 +412,84 @@ class _AfeEngine:
         self._h_moment = sum(nu * h for nu, h in enumerate(hodge))
         rising = ((j, sum(hodge[:j])) for j in range(1, self._top + 1))
         self._rising = [(j, e) for j, e in rising if e]
-        self._ln_cache = {1: mp.mpf(0)}
         self._sums = {}
+        # ln n (_ln_table) and ln sqrt(N) with lnbits fractional bits; a
+        # log at lnbits + 10 bits, truncated, errs by less than
+        # 1 + ln(x)/512 units of 2^-lnbits, and ell = ln sqrt(N) - ln n
+        # sums fewer than bitlen(X) of them: _ell_err bounds its error in
+        # those units
+        self._ln = [0, 0]
+        self._spf = [0, 0]
+        self._ln_sqrt_fix = to_fixed(
+            mpf_log(from_int(data.conductor), self.lnbits + 10), self.lnbits - 1)
+        big = max(data.coeff_limit, data.conductor)
+        self._ell_err = data.coeff_limit.bit_length() * (1 + math.log(big) / 512)
 
-    def _ln(self, n):
-        v = self._ln_cache.get(n)
-        if v is None:
-            v = mp.log(n)
-            self._ln_cache[n] = v
-        return v
+    # -- fixed-point tables (Python integers) ----------------------------------
+
+    def _ln_table(self, n0):
+        """ln n for n <= n0, with lnbits fractional bits, by an additive
+        sieve over the smallest prime factors: one log per prime, then
+        ln n = ln p + ln(n/p).  Grown on demand and shared by every sigma."""
+        ln = self._ln
+        if len(ln) <= n0:
+            spf = smallest_prime_factors(n0).tolist()
+            prec = self.lnbits
+            for n in range(len(ln), n0 + 1):
+                p = spf[n]
+                if p == n:
+                    ln.append(to_fixed(mpf_log(from_int(n), prec + 10), prec))
+                else:
+                    ln.append(ln[p] + ln[n // p])
+            self._spf = spf
+        return ln
+
+    def _weights(self, a4, n0):
+        """n^(-a4/4) ~ man[n] 2^exp[n] for n <= n0, with weightbits-bit
+        mantissas, and a bound on the relative error of every weight a term
+        takes from them.
+
+        a4/4 = sigma + c_min makes n^(-a4/4) completely multiplicative: one
+        exp per prime, from the ln table, then one integer multiply per
+        composite n along the sieve.  Each prime's weight errs by less than
+        2^(1-B) (truncation to B bits) + 2^-(B+6) (the exp at B + 8 bits)
+        + (a4/4) (1 + ln X/512) 2^-lnbits (the ln table), each product by
+        less than 2^(1-B), and a term on line i divides by n^off_i with one
+        more truncation; n has fewer than bitlen(n0) prime factors."""
+        ln = self._ln_table(n0)
+        spf = self._spf
+        bits = self.weightbits
+        lnbits = self.lnbits
+        man = [0, 1 << (bits - 1)]
+        exp = [0, 1 - bits]
+        for n in range(2, n0 + 1):
+            p = spf[n]
+            if p == n:
+                _, m, e, _ = mpf_exp(from_man_exp(-a4 * ln[n], -lnbits - 2),
+                                     bits + 8)
+            else:
+                q = n // p
+                m = man[p] * man[q]
+                e = exp[p] + exp[q]
+            r = m.bit_length() - bits
+            man.append(m >> r if r >= 0 else m << -r)
+            exp.append(e + r)
+        delta = n0.bit_length() * (mp.ldexp(1, 2 - bits) + a4 * mp.ldexp(1, -lnbits))
+        return man, exp, delta
+
+    def _select_lines(self, ladder, log_mass, n0):
+        """Ladder index for each n = 1..n0: the argmin of the kernel-mass
+        bound times (sqrt(N)/n)^c, log_mass[i] + ladder[i] (ln sqrt(N) -
+        ln n), in doubles, first index on ties."""
+        x = float(self.ln_sqrt_n) - np.array([math.log(n) for n in range(1, n0 + 1)])
+        best = log_mass[0] + ladder[0] * x
+        idx = np.zeros(n0, dtype=np.int64)
+        for i in range(1, len(ladder)):
+            key = log_mass[i] + ladder[i] * x
+            better = key < best
+            best[better] = key[better]
+            idx[better] = i
+        return idx.tolist()
 
     # -- a-priori bounds on the kernel (double precision) ---------------------
 
@@ -439,6 +553,26 @@ class _AfeEngine:
             g *= (z - j) ** e
         return g / mp.mpc(c, t)
 
+    def _g_rel_err(self, sigma, c, t):
+        """Relative error bound of _g_value(sigma, c, t) at F bits, the
+        precision the nodes are built at.
+
+        Every mpmath operation is taken to err by at most 2 ulp of its
+        result; the exponent H (log 2 + loggamma(w)) - log(2 pi) (H z - S),
+        w = z - top, then errs by at most 2^(4 - F) times the sum of
+        the magnitudes it adds, which moves g by that much relatively, and
+        the rising factors and the division add a few ulp.  |loggamma(w)|
+        is at most |w - 1/2| |log w| + |w| + 2 for Re w >= 1.75 (Stirling
+        with Binet's remainder)."""
+        x = sigma + c - self._top
+        w = math.hypot(x, t)
+        log_w = math.hypot(math.log(w), math.atan2(t, x))
+        big_h = self._h_total
+        mag = (big_h * (math.hypot(x - 0.5, t) * log_w + w + 3)
+               + 2 * (big_h * math.hypot(sigma + c, t) + self._h_moment)
+               + sum(e for _, e in self._rising) + 2)
+        return mp.ldexp(mp.mpf(mag), 4 - self.fixbits)
+
     def _build_nodes(self, sigma, rung, log_thresh):
         """Nodes g_0..g_{K-1} at the rung's step, K the first count whose
         dropped nodes weigh at most e^log_thresh.  |g| decreases on
@@ -450,9 +584,10 @@ class _AfeEngine:
         mags = []
         k = 0
         while True:
-            gk = self._g_value(sigma, rung.c, k * h)
+            with mp.workprec(self.fixbits):
+                gk = self._g_value(sigma, rung.c, k * h)
+                mags.append(abs(gk))
             g.append(gk)
-            mags.append(abs(gk))
             if k:
                 log_s, decay = self._g_bound(sigma, rung.c, k * hf)
                 log_beyond = log_s - math.log(hf * decay)
@@ -465,49 +600,73 @@ class _AfeEngine:
                     % (_MAX_NODES, mp.nstr(rung.c, 6))
                 )
         rung.g = g
-        suffix = [mp.mpf(0)] * (len(g) + 1)
-        suffix[len(g)] = mp.exp(log_beyond)
-        for i in range(len(g) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + mags[i]
-        rung.suffix = suffix
-        self._fix_nodes(rung, mags)
+        rung.node_err = mp.fsum(self._g_rel_err(sigma, rung.c, k * hf) * mk
+                                for k, mk in enumerate(mags))
+        self._fix_nodes(rung, mags, mp.exp(log_beyond))
 
-    def _fix_nodes(self, rung, mags):
-        """Fixed-point copy of the rung's nodes and its rounding bound."""
+    def _fix_nodes(self, rung, mags, beyond):
+        """Fixed-point copy of the rung's nodes, their integer suffix
+        masses (beyond: the mass past the last node) and the rounding
+        bound of one node sum."""
         fix = self.fixbits
         _, _, exp, bc = max(mags)._mpf_
         mag_exp = exp + bc  # every |g_k| < 2^mag_exp
         shift = fix - mag_exp
         parts = [gk._mpc_ for gk in rung.g]
-        rung.gre = [to_fixed(re, shift) for re, _ in parts]
-        rung.gim = [to_fixed(im, shift) for _, im in parts]
+        gre = [to_fixed(re, shift) for re, _ in parts]
+        gim = [to_fixed(im, shift) for _, im in parts]
+        # g_k 2^shift lies in [gre, gre + 1) x [gim, gim + 1), so its
+        # modulus is at most isqrt(a^2 + b^2) + 1, a and b the larger of
+        # |x| and |x + 1| in each part
+        acc = to_fixed(beyond._mpf_, shift) + 1
+        suffix = [acc]
+        for x, y in zip(reversed(gre), reversed(gim)):
+            a = x + 1 if x >= 0 else -x
+            b = y + 1 if y >= 0 else -y
+            acc += math.isqrt(a * a + b * b) + 1
+            suffix.append(acc)
+        rung.suffix = suffix[::-1]
         # the trapezoid rule weights g_0 by 1/2
-        rung.gre[0] = to_fixed(parts[0][0], shift - 1)
-        rung.gim[0] = to_fixed(parts[0][1], shift - 1)
+        gre[0] = to_fixed(parts[0][0], shift - 1)
+        gim[0] = to_fixed(parts[0][1], shift - 1)
+        rung.gre, rung.gim = gre, gim
         rung.fix_shift = shift
         # Each truncation (g_k, every Horner step) is below sqrt(2) units
-        # of 2^-shift; |z - zhat| < 1.5 * 2^-fix moves node k by k times
-        # that.  (1 + 2^(1-fix))^k < 1.01 for k <= _MAX_NODES.
+        # of 2^-shift; |z - zhat| < _z_units(h) units of 2^-fix moves node
+        # k by k times that.  (1 + 2^(1-fix))^k < 1.01 for k <= _MAX_NODES.
         moment = mp.fsum(k * mk for k, mk in enumerate(mags))
-        rung.fix_err = (3 * len(mags) * mp.mpf(2) ** mag_exp + 2 * moment) \
+        rung.fix_err = (3 * len(mags) * mp.mpf(2) ** mag_exp
+                        + mp.mpf(1.01 * self._z_units(rung.h)) * moment) \
             * mp.mpf(2) ** (-fix)
 
-    def _node_sum(self, rung, ell, count):
-        """Re(g_0/2 + sum_{0<k<count} g_k e^{i k h ell}), the trapezoid
-        kernel sum, by Horner's rule in fixed-point integers.  Its error
-        is at most rung.fix_err before the result is rounded to the
-        ambient precision."""
+    def _z_units(self, h):
+        """Bound, in units of 2^-F, on |e^{i h ell} - z| for the z that
+        _unit returns: cos and sin each within 2^-(F+8) at F + 8 bits and
+        then truncated to F bits, plus h times the error of the ell held
+        in the ln table."""
+        return 1.4198 + float(h) * self._ell_err * 2.0 ** -_LN_GUARD_BITS
+
+    def _unit(self, h, ell):
+        """z = e^{i h ell} as fixed-point integers (re, im) with F
+        fractional bits, for ell with lnbits fractional bits.  h has a
+        24-bit mantissa, so the angle h ell is exact."""
         fix = self.fixbits
-        with mp.workprec(fix + 8):
-            z_re, z_im = mp.expj(rung.h * ell)._mpc_
-        zr = to_fixed(z_re, fix)
-        zi = to_fixed(z_im, fix)
+        _, hm, he, _ = h._mpf_
+        c, s = mpf_cos_sin(from_man_exp(hm * ell, he - self.lnbits), fix + 8)
+        return to_fixed(c, fix), to_fixed(s, fix)
+
+    def _node_sum(self, rung, zr, zi, count):
+        """Re(g_0/2 + sum_{0<k<count} g_k z^k) times 2^(fix_shift), the
+        trapezoid kernel sum at z = e^{i h ell} given by _unit, by Horner's
+        rule in fixed-point integers.  The sum it stands for errs by at
+        most rung.fix_err."""
+        fix = self.fixbits
         gre, gim = rung.gre, rung.gim
         ar, ai = gre[count - 1], gim[count - 1]
         for k in range(count - 2, -1, -1):
             ar, ai = (((ar * zr - ai * zi) >> fix) + gre[k],
                       ((ar * zi + ai * zr) >> fix) + gim[k])
-        return mp.mpf((ar, -rung.fix_shift))
+        return ar
 
     # -- truncation planning ------------------------------------------------
 
@@ -592,37 +751,62 @@ class _AfeEngine:
         n0, tail_c, tail_lm = best
         tail = self._tail_bound(sigma, tail_c, mp.exp(tail_lm), n0)
 
-        # per-term line selection (float argmin of the kernel-mass bound
-        # times (sqrt(N)/n)^c over the ladder)
+        # per-term line selection and weights: |lambda(n)| n^-(sigma + c)
+        # ~ |wm| 2^e, summed exactly per line in integers at the line's
+        # finest exponent
+        ln = self._ln_table(n0)
+        a4 = int(4 * (sigma + cmin))  # sigma + c_min is a multiple of 1/4
+        man, exp, delta_w = self._weights(a4, n0)
+        line_of = self._select_lines(ladder, log_mass, n0)
         terms = []
-        lines = {}  # idx -> [weight sum, largest weight, first n, last n]
-        for n in range(1, n0 + 1):
-            lam = data.coefficients[n - 1]
+        lines = {}  # idx -> [exponent, weight sum, largest weight, first n, last n]
+        for n, lam in zip(range(1, n0 + 1), data.coefficients):
             if not lam:
                 continue
-            lnn_f = math.log(n)
-            idx = min(range(len(ladder)),
-                      key=lambda i: log_mass[i] + ladder[i] * (lnsq_f - lnn_f))
-            lam = mp.mpf(lam)
-            lnn = self._ln(n)
-            ell = self.ln_sqrt_n - lnn
-            weight = mp.exp(-sig * lnn + ladder[idx] * ell)
-            w_abs = abs(lam) * weight
-            terms.append((idx, lam, ell, weight, w_abs))
-            line = lines.setdefault(idx, [0, 0, n, n])
-            line[0] += w_abs
-            line[1] = max(line[1], w_abs)
-            line[3] = n
+            lm, e = _dyadic(lam)
+            idx = line_of[n - 1]
+            m = man[n]
+            e += exp[n]
+            off = _OFFSETS[idx]
+            if off:
+                q = n ** off
+                k = q.bit_length()
+                m = (m << k) // q
+                e -= k
+            wm = lm * m
+            terms.append((idx, n, wm, e))
+            a = abs(wm)
+            line = lines.get(idx)
+            if line is None:
+                lines[idx] = [e, a, a, n, n]
+                continue
+            if e < line[0]:
+                line[1] <<= line[0] - e
+                line[2] <<= line[0] - e
+                line[0] = e
+            a <<= e - line[0]
+            line[1] += a
+            line[2] = max(line[2], a)
+            line[4] = n
 
-        # each used line: step from the strip bound, nodes built once
-        pref = mp.power(data.conductor, sig / 2)
-        skip_share = skip_budget / max(1, len(terms))
-        quad_share = quad_budget / max(1, len(lines))
+        # each used line: step from the strip bound, nodes built once, and
+        # its constant N^(c/2) (h/pi) N^(sigma/2) at F bits, within
+        # delta_c of the true one (six operations of at most 2 ulp)
+        skip_share = skip_budget / len(terms)
+        quad_share = quad_budget / len(lines)
+        slack_w = 1 + 2 * delta_w  # true weight <= computed one * slack_w
+        delta_c = mp.ldexp(1, 4 - self.fixbits)
+        with mp.workprec(self.fixbits):
+            pref = mp.power(data.conductor, sig / 2)
         rungs = {}
-        h_pi = {}
+        const = {}
         quad_err = mp.mpf(0)
         for idx in sorted(lines):
-            w_sum, w_max, n_first, n_last = lines[idx]
+            unit, w_sum, w_max, n_first, n_last = lines[idx]
+            with mp.workprec(self.fixbits):
+                n_c = mp.power(data.conductor, mp.mpf(ladder[idx]) / 2)
+            w_sum = n_c * mp.mpf((w_sum, unit)) * slack_w
+            w_max = n_c * mp.mpf((w_max, unit))
             log_scale = float(mp.log(pref * w_sum / quad_share))
             h, a, log_e = self._pick_step(sigma, ladder[idx],
                                           lnsq_f - math.log(n_last),
@@ -630,44 +814,69 @@ class _AfeEngine:
             # 24 bits of h, rounded down: k h is exact at every node
             m, e = math.frexp(h)
             r = _Rung(ladder[idx], mp.ldexp(math.floor(m * 2 ** 24), e - 24))
-            h_pi[idx] = r.h / mp.pi
+            h_pi = r.h / mp.pi
             quad_err += (pref * w_sum * 2 * mp.exp(log_e)
                          / mp.expm1(2 * mp.pi * a / r.h))
-            log_thresh = mp.log(skip_share / (pref * h_pi[idx] * w_max))
+            log_thresh = mp.log(skip_share / (pref * h_pi * w_max))
             self._build_nodes(sigma, r, float(log_thresh))
             rungs[idx] = r
+            with mp.workprec(self.fixbits):
+                const[idx] = n_c * r.h / mp.pi * pref
 
-        # accumulation (ascending n: deterministic summation order)
-        total = mp.mpf(0)
-        abs_total = mp.mpf(0)
+        # accumulation (ascending n: deterministic summation order), in
+        # integers: per line the value, its absolute sum and the skipped
+        # mass, exactly, at exponent (line exponent - fix_shift)
+        lnsq = self._ln_sqrt_fix
+        unit_z, node_sum = self._unit, self._node_sum
+        sums = {}
+        per_line = {}
+        for idx, r in rungs.items():
+            # node cutoff: the first k whose suffix mass times the term's
+            # weight and line constant is at most skip_share
+            t_man, t_exp = _dyadic(skip_share / const[idx])
+            neg_suffix = [-x for x in r.suffix[1:len(r.g)]]
+            sums[idx] = [0, 0, 0]
+            per_line[idx] = (r, r.h, r.suffix, lines[idx][0],
+                             t_exp + r.fix_shift, t_man, neg_suffix, sums[idx])
+        for idx, n, wm, e in terms:
+            r, h, suffix, unit, t_shift, t_man, neg_suffix, acc = per_line[idx]
+            a = abs(wm)
+            k = t_shift - e
+            limit = (t_man << k if k >= 0 else t_man >> -k) // a
+            kc = 1 + bisect_left(neg_suffix, -limit)
+            zr, zi = unit_z(h, lnsq - ln[n])
+            v = wm * node_sum(r, zr, zi, kc) << (e - unit)
+            acc[0] += v
+            acc[1] += abs(v)
+            acc[2] += a * suffix[kc] << (e - unit)
+
+        # Lambda's one-sided sum: sum over lines of const * value, exact in
+        # integers, then rounded once.  The rounding part bounds, per line,
+        # the node sums' error (fix_err + node_err per unit weight; node_err
+        # also covers the skipped nodes' own error), the weights' (delta_w
+        # times the absolute sum) and the constant's (delta_c), and the
+        # final rounding; bound_slack covers the few roundings of the
+        # bound's own arithmetic.
+        pieces = []
+        rounding = mp.mpf(0)
         skip_err = mp.mpf(0)
-        for idx, lam, ell, weight, w_abs in terms:
-            r = rungs[idx]
-            wt_pref = w_abs * h_pi[idx] * pref
-            # node cutoff: drop trailing nodes whose total mass should not
-            # move this term by more than its skip share; skip_err below
-            # certifies what is actually dropped
-            limit = skip_share / wt_pref
-            lo, hi = 1, len(r.g)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if r.suffix[mid] <= limit:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            kc = lo
-            skip_err += wt_pref * r.suffix[kc]
-            term = lam * weight * h_pi[idx] * self._node_sum(r, ell, kc)
-            total += term
-            abs_total += abs(term)
-
-        value = pref * total
-        # working-precision slack, plus the fixed-point kernel sums' bound
-        rounding = (pref * abs_total + abs(value)) * mp.mpf(2) ** (-(self.workbits - 16))
-        rounding += pref * mp.fsum(
-            h_pi[idx] * rungs[idx].fix_err * lines[idx][0] for idx in rungs
-        )
-        err = tail + quad_err + skip_err + rounding
+        for idx, r in rungs.items():
+            value, abs_sum, skipped = sums[idx]
+            unit = lines[idx][0]
+            x = unit - r.fix_shift
+            cm, ce = _dyadic(const[idx])
+            pieces.append((cm * value, ce + x))
+            c = const[idx] * (1 + 2 * delta_c)
+            rounding += c * slack_w * (mp.mpf((lines[idx][1], unit))
+                                       * (r.fix_err + r.node_err)
+                                       + delta_w * mp.mpf((abs_sum, x)))
+            rounding += 2 * delta_c * const[idx] * mp.mpf((abs(value), x))
+            skip_err += c * slack_w * mp.mpf((skipped, x))
+        low = min(x for _, x in pieces)
+        value = mp.mpf((sum(m << (x - low) for m, x in pieces), low))
+        bound_slack = 1 + mp.ldexp(1, 6 - self.workbits)
+        rounding = (rounding + abs(value) * mp.ldexp(1, -self.workbits)) * bound_slack
+        err = tail + quad_err + skip_err * bound_slack + rounding
         return +value, +err
 
 
@@ -682,11 +891,13 @@ def special_values(data, prec=Precision()):
     w = data.weight
     out = {}
     with mp.workprec(engine.workbits):
+        ulp = mp.ldexp(1, -engine.workbits)
         for s in range(1, w + 1):
             a, ea = engine.one_sided(s)
             b, eb = engine.one_sided(w + 1 - s)
             val = a + data.root_number * b
-            out[s] = (+val, +(ea + eb))
+            # the sum's own rounding, and the bound's, rounded up
+            out[s] = (val, (ea + eb + abs(val) * ulp) * (1 + 4 * ulp))
     return SpecialValues(
         weight=w,
         values=out,

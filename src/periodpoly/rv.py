@@ -106,6 +106,8 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
     The values and errors of U become integers over one denominator and
     the transform runs on them exactly: exact holds Z as Fractions, and
     coeffs rounds it once at bits + 16 (values to nearest, errors up).
+    The error of Z_q is sum_j err_j |Z_q(e_j)|, the exact bound of the
+    linear map, over the unit vectors e_j with err_j != 0.
     """
     if isinstance(poly_or_coeffs, RealPolynomial):
         vals = poly_or_coeffs.values()
@@ -132,26 +134,25 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
     # H(l) for l = 0..e, then its forward differences at l = 0
     cur = [sum(a[j] * comb(e + l - j, e) for j in range(e + 1))
            for l in range(e + 1)]
-    cure = [sum(b[j] * comb(e + l - j, e) for j in range(e + 1))
-            for l in range(e + 1)]
     diffs = [cur[0]]
-    diffe = [cure[0]]
     for _ in range(e):
         cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-        cure = [cure[i + 1] + cure[i] for i in range(len(cure) - 1)]
         diffs.append(cur[0])
-        diffe.append(cure[0])
     # e! Z(s) = sum_k (e!/k!) Delta^k H(0) sum_q s(k, q) (-s)^q, and
     # (-1)^q s(k, q) = (-1)^k |s(k, q)|
     rows = _stirling_rows(e)
     zq = [0] * (e + 1)
-    ze = [0] * (e + 1)
     for k in range(e + 1):
         w = factorial(e) // factorial(k)
         for q in range(k + 1):
-            s = abs(rows[k][q]) * w
-            zq[q] += (-1) ** k * diffs[k] * s
-            ze[q] += diffe[k] * s
+            zq[q] += (-1) ** k * diffs[k] * abs(rows[k][q]) * w
+    # the errors: Z is linear in U, so e! |dZ_q| <= sum_j b_j |e! Z_q(e_j)|,
+    # exactly, over the transforms of the unit vectors e_j with b_j != 0
+    ze = [0] * (e + 1)
+    for j, bj in enumerate(b):
+        if bj:
+            for q, c in enumerate(_unit_transform(e, j)):
+                ze[q] += bj * abs(c)
     if eps is None:
         # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
         eps = (-1) ** e * _palindrome_sign(a, b)
@@ -167,6 +168,15 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
         eps=eps,
         exact=tuple(Fraction(z, scale) for z in zq),
     )
+
+
+def _unit_transform(e, j):
+    """Coefficients of e! Z(s) for U = z^j: H(l) = C(e + l - j, e), so
+    e! Z(s) = prod_{i=1}^{e} (i - j - s).  Exact integers."""
+    out = [1]
+    for i in range(1, e + 1):
+        out = [(i - j) * c - d for c, d in zip(out + [0], [0] + out)]
+    return out
 
 
 def _palindrome_sign(a, b):

@@ -1,16 +1,19 @@
+import collections
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from periodpoly import (InputError, LFunctionData, PoleError, Precision,
                         SpecialValues, dirichlet_l, gamma_completed,
                         special_values, verify_hypothesis, zeta_ratio_bound)
 from periodpoly.lfunc import (_OFFSETS, _AfeEngine, _Rung, _min_offset,
                               log_abs_gamma_bound)
-from periodpoly.numutil import divisor_count_at
+from periodpoly.numutil import divisor_count_at, primes_upto
 
 
 def toy_data(**kw):
@@ -163,6 +166,16 @@ def kernel_rung(engine, sigma, h, c=None, log_thresh=None):
     return rung
 
 
+def node_sum(engine, rung, ell, count=None):
+    """The rung's trapezoid kernel sum Re(g_0/2 + sum_k g_k e^{i k h ell})
+    over its first count nodes (all by default), as an mpf, with ell
+    truncated to the ln table's fixed point as every term's ell is."""
+    ell = to_fixed(mp.mpf(ell)._mpf_, engine.lnbits)
+    zr, zi = engine._unit(rung.h, ell)
+    total = engine._node_sum(rung, zr, zi, count or len(rung.g))
+    return mp.mpf((total, -rung.fix_shift))
+
+
 def kernel_integral(data, sigma, c, ell, bits):
     """(1/2 pi) int g(t) e^{i t ell} dt by mp.quad, for reference."""
     with mp.workprec(bits):
@@ -243,10 +256,8 @@ class TestAfeKernel:
                     ref = kernel_rung(fine, sigma, h / 4, c,
                                       thresh - 25 * math.log(10))
                     with mp.workprec(bits + 64):
-                        got = rung.h / mp.pi * engine._node_sum(
-                            rung, mp.mpf(ell), len(rung.g))
-                        want = ref.h / mp.pi * fine._node_sum(
-                            ref, mp.mpf(ell), len(ref.g))
+                        got = rung.h / mp.pi * node_sum(engine, rung, ell)
+                        want = ref.h / mp.pi * node_sum(fine, ref, ell)
                         assert abs(got - want) <= alias
                         worst = max(worst, abs(got - want) / alias)
         print("worst true error / alias bound %.3g" % worst)
@@ -261,7 +272,7 @@ class TestAfeKernel:
         c = _min_offset(sigma, data.m) + 2
         rung = kernel_rung(fine, sigma, 0.1, c)
         with mp.workprec(128):
-            got = rung.h / mp.pi * fine._node_sum(rung, mp.mpf(ell), len(rung.g))
+            got = rung.h / mp.pi * node_sum(fine, rung, ell)
             want = kernel_integral(data, sigma, c, ell, 128)
             assert abs(got - want) <= abs(want) * mp.mpf("1e-25")
 
@@ -304,7 +315,7 @@ class TestAfeKernel:
             for count in (len(rung.g), len(rung.g) // 3):
                 # enough bits that the integer result converts exactly
                 with mp.workprec(engine.fixbits + 96):
-                    got = engine._node_sum(rung, mp.mpf(ell), count)
+                    got = node_sum(engine, rung, ell, count)
                     z = mp.expj(rung.h * mp.mpf(ell))
                     acc = rung.g[count - 1]
                     for k in range(count - 2, 0, -1):
@@ -314,6 +325,122 @@ class TestAfeKernel:
                     smallest = min(smallest, abs(ref))
         # the sums include one that cancels to far below the node mass
         assert smallest < mass * mp.mpf("1e-12")
+
+
+class TestFixedPointTerms:
+    @pytest.mark.parametrize("bits,target", [(64, 1e-3), (192, 1e-25)])
+    def test_tables_within_bounds(self, sym3_data, bits, target):
+        # every ln n, weight n^-(sigma + c_min) and e^{i h ell} the terms
+        # use, against mpmath at F + 128 bits
+        engine = _AfeEngine(sym3_data, Precision(bits, target))
+        weights, units = [], []
+        build_weights, unit = engine._weights, engine._unit
+
+        def recorded_weights(a4, n0):
+            out = build_weights(a4, n0)
+            weights.append((a4, n0, out))
+            return out
+
+        def recorded_unit(h, ell):
+            out = unit(h, ell)
+            units.append((h, ell, out))
+            return out
+
+        engine._weights, engine._unit = recorded_weights, recorded_unit
+        for sigma in (1, 2, 3):
+            engine.one_sided(sigma)
+        n0 = max(n for _, n, _ in weights)
+        fix, lnbits = engine.fixbits, engine.lnbits
+        with mp.workprec(fix + 128):
+            ell_err = engine._ell_err * mp.ldexp(1, -lnbits)
+            ln_sqrt = mp.log(sym3_data.conductor) / 2
+            ell_of = {}
+            for n in range(1, n0 + 1):
+                ln_n = mp.log(n)
+                assert abs(mp.ldexp(engine._ln[n], -lnbits) - ln_n) <= ell_err
+                ell = engine._ln_sqrt_fix - engine._ln[n]
+                assert abs(mp.ldexp(ell, -lnbits) - (ln_sqrt - ln_n)) <= ell_err
+                ell_of[ell] = ln_sqrt - ln_n
+            for a4, n0, (man, exp, delta) in weights:
+                assert delta < mp.ldexp(1, -(bits + 48))
+                for n in range(1, n0 + 1):
+                    want = mp.power(n, -mp.mpf(a4) / 4)
+                    assert abs(mp.ldexp(man[n], exp[n]) - want) <= delta * want
+            assert len(units) > n0
+            for h, ell, (zr, zi) in units:
+                want = mp.expj(h * ell_of[ell])
+                got = mp.mpc(mp.ldexp(zr, -fix), mp.ldexp(zi, -fix))
+                assert abs(got - want) <= engine._z_units(h) * mp.ldexp(1, -fix)
+
+    @pytest.mark.parametrize("hodge,conductor", [((1, 1), 11 ** 3),
+                                                 ((1, 1, 1, 1), 11 ** 7)])
+    def test_line_selection_is_the_float_argmin(self, hodge, conductor):
+        # the vectorised selection against the per-n argmin over the ladder
+        data = kernel_data(hodge, conductor)
+        engine = _AfeEngine(data, Precision(64, 1e-3))
+        lnsq = float(engine.ln_sqrt_n)
+        for sigma in (1, data.m + 1, data.weight):
+            cmin = _min_offset(sigma, data.m)
+            ladder = [cmin + off for off in _OFFSETS]
+            log_mass = [engine._log_mass(sigma, c) for c in ladder]
+            got = engine._select_lines(ladder, log_mass, 20000)
+            for n in range(1, 20001):
+                x = lnsq - math.log(n)
+                assert got[n - 1] == min(range(len(ladder)),
+                                         key=lambda i: log_mass[i] + ladder[i] * x)
+            assert len(set(got)) >= 3
+
+    def test_no_mpmath_call_per_term(self, sym3_data, monkeypatch):
+        now = [None]
+        calls = collections.Counter()
+        for name in ("exp", "expj", "log", "power"):
+            def counted(*args, _f=getattr(mpmath, name), **kw):
+                calls[now[0]] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(mpmath, name, counted)
+        n0s = {}
+        lines = collections.Counter()
+        nodes = collections.Counter()
+        one_sided = _AfeEngine.one_sided
+        weights = _AfeEngine._weights
+        build = _AfeEngine._build_nodes
+
+        def spy_one_sided(self, sigma):
+            now[0] = sigma
+            return one_sided(self, sigma)
+
+        def spy_weights(self, a4, n0):
+            n0s[now[0]] = n0
+            return weights(self, a4, n0)
+
+        def spy_build(self, sigma, rung, log_thresh):
+            build(self, sigma, rung, log_thresh)
+            lines[sigma] += 1
+            nodes[sigma] += len(rung.g)
+
+        monkeypatch.setattr(_AfeEngine, "one_sided", spy_one_sided)
+        monkeypatch.setattr(_AfeEngine, "_weights", spy_weights)
+        monkeypatch.setattr(_AfeEngine, "_build_nodes", spy_build)
+        special_values(sym3_data, Precision(64, 1e-3))
+        for sigma in (1, 2, 3):
+            # the planning of every ladder line, one exp per node, a fixed
+            # number per used line and at most one per prime for the tables
+            allowed = (len(primes_upto(n0s[sigma])) + 6 * len(_OFFSETS)
+                       + nodes[sigma] + 6 * lines[sigma])
+            assert calls[sigma] <= allowed
+
+    def test_rounding_dominated_coverage(self, sym3_data, sym3_vals):
+        # a target so far below 2^-64 |Lambda| that the computed rounding
+        # part, not the budgeted 7/8 of target/32, makes most of each bound
+        with mp.workprec(256):
+            target = float(abs(sym3_vals.value(3)) * mp.ldexp(1, -96))
+        low = special_values(sym3_data, Precision(64, target))
+        with mp.workprec(256):
+            for s in (1, 2, 3):
+                v, e = low.values[s]
+                assert e > 2 * target * 7 / 8 / 32
+                v_ref, e_ref = sym3_vals.values[s]
+                assert abs(mp.mpf(v) - v_ref) <= e + e_ref
 
 
 def bisected_n0(engine, sigma, c, log_bound, budget, cap):

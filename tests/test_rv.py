@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from periodpoly import (
     ConventionError,
@@ -135,6 +136,28 @@ class TestTransformAnchors:
     def test_rejects_small_e(self):
         with pytest.raises(InputError):
             rv_transform([1, 2, 3], e=1)
+
+    @pytest.mark.parametrize("e", [2, 4, 6, 20])
+    def test_errors_are_the_exact_linear_bound(self, e):
+        # Z is linear in U, so its error is sum_j err_j |Z_q(e_j)| over the
+        # transforms of the unit vectors; the stated error is that sum,
+        # rounded up once at bits + 16
+        bits = 192
+        err = Fraction(1, 2 ** 100)
+        with mp.workprec(bits):
+            u = RealPolynomial(tuple((1 + j % 3, mp.ldexp(1, -100)) for j in range(e + 1)),
+                               bits=bits)
+        z = rv_transform(u)
+        units = [rv_transform([int(i == j) for i in range(e + 1)], e=e).exact
+                 for j in range(e + 1)]
+        for q in range(e + 1):
+            want = sum(err * abs(col[q]) for col in units)
+            got = Fraction(*to_rational(z.errors()[q]._mpf_))
+            assert want <= got <= want * (1 + Fraction(1, 2 ** (bits + 15)))
+
+    def test_zero_errors_stay_zero(self):
+        z = rv_transform(rp(1, 2, 3, 1, 2))
+        assert all(err == 0 for err in z.errors())
 
 
 class TestDeflateAtOne:
