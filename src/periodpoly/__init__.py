@@ -19,7 +19,6 @@ from .errors import (
     QuadratureError,
     CertificationError,
     VerificationError,
-    ConventionError,
 )
 from .lfunc import (
     LFunctionData,
@@ -28,7 +27,6 @@ from .lfunc import (
     gamma_completed,
     dirichlet_l,
     special_values,
-    zeta_ratio_bound,
     verify_hypothesis,
 )
 from .sympow import (
@@ -82,6 +80,7 @@ from .rv import (
     maclaurin_coefficients,
     zeta_polynomial,
     zeta_poly_closed_form,
+    closed_form_ok,
     check_zeta_properties,
     deflate_at_one,
 )
@@ -107,10 +106,10 @@ from .files import (
 __all__ = [
     "__version__",
     "InputError", "PoleError", "InsufficientCoefficients", "QuadratureError",
-    "CertificationError", "VerificationError", "ConventionError",
+    "CertificationError", "VerificationError",
     "LFunctionData", "SpecialValues", "Precision",
     "gamma_completed", "dirichlet_l", "special_values",
-    "zeta_ratio_bound", "verify_hypothesis",
+    "verify_hypothesis",
     "CurveSpec", "ap_count", "sym_local_factor",
     "sym_dirichlet_coeffs", "sym_hodge", "sym_lfunction_data",
     "RealPolynomial", "LValueRatios", "SBoundParts",
@@ -125,7 +124,7 @@ __all__ = [
     "coefficient_inequalities", "theorem_gate", "rouche_transfer",
     "ZetaPolynomial", "ZetaCheck", "stirling_first", "rv_transform",
     "maclaurin_coefficients", "zeta_polynomial", "zeta_poly_closed_form",
-    "check_zeta_properties", "deflate_at_one",
+    "closed_form_ok", "check_zeta_properties", "deflate_at_one",
     "Analysis", "analyze", "scale_estimate",
     "SpecialValuesCache", "data_digest", "parse_coefficient_file",
     "parse_coefficient_text", "coefficient_file_text",

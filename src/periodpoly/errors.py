@@ -42,7 +42,3 @@ class CertificationError(RuntimeError):
     small after all radius retries, or the phase residual stayed away
     from a multiple of 2*pi)."""
 
-
-class ConventionError(RuntimeError):
-    """The closed-form zeta-polynomial disagreed with the transform under
-    every supported Stirling-number convention."""

@@ -165,7 +165,6 @@ _STRIP_FRACTIONS = (0.25, 0.5, 0.75, 0.875, 0.9375, 0.96875)
 _TARGET_MARGIN = 32
 
 _MAX_NODES = 25000
-_ZETA_RATIO_BITS = 128  # working precision of zeta_ratio_bound
 
 
 @dataclass(frozen=True)
@@ -905,17 +904,6 @@ def special_values(data, prec=Precision()):
         target=prec.target_abs_error,
         label=data.label,
     )
-
-
-def zeta_ratio_bound(a, b, d):
-    """(zeta(1+a)/zeta(1+b))^d, the coefficient-sum bound for ratios of
-    L-values L(m+3/2+a)/L(m+3/2+b); requires 0 < a < b."""
-    with mp.workprec(_ZETA_RATIO_BITS):
-        a = mp.mpf(a)
-        b = mp.mpf(b)
-        if not (0 < a < b):
-            raise InputError("zeta_ratio_bound requires 0 < a < b")
-        return +((mp.zeta(1 + a) / mp.zeta(1 + b)) ** d)
 
 
 def verify_hypothesis(data, vals):

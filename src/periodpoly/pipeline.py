@@ -4,7 +4,7 @@ analyze() calls each step of the analysis once and keeps what it returns.
 p, its deflation p_hat, the L-value ratios, Q, the truncation T, the
 remainder-bound parts and the zeta-polynomial Z are built once and handed
 to the steps that read them (build_P_poly, zeta_polynomial, build_Q_poly,
-q_decomposition_residual, rouche_transfer, zeta_poly_closed_form).
+q_decomposition_residual, rouche_transfer, closed_form_ok).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
 """
@@ -12,16 +12,14 @@ stay with the caller.
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .errors import CertificationError, QuadratureError
 from .gates import rouche_transfer, theorem_gate
 from .lfunc import verify_hypothesis
 from .numutil import log_gamma_c_real
 from .polys import (build_P_poly, build_Q_poly, build_p_poly, l_value_ratios,
                     partial_sum_T, q_decomposition_residual, s_tail_parts)
-from .rv import (_CLOSED_FORM_REL_TOL, _FE_TOL, check_zeta_properties,
-                 deflate_at_one, zeta_poly_closed_form, zeta_polynomial)
+from .rv import (_FE_TOL, check_zeta_properties, closed_form_ok,
+                 deflate_at_one, zeta_polynomial)
 from .zeros import circle_report, star_discrepancy, trig_sign_changes
 
 
@@ -60,9 +58,7 @@ class Analysis:
     rouche: object
     rouche_error: str
     zeta: object
-    closed_form_winner: str
-    closed_form_report: dict
-    closed_form_agreement: float
+    closed_form_ok: bool
     zeta_check: object
 
     @property
@@ -72,8 +68,7 @@ class Analysis:
         checks = {
             "hypothesis_clean": not self.violations,
             "zeta_fe_ok": self.zeta_check.fe_residual <= _FE_TOL,
-            "closed_form_ok": (self.closed_form_agreement
-                               <= _CLOSED_FORM_REL_TOL),
+            "closed_form_ok": self.closed_form_ok,
         }
         checks["all_pass"] = all(checks.values())
         return checks
@@ -106,13 +101,6 @@ def analyze(data, vals, sym_context=None):
             rouche_error = str(exc)
 
     zeta = zeta_polynomial(data, p_hat)
-    zeta_closed, winner, closed_report = zeta_poly_closed_form(data, vals,
-                                                               zeta)
-    with mp.workprec(vals.bits + 16):
-        scale = max(abs(v) for v in zeta.values())
-        agreement = float(
-            max(abs(a - b) for a, b in
-                zip(zeta.values(), zeta_closed.values())) / scale)
     return Analysis(
         data=data,
         vals=vals,
@@ -132,8 +120,6 @@ def analyze(data, vals, sym_context=None):
         rouche=rouche,
         rouche_error=rouche_error,
         zeta=zeta,
-        closed_form_winner=winner,
-        closed_form_report=closed_report,
-        closed_form_agreement=agreement,
+        closed_form_ok=closed_form_ok(p, zeta),
         zeta_check=check_zeta_properties(zeta),
     )

@@ -23,27 +23,28 @@ and the value moments
 
     M(j) = (1/(2m)!) sum_q b_q Lambda(q+1) q^j      (0^0 = 1),
 
-which this module evaluates under both readings of the Stirling
-convention and checks against the transform.  The transform itself is
-exact, in Python integers, and rounds each coefficient of Z once.
-check_zeta_properties checks the functional equation exactly on the
-coefficients of Z, in Python integers, and the critical line on its
-isolated roots.
+which zeta_poly_closed_form evaluates exactly, in Fractions, and
+closed_form_ok checks against the transform exactly.  The transform
+itself is exact, in Python integers, and rounds each coefficient of Z
+once; deflate_at_one divides by (1 - z) exactly.  check_zeta_properties
+checks the functional equation exactly on the coefficients of Z, in
+Python integers, and the critical line on its isolated roots.
 """
 
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest, round_up, to_rational
+from mpmath.libmp import (from_man_exp, from_rational, round_nearest,
+                          round_up, to_rational)
 
-from .errors import ConventionError, InputError, VerificationError
-from .polys import RealPolynomial, binomial_weight
+from .errors import InputError, VerificationError
+from .polys import RealPolynomial
 from .zeros import poly_roots
 
 
-_CLOSED_FORM_REL_TOL = 1e-9  # closed form vs transform, relative
 _FE_TOL = 1e-18  # functional-equation residual, relative
 _LINE_TOL = 1e-8  # max |Re(root) - 1/2| of the roots of Z
 
@@ -54,13 +55,12 @@ class ZetaPolynomial(RealPolynomial):
     from circle-rooted input) Z(s) = eps Z(1-s) with zeros on
     Re(s) = 1/2.
 
-    eps is the functional-equation sign.  exact holds the coefficients
-    as Fractions: rv_transform always sets it, the closed form (an mpf
-    sum) leaves it None."""
+    eps is the functional-equation sign; exact holds the coefficients as
+    Fractions, before they are rounded into coeffs."""
 
     _: KW_ONLY
     eps: int
-    exact: tuple = None
+    exact: tuple
 
 
 def stirling_first(a):
@@ -196,37 +196,35 @@ def _palindrome_sign(a, b):
 def deflate_at_one(p, eps):
     """Prepare the special-value polynomial for the transform.
 
+    p(1) and the sum of the coefficient errors are exact (_integers).
     eps = -1: p(1) = 0 is forced, so divide once by (1 - z) via
-    cumulative sums (q_j = sum_{i <= j} p_i); the remainder p(1) must be
-    explained by the coefficient errors or VerificationError is raised.
+    cumulative sums, q_j = sum_{i <= j} p_i, exactly, so that
+    p = (1 - z) q + p(1) z^{deg p}; the error of q_j is the sum of those
+    of p_0..p_j, rounded up once at p.bits.  The remainder p(1) must be
+    explained by the coefficient errors, or VerificationError is raised.
     eps = +1: p is returned unchanged, but p(1) must be certified
     nonzero."""
     if eps not in (1, -1):
         raise InputError("eps must be +1 or -1")
-    with mp.workprec(p.bits):
-        total = mp.fsum(v for v in p.values())
-        terr = mp.fsum(e for e in p.errors())
-        if eps == 1:
-            if abs(total) <= terr:
-                raise VerificationError(
-                    "p(1) = %s +- %s is not certified nonzero"
-                    % (mp.nstr(total, 8), mp.nstr(terr, 8))
-                )
-            return p
-        slack = mp.mpf(2) ** (8 - p.bits) * max(abs(v) for v in p.values())
-        if abs(total) > terr + slack:
+    ints, den = _integers(p.values() + p.errors())
+    vals, errs = ints[:p.degree + 1], ints[p.degree + 1:]
+    total, terr = sum(vals), sum(errs)
+    if eps == 1:
+        if abs(total) <= terr:
             raise VerificationError(
-                "p(1) = %s exceeds its error bound %s; eps = -1 requires a"
-                " zero at z = 1" % (mp.nstr(total, 8), mp.nstr(terr, 8))
-            )
-        q = []
-        acc = mp.mpf(0)
-        ace = mp.mpf(0)
-        for v, er in p.coeffs[:-1]:
-            acc += v
-            ace += er
-            q.append((+acc, +ace))
-    return RealPolynomial(tuple(q), bits=p.bits, label=p.label + "/(1-z)")
+                "p(1) = %.8g +- %.8g is not certified nonzero"
+                % (total / den, terr / den))
+        return p
+    if abs(total) > terr:
+        raise VerificationError(
+            "p(1) = %.8g exceeds its error bound %.8g; eps = -1 requires a"
+            " zero at z = 1" % (total / den, terr / den))
+    # den is a power of two, since p's coefficients are mpf
+    shift = 1 - den.bit_length()
+    q = tuple((mp.make_mpf(from_man_exp(v, shift)),
+               mp.make_mpf(from_man_exp(er, shift, p.bits, round_up)))
+              for v, er in zip(accumulate(vals[:-1]), accumulate(errs[:-1])))
+    return RealPolynomial(q, bits=p.bits, label=p.label + "/(1-z)")
 
 
 def maclaurin_coefficients(u, e, count):
@@ -251,92 +249,49 @@ def zeta_polynomial(data, p_hat):
                         label=(data.label or "") + "-zeta")
 
 
-def zeta_poly_closed_form(data, vals, zeta):
-    """Evaluate the explicit double-sum formula for Z under both readings
-    of the Stirling convention and return the one matching the transform.
+def zeta_poly_closed_form(p):
+    """The explicit double-sum formula for Z, exactly, as Fractions.
 
-    The formula: Z(s) = sum_{h} (-s)^h sum_{j <= n-1-h}
-    C(h+j, h) S(n-1, h+j) M(j), where n - 1 = 2m = w - 1 here, and
-    S(a, q) is the coefficient of x^q in either prod_{i=0}^{a-1} (x - i)
-    (reading A, the standard signed Stirling row) or
-    prod_{i=0}^{a} (x - i) truncated to degrees 0..a (reading B, the
-    verbatim defining product, which has degree a + 1).
+    The formula: Z(s) = sum_{h} (-s)^h sum_{j <= 2m-h}
+    C(h+j, h) S(2m, h+j) M(j), with S(2m, .) the signed Stirling row of
+    prod_{i=0}^{2m-1} (x - i) (stirling_first) and M(j) the value moments
+    of the module docstring.  b_q Lambda(q+1) is the coefficient p_{2m-q}
+    of the special-value polynomial p (build_p_poly), so the moments are
+    formed from the stored coefficients of p, which are exact.
 
     Normalization: Z(-ell) equals the Hilbert-series coefficient h_ell of
-    p(z)/(1-z)^n, and h_ell = sum_j b~_j Lambda(j+1) C(ell+j, n-1) carries
-    no root-number prefactor -- the reindexing j -> n-1-j that produces it
-    is an identity on the coefficients of p, independent of the functional
-    equation.  (For eps = -1 the numerator has a root at z = 1, so this is
-    the same series as the deflated quotient over (1-z)^{n-1}, which is
-    what the transform route computes.)  zeta is that transform, as
-    zeta_polynomial returns it.  Returns
-    (ZetaPolynomial, winning_reading, report dict).  Raises
-    ConventionError when neither reading reproduces the transform."""
-    n = data.weight  # = 2m + 1
-    m = data.m
-    eps = data.root_number
-    with mp.workprec(vals.bits):
-        fact = factorial(n - 1)
-        mm = []
-        mme = []
-        for j in range(n):
-            acc = mp.mpf(0)
-            ace = mp.mpf(0)
-            for q in range(n):
-                b = binomial_weight(m, data.hodge, abs(m - q))
-                pw = q ** j if (q or not j) else 0  # 0^0 = 1
-                if pw:
-                    acc += b * pw * mp.mpf(vals.value(q + 1))
-                    ace += b * pw * mp.mpf(vals.error(q + 1))
-            mm.append(acc / fact)
-            mme.append(ace / fact)
+    p(z)/(1-z)^{2m+1}, with no root-number prefactor: the reindexing
+    j -> 2m-j that produces it is an identity on the coefficients of p,
+    independent of the functional equation.  So this is the transform of
+    p at e = 2m; closed_form_ok relates it to the transform of the
+    deflated p when eps = -1."""
+    e = p.degree  # = 2m
+    ints, den = _integers(p.values())
+    moments = [sum(ints[e - q] * q ** j for q in range(e + 1))
+               for j in range(e + 1)]
+    srow = stirling_first(e)
+    scale = den * factorial(e)
+    return tuple(
+        Fraction((-1) ** h * sum(comb(h + j, h) * srow[h + j] * moments[j]
+                                 for j in range(e + 1 - h)), scale)
+        for h in range(e + 1))
 
-        # reading B is row n truncated to degrees 0..n-1
-        rows = _stirling_rows(n)
-        results = {}
-        for name, srow in (("A", rows[n - 1]), ("B", rows[n][:n])):
-            zc = [mp.mpf(0)] * n
-            zce = [mp.mpf(0)] * n
-            for h in range(n):
-                acc = mp.mpf(0)
-                ace = mp.mpf(0)
-                for j in range(n - h):
-                    s = srow[h + j] if h + j < len(srow) else 0
-                    if s:
-                        acc += comb(h + j, h) * s * mm[j]
-                        ace += comb(h + j, h) * abs(s) * mme[j]
-                zc[h] = ((-1) ** h) * acc
-                zce[h] = ace
-            results[name] = (zc, zce)
 
-        scale = max(abs(v) for v in zeta.values()) or mp.mpf(1)
-        tol = mp.mpf(_CLOSED_FORM_REL_TOL) * scale
-        report = {}
-        winner = None
-        for name, (zc, zce) in results.items():
-            worst = mp.mpf(0)
-            for q in range(n):
-                ov = zeta.values()[q] if q <= zeta.degree else mp.mpf(0)
-                oe = zeta.errors()[q] if q <= zeta.degree else mp.mpf(0)
-                worst = max(worst, abs(zc[q] - ov) - (zce[q] + oe))
-            report[name] = +worst
-            if worst <= tol and winner is None:
-                winner = name
-        if winner is None:
-            raise ConventionError(
-                "neither Stirling reading matches the transform: "
-                + ", ".join(
-                    "%s off by %s" % (k, mp.nstr(v, 6)) for k, v in report.items()
-                )
-            )
-        zc, zce = results[winner]
-        zp = ZetaPolynomial(
-            tuple((+zc[q], +zce[q]) for q in range(n)),
-            bits=vals.bits,
-            label=(data.label or "") + "-zeta-closed",
-            eps=eps,
-        )
-    return zp, winner, report
+def closed_form_ok(p, zeta):
+    """Whether the closed form of p equals zeta, the transform of its
+    deflation (zeta_polynomial of deflate_at_one), exactly.
+
+    For eps = +1 the deflation is p itself.  For eps = -1,
+    p = (1 - z) p_hat + p(1) z^{2m} exactly, so the transform of p at
+    e = 2m is zeta + p(1) Z(z^{2m}), with (2m)! Z(z^{2m}) =
+    _unit_transform(2m, 2m)."""
+    e = p.degree
+    want = list(zeta.exact) + [0] * (e - zeta.degree)
+    if zeta.degree < e:
+        ints, den = _integers(p.values())
+        p1 = Fraction(sum(ints), den * factorial(e))
+        want = [w + p1 * u for w, u in zip(want, _unit_transform(e, e))]
+    return zeta_poly_closed_form(p) == tuple(want)
 
 
 @dataclass(frozen=True)
@@ -358,8 +313,8 @@ def check_zeta_properties(zp):
     (_integers), so d_k is exact and only the final quotient is rounded.
     ok needs fe_residual <= _FE_TOL and max |Re(root) - 1/2| <= _LINE_TOL.
 
-    Degenerate leading coefficients (the eps = -1 drop when the closed
-    form is written to full length) are stripped before root finding."""
+    Leading coefficients indistinguishable from zero are stripped before
+    root finding."""
     n, _ = _integers(zp.values())
     d = [n[k] - zp.eps * (-1) ** k
          * sum(comb(q, k) * n[q] for q in range(k, len(n)))

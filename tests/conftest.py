@@ -8,9 +8,12 @@ every tolerance asserted against them.
 """
 
 import os
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from periodpoly import (CurveSpec, LFunctionData, Precision, SpecialValues,
                         parse_curve_file, parse_eps_overrides,
@@ -22,6 +25,28 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 def data_path(name):
     return os.path.abspath(os.path.join(DATA_DIR, name))
+
+
+@pytest.fixture(scope="session")
+def double_sum():
+    """The closed-form double sum for Z, in Fractions, on the stored
+    coefficients of p, with srow read as S(2m, .):
+
+        Z_h = (-1)^h sum_j C(h+j, h) S(2m, h+j) M(j),
+        M(j) = (1/(2m)!) sum_q p_{2m-q} q^j.
+
+    Reading A takes the signed Stirling row of prod_{i=0}^{2m-1} (x - i),
+    reading B the verbatim defining product prod_{i=0}^{2m} (x - i)
+    truncated to degrees 0..2m."""
+    def evaluate(p, srow):
+        e = p.degree
+        c = [Fraction(*to_rational(v._mpf_)) for v in p.values()]
+        moments = [sum(c[e - q] * q ** j for q in range(e + 1)) / factorial(e)
+                   for j in range(e + 1)]
+        return tuple((-1) ** h * sum(comb(h + j, h) * srow[h + j] * moments[j]
+                                     for j in range(e + 1 - h))
+                     for h in range(e + 1))
+    return evaluate
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,7 @@ from periodpoly import (
     build_p_poly,
     check_zeta_properties,
     circle_report,
+    closed_form_ok,
     compute_A_m,
     deflate_at_one,
     dirichlet_l,
@@ -47,6 +48,7 @@ from periodpoly import (
     rv_transform,
     special_values,
     star_discrepancy,
+    stirling_first,
     sym_lfunction_data,
     theorem_gate,
     verify_hypothesis,
@@ -420,17 +422,22 @@ def test_polish_stops_early(monkeypatch):
               % (z.degree, len(per_root), steps))
 
 
-def test_closed_form_equivalence(sym3_data, sym3_vals, sym5_data, sym5_vals):
+def test_closed_form_equivalence(sym3_data, sym3_vals, sym5_data, sym5_vals,
+                                 double_sum):
+    # reading A of the Stirling convention is Z exactly, reading B is not
     outcomes = []
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
-        p_hat = deflate_at_one(build_p_poly(data, vals), data.root_number)
-        zp, winner, report = zeta_poly_closed_form(
-            data, vals, zeta_polynomial(data, p_hat))
-        outcomes.append("%s: winner %s A-dev %.1e B-dev %.1e"
-                        % (data.label, winner, float(report["A"]),
-                           float(report["B"])))
-        ok = ok and winner == "A" and report["B"] > report["A"]
+        p = build_p_poly(data, vals)
+        zp = zeta_polynomial(data, deflate_at_one(p, data.root_number))
+        e = p.degree
+        reading_a = double_sum(p, stirling_first(e))
+        reading_b = double_sum(p, stirling_first(e + 1)[:e + 1])
+        a_ok = reading_a == zeta_poly_closed_form(p) and closed_form_ok(p, zp)
+        b_differs = reading_b != zeta_poly_closed_form(p)
+        outcomes.append("%s: A equal %s, B differs %s"
+                        % (data.label, a_ok, b_differs))
+        ok = ok and a_ok and b_differs
     criterion("zeta-closed-form-equivalence", ok, "; ".join(outcomes))
 
 

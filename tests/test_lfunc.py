@@ -2,15 +2,13 @@ import collections
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from periodpoly import (InputError, LFunctionData, PoleError, Precision,
                         SpecialValues, dirichlet_l, gamma_completed,
-                        special_values, verify_hypothesis, zeta_ratio_bound)
+                        special_values, verify_hypothesis)
 from periodpoly.lfunc import (_OFFSETS, _AfeEngine, _Rung, _min_offset,
                               log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
@@ -100,29 +98,6 @@ class TestDirichletL:
         from periodpoly import InsufficientCoefficients
         with pytest.raises(InsufficientCoefficients):
             dirichlet_l(3, sym3_data, Precision(96, 1e-10))
-
-
-class TestZetaRatioBound:
-    def test_frozen_values(self):
-        with mp.workprec(96):
-            assert abs(zeta_ratio_bound(0.5, 1.5, 2)
-                       - mp.mpf("3.7922595225693866573605387799")) < 1e-20
-            assert abs(zeta_ratio_bound(0.5, 1.5, 6)
-                       - mp.mpf("54.5373650848309292510420948753")) < 1e-18
-
-    @given(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.integers(2, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_at_least_one_when_a_below_b(self, a, b, d):
-        if a >= b:
-            a, b = b, a + 0.01
-        with mp.workprec(64):
-            assert zeta_ratio_bound(a, b, d) >= 1
-
-    def test_degree_multiplicativity(self):
-        with mp.workprec(96):
-            b2 = zeta_ratio_bound(0.5, 1.5, 2)
-            b6 = zeta_ratio_bound(0.5, 1.5, 6)
-            assert abs(b6 - b2 ** 3) < mp.mpf("1e-24")
 
 
 class TestSpecialValues:

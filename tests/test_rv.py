@@ -17,7 +17,6 @@ from mpmath import mp
 from mpmath.libmp import to_rational
 
 from periodpoly import (
-    ConventionError,
     InputError,
     LFunctionData,
     Precision,
@@ -26,6 +25,7 @@ from periodpoly import (
     VerificationError,
     build_p_poly,
     check_zeta_properties,
+    closed_form_ok,
     deflate_at_one,
     maclaurin_coefficients,
     rv_transform,
@@ -44,6 +44,10 @@ def rp(*coeffs, bits=192):
 def zeta_of(data, vals):
     p_hat = deflate_at_one(build_p_poly(data, vals), data.root_number)
     return zeta_polynomial(data, p_hat)
+
+
+def exact(poly):
+    return [Fraction(*to_rational(v._mpf_)) for v in poly.values()]
 
 
 class TestStirling:
@@ -181,6 +185,21 @@ class TestDeflateAtOne:
         with pytest.raises(InputError):
             deflate_at_one(rp(1, 1), 3)
 
+    def test_exact_at_64_bits(self):
+        # Lambda(5) = 2^80 pi and Lambda(4) = pi/7 at 64 bits: the
+        # cumulative sums need more bits than p has, and stay exact
+        with mp.workprec(80):
+            upper = (0, mp.pi / 7, mp.ldexp(mp.pi, 80))
+        data, vals = synthetic_dataset(5, -1, upper, (1, 1, 1),
+                                       conductor=11, bits=64)
+        p = build_p_poly(data, vals)
+        q = exact(deflate_at_one(p, -1))
+        c = exact(p)
+        # (1 - z) q(z) + p(1) z^4
+        back = [a - b for a, b in zip(q + [0], [0] + q)]
+        back[4] += sum(c)
+        assert back == c
+
 
 class TestMaclaurin:
     def test_against_long_division(self):
@@ -247,13 +266,19 @@ class TestZetaPolynomial:
             assert check_zeta_properties(zp).fe_residual < 1e-30, label
 
     def test_sym3_closed_form(self, sym3_data, sym3_vals):
+        p = build_p_poly(sym3_data, sym3_vals)
         zp = zeta_of(sym3_data, sym3_vals)
-        zc, winner, report = zeta_poly_closed_form(sym3_data, sym3_vals, zp)
-        assert winner == "A"
-        with mp.workprec(256):
-            scale = max(abs(v) for v in zp.values())
-            for (a, _), (b, _) in zip(zc.coeffs, zp.coeffs):
-                assert abs(a - b) < mp.mpf("1e-40") * scale
+        assert zeta_poly_closed_form(p) == zp.exact
+        assert closed_form_ok(p, zp)
+
+    def test_closed_form_check_is_sharp(self, sym3_data, sym3_vals):
+        # a change of 2^-100 relative in one coefficient of Z is a mismatch
+        p = build_p_poly(sym3_data, sym3_vals)
+        zp = zeta_of(sym3_data, sym3_vals)
+        for q in range(zp.degree + 1):
+            moved = list(zp.exact)
+            moved[q] *= 1 + Fraction(1, 2 ** 100)
+            assert not closed_form_ok(p, replace(zp, exact=tuple(moved))), q
 
     def test_negative_sign_synthetic(self):
         # weight 3, eps = -1: p = a (1 - z^2), deflated to a (1 + z),
@@ -262,16 +287,11 @@ class TestZetaPolynomial:
         zp = zeta_of(data, vals)
         assert zp.degree == 1
         assert zp.eps == -1
-        with mp.workprec(192):
-            assert abs(zp.values()[0] - mp.mpf("2.75")) < 1e-40
-            assert abs(zp.values()[1] + mp.mpf("5.5")) < 1e-40
-        zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
-        assert winner == "A"
-        with mp.workprec(192):
-            # written to full length 2m+1, the leading coefficient drops
-            assert abs(zc.values()[0] - mp.mpf("2.75")) < 1e-30
-            assert abs(zc.values()[1] + mp.mpf("5.5")) < 1e-30
-            assert abs(zc.values()[2]) <= zc.errors()[2] + mp.mpf("1e-30")
+        assert zp.exact == (Fraction(11, 4), Fraction(-11, 2))
+        # written to full length 2m+1, the leading coefficient is p(1) = 0
+        p = build_p_poly(data, vals)
+        assert zeta_poly_closed_form(p) == zp.exact + (0,)
+        assert closed_form_ok(p, zp)
         chk = check_zeta_properties(zp)
         assert chk.ok
         assert chk.fe_residual <= 1e-30
@@ -284,15 +304,28 @@ class TestZetaPolynomial:
         )
         zp = zeta_of(data, vals)
         assert zp.degree == 3
-        zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
-        assert winner == "A"
-        with mp.workprec(256):
-            scale = max(abs(v) for v in zp.values())
-            for q, (v, _) in enumerate(zp.coeffs):
-                assert abs(zc.values()[q] - v) < mp.mpf("1e-35") * scale
+        p = build_p_poly(data, vals)
+        assert zeta_poly_closed_form(p) == zp.exact + (0,)
+        assert closed_form_ok(p, zp)
         chk = check_zeta_properties(zp)
         assert chk.ok
         assert chk.fe_residual <= 1e-30
+
+    def test_negative_sign_closed_form_with_remainder(self):
+        # p(1) != 0 within the errors: the closed form of p is the
+        # transform of its deflation plus p(1) Z(z^{2m}), exactly
+        data, vals = synthetic_dataset(
+            5, -1, ("0", "1.25", "9"), (1, 1, 1), conductor=11
+        )
+        p = build_p_poly(data, vals)
+        cs = list(p.coeffs)
+        with mp.workprec(p.bits):
+            cs[1] = (cs[1][0] + mp.ldexp(1, -20), mp.ldexp(1, -10))
+        p = replace(p, coeffs=tuple(cs))
+        assert sum(exact(p)) != 0
+        zp = zeta_polynomial(data, deflate_at_one(p, -1))
+        assert closed_form_ok(p, zp)
+        assert zeta_poly_closed_form(p)[:-1] != zp.exact
 
     def test_positive_sign_weight_five(self):
         data, vals = synthetic_dataset(
@@ -300,19 +333,18 @@ class TestZetaPolynomial:
         )
         zp = zeta_of(data, vals)
         assert zp.degree == 4
-        zc, winner, _ = zeta_poly_closed_form(data, vals, zp)
-        assert winner == "A"
+        p = build_p_poly(data, vals)
+        assert zeta_poly_closed_form(p) == zp.exact
+        assert closed_form_ok(p, zp)
         chk = check_zeta_properties(zp)
         assert chk.ok
         assert chk.fe_residual <= 1e-30
 
-    def test_reading_b_differs_and_loses(self):
-        # the two Stirling readings are genuinely different formulas; the
-        # report shows B missing by a wide margin while A is exact
+    def test_reading_b_differs_and_loses(self, double_sum):
+        # the two Stirling readings are genuinely different formulas:
+        # reading A is Z exactly, reading B is not
         data, vals = synthetic_dataset(3, 1, ("1", "3"), (1, 1))
-        _, winner, report = zeta_poly_closed_form(
-            data, vals, zeta_of(data, vals))
-        assert winner == "A"
-        assert set(report) == {"A", "B"}
-        with mp.workprec(192):
-            assert report["B"] > 1
+        p = build_p_poly(data, vals)
+        zp = zeta_of(data, vals)
+        assert double_sum(p, stirling_first(2)) == zp.exact
+        assert double_sum(p, stirling_first(3)[:3]) != zp.exact
