@@ -109,17 +109,24 @@ The kernel and its planning are built to be cheap:
       truncated to F, and the trapezoid sums Re(sum_k g_k e^{i k h ell})
       run by Horner's rule with F = working bits + 16 fractional bits, on
       nodes scaled by a power of two and converted once per line.  The
-      node cutoff bisects integer suffix masses, and each line sums its
-      terms, their absolute values and the skipped mass exactly, at its
-      finest power of two; the line constant N^{c/2} (h/pi) N^{sigma/2}
-      multiplies the line's sum once, and the lines add exactly before
-      one rounding;
+      terms are grouped by ladder line once, and one pass over the used
+      lines, in ascending index, finishes each line: its step and nodes
+      from the group's weight sum, largest weight and n range, its
+      constant N^{c/2} (h/pi) N^{sigma/2}, then its terms (the node
+      cutoff bisects integer suffix masses) summed exactly with their
+      absolute values and skipped mass at the group's finest power of
+      two, and its quadrature, rounding and skipped-mass parts.  The
+      constant multiplies the line's sum once, and the lines add exactly
+      before one rounding;
   (d) the truncation point n0 of each ladder line is planned in double
       precision, by bisecting the log of the divisor-tail majorant
       (numutil.log_divisor_tail); the mpmath majorant then confirms that
       n0 passes and n0 - 1 fails, and steps n0 only where the doubles
       erred, so n0, the line chosen and every bound are those an mpmath
-      bisection gives, at one or two mpmath evaluations per line.
+      bisection gives, at one or two mpmath evaluations per line.  Each
+      line is searched once, up to 2^40 terms: the smallest n0 over the
+      lines is the truncation point when it is at most X, and otherwise
+      the count InsufficientCoefficients reports as required.
 """
 
 import math
@@ -165,6 +172,9 @@ _STRIP_FRACTIONS = (0.25, 0.5, 0.75, 0.875, 0.9375, 0.96875)
 _TARGET_MARGIN = 32
 
 _MAX_NODES = 25000
+
+# Largest truncation point searched: beyond X it only sizes the error.
+_N0_CAP = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -388,7 +398,6 @@ class _AfeEngine:
 
     def __init__(self, data, prec):
         self.data = data
-        self.prec = prec
         self.bits = int(prec.mantissa_bits)
         self.workbits = self.bits + _GUARD_BITS
         self.fixbits = self.workbits + _FIX_GUARD_BITS
@@ -411,7 +420,6 @@ class _AfeEngine:
         self._h_moment = sum(nu * h for nu, h in enumerate(hodge))
         rising = ((j, sum(hodge[:j])) for j in range(1, self._top + 1))
         self._rising = [(j, e) for j, e in rising if e]
-        self._sums = {}
         # ln n (_ln_table) and ln sqrt(N) with lnbits fractional bits; a
         # log at lnbits + 10 bits, truncated, errs by less than
         # 1 + ln(x)/512 units of 2^-lnbits, and ell = ln sqrt(N) - ln n
@@ -707,14 +715,8 @@ class _AfeEngine:
     # -- main one-sided sum ---------------------------------------------------
 
     def one_sided(self, sigma):
-        if sigma in self._sums:
-            return self._sums[sigma]
-        with mp.workprec(self.workbits):
-            result = self._one_sided_impl(sigma)
-        self._sums[sigma] = result
-        return result
-
-    def _one_sided_impl(self, sigma):
+        """(I(sigma), its error bound).  Call at workbits, as
+        special_values does: the rounding part assumes that precision."""
         data = self.data
         sig = mp.mpf(sigma)
         # Lambda(s) adds two one-sided sums; see the module docstring
@@ -728,37 +730,27 @@ class _AfeEngine:
         lnsq_f = float(self.ln_sqrt_n)
 
         # truncation point: the line whose kernel-mass bound reaches the
-        # tail budget with the fewest terms
-        cap = data.coeff_limit
-        best = None
-        for c, lm in zip(ladder, log_mass):
-            n0 = self._search_n0(sigma, c, lm, tail_budget, cap)
-            if n0 is not None and (best is None or n0 < best[0]):
-                best = (n0, c, lm)
-        if best is None:
-            need = None
-            for c, lm in zip(ladder, log_mass):
-                n_req = self._search_n0(sigma, c, lm, tail_budget, 1 << 40)
-                if n_req is not None and (need is None or n_req < need):
-                    need = n_req
+        # tail budget with the fewest terms.  Each line is searched past X,
+        # so the same n0 sizes the error when X falls short.
+        n0s = [self._search_n0(sigma, c, lm, tail_budget, _N0_CAP)
+               for c, lm in zip(ladder, log_mass)]
+        n0 = min((n for n in n0s if n is not None), default=None)
+        if n0 is None or n0 > data.coeff_limit:
             raise InsufficientCoefficients(
                 "coefficient list (X = %d) too short for target %s at s = %d;"
                 " roughly %s terms required"
-                % (cap, mp.nstr(self.target, 6), sigma, need),
-                required=need,
+                % (data.coeff_limit, mp.nstr(self.target, 6), sigma, n0),
+                required=n0,
             )
-        n0, tail_c, tail_lm = best
-        tail = self._tail_bound(sigma, tail_c, mp.exp(tail_lm), n0)
+        i = n0s.index(n0)
+        tail = self._tail_bound(sigma, ladder[i], mp.exp(log_mass[i]), n0)
 
-        # per-term line selection and weights: |lambda(n)| n^-(sigma + c)
-        # ~ |wm| 2^e, summed exactly per line in integers at the line's
-        # finest exponent
+        # each term's line and weight |lambda(n)| n^-(sigma + c) ~ |wm| 2^e
         ln = self._ln_table(n0)
         a4 = int(4 * (sigma + cmin))  # sigma + c_min is a multiple of 1/4
         man, exp, delta_w = self._weights(a4, n0)
         line_of = self._select_lines(ladder, log_mass, n0)
-        terms = []
-        lines = {}  # idx -> [exponent, weight sum, largest weight, first n, last n]
+        groups = {}  # ladder index -> [(n, wm, e)], ascending n
         for n, lam in zip(range(1, n0 + 1), data.coefficients):
             if not lam:
                 continue
@@ -772,105 +764,85 @@ class _AfeEngine:
                 k = q.bit_length()
                 m = (m << k) // q
                 e -= k
-            wm = lm * m
-            terms.append((idx, n, wm, e))
-            a = abs(wm)
-            line = lines.get(idx)
-            if line is None:
-                lines[idx] = [e, a, a, n, n]
-                continue
-            if e < line[0]:
-                line[1] <<= line[0] - e
-                line[2] <<= line[0] - e
-                line[0] = e
-            a <<= e - line[0]
-            line[1] += a
-            line[2] = max(line[2], a)
-            line[4] = n
+            groups.setdefault(idx, []).append((n, lm * m, e))
 
-        # each used line: step from the strip bound, nodes built once, and
-        # its constant N^(c/2) (h/pi) N^(sigma/2) at F bits, within
-        # delta_c of the true one (six operations of at most 2 ulp)
-        skip_share = skip_budget / len(terms)
-        quad_share = quad_budget / len(lines)
+        # Each used line in turn, in ascending index: its step from the
+        # strip bound, its nodes, its constant N^(c/2) (h/pi) N^(sigma/2)
+        # at F bits (within delta_c of the true one: six operations of at
+        # most 2 ulp), then its terms, summed exactly in integers at the
+        # line's finest exponent minus fix_shift: the value, its absolute
+        # sum and the skipped mass.  The rounding part bounds the node
+        # sums' error (fix_err + node_err per unit weight; node_err also
+        # covers the skipped nodes' own error), the weights' (delta_w times
+        # the absolute sum) and the constant's (delta_c).
+        skip_share = skip_budget / sum(len(g) for g in groups.values())
+        quad_share = quad_budget / len(groups)
         slack_w = 1 + 2 * delta_w  # true weight <= computed one * slack_w
         delta_c = mp.ldexp(1, 4 - self.fixbits)
         with mp.workprec(self.fixbits):
             pref = mp.power(data.conductor, sig / 2)
-        rungs = {}
-        const = {}
-        quad_err = mp.mpf(0)
-        for idx in sorted(lines):
-            unit, w_sum, w_max, n_first, n_last = lines[idx]
-            with mp.workprec(self.fixbits):
-                n_c = mp.power(data.conductor, mp.mpf(ladder[idx]) / 2)
-            w_sum = n_c * mp.mpf((w_sum, unit)) * slack_w
-            w_max = n_c * mp.mpf((w_max, unit))
-            log_scale = float(mp.log(pref * w_sum / quad_share))
-            h, a, log_e = self._pick_step(sigma, ladder[idx],
-                                          lnsq_f - math.log(n_last),
-                                          lnsq_f - math.log(n_first), log_scale)
-            # 24 bits of h, rounded down: k h is exact at every node
-            m, e = math.frexp(h)
-            r = _Rung(ladder[idx], mp.ldexp(math.floor(m * 2 ** 24), e - 24))
-            h_pi = r.h / mp.pi
-            quad_err += (pref * w_sum * 2 * mp.exp(log_e)
-                         / mp.expm1(2 * mp.pi * a / r.h))
-            log_thresh = mp.log(skip_share / (pref * h_pi * w_max))
-            self._build_nodes(sigma, r, float(log_thresh))
-            rungs[idx] = r
-            with mp.workprec(self.fixbits):
-                const[idx] = n_c * r.h / mp.pi * pref
-
-        # accumulation (ascending n: deterministic summation order), in
-        # integers: per line the value, its absolute sum and the skipped
-        # mass, exactly, at exponent (line exponent - fix_shift)
         lnsq = self._ln_sqrt_fix
         unit_z, node_sum = self._unit, self._node_sum
-        sums = {}
-        per_line = {}
-        for idx, r in rungs.items():
-            # node cutoff: the first k whose suffix mass times the term's
-            # weight and line constant is at most skip_share
-            t_man, t_exp = _dyadic(skip_share / const[idx])
-            neg_suffix = [-x for x in r.suffix[1:len(r.g)]]
-            sums[idx] = [0, 0, 0]
-            per_line[idx] = (r, r.h, r.suffix, lines[idx][0],
-                             t_exp + r.fix_shift, t_man, neg_suffix, sums[idx])
-        for idx, n, wm, e in terms:
-            r, h, suffix, unit, t_shift, t_man, neg_suffix, acc = per_line[idx]
-            a = abs(wm)
-            k = t_shift - e
-            limit = (t_man << k if k >= 0 else t_man >> -k) // a
-            kc = 1 + bisect_left(neg_suffix, -limit)
-            zr, zi = unit_z(h, lnsq - ln[n])
-            v = wm * node_sum(r, zr, zi, kc) << (e - unit)
-            acc[0] += v
-            acc[1] += abs(v)
-            acc[2] += a * suffix[kc] << (e - unit)
-
-        # Lambda's one-sided sum: sum over lines of const * value, exact in
-        # integers, then rounded once.  The rounding part bounds, per line,
-        # the node sums' error (fix_err + node_err per unit weight; node_err
-        # also covers the skipped nodes' own error), the weights' (delta_w
-        # times the absolute sum) and the constant's (delta_c), and the
-        # final rounding; bound_slack covers the few roundings of the
-        # bound's own arithmetic.
         pieces = []
+        quad_err = mp.mpf(0)
         rounding = mp.mpf(0)
         skip_err = mp.mpf(0)
-        for idx, r in rungs.items():
-            value, abs_sum, skipped = sums[idx]
-            unit = lines[idx][0]
+        for idx in sorted(groups):
+            terms = groups[idx]
+            unit = min(e for _, _, e in terms)
+            scaled = [abs(wm) << (e - unit) for _, wm, e in terms]
+            w_int = sum(scaled)
+            c = ladder[idx]
+            with mp.workprec(self.fixbits):
+                n_c = mp.power(data.conductor, mp.mpf(c) / 2)
+            w_sum = n_c * mp.mpf((w_int, unit)) * slack_w
+            w_max = n_c * mp.mpf((max(scaled), unit))
+            log_scale = float(mp.log(pref * w_sum / quad_share))
+            h, a, log_e = self._pick_step(sigma, c,
+                                          lnsq_f - math.log(terms[-1][0]),
+                                          lnsq_f - math.log(terms[0][0]),
+                                          log_scale)
+            # 24 bits of h, rounded down: k h is exact at every node
+            m, e = math.frexp(h)
+            r = _Rung(c, mp.ldexp(math.floor(m * 2 ** 24), e - 24))
+            quad_err += (pref * w_sum * 2 * mp.exp(log_e)
+                         / mp.expm1(2 * mp.pi * a / r.h))
+            h_pi = r.h / mp.pi
+            log_thresh = mp.log(skip_share / (pref * h_pi * w_max))
+            self._build_nodes(sigma, r, float(log_thresh))
+            with mp.workprec(self.fixbits):
+                const = n_c * r.h / mp.pi * pref
+
+            # node cutoff: the first k whose suffix mass times the term's
+            # weight and the line constant is at most skip_share
+            t_man, t_exp = _dyadic(skip_share / const)
+            t_shift = t_exp + r.fix_shift
+            suffix = r.suffix
+            neg_suffix = [-x for x in suffix[1:len(r.g)]]
+            value = abs_sum = skipped = 0
+            for n, wm, e in terms:
+                wa = abs(wm)
+                k = t_shift - e
+                limit = (t_man << k if k >= 0 else t_man >> -k) // wa
+                kc = 1 + bisect_left(neg_suffix, -limit)
+                zr, zi = unit_z(r.h, lnsq - ln[n])
+                v = wm * node_sum(r, zr, zi, kc) << (e - unit)
+                value += v
+                abs_sum += abs(v)
+                skipped += wa * suffix[kc] << (e - unit)
+
             x = unit - r.fix_shift
-            cm, ce = _dyadic(const[idx])
+            cm, ce = _dyadic(const)
             pieces.append((cm * value, ce + x))
-            c = const[idx] * (1 + 2 * delta_c)
-            rounding += c * slack_w * (mp.mpf((lines[idx][1], unit))
-                                       * (r.fix_err + r.node_err)
-                                       + delta_w * mp.mpf((abs_sum, x)))
-            rounding += 2 * delta_c * const[idx] * mp.mpf((abs(value), x))
-            skip_err += c * slack_w * mp.mpf((skipped, x))
+            c_hi = const * (1 + 2 * delta_c)
+            rounding += c_hi * slack_w * (mp.mpf((w_int, unit))
+                                          * (r.fix_err + r.node_err)
+                                          + delta_w * mp.mpf((abs_sum, x)))
+            rounding += 2 * delta_c * const * mp.mpf((abs(value), x))
+            skip_err += c_hi * slack_w * mp.mpf((skipped, x))
+
+        # the lines add exactly in integers, then round once;
+        # bound_slack covers the few roundings of the bound's own arithmetic
         low = min(x for _, x in pieces)
         value = mp.mpf((sum(m << (x - low) for m, x in pieces), low))
         bound_slack = 1 + mp.ldexp(1, 6 - self.workbits)
@@ -891,9 +863,10 @@ def special_values(data, prec=Precision()):
     out = {}
     with mp.workprec(engine.workbits):
         ulp = mp.ldexp(1, -engine.workbits)
+        sums = [engine.one_sided(sigma) for sigma in range(1, w + 1)]
         for s in range(1, w + 1):
-            a, ea = engine.one_sided(s)
-            b, eb = engine.one_sided(w + 1 - s)
+            a, ea = sums[s - 1]
+            b, eb = sums[w - s]
             val = a + data.root_number * b
             # the sum's own rounding, and the bound's, rounded up
             out[s] = (val, (ea + eb + abs(val) * ulp) * (1 + 4 * ulp))

@@ -1,14 +1,15 @@
 import collections
 import math
+from dataclasses import replace
 
 import pytest
 import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from periodpoly import (InputError, LFunctionData, PoleError, Precision,
-                        SpecialValues, dirichlet_l, gamma_completed,
-                        special_values, verify_hypothesis)
+from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
+                        PoleError, Precision, SpecialValues, dirichlet_l,
+                        gamma_completed, special_values, verify_hypothesis)
 from periodpoly.lfunc import (_OFFSETS, _AfeEngine, _Rung, _min_offset,
                               log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
@@ -266,8 +267,9 @@ class TestAfeKernel:
             built.append((sigma, rung))
 
         engine._g_value, engine._build_nodes = counted, recorded
-        for sigma in (1, 2, 3):
-            engine.one_sided(sigma)
+        with mp.workprec(engine.workbits):
+            for sigma in (1, 2, 3):
+                engine.one_sided(sigma)
         assert len(nodes) == sum(len(r.g) for _, r in built)
         lines = [(sigma, r.c) for sigma, r in built]
         assert len(set(lines)) == len(lines)
@@ -322,8 +324,9 @@ class TestFixedPointTerms:
             return out
 
         engine._weights, engine._unit = recorded_weights, recorded_unit
-        for sigma in (1, 2, 3):
-            engine.one_sided(sigma)
+        with mp.workprec(engine.workbits):
+            for sigma in (1, 2, 3):
+                engine.one_sided(sigma)
         n0 = max(n for _, n, _ in weights)
         fix, lnbits = engine.fixbits, engine.lnbits
         with mp.workprec(fix + 128):
@@ -485,6 +488,27 @@ class TestTruncationPlanning:
         for sigma in (1, 2, 3):
             # one or two per ladder line, one for the chosen line's tail
             assert calls.count(sigma) <= 2 * len(_OFFSETS) + 2
+
+    def test_required_is_tight(self, sym3_data):
+        # X = 100 cannot reach 1e-3 at any sigma; the count the error names
+        # certifies that sigma, and one coefficient fewer does not
+        prec = Precision(64, 1e-3)
+
+        def engine(x):
+            coeffs = sym3_data.coefficients[:x]
+            return _AfeEngine(replace(sym3_data, coefficients=coeffs), prec)
+
+        with mp.workprec(engine(1).workbits):
+            for sigma in (1, 2, 3):
+                with pytest.raises(InsufficientCoefficients) as short:
+                    engine(100).one_sided(sigma)
+                need = short.value.required
+                assert 100 < need < sym3_data.coeff_limit
+                value, err = engine(need).one_sided(sigma)
+                assert err < prec.target_abs_error
+                with pytest.raises(InsufficientCoefficients) as one_less:
+                    engine(need - 1).one_sided(sigma)
+                assert one_less.value.required == need
 
 
 class TestVerifyHypothesis:
