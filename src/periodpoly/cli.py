@@ -270,7 +270,7 @@ def _analysis_report(result, args, inputs, sym):
                           for z in zcheck.roots],
                 "fe_residual": zcheck.fe_residual,
                 "max_line_deviation": zcheck.max_line_deviation,
-                "line_ok": zcheck.ok,
+                "line_ok": zcheck.line_ok,
             },
             "checks": result.checks,
         }

@@ -18,8 +18,8 @@ from .lfunc import verify_hypothesis
 from .numutil import log_gamma_c_real
 from .polys import (build_P_poly, build_Q_poly, build_p_poly, l_value_ratios,
                     partial_sum_T, q_decomposition_residual, s_tail_parts)
-from .rv import (_FE_TOL, check_zeta_properties, closed_form_ok,
-                 deflate_at_one, zeta_polynomial)
+from .rv import (check_zeta_properties, closed_form_ok, deflate_at_one,
+                 zeta_polynomial)
 from .zeros import circle_report, star_discrepancy, trig_sign_changes
 
 
@@ -67,7 +67,7 @@ class Analysis:
         plus all_pass."""
         checks = {
             "hypothesis_clean": not self.violations,
-            "zeta_fe_ok": self.zeta_check.fe_residual <= _FE_TOL,
+            "zeta_fe_ok": self.zeta_check.fe_ok,
             "closed_form_ok": self.closed_form_ok,
         }
         checks["all_pass"] = all(checks.values())

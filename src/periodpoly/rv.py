@@ -26,7 +26,8 @@ and the value moments
 which zeta_poly_closed_form evaluates exactly, in Fractions, and
 closed_form_ok checks against the transform exactly.  The transform
 itself is exact, in Python integers, and rounds each coefficient of Z
-once; deflate_at_one divides by (1 - z) exactly.  check_zeta_properties
+once, counting that rounding in the coefficient's error; deflate_at_one
+divides by (1 - z) exactly.  check_zeta_properties
 checks the functional equation exactly on the coefficients of Z, in
 Python integers, and the critical line on its isolated roots.
 """
@@ -107,7 +108,9 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
     the transform runs on them exactly: exact holds Z as Fractions, and
     coeffs rounds it once at bits + 16 (values to nearest, errors up).
     The error of Z_q is sum_j err_j |Z_q(e_j)|, the exact bound of the
-    linear map, over the unit vectors e_j with err_j != 0.
+    linear map, over the unit vectors e_j with err_j != 0, plus the
+    rounding of Z_q's stored value, so |stored - exact| <= error even
+    for an input without errors.
     """
     if isinstance(poly_or_coeffs, RealPolynomial):
         vals = poly_or_coeffs.values()
@@ -157,16 +160,21 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
         # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
         eps = (-1) ** e * _palindrome_sign(a, b)
     scale = den * factorial(e)
-    coeffs = tuple(
-        (mp.make_mpf(from_rational(zq[q], scale, bits + 16, round_nearest)),
-         mp.make_mpf(from_rational(ze[q], scale, bits + 16, round_up)))
-        for q in range(e + 1))
+    exact = tuple(Fraction(z, scale) for z in zq)
+    coeffs = []
+    for x, err in zip(exact, ze):
+        value = from_rational(x.numerator, x.denominator, bits + 16,
+                              round_nearest)
+        err = Fraction(err, scale) + abs(Fraction(*to_rational(value)) - x)
+        coeffs.append((mp.make_mpf(value),
+                       mp.make_mpf(from_rational(err.numerator, err.denominator,
+                                                 bits + 16, round_up))))
     return ZetaPolynomial(
-        coeffs,
+        tuple(coeffs),
         bits=bits,
         label=label,
         eps=eps,
-        exact=tuple(Fraction(z, scale) for z in zq),
+        exact=exact,
     )
 
 
@@ -296,12 +304,18 @@ def closed_form_ok(p, zeta):
 
 @dataclass(frozen=True)
 class ZetaCheck:
-    """Measured functional-equation residual and root-line deviation."""
+    """Measured functional-equation residual and root-line deviation,
+    with the verdict on each and ok for both."""
 
     fe_residual: float
     max_line_deviation: float
     roots: tuple
-    ok: bool
+    fe_ok: bool
+    line_ok: bool
+
+    @property
+    def ok(self):
+        return self.fe_ok and self.line_ok
 
 
 def check_zeta_properties(zp):
@@ -311,7 +325,8 @@ def check_zeta_properties(zp):
     sum_{q >= k} C(q, k) z_q is the coefficient of s^k in Z(s) - eps
     Z(1-s).  The stored z_q are integers over one power of two
     (_integers), so d_k is exact and only the final quotient is rounded.
-    ok needs fe_residual <= _FE_TOL and max |Re(root) - 1/2| <= _LINE_TOL.
+    fe_ok is fe_residual <= _FE_TOL, and line_ok is
+    max |Re(root) - 1/2| <= _LINE_TOL.
 
     Leading coefficients indistinguishable from zero are stripped before
     root finding."""
@@ -337,5 +352,6 @@ def check_zeta_properties(zp):
         fe_residual=fe_res,
         max_line_deviation=max_dev,
         roots=roots,
-        ok=(fe_res <= _FE_TOL and max_dev <= _LINE_TOL),
+        fe_ok=fe_res <= _FE_TOL,
+        line_ok=max_dev <= _LINE_TOL,
     )

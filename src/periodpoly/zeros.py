@@ -12,12 +12,13 @@ polynomials live:
    each root by the power of two rho nearest |z|, so its integers hold
    c_j rho^j relative to max_j |c_j| rho^j: one absolute scale for all
    roots would lose to cancellation the digits of the high-degree
-   zeta-polynomials.  The radius combines the classical bound (the disc
-   of radius deg * |p(z)/p'(z)| about z contains a root) with a
-   first-order coefficient-perturbation term, since our coefficients are
-   special values known only to an explicit error bound, and with the
-   Horner rounding bound of its own fixed-point evaluation, added to
-   |p(z)| and subtracted from |p'(z)|.
+   zeta-polynomials.  The radius applies the classical bound (the disc
+   of radius deg * |p(z)/p'(z)| about z contains a root) to every
+   polynomial within the coefficient error bounds, since our
+   coefficients are special values known only to such bounds: the
+   largest change of p(z) over that ball, and the Horner rounding bound
+   of the fixed-point evaluation, are added to |p(z)|, and the largest
+   change of p'(z) and its rounding bound are subtracted from |p'(z)|.
 
 2. trig_sign_changes: on |z| = 1 a (anti)palindromic real polynomial
    reduces to a pure cosine (eps = +1) or sine (eps = -1) polynomial in
@@ -81,22 +82,24 @@ def _horner(cs, ur, ui, f):
 
 
 def _error_bounds(es, ur, ui, f):
-    """Upper bounds, in units of 2^-f, on sum_j es[j] |u|^j and on how far
-    _horner's q(u) and q'(u) lie from those of the exact coefficients,
-    given that each cs[j] is within one unit of its exact value."""
+    """Upper bounds, in units of 2^-f, on sum_j es[j] |u|^j, on its
+    derivative sum_j j es[j] |u|^(j-1), and on how far _horner's q(u) and
+    q'(u) lie from those of the exact coefficients, given that each cs[j]
+    is within one unit of its exact value."""
 
     def up(x):  # ceil(x 2^-f)
         return -(-x >> f)
 
     t = isqrt(ur * ur + ui * ui) + 1  # >= |u| 2^f
-    err = ra = rb = 0
+    err = derr = ra = rb = 0
     for ej in reversed(es):
         # per step: q' gains the error of q and sqrt(2) < 2 units; q gains
         # sqrt(2) + 1 < 3 units (product and coefficient)
         rb = up(rb * t) + ra + 2
         ra = up(ra * t) + 3
+        derr = up(derr * t) + err
         err = up(err * t) + ej
-    return err, ra, rb
+    return err, derr, ra, rb
 
 
 def _aberth_float(desc, seeds):
@@ -158,9 +161,12 @@ def poly_roots(p):
     polished alone in fixed point at p.bits + 16 plus guard bits, scaled
     by the power of two nearest its modulus, and stops once its step
     falls below 2^(8 - p.bits) of the root or stops shrinking.  Roots are
-    returned at p.bits + 16.  Each radius covers the residual |p| at the
-    returned point, the coefficient error bounds and the rounding of
-    that evaluation.  Raises InputError for a degenerate (leading
+    returned at p.bits + 16.  Each radius holds a root of every
+    polynomial within the coefficient error bounds e_j: it adds
+    sum_j e_j |z|^j to the residual |p(z)| at the returned point and
+    subtracts sum_j j e_j |z|^(j-1) from |p'(z)|, each with the rounding
+    of that evaluation, and a clustered root's bound divides by
+    |lead| - e_lead.  Raises InputError for a degenerate (leading
     coefficient not certifiably nonzero) input.
     """
     if p.degenerate:
@@ -210,10 +216,11 @@ def poly_roots(p):
             ar, ai, br, bi = _horner(cs, ur, ui, f)
             # the coefficient errors scaled like cs, rounded up
             es = [-to_fixed(e, f + j * k - m) for j, e in enumerate(neg_errs)]
-            perr, ra, rb = _error_bounds(es, ur, ui, f)
-            lead = abs(p.values()[-1])
+            perr, derr, ra, rb = _error_bounds(es, ur, ui, f)
+            lead = abs(p.values()[-1]) - p.errors()[-1]
             resid = mp.ldexp(mp.sqrt(ar * ar + ai * ai) + perr + ra, m - f)
-            dp_low = mp.ldexp(mp.sqrt(br * br + bi * bi) - rb, m - k - f)
+            dp_low = mp.ldexp(mp.sqrt(br * br + bi * bi) - rb - derr,
+                              m - k - f)
             if dp_low > mp.ldexp(lead, -(p.bits // 2)):
                 rad = deg * resid / dp_low
             else:

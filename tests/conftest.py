@@ -12,11 +12,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from mpmath import mp
 from mpmath.libmp import to_rational
 
-from periodpoly import (CurveSpec, LFunctionData, Precision, SpecialValues,
-                        parse_curve_file, parse_eps_overrides,
+from periodpoly import (Precision, parse_curve_file, parse_eps_overrides,
                         special_values, sym_lfunction_data)
 from periodpoly.pipeline import scale_estimate
 
@@ -110,23 +108,3 @@ def trend_sym3(curve_table):
         out[label] = (data, special_values(data, Precision(128, target)))
     return out
 
-
-def synthetic_m1(delta, h0, bits=192):
-    """Weight-3 dataset with prescribed central-to-edge ratio delta.
-
-    Lambda(1) = Lambda(3) = 1 and Lambda(2) = delta, eps = +1; the Hodge
-    vector is (h0, 1) so h_0 is free while the degree stays positive.
-    """
-    hodge = (h0, 1)
-    data = LFunctionData(weight=3, degree=2 * (h0 + 1), conductor=5,
-                         hodge=hodge, root_number=1,
-                         coefficients=(mp.mpf(1),),
-                         label="synthetic-m1-%g-%d" % (delta, h0))
-    with mp.workprec(bits + 16):
-        tiny = mp.mpf(2) ** (-bits)
-        vals = SpecialValues(weight=3, values={
-            1: (mp.mpf(1), tiny),
-            2: (mp.mpf(delta), tiny),
-            3: (mp.mpf(1), tiny),
-        }, bits=bits, target=float(tiny), label=data.label)
-    return data, vals

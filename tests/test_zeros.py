@@ -6,6 +6,8 @@ J_0(2 (16 pi^2/N)^{1/4} sqrt(z)) up to the variable change), exercised
 in the acceptance suite; here the counts themselves are anchored.
 """
 
+import itertools
+
 import pytest
 from mpmath import mp
 
@@ -82,6 +84,20 @@ class TestPolyRoots:
         for z, r in roots:
             assert abs(z - 1) < mp.mpf("1e-15")
             assert abs(z - 1) <= 10 * r + mp.mpf("1e-30")
+
+    @pytest.mark.parametrize("coeffs", [
+        ((-1, 0), (1, 0.5)),          # 0.5 z - 1 has its root at 2
+        ((-1, 0), (0, 0), (1, 0.75)),  # 0.25 z^2 - 1 at +-2
+    ])
+    def test_radius_covers_the_error_ball(self, coeffs):
+        # every root of every corner of the coefficient box lies in a disc
+        discs = poly_roots(RealPolynomial(coeffs, bits=64))
+        signs = itertools.product(*[(-1, 1) if e else (0,) for _, e in coeffs])
+        with mp.workprec(64):
+            for sign in signs:
+                corner = [v + t * e for (v, e), t in zip(coeffs, sign)]
+                for root in mp.polyroots(corner[::-1]):
+                    assert any(abs(root - z) <= r for z, r in discs), root
 
     def test_rejects_degenerate(self):
         p = RealPolynomial(((1, 0), (1e-40, 1e-30)), bits=128)
