@@ -27,9 +27,9 @@ which zeta_poly_closed_form evaluates exactly, in Fractions, and
 closed_form_ok checks against the transform exactly.  The transform
 itself is exact, in Python integers, and rounds each coefficient of Z
 once, counting that rounding in the coefficient's error; deflate_at_one
-divides by (1 - z) exactly.  check_zeta_properties
-checks the functional equation exactly on the coefficients of Z, in
-Python integers, and the critical line on its isolated roots.
+divides by (1 - z) exactly.  check_zeta_properties checks the functional
+equation exactly on the coefficients of Z, in Python integers, and the
+critical line on its isolated roots.
 """
 
 from dataclasses import KW_ONLY, dataclass

@@ -498,13 +498,14 @@ class TestTruncationPlanning:
             coeffs = sym3_data.coefficients[:x]
             return _AfeEngine(replace(sym3_data, coefficients=coeffs), prec)
 
-        with mp.workprec(engine(1).workbits):
+        short = engine(100)
+        with mp.workprec(short.workbits):
             for sigma in (1, 2, 3):
-                with pytest.raises(InsufficientCoefficients) as short:
-                    engine(100).one_sided(sigma)
-                need = short.value.required
+                with pytest.raises(InsufficientCoefficients) as failed:
+                    short.one_sided(sigma)
+                need = failed.value.required
                 assert 100 < need < sym3_data.coeff_limit
-                value, err = engine(need).one_sided(sigma)
+                _, err = engine(need).one_sided(sigma)
                 assert err < prec.target_abs_error
                 with pytest.raises(InsufficientCoefficients) as one_less:
                     engine(need - 1).one_sided(sigma)
