@@ -123,10 +123,15 @@ The kernel and its planning are built to be cheap:
       (numutil.log_divisor_tail); the mpmath majorant then confirms that
       n0 passes and n0 - 1 fails, and steps n0 only where the doubles
       erred, so n0, the line chosen and every bound are those an mpmath
-      bisection gives, at one or two mpmath evaluations per line.  Each
-      line is searched once, up to 2^40 terms: the smallest n0 over the
-      lines is the truncation point when it is at most X, and otherwise
-      the count InsufficientCoefficients reports as required.
+      bisection gives, at one or two mpmath evaluations per line.  The
+      lines are searched in ascending index, the first up to 2^40 terms
+      and each later one only up to the best n0 so far less one, as it
+      must beat that strictly; so the result is the smallest n0 over the
+      lines, on its first line, with fewer bisection steps and mpmath
+      evaluations on the lines that cannot win.  It is the truncation
+      point when it is at most X.  Otherwise, special_values plans every
+      sigma before it raises, and InsufficientCoefficients reports the
+      largest n0 over them as required.
 """
 
 import math
@@ -431,6 +436,7 @@ class _AfeEngine:
             mpf_log(from_int(data.conductor), self.lnbits + 10), self.lnbits - 1)
         big = max(data.coeff_limit, data.conductor)
         self._ell_err = data.coeff_limit.bit_length() * (1 + math.log(big) / 512)
+        self._plans = {}
 
     # -- fixed-point tables (Python integers) ----------------------------------
 
@@ -712,6 +718,46 @@ class _AfeEngine:
             n0 -= 1
         return n0
 
+    def _plan(self, sigma):
+        """(ladder, log_mass, n0, i) for sigma, planned once: the kernel
+        lines, their log mass bounds, the truncation point n0 (None when
+        no line reaches the tail budget within _N0_CAP terms) and the
+        first line i that reaches it with n0 terms; see (d) in the module
+        docstring."""
+        if sigma not in self._plans:
+            cmin = _min_offset(sigma, self.data.m)
+            ladder = [cmin + off for off in _OFFSETS]
+            log_mass = [self._log_mass(sigma, c) for c in ladder]
+            # Lambda(s) adds two one-sided sums; see the module docstring
+            tail_budget = self.target / (2 * _TARGET_MARGIN) * 3 / 8
+            n0 = i = None
+            for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
+                cap = _N0_CAP if n0 is None else n0 - 1
+                if cap < 1:
+                    break
+                found = self._search_n0(sigma, c, lm, tail_budget, cap)
+                if found is not None:
+                    n0, i = found, idx
+            self._plans[sigma] = ladder, log_mass, n0, i
+        return self._plans[sigma]
+
+    def check_reach(self, sigmas):
+        """Raise InsufficientCoefficients unless X covers the truncation
+        point of every sigma given; it names the largest count required."""
+        need = {sigma: self._plan(sigma)[2] for sigma in sigmas}
+        short = [sigma for sigma, n0 in need.items()
+                 if n0 is None or n0 > self.data.coeff_limit]
+        if short:
+            n0s = [need[sigma] for sigma in short]
+            required = None if None in n0s else max(n0s)
+            raise InsufficientCoefficients(
+                "coefficient list (X = %d) too short for target %s at s = %s;"
+                " roughly %s terms required"
+                % (self.data.coeff_limit, mp.nstr(self.target, 6),
+                   ", ".join(map(str, short)), required),
+                required=required,
+            )
+
     # -- main one-sided sum ---------------------------------------------------
 
     def one_sided(self, sigma):
@@ -721,28 +767,12 @@ class _AfeEngine:
         sig = mp.mpf(sigma)
         # Lambda(s) adds two one-sided sums; see the module docstring
         budget = self.target / (2 * _TARGET_MARGIN)
-        tail_budget = budget * 3 / 8
         quad_budget = budget * 3 / 8
         skip_budget = budget / 8
-        cmin = _min_offset(sigma, data.m)
-        ladder = [cmin + off for off in _OFFSETS]
-        log_mass = [self._log_mass(sigma, c) for c in ladder]
+        self.check_reach([sigma])
+        ladder, log_mass, n0, i = self._plan(sigma)
+        cmin = ladder[0]
         lnsq_f = float(self.ln_sqrt_n)
-
-        # truncation point: the line whose kernel-mass bound reaches the
-        # tail budget with the fewest terms.  Each line is searched past X,
-        # so the same n0 sizes the error when X falls short.
-        n0s = [self._search_n0(sigma, c, lm, tail_budget, _N0_CAP)
-               for c, lm in zip(ladder, log_mass)]
-        n0 = min((n for n in n0s if n is not None), default=None)
-        if n0 is None or n0 > data.coeff_limit:
-            raise InsufficientCoefficients(
-                "coefficient list (X = %d) too short for target %s at s = %d;"
-                " roughly %s terms required"
-                % (data.coeff_limit, mp.nstr(self.target, 6), sigma, n0),
-                required=n0,
-            )
-        i = n0s.index(n0)
         tail = self._tail_bound(sigma, ladder[i], mp.exp(log_mass[i]), n0)
 
         # each term's line and weight |lambda(n)| n^-(sigma + c) ~ |wm| 2^e
@@ -863,6 +893,9 @@ def special_values(data, prec=Precision()):
     out = {}
     with mp.workprec(engine.workbits):
         ulp = mp.ldexp(1, -engine.workbits)
+        # every sigma is planned before any is summed, so a shortfall
+        # names the count that covers them all
+        engine.check_reach(range(1, w + 1))
         sums = [engine.one_sided(sigma) for sigma in range(1, w + 1)]
         for s in range(1, w + 1):
             a, ea = sums[s - 1]

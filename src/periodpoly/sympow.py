@@ -16,6 +16,28 @@ power sums tr Sym^n(Frob_p^s), never from floating-point alpha powers.
 The root number is exact too: for a semistable curve it follows from the
 Hodge numbers and the signs a_p = +-1 at the bad primes, with no
 numerical search (see sym_lfunction_data).
+
+a_p comes from one of two point counts (ap_count).  The character sum
+a_p = -sum_x chi(f(x)) takes a few numpy passes over all p residues, so
+it costs O(p); it serves p <= _SHANKS_MESTRE_ABOVE, the bad primes, and
+any prime the other path leaves open.  Above that crossover a good prime
+is counted by Shanks-Mestre baby-step giant-step (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, sec. 7.4), in exact Python
+integers on the short model y^2 = g(x) = x^3 - 27 c4 x - 54 c6.  Its
+discriminant is 6^12 times the model's, and CurveSpec ties the primes of
+that to those of N, so for p > 3 it is nonsingular mod p exactly when p
+does not divide N.  Hasse's theorem puts #E(F_p) in [p+1-r, p+1+r],
+r = floor(2 sqrt p).  For a point P, every M in that interval with
+M P = O is collected; the true #E(F_p) is one of them, so when exactly one
+remains, it is the count.  The points come from x = 0, 1, 2, ... with
+d = g(x) != 0: (x, 1) lies on d y^2 = g(x), which X = d x, Y = d^2 y turn
+into Y^2 = X^3 - 27 c4 d^2 X - 54 c6 d^3 with the point (d x, d^2).  That
+curve is E when d is a square mod p, and otherwise its quadratic twist,
+whose trace is -a_p.  So no square root is taken, and each further point
+keeps only the candidates a_p it allows.  A point whose baby steps collide (its order is at most
+twice their number, so the giant steps could miss an M) is skipped; when
+_SHANKS_MESTRE_POINTS points leave more than one candidate, the character
+sum decides.  No count is ever guessed.
 """
 
 import math
@@ -27,10 +49,23 @@ from .errors import InputError
 from .lfunc import LFunctionData
 from .numutil import primes_upto, smallest_prime_factors
 
-# Point counting is O(p): about 35 ns per residue, 70 ms at p = 2e6 on a
-# 2-core Xeon host.  ap_count's int64 intermediates stay below 5p^2, inside
-# 2^63 for every p below 1.3e9, so time, not overflow, sets this bound.
+# The character sum is O(p), about 29 ns per residue and 58 ms at p = 2e6
+# on a 2-core Xeon host, and bad primes and Shanks-Mestre's leftovers can
+# reach it at any p.  Its int64 intermediates stay below 6p^3, or below 6p^2
+# where x^2 is reduced first, inside 2^63 for every p below 1.2e9, so time,
+# not overflow, sets this bound.
 MAX_COUNT_PRIME = 2_000_000
+
+# Good primes above this are counted by Shanks-Mestre.  The two paths tie
+# near p = 3,500 (about 60 us a prime on the host above) and Shanks-Mestre
+# is faster from 4,000 on; at p = 10^5 the character sum takes 2 ms and
+# Shanks-Mestre 0.1 ms.
+_SHANKS_MESTRE_ABOVE = 4_000
+
+# Points Shanks-Mestre tries before leaving a prime to the character sum.
+# With 3, of the primes in (2,000, 20,000] on the seven curves 11a1, 14a1,
+# 15a1, 17a1, 19a1, 37a1 and 43a1 only 15a1's 14,401 falls back.
+_SHANKS_MESTRE_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -106,9 +141,9 @@ def _strip_prime(rest, p, n, disc):
 
 
 def ap_count(curve, p):
-    """Trace of Frobenius a_p = p - #affine points (works verbatim for good
-    and multiplicative primes; the point at infinity shifts both sides by 1
-    in the good case)."""
+    """Trace of Frobenius a_p = p - #affine points, for good and
+    multiplicative primes alike (the point at infinity shifts both sides
+    by 1 in the good case); see the module docstring for the two paths."""
     if p > MAX_COUNT_PRIME:
         raise InputError("p = %d exceeds the point-counting bound %d" % (p, MAX_COUNT_PRIME))
     if p == 2:
@@ -119,24 +154,127 @@ def ap_count(curve, p):
                 rhs = (x ** 3 + curve.a2 * x * x + curve.a4 * x + curve.a6) % 2
                 count += lhs == rhs
         return 2 - count
+    if p > _SHANKS_MESTRE_ABOVE and curve.conductor % p:
+        a_p = _shanks_mestre_ap(curve, p)
+        if a_p is not None:
+            return a_p
+    return _character_sum_ap(curve, p)
+
+
+def _character_sum_ap(curve, p):
+    """a_p = -sum_x chi(f(x)) for odd p, in one reduction of f."""
     # complete the square: (2y + a1 x + a3)^2 = f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6
     b2, b4, b6, _ = curve.b_invariants
     x = np.arange(p, dtype=np.int64)
-    # Horner's rule, reduced after the quadratic step and at the end, so
-    # every intermediate stays below 5p^2 (reducing only at the end would
-    # reach 5p^3, past 2^63 once p > 1.2e6)
+    x2 = x * x
+    square = np.zeros(p, dtype=bool)
+    square[x2[: (p + 1) // 2] % p] = True
+    # f = (4x + b2) x^2 + 2 b4 x + b6 with reduced constants is below
+    # 5p^3 + p^2 + p < 6p^3, or 6p^2 with x^2 reduced first
+    if 6 * p ** 3 >= 1 << 63:
+        x2 %= p
     f = np.arange(b2 % p, b2 % p + 4 * p, 4, dtype=np.int64)  # 4x + b2
-    f *= x
-    f %= p
-    f += 2 * b4 % p
-    f *= x
+    f *= x2
+    x *= 2 * b4 % p
+    f += x
     f += b6 % p
     f %= p
-    half = x[: (p + 1) // 2]
-    square = np.zeros(p, dtype=bool)
-    square[half * half % p] = True
     # f(x) = 0 gives one y, a nonzero square two, a non-square none
     return p + int(np.count_nonzero(f == 0)) - 2 * int(np.count_nonzero(square[f]))
+
+
+def _ec_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b over F_p, affine, None for O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k, P, a, p):
+    """k P for k >= 0, by doubling and adding."""
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, a, p)
+        P = _ec_add(P, P, a, p)
+        k >>= 1
+    return R
+
+
+def _hasse_orders(P, a, p, r):
+    """Every t in [-r, r] with (p + 1 + t) P = O, by baby steps +-jP
+    (j <= m) and giant steps of (2m + 1) P; None when two baby steps
+    collide, as then the giant steps could miss a t."""
+    m = math.isqrt(r) + 1
+    baby = {}  # x(jP) -> (j, y(jP))
+    Q = P
+    for j in range(1, m + 1):
+        if Q is None or Q[1] == 0 or Q[0] in baby:
+            return None
+        baby[Q[0]] = (j, Q[1])
+        Q, last = _ec_add(Q, P, a, p), Q
+    step = 2 * m + 1
+    giant = _ec_add(Q, last, a, p)  # (m + 1) P + m P
+    # R = (p + 1 + t) P covers t - m .. t + m against the baby steps; the
+    # first t <= m - r makes p + 1 + t a multiple of the step
+    q = (p + 1 + m - r) // step
+    t = q * step - p - 1
+    R = _ec_mul(q, giant, a, p)
+    found = []
+    while t - m <= r:
+        if R is None:
+            found.append(t)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            found.append(t - j if y == R[1] else t + j)
+        R = _ec_add(R, giant, a, p)
+        t += step
+    return [u for u in found if -r <= u <= r]
+
+
+def _shanks_mestre_ap(curve, p):
+    """a_p for a good prime p > 3 when the points of the module docstring
+    leave exactly one candidate in Hasse's interval, otherwise None."""
+    b2, b4, b6, _ = curve.b_invariants
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    A, B = -27 * c4 % p, -54 * c6 % p
+    r = math.isqrt(4 * p)
+    candidates = None
+    tried = 0
+    x = -1
+    while tried < _SHANKS_MESTRE_POINTS:
+        x += 1
+        d = (x * x * x + A * x + B) % p
+        if not d:
+            continue
+        tried += 1
+        # (d x, d^2) lies on y^2 = x^3 + A d^2 x + B d^3, which has
+        # p + 1 - chi(d) a_p points
+        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+        a, P = A * d * d % p, (d * x % p, d * d % p)
+        if candidates is None:
+            ts = _hasse_orders(P, a, p, r)
+            if ts is None:
+                continue
+            candidates = [-chi * t for t in ts]
+        else:
+            candidates = [c for c in candidates
+                          if _ec_mul(p + 1 - chi * c, P, a, p) is None]
+        if len(candidates) == 1:
+            return candidates[0]
+    return None
 
 
 def _power_traces(ap, p, n, count):
@@ -202,7 +340,9 @@ def _local_expansion(dcoeffs, p, x):
 
 def sym_dirichlet_coeffs(curve, n, x):
     """lambda_{Sym^n}(1..x) as exact integers, by multiplicative assembly
-    of the local expansions (smallest-prime-factor sieve)."""
+    of the local expansions (smallest-prime-factor sieve).  A prime above
+    sqrt(x) enters only through lambda(p), which is read straight from
+    a_p, without the local factor."""
     if n < 1 or n % 2 == 0:
         raise InputError("symmetric power n must be odd and >= 1")
     if x < 1:
@@ -211,13 +351,19 @@ def sym_dirichlet_coeffs(curve, n, x):
     lam[1] = 1
     if x == 1:
         return lam[1:]
-    spf = smallest_prime_factors(x)
+    spf = smallest_prime_factors(x).tolist()
     prime_pow = {}
     for p in primes_upto(x):
-        d = sym_local_factor(n, p, ap_count(curve, p), curve.conductor % p == 0)
-        prime_pow[p] = _local_expansion(d, p, x)
+        a_p = ap_count(curve, p)
+        bad = curve.conductor % p == 0
+        if p * p > x:
+            # only lambda(p) is used: a_p^n at a bad p, else tr Sym^n(Frob_p)
+            prime_pow[p] = [1, a_p ** n if bad else _power_traces(a_p, p, n, 1)[0]]
+        else:
+            d = sym_local_factor(n, p, a_p, bad)
+            prime_pow[p] = _local_expansion(d, p, x)
     for v in range(2, x + 1):
-        p = int(spf[v])
+        p = spf[v]
         q, r = v, 0
         while q % p == 0:
             q //= p

@@ -10,9 +10,10 @@ from mpmath.libmp import to_fixed
 from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
                         PoleError, Precision, SpecialValues, dirichlet_l,
                         gamma_completed, special_values, verify_hypothesis)
-from periodpoly.lfunc import (_OFFSETS, _AfeEngine, _Rung, _min_offset,
-                              log_abs_gamma_bound)
+from periodpoly.lfunc import (_N0_CAP, _OFFSETS, _TARGET_MARGIN, _AfeEngine,
+                              _Rung, _min_offset, log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
+from periodpoly.pipeline import scale_estimate
 
 
 def toy_data(**kw):
@@ -510,6 +511,43 @@ class TestTruncationPlanning:
                 with pytest.raises(InsufficientCoefficients) as one_less:
                     engine(need - 1).one_sided(sigma)
                 assert one_less.value.required == need
+
+    @pytest.mark.parametrize("name,bits,target,scaled", [
+        ("sym3_data", 64, 1e-3, False),
+        ("sym3_data", 192, 1e-25, False),
+        ("sym5_data", 192, 1e-25, True),
+        ("sym7_data", 128, 1e-9, True),
+    ])
+    def test_capped_search_keeps_the_minimum(self, request, name, bits,
+                                             target, scaled):
+        # each later line searched only below the best n0 so far gives the
+        # minimum of the uncapped searches, on its first line
+        data = request.getfixturevalue(name)
+        if scaled:
+            target *= scale_estimate(data)
+        engine = _AfeEngine(data, Precision(bits, target))
+        with mp.workprec(engine.workbits):
+            tail_budget = engine.target / (2 * _TARGET_MARGIN) * 3 / 8
+            for sigma in range(1, data.weight + 1):
+                ladder, log_mass, n0, line = engine._plan(sigma)
+                n0s = [engine._search_n0(sigma, c, lm, tail_budget, _N0_CAP)
+                       for c, lm in zip(ladder, log_mass)]
+                want = min(n for n in n0s if n is not None)
+                assert (n0, line) == (want, n0s.index(want)), sigma
+
+    def test_required_covers_every_sigma(self, sym3_data):
+        # on 100 coefficients sigma = 1, 2, 3 need 187, 189 and 193: the
+        # error names the largest, and that many certify every sigma
+        prec = Precision(64, 1e-3)
+
+        def first(x):
+            return replace(sym3_data, coefficients=sym3_data.coefficients[:x])
+
+        with pytest.raises(InsufficientCoefficients, match="s = 1, 2, 3;") as failed:
+            special_values(first(100), prec)
+        assert failed.value.required == 193
+        vals = special_values(first(193), prec)
+        assert all(vals.error(s) < prec.target_abs_error for s in (1, 2, 3))
 
 
 class TestVerifyHypothesis:

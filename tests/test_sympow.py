@@ -1,8 +1,8 @@
 """Point counting, local factors, and symmetric-power assembly.
 
-The point-count oracle is a brute-force enumeration of the affine curve
-over F_p, written independently of the quadratic-character path the
-library uses.  The symmetric-cube local factor is checked against the
+The point-count oracles are a brute-force enumeration of the affine curve
+over F_p, written independently of both of the library's paths, and for
+larger p a character sum reduced after every step.  The symmetric-cube local factor is checked against the
 elementary symmetric functions of {a^3, pa, pb, b^3} worked out by hand
 (a + b = a_p, ab = p), and Sym^1 coefficients against the Hecke
 recursion.
@@ -22,8 +22,11 @@ from periodpoly import (
     sym_local_factor,
 )
 from periodpoly import sympow
-from periodpoly.numutil import divisor_counts, primes_upto
-from periodpoly.sympow import MAX_COUNT_PRIME
+from periodpoly.numutil import (divisor_counts, primes_upto,
+                                smallest_prime_factors)
+from periodpoly.sympow import (_SHANKS_MESTRE_ABOVE, MAX_COUNT_PRIME,
+                               _character_sum_ap, _local_expansion,
+                               _shanks_mestre_ap)
 
 
 def brute_ap(curve, p):
@@ -38,7 +41,7 @@ def brute_ap(curve, p):
 
 def character_sum_ap(curve, p):
     """a_p = -sum_x chi(f(x)) for odd p, reducing mod p after every
-    step, as the reference for ap_count's Horner form."""
+    step, as the reference for both of ap_count's paths."""
     b2, b4, b6, _ = curve.b_invariants
     x = np.arange(p, dtype=np.int64)
     f = ((4 * x % p + b2 % p) * x % p + (2 * b4) % p) * x % p
@@ -51,6 +54,7 @@ def character_sum_ap(curve, p):
 
 CURVE_11A1 = CurveSpec(0, -1, 1, -10, -20, 11, "11a1")
 CURVE_37A1 = CurveSpec(0, 0, 1, -1, 0, 37, "37a1")
+BATCH_LABELS = ("11a1", "14a1", "15a1", "17a1", "19a1", "37a1", "43a1")
 
 
 class TestPointCounts:
@@ -75,15 +79,41 @@ class TestPointCounts:
         assert ap_count(CURVE_11A1, 11) == 1
         assert ap_count(CURVE_37A1, 37) == -1
 
-    @pytest.mark.parametrize("curve", [CURVE_11A1, CURVE_37A1])
-    def test_matches_character_sum(self, curve):
+    @pytest.mark.parametrize("label", BATCH_LABELS)
+    def test_matches_character_sum(self, curve_table, label):
+        # both paths at every odd prime up to 2e4; Shanks-Mestre may leave
+        # a prime open, but above its crossover almost never does
+        curve = curve_table[label]
+        left_open = []
         for p in primes_upto(20000)[1:]:
-            assert ap_count(curve, p) == character_sum_ap(curve, p)
+            want = character_sum_ap(curve, p)
+            assert ap_count(curve, p) == want
+            if p > 3 and curve.conductor % p:
+                got = _shanks_mestre_ap(curve, p)
+                assert got in (None, want), p
+                if got is None and p > _SHANKS_MESTRE_ABOVE:
+                    left_open.append(p)
+        assert len(left_open) <= 1, left_open
+
+    def test_ambiguous_points_fall_back(self, curve_table):
+        # the first points x = 0, 1, 2 on 15a1 at p = 14,401 leave more than
+        # one candidate a_p, so the character sum counts
+        curve, p = curve_table["15a1"], 14401
+        assert p > _SHANKS_MESTRE_ABOVE and curve.conductor % p
+        assert _shanks_mestre_ap(curve, p) is None
+        assert ap_count(curve, p) == character_sum_ap(curve, p)
 
     def test_largest_countable_prime(self):
-        p = primes_upto(MAX_COUNT_PRIME)[-1]
+        # the character sum, called directly as ap_count takes
+        # Shanks-Mestre here, at the largest prime with int64 room for x^2
+        # unreduced and at the largest countable prime
+        below = max(p for p in primes_upto(1_200_000) if 6 * p ** 3 < 1 << 63)
+        top = primes_upto(MAX_COUNT_PRIME)[-1]
         for curve in (CURVE_11A1, CURVE_37A1):
-            assert ap_count(curve, p) == character_sum_ap(curve, p)
+            for p in (below, top):
+                want = character_sum_ap(curve, p)
+                assert _character_sum_ap(curve, p) == want
+                assert ap_count(curve, p) == want
         with pytest.raises(InputError):
             ap_count(CURVE_11A1, MAX_COUNT_PRIME + 1)
 
@@ -181,6 +211,33 @@ class TestDirichletCoefficients:
         for e in range(1, 7):
             acc = sum(d[i] * po2[e - i] for i in range(min(e, 4) + 1))
             assert acc == 0
+
+
+def expanded_coeffs(curve, n, x):
+    """lambda(1..x) from sym_local_factor and _local_expansion at every
+    prime, the reference for reading lambda(p) from a_p above sqrt(x)."""
+    local = {p: _local_expansion(
+        sym_local_factor(n, p, ap_count(curve, p), curve.conductor % p == 0),
+        p, x) for p in primes_upto(x)}
+    spf = smallest_prime_factors(x)
+    lam = [0, 1] + [0] * (x - 1)
+    for v in range(2, x + 1):
+        p = int(spf[v])
+        q, r = v, 0
+        while q % p == 0:
+            q //= p
+            r += 1
+        lam[v] = local[p][r] * lam[q]
+    return lam[1:]
+
+
+class TestPrimesAboveRoot:
+    @pytest.mark.parametrize("label", ["11a1", "37a1", "89a1"])
+    def test_matches_local_expansions(self, curve_table, label):
+        # 89a1: its bad prime 89 lies above sqrt(5000)
+        curve = curve_table[label]
+        for n in (3, 5, 7, 9):
+            assert sym_dirichlet_coeffs(curve, n, 5000) == expanded_coeffs(curve, n, 5000)
 
 
 class TestHodgeAndData:
