@@ -370,25 +370,21 @@ def cmd_cache(args):
     if not args.cache_dir:
         raise InputError("--dir is required")
     cache = SpecialValuesCache(args.cache_dir)
-    keys = sorted(cache.existing_keys())
-    groups = {}
-    for label, sym, s, bits, target, digest in keys:
-        groups.setdefault((label, sym, bits, target, digest), []).append(s)
     entries = [
-        {"label": label, "sym": sym, "bits": bits, "target": target,
-         "data_sha256": digest, "s_values": sorted(ss), "records": len(ss)}
-        for (label, sym, bits, target, digest), ss in sorted(groups.items())
+        {"label": label, "sym": sym, "bits": bits, "weight": vals.weight,
+         "target": target, "data_sha256": digest}
+        for (label, sym, bits, target, digest), vals in cache.records()
     ]
     report = {
         "path": cache.path,
-        "total_records": len(keys),
+        "total_records": len(entries),
         "entries": entries,
     }
-    lines = ["cache %s: %d records" % (cache.path, len(keys))]
+    lines = ["cache %s: %d records" % (cache.path, len(entries))]
     for e in entries:
-        lines.append("  %s sym=%d bits=%d target=%s s=%s"
+        lines.append("  %s sym=%d bits=%d target=%s weight=%d"
                      % (e["label"], e["sym"], e["bits"], e["target"],
-                        e["s_values"]))
+                        e["weight"]))
     _emit(args, "cache", report, lines)
     return 0
 

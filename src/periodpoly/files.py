@@ -6,13 +6,14 @@ line is a ``format=<name>-<version>`` header, so readers can refuse files
 written by a future incompatible release instead of misparsing them.
 Parse errors always carry the 1-based line number of the offending line.
 
-The cache is append-only JSONL, one record per (label, sym power, s,
-precision bits, target, data digest).  Values are stored twice: as an
-exact mantissa tuple (sign, mantissa, exponent, bit count), which makes
-reloads bit-identical, and as a decimal string for human inspection.
-Each record carries a sha256 checksum over its canonical serialization;
-records that fail the checksum or do not parse are skipped, which sends
-the caller down the recompute path rather than aborting.
+The cache is append-only JSONL, one record per complete set
+Lambda(1..w), keyed by (label, sym power, precision bits, target, data
+digest).  Values are stored twice: as an exact mantissa tuple (sign,
+mantissa, exponent, bit count), which makes reloads bit-identical, and
+as a decimal string for human inspection.  Each record carries a sha256
+checksum over its canonical serialization; records that fail the
+checksum, do not parse or do not hold exactly s = 1..w are skipped, which
+sends the caller down the recompute path rather than aborting.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ from .sympow import CurveSpec
 FORMAT_COEFFS = "periodpoly-coeffs-1"
 FORMAT_CURVES = "periodpoly-curves-1"
 FORMAT_EPS = "periodpoly-eps-1"
-FORMAT_CACHE = "periodpoly-cache-1"
+FORMAT_CACHE = "periodpoly-cache-2"
 FORMAT_REPORT = "periodpoly-report-1"
 
 # Decimal digits carried by serialized values, as a function of the
@@ -331,18 +332,18 @@ def data_digest(data):
 
 
 class SpecialValuesCache:
-    """Append-only JSONL store for completed special values.
+    """Append-only JSONL store of complete special-value sets.
 
-    Records are keyed by (label, sym power, s, precision bits, target,
-    data digest), the digest being data_digest of the dataset the values
-    were computed from; records without one never match.  Writes are
-    write-once: a key already present is never rewritten, so a cache file
-    only ever grows and earlier readers stay valid.  A load is a hit only
-    if every s = 1..w is present for the same data, at exactly the
-    requested precision and under one stored target no looser than the
-    requested one; other coefficients under the same label, a different
-    bit count or a tighter target miss rather than returning stale
-    values, rounded survivors or wider bounds.
+    Each record holds one set Lambda(1..w) and is keyed by (label, sym
+    power, precision bits, target, data digest), the digest being
+    data_digest of the dataset the values were computed from.  Writes
+    are write-once: a key already present is never rewritten, so a cache
+    file only ever grows and earlier readers stay valid.  A load is a hit
+    only for the same data at exactly the requested precision, under a
+    stored target no looser than the requested one; other coefficients
+    under the same label, a different bit count or a tighter target miss
+    rather than returning stale values, rounded survivors or wider
+    bounds.
     """
 
     FILENAME = "special_values.jsonl"
@@ -351,104 +352,79 @@ class SpecialValuesCache:
         self.directory = directory
         self.path = os.path.join(directory, self.FILENAME)
 
-    def _iter_records(self):
+    def records(self):
+        """Yield ((label, sym, bits, target, digest), SpecialValues) per
+        record, in file order.
+
+        A line is skipped, so that a lookup misses and the caller
+        recomputes, if it does not parse, is in another format (such as
+        the per-s records of periodpoly-cache-1), fails its checksum,
+        lacks a key field or does not hold exactly s = 1..weight."""
         if not os.path.exists(self.path):
             return
         with open(self.path, encoding="utf-8") as fh:
             for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
                 try:
                     record = json.loads(raw)
-                except ValueError:
-                    continue  # corrupted line: skip, caller recomputes
-                if not isinstance(record, dict):
-                    continue
-                if record.get("format") != FORMAT_CACHE:
-                    continue
-                if record.get("checksum") != _record_checksum(record):
-                    continue  # bit rot: treat as absent
-                yield record
-
-    def _index(self):
-        seen = {}
-        for record in self._iter_records():
-            key = (record["label"], record["sym"], record["s"],
-                   record["bits"], record.get("target"),
-                   record.get("data_sha256"))
-            if key not in seen:  # write-once: first record wins
-                seen[key] = record
-            yield key, seen[key]
-
-    def existing_keys(self):
-        return {key for key, _ in self._index()}
+                    key = (record["label"], int(record["sym"]),
+                           int(record["bits"]), float(record["target"]),
+                           record["data_sha256"])
+                    vals = SpecialValues(
+                        weight=record["weight"],
+                        values={int(s): (mpf_from_obj(v["value"]),
+                                         mpf_from_obj(v["error"]))
+                                for s, v in record["values"].items()},
+                        bits=key[2], target=key[3], label=key[0])
+                except (ValueError, TypeError, KeyError, AttributeError,
+                        IndexError):
+                    continue  # InputError is a ValueError
+                if (record.get("format") == FORMAT_CACHE and None not in key
+                        and record.get("checksum") == _record_checksum(record)):
+                    yield key, vals
 
     def store(self, label, sym, values, digest):
-        """Append records for each s in ``values`` not already cached;
-        ``digest`` is data_digest of the dataset they were computed from."""
-        os.makedirs(self.directory, exist_ok=True)
-        present = self.existing_keys()
+        """Append ``values`` as one record unless its key is already
+        cached, and return the number of values written; ``digest`` is
+        data_digest of the dataset they were computed from."""
         bits = int(values.bits)
         target = float(values.target)
+        key = (label, int(sym), bits, target, digest)
+        if any(k == key for k, _ in self.records()):
+            return 0
         digits = _digits_for_bits(bits)
-        added = 0
+        entries = {}
+        for s, (val, err) in sorted(values.values.items()):
+            work = max(bits + 32, _exact_mpf(val)._mpf_[3] + 8,
+                       _exact_mpf(err)._mpf_[3] + 8)
+            with mp.workprec(work):
+                entries[str(s)] = {
+                    "value": mpf_to_obj(val),
+                    "value_dec": fmt_mpf(val, digits),
+                    "error": mpf_to_obj(err),
+                    "error_dec": fmt_mpf(err, digits),
+                }
+        record = {"format": FORMAT_CACHE, "label": label, "sym": int(sym),
+                  "bits": bits, "target": target, "data_sha256": digest,
+                  "weight": int(values.weight), "values": entries}
+        record["checksum"] = _record_checksum(record)
+        os.makedirs(self.directory, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            for s in sorted(values.values):
-                key = (label, int(sym), int(s), bits, target, digest)
-                if key in present:
-                    continue
-                val, err = values.values[s]
-                work = max(bits + 32, _exact_mpf(val)._mpf_[3] + 8,
-                           _exact_mpf(err)._mpf_[3] + 8)
-                with mp.workprec(work):
-                    record = {
-                        "format": FORMAT_CACHE,
-                        "label": label,
-                        "sym": int(sym),
-                        "s": int(s),
-                        "bits": bits,
-                        "weight": int(values.weight),
-                        "target": target,
-                        "data_sha256": digest,
-                        "value": mpf_to_obj(val),
-                        "value_dec": fmt_mpf(val, digits),
-                        "error": mpf_to_obj(err),
-                        "error_dec": fmt_mpf(err, digits),
-                    }
-                record["checksum"] = _record_checksum(record)
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-                added += 1
-        return added
+            fh.write(json.dumps(record, sort_keys=True,
+                                separators=(",", ":")) + "\n")
+        return len(entries)
 
     def load(self, label, sym, bits, weight, target, digest):
-        """Return SpecialValues covering s = 1..weight, or None on a miss.
-
-        Of the complete sets stored for ``digest`` under a target <=
-        ``target``, the loosest is returned, so an exact match reproduces
-        what a cold computation at ``target`` gives."""
-        bits = int(bits)
-        sets = {}
-        for key, record in self._index():
-            stored = key[4]
-            if key[0] != label or key[1] != int(sym) or key[3] != bits:
-                continue
-            if key[5] is None or key[5] != digest:
-                continue
-            if stored is None or stored > target:
-                continue
-            if int(record.get("weight", -1)) != int(weight):
-                continue
-            sets.setdefault(stored, {})[key[2]] = (
-                mpf_from_obj(record["value"]), mpf_from_obj(record["error"]))
-        full = [t for t, found in sets.items()
-                if set(found) == set(range(1, int(weight) + 1))]
-        if not full:
-            return None
-        best = max(full)
-        return SpecialValues(weight=int(weight), values=sets[best], bits=bits,
-                             target=best, label=label)
+        """Return the SpecialValues stored for ``digest`` at ``bits`` under
+        the loosest target <= ``target``, or None on a miss; an exact match
+        thus reproduces what a cold computation at ``target`` gives."""
+        want = (label, int(sym), int(bits), digest)
+        best = None
+        for (lab, sy, bi, stored, dig), vals in self.records():
+            if ((lab, sy, bi, dig) == want and vals.weight == int(weight)
+                    and stored <= target
+                    and (best is None or stored > best.target)):
+                best = vals
+        return best
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,9 @@ class LFunctionData:
 class SpecialValues:
     """Completed values Lambda(s) for integer s = 1..w with error bounds.
 
-    values maps s to (value, error_bound); bits/target record the request
-    they were computed under (used for cache keying and report headers).
+    values maps s to (value, error_bound) for exactly s = 1..weight;
+    bits/target record the request they were computed under (used for
+    cache keying and report headers).
     """
 
     weight: int
@@ -269,6 +270,11 @@ class SpecialValues:
     bits: int = 192
     target: float = 1e-25
     label: str = ""
+
+    def __post_init__(self):
+        if set(self.values) != set(range(1, self.weight + 1)):
+            raise InputError("special values must cover exactly s = 1..%d, "
+                             "got s = %s" % (self.weight, sorted(self.values)))
 
     def value(self, s):
         return self.values[s][0]
@@ -951,41 +957,37 @@ def verify_hypothesis(data, vals):
 
     for s in range(1, w + 1):
         t = w + 1 - s
-        if s in vals.values and t in vals.values:
-            if abs(v(s) - eps * v(t)) > e(s) + e(t) + mp.mpf("1e-30") * abs(v(s)):
-                out.append(
-                    "functional-equation: s=%d |Lambda(s) - eps Lambda(w+1-s)| = %s"
-                    % (s, mp.nstr(abs(v(s) - eps * v(t)), 8))
-                )
-                break
+        if abs(v(s) - eps * v(t)) > e(s) + e(t) + mp.mpf("1e-30") * abs(v(s)):
+            out.append(
+                "functional-equation: s=%d |Lambda(s) - eps Lambda(w+1-s)| = %s"
+                % (s, mp.nstr(abs(v(s) - eps * v(t)), 8))
+            )
+            break
 
     c = m + 1
-    if c in vals.values:
-        if v(c) < -e(c):
-            out.append("central-sign: Lambda(%d) = %s < 0" % (c, mp.nstr(v(c), 8)))
-        if eps == -1 and abs(v(c)) > e(c) + mp.mpf("1e-28") * (1 + abs(v(w))):
-            out.append(
-                "central-zero: eps=-1 but Lambda(%d) = %s != 0" % (c, mp.nstr(v(c), 8))
-            )
+    if v(c) < -e(c):
+        out.append("central-sign: Lambda(%d) = %s < 0" % (c, mp.nstr(v(c), 8)))
+    if eps == -1 and abs(v(c)) > e(c) + mp.mpf("1e-28") * (1 + abs(v(w))):
+        out.append(
+            "central-zero: eps=-1 but Lambda(%d) = %s != 0" % (c, mp.nstr(v(c), 8))
+        )
 
     for s in range(m + 1, w):
-        if s in vals.values and s + 1 in vals.values:
-            if v(s) > v(s + 1) + e(s) + e(s + 1):
-                out.append(
-                    "monotonicity: Lambda(%d) = %s > Lambda(%d) = %s"
-                    % (s, mp.nstr(v(s), 8), s + 1, mp.nstr(v(s + 1), 8))
-                )
+        if v(s) > v(s + 1) + e(s) + e(s + 1):
+            out.append(
+                "monotonicity: Lambda(%d) = %s > Lambda(%d) = %s"
+                % (s, mp.nstr(v(s), 8), s + 1, mp.nstr(v(s + 1), 8))
+            )
 
     if eps == -1:
         # strengthened chain: 0 <= Lambda(m+2) <= Lambda(m+3)/2 <= Lambda(m+4)/3 ...
         for k in range(1, m):
             s, t = m + 1 + k, m + 2 + k
-            if s in vals.values and t in vals.values:
-                lhs = v(s) / k
-                rhs = v(t) / (k + 1)
-                if lhs > rhs + e(s) / k + e(t) / (k + 1):
-                    out.append(
-                        "strengthened-chain: Lambda(%d)/%d = %s > Lambda(%d)/%d = %s"
-                        % (s, k, mp.nstr(lhs, 8), t, k + 1, mp.nstr(rhs, 8))
-                    )
+            lhs = v(s) / k
+            rhs = v(t) / (k + 1)
+            if lhs > rhs + e(s) / k + e(t) / (k + 1):
+                out.append(
+                    "strengthened-chain: Lambda(%d)/%d = %s > Lambda(%d)/%d = %s"
+                    % (s, k, mp.nstr(lhs, 8), t, k + 1, mp.nstr(rhs, 8))
+                )
     return out

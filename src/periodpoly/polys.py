@@ -108,9 +108,9 @@ def build_p_poly(data, vals):
     binomial_weight(m, hodge, |m-j|) * Lambda(w - j)."""
     m = data.m
     w = data.weight
-    for s in range(1, w + 1):
-        if s not in vals.values:
-            raise InputError("missing special value Lambda(%d)" % s)
+    if vals.weight != w:
+        raise InputError("special values of weight %d for data of weight %d"
+                         % (vals.weight, w))
     with mp.workprec(vals.bits):
         cs = []
         for j in range(0, 2 * m + 1):

@@ -336,8 +336,8 @@ class TestCacheCommand:
         assert len(entries) == 1
         assert entries[0]["label"] == "11a1-sym3"
         assert entries[0]["data_sha256"] == digest
-        assert entries[0]["records"] == 3
-        assert entries[0]["s_values"] == [1, 2, 3]
+        assert report["total_records"] == 1
+        assert entries[0]["weight"] == 3  # one record holds s = 1..3
 
     def test_empty_directory_lists_nothing(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "cache", "--dir", str(tmp_path / "nowhere"))

@@ -239,11 +239,49 @@ class TestCache:
         path = tmp_path / "special_values.jsonl"
         lines = path.read_text().splitlines()
         rec = json.loads(lines[0])
-        rec["value"][1] = str(int(rec["value"][1]) + 1)  # break checksum
+        value = rec["values"]["1"]["value"]
+        value[1] = str(int(value[1]) + 1)  # break checksum
         lines[0] = json.dumps(rec)
         path.write_text("\n".join(["not json at all"] + lines) + "\n")
-        # the record with a broken checksum no longer completes the set
+        # the set with a broken checksum is no longer there to load
         assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+
+    def _rewrite(self, tmp_path, edit):
+        """Store one set, let ``edit`` change its record, and re-seal the
+        checksum, so that only the edit can make the record miss."""
+        cache = SpecialValuesCache(str(tmp_path))
+        cache.store("cache-test", 3, make_values(224), DIGEST)
+        path = tmp_path / "special_values.jsonl"
+        rec = json.loads(path.read_text())
+        edit(rec)
+        rec["checksum"] = _record_checksum(rec)
+        path.write_text(json.dumps(rec) + "\n")
+        return cache
+
+    def test_incomplete_set_misses(self, tmp_path):
+        cache = self._rewrite(tmp_path, lambda rec: rec["values"].pop("3"))
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+        assert list(cache.records()) == []
+
+    def test_record_without_target_misses(self, tmp_path):
+        cache = self._rewrite(tmp_path, lambda rec: rec.pop("target"))
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+
+    def test_old_per_s_record_misses(self, tmp_path):
+        # a line as the per-s format periodpoly-cache-1 wrote it
+        vals = make_values(224)
+        rec = {"format": "periodpoly-cache-1", "label": "cache-test",
+               "sym": 3, "s": 1, "bits": 224, "weight": 3, "target": 1e-20,
+               "data_sha256": DIGEST, "value": mpf_to_obj(vals.value(1)),
+               "value_dec": "", "error": mpf_to_obj(vals.error(1)),
+               "error_dec": ""}
+        rec["checksum"] = _record_checksum(rec)
+        (tmp_path / "special_values.jsonl").write_text(json.dumps(rec) + "\n")
+        cache = SpecialValuesCache(str(tmp_path))
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+        # the set is recomputed once and stored in the current format
+        assert cache.store("cache-test", 3, vals, DIGEST) == 3
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is not None
 
     def test_miss_on_other_data(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
@@ -276,8 +314,8 @@ class TestCache:
     def test_existing_keys(self, tmp_path):
         cache = SpecialValuesCache(str(tmp_path))
         cache.store("cache-test", 3, make_values(224), DIGEST)
-        keys = cache.existing_keys()
-        assert ("cache-test", 3, 1, 224, 1e-20, DIGEST) in keys
+        keys = [key for key, _ in cache.records()]
+        assert ("cache-test", 3, 224, 1e-20, DIGEST) in keys
 
 
 class TestReports:

@@ -116,6 +116,13 @@ class TestSpecialValues:
             for s in (1, 2, 3):
                 assert sym3_vals.error(s) < mp.mpf("1e-25")
 
+    @pytest.mark.parametrize("keys", [(1, 3), (1, 2, 3, 4)])
+    def test_set_must_cover_one_to_weight(self, keys):
+        # a missing s or an extra one is refused where the set is made
+        with pytest.raises(InputError, match="exactly s = 1..3"):
+            SpecialValues(weight=3, values={s: (mp.mpf(1), mp.mpf(0))
+                                            for s in keys})
+
     def test_central_nonnegative(self, sym3_vals):
         with mp.workprec(192):
             assert sym3_vals.value(2) >= 0  # Lambda(m + 1), m = 1

@@ -59,6 +59,15 @@ class TestSym3Polynomials:
         # palindromic exactly (identical products at both ends)
         assert p.values()[0] == p.values()[2]
 
+    def test_p_needs_values_of_the_data_weight(self, sym3_vals):
+        from periodpoly import LFunctionData
+
+        data = LFunctionData(weight=5, degree=2, conductor=3,
+                             hodge=(0, 0, 1), root_number=1,
+                             coefficients=(1,), label="w5")
+        with pytest.raises(InputError, match="weight 3 for data of weight 5"):
+            build_p_poly(data, sym3_vals)
+
     def test_P_coefficients(self, sym3_data, sym3_vals):
         P = build_P_poly(build_p_poly(sym3_data, sym3_vals))
         assert P.degree == 1
