@@ -42,7 +42,7 @@ from .zeros import disc_transition_table
 def _check_args(args):
     """Reject settings no subcommand can run with (argparse supplies the
     defaults)."""
-    if args.precision_bits < 64:
+    if getattr(args, "precision_bits", 64) < 64:
         raise InputError("precision must be at least 64 bits")
     target = getattr(args, "target_error", None)
     if target is not None and not target > 0:
@@ -83,11 +83,20 @@ def _ingest(args, inputs):
     if (args.coeffs_path is None) == (args.curve_path is None):
         raise InputError("exactly one of --coeffs or --curve is required")
     if args.coeffs_path:
+        curve_only = [flag for flag, value in (
+            ("--sym", args.sym), ("--label", args.label),
+            ("--eps-overrides", args.eps_overrides_path),
+            ("--coeff-limit", args.coeff_limit)) if value is not None]
+        if curve_only:
+            raise InputError("flags for --curve input given with --coeffs: %s"
+                             % ", ".join(curve_only))
         inputs[os.path.basename(args.coeffs_path)] = sha256_file(
             args.coeffs_path)
         data = parse_coefficient_file(args.coeffs_path,
                                       bits=args.precision_bits)
         return data, 0, None
+    if args.sym is None:
+        raise InputError("--curve needs --sym, an odd n >= 3")
     inputs[os.path.basename(args.curve_path)] = sha256_file(
         args.curve_path)
     curves = parse_curve_file(args.curve_path)
@@ -110,7 +119,8 @@ def _ingest(args, inputs):
             args.eps_overrides_path)
         table = parse_eps_overrides(args.eps_overrides_path)
         recorded = table.get((curve.label, args.sym))
-    data = sym_lfunction_data(curve, args.sym, args.coeff_limit)
+    limit = 10000 if args.coeff_limit is None else args.coeff_limit
+    data = sym_lfunction_data(curve, args.sym, limit)
     # the recorded sign is a cross-check of the exact one, never a source
     if recorded not in (None, data.root_number):
         raise InputError("%s Sym^%d: %s records root number %+d, but the "
@@ -398,15 +408,15 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def precision(p):
         p.add_argument("--precision-bits", type=int, default=192,
                        help="working mantissa bits (default %(default)s, "
                             "min 64)")
-        p.add_argument("--json", dest="table", action="store_false",
-                       default=False, help="emit a canonical JSON report "
-                                           "(default)")
-        p.add_argument("--table", dest="table", action="store_true",
-                       help="emit a human-readable table instead of JSON")
+
+    def common(p):
+        p.add_argument("--table", action="store_true",
+                       help="emit a human-readable table instead of the "
+                            "canonical JSON report")
         p.add_argument("--output", help="write the report here instead of "
                                         "stdout")
 
@@ -415,20 +425,23 @@ def build_parser():
                     help="coefficient file (format=periodpoly-coeffs-1)")
     pa.add_argument("--curve", dest="curve_path",
                     help="curve file (format=periodpoly-curves-1)")
-    pa.add_argument("--sym", type=int, default=0,
+    pa.add_argument("--sym", type=int,
                     help="odd symmetric-power index n >= 3 (curve input "
                          "only)")
-    pa.add_argument("--label", help="curve label to pick from the file")
+    pa.add_argument("--label", help="curve label to pick from the file "
+                                    "(curve input only)")
     pa.add_argument("--eps-overrides", dest="eps_overrides_path",
                     help="recorded root numbers to check the computed "
-                         "ones against (format=periodpoly-eps-1)")
+                         "ones against (format=periodpoly-eps-1; curve "
+                         "input only)")
     pa.add_argument("--target-error", type=float, default=None,
                     help="absolute error target for completed values "
                          "(default: value scale * 1e-25)")
-    pa.add_argument("--coeff-limit", type=int, default=10000,
+    pa.add_argument("--coeff-limit", type=int,
                     help="how many Dirichlet coefficients to generate from "
-                         "a curve (default %(default)s)")
+                         "a curve (default 10000; curve input only)")
     pa.add_argument("--cache-dir", help="special-values cache directory")
+    precision(pa)
     common(pa)
 
     pd = sub.add_parser("disc-table", help="disc-zero count table c_{d,N}")
@@ -443,6 +456,7 @@ def build_parser():
     pm = sub.add_parser("am-table", help="gate constants A_m")
     pm.add_argument("--m-max", type=int, default=50,
                     help="tabulate A_2..A_m (default 50)")
+    precision(pm)
     common(pm)
 
     pc = sub.add_parser("cache", help="inspect a special-values cache")

@@ -307,15 +307,13 @@ def circle_report(p, tolerance=1e-8):
 class TrigScan:
     """Sign-change census of the circle restriction.
 
-    kind is "cos" or "sin"; intervals holds (lo, hi) angle pairs;
-    changes[i] counts sign changes found inside intervals[i]; failing
-    lists indices of intervals with none.  certified_on_circle converts
-    the census to a count of unit-circle roots of the original
-    degree-2n polynomial (conjugate doubling, plus the forced pair
-    z = +-1 in the sine case)."""
+    kind is "cos" or "sin"; changes[i] counts sign changes found inside
+    the i-th census interval; failing lists indices of intervals with
+    none.  certified_on_circle converts the census to a count of
+    unit-circle roots of the original degree-2n polynomial (conjugate
+    doubling, plus the forced pair z = +-1 in the sine case)."""
 
     kind: str
-    intervals: tuple
     changes: tuple
     failing: tuple
     boundary_zero: bool
@@ -372,7 +370,6 @@ def trig_sign_changes(P, eps):
     failing = tuple(i for i, c in enumerate(changes) if c == 0)
     return TrigScan(
         kind="cos" if eps == 1 else "sin",
-        intervals=tuple((float(lo), float(hi)) for lo, hi in ivs),
         changes=tuple(changes),
         failing=failing,
         boundary_zero=(eps == -1),
@@ -393,7 +390,6 @@ class DiscCount:
     requested_radius: float
     points: int
     min_abs: float
-    retries: int = 0
 
 
 def _series_on_contour(d, conductor, r, ts):
@@ -434,7 +430,7 @@ def count_disc_zeros(d, conductor, radius=1.0):
     if not 0.5 <= r0 <= 2.0:
         raise InputError("radius must lie in [0.5, 2]")
     last_reason = ""
-    for attempt, bump in enumerate((0.0, 3e-4, -3e-4, 1e-3, -1e-3, 3e-3, -3e-3)):
+    for bump in (0.0, 3e-4, -3e-4, 1e-3, -1e-3, 3e-3, -3e-3):
         r = r0 * (1.0 + bump)
         ts = np.arange(2 ** 10, dtype=np.float64) / 2 ** 10
         for _ in range(24):
@@ -459,7 +455,6 @@ def count_disc_zeros(d, conductor, radius=1.0):
                         requested_radius=r0,
                         points=len(ts),
                         min_abs=mn,
-                        retries=attempt,
                     )
                 last_reason = "winding total %.6f not near a multiple of 2 pi" % total
                 break

@@ -108,6 +108,13 @@ class TestDiscTable:
         assert code == 2
         assert "even" in err
 
+    def test_precision_bits_is_not_a_flag(self, capsys):
+        # the table is computed in complex128; no bit count reaches it
+        code, _, err = run_cli(capsys, "disc-table", "--degree", "4",
+                               "--n-max", "10", "--precision-bits", "64")
+        assert code == 2
+        assert "--precision-bits" in err
+
 
 class TestTableReproducibility:
     @pytest.mark.parametrize("argv", [
@@ -225,6 +232,12 @@ class TestAnalyzeCurve:
         assert errors == {"input error: symmetric power n must be odd and "
                           ">= 3\n"}
 
+    def test_curve_needs_sym(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--curve",
+                               data_path("curves.txt"), "--label", "11a1")
+        assert code == 2
+        assert err == "input error: --curve needs --sym, an odd n >= 3\n"
+
     def test_unknown_label_is_an_input_error(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -314,6 +327,24 @@ class TestAnalyzeCoefficientFiles:
         )
         assert code == 2
         assert "exactly one" in err
+
+    def test_curve_flags_rejected(self, capsys, neg_coeffs):
+        # each of these selects or builds curve data; with --coeffs it
+        # would be ignored, and the report would not show it
+        code, out, err = run_cli(
+            capsys, "analyze", "--coeffs", neg_coeffs, "--sym", "5",
+            "--label", "X", "--eps-overrides", data_path("eps_overrides.txt"),
+            "--coeff-limit", "100")
+        assert code == 2
+        assert out == ""
+        assert err == ("input error: flags for --curve input given with "
+                       "--coeffs: --sym, --label, --eps-overrides, "
+                       "--coeff-limit\n")
+        for flag, value in (("--sym", "3"), ("--coeff-limit", "10000")):
+            code, _, err = run_cli(capsys, "analyze", "--coeffs", neg_coeffs,
+                                   flag, value)
+            assert code == 2
+            assert err.endswith("--coeffs: %s\n" % flag)
 
     def test_low_precision_rejected(self, capsys, neg_coeffs):
         code, _, err = run_cli(
