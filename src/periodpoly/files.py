@@ -377,7 +377,7 @@ class SpecialValuesCache:
                         bits=key[2], target=key[3], label=key[0])
                 except (ValueError, TypeError, KeyError, AttributeError,
                         IndexError):
-                    continue  # InputError is a ValueError
+                    continue  # an incomplete set's InputError is a ValueError
                 if (record.get("format") == FORMAT_CACHE and None not in key
                         and record.get("checksum") == _record_checksum(record)):
                     yield key, vals
@@ -393,7 +393,7 @@ class SpecialValuesCache:
             return 0
         digits = _digits_for_bits(bits)
         entries = {}
-        for s, (val, err) in sorted(values.values.items()):
+        for s, (val, err) in values.values.items():
             work = max(bits + 32, _exact_mpf(val)._mpf_[3] + 8,
                        _exact_mpf(err)._mpf_[3] + 8)
             with mp.workprec(work):
