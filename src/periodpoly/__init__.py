@@ -78,7 +78,6 @@ from .rv import (
     stirling_first,
     rv_transform,
     maclaurin_coefficients,
-    zeta_polynomial,
     zeta_poly_closed_form,
     closed_form_ok,
     check_zeta_properties,
@@ -123,7 +122,7 @@ __all__ = [
     "COROLLARY_LEVEL_FLOORS", "compute_A_m", "hodge_condition",
     "coefficient_inequalities", "theorem_gate", "rouche_transfer",
     "ZetaPolynomial", "ZetaCheck", "stirling_first", "rv_transform",
-    "maclaurin_coefficients", "zeta_polynomial", "zeta_poly_closed_form",
+    "maclaurin_coefficients", "zeta_poly_closed_form",
     "closed_form_ok", "check_zeta_properties", "deflate_at_one",
     "Analysis", "analyze", "scale_estimate",
     "SpecialValuesCache", "data_digest", "parse_coefficient_file",

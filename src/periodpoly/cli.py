@@ -20,6 +20,7 @@ identical inputs and settings produce byte-identical bytes.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -45,12 +46,20 @@ def _check_args(args):
     if getattr(args, "precision_bits", 64) < 64:
         raise InputError("precision must be at least 64 bits")
     target = getattr(args, "target_error", None)
-    if target is not None and not target > 0:
-        raise InputError("target error must be positive")
+    if target is not None and not 0 < target < math.inf:
+        raise InputError("target error must be finite and positive")
     for name in ("coeffs_path", "curve_path", "eps_overrides_path"):
         path = getattr(args, name, None)
         if path is not None and not os.path.exists(path):
             raise InputError("input file not found: %s" % path)
+    if args.output and (os.path.isdir(args.output) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(args.output)))):
+        raise InputError("output must be a file in an existing directory: %s"
+                         % args.output)
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(
+            cache_dir):
+        raise InputError("cache directory is a file: %s" % cache_dir)
 
 
 def _pair(v, e, digits):

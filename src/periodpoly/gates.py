@@ -28,6 +28,7 @@ slack on concrete data.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath as mp
 
@@ -52,19 +53,15 @@ COROLLARY_LEVEL_FLOORS = {(2, 5): 46, (2, 7): 17, (4, 3): 17}
 _ROUCHE_GRID = 4096  # circle points where rouche_transfer samples |T|
 _GATE_BITS = 128  # precision of A_m and A_m^d in theorem_gate
 
-_ZETA_CACHE = {}
-_AM_CACHE = {}
 
-
+@cache
 def _zeta_half(two_s, bits):
     """zeta(two_s / 2) memoized on the doubled integer argument."""
-    key = (two_s, bits)
-    if key not in _ZETA_CACHE:
-        with mp.workprec(bits):
-            _ZETA_CACHE[key] = +mp.zeta(mp.mpf(two_s) / 2)
-    return _ZETA_CACHE[key]
+    with mp.workprec(bits):
+        return +mp.zeta(mp.mpf(two_s) / 2)
 
 
+@cache
 def compute_A_m(m, bits=128):
     """A_m = max over 1 <= j <= m-1 of (2 pi/(m-j)) (zeta(j+1/2)/zeta(j+3/2))^2.
 
@@ -76,9 +73,6 @@ def compute_A_m(m, bits=128):
     """
     if m < 2:
         raise InputError("A_m is defined for m >= 2")
-    key = (m, bits)
-    if key in _AM_CACHE:
-        return _AM_CACHE[key]
     with mp.workprec(bits):
         cap = (_zeta_half(3, bits) / _zeta_half(5, bits)) ** 2
         best = mp.mpf(0)
@@ -89,8 +83,7 @@ def compute_A_m(m, bits=128):
             cand = 2 * mp.pi / (m - j) * ratio ** 2
             if cand > best:
                 best = cand
-        _AM_CACHE[key] = +best
-    return _AM_CACHE[key]
+        return +best
 
 
 def hodge_condition(m, hodge):

@@ -195,8 +195,9 @@ class Precision:
     def __post_init__(self):
         if int(self.mantissa_bits) < 64:
             raise InputError("mantissa_bits must be >= 64")
-        if not mp.mpf(self.target_abs_error) > 0:
-            raise InputError("target_abs_error must be > 0")
+        target = mp.mpf(self.target_abs_error)
+        if not (target > 0 and mp.isfinite(target)):
+            raise InputError("target_abs_error must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 analyze() calls each step of the analysis once and keeps what it returns.
 p, its deflation p_hat, the L-value ratios, Q, the truncation T, the
 remainder-bound parts and the zeta-polynomial Z are built once and handed
-to the steps that read them (build_P_poly, zeta_polynomial, build_Q_poly,
+to the steps that read them (build_P_poly, rv_transform, build_Q_poly,
 q_decomposition_residual, rouche_transfer, closed_form_ok).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
@@ -19,7 +19,7 @@ from .numutil import log_gamma_c_real
 from .polys import (build_P_poly, build_Q_poly, build_p_poly, l_value_ratios,
                     partial_sum_T, q_decomposition_residual, s_tail_parts)
 from .rv import (check_zeta_properties, closed_form_ok, deflate_at_one,
-                 zeta_polynomial)
+                 rv_transform)
 from .zeros import circle_report, star_discrepancy, trig_sign_changes
 
 
@@ -100,7 +100,7 @@ def analyze(data, vals, sym_context=None):
         except (CertificationError, QuadratureError) as exc:
             rouche_error = str(exc)
 
-    zeta = zeta_polynomial(data, p_hat)
+    zeta = rv_transform(p_hat, eps=data.root_number)
     return Analysis(
         data=data,
         vals=vals,

@@ -54,7 +54,6 @@ class RealPolynomial:
     coeffs: tuple
     bits: int = 192
     degenerate: bool = False
-    label: str = ""
 
     def __post_init__(self):
         if not self.coeffs:
@@ -116,7 +115,7 @@ def build_p_poly(data, vals):
         for j in range(0, 2 * m + 1):
             b = binomial_weight(m, data.hodge, abs(m - j))
             cs.append((b * mp.mpf(vals.value(w - j)), b * mp.mpf(vals.error(w - j))))
-    return RealPolynomial(tuple(cs), bits=vals.bits, label=(vals.label or "p"))
+    return RealPolynomial(tuple(cs), bits=vals.bits)
 
 
 def build_P_poly(p):
@@ -129,7 +128,7 @@ def build_P_poly(p):
     cs = p.coeffs[m::-1]
     with mp.workprec(p.bits):
         cs = ((cs[0][0] / 2, cs[0][1] / 2),) + cs[1:]
-    return RealPolynomial(cs, bits=p.bits, label=p.label)
+    return RealPolynomial(cs, bits=p.bits)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def build_Q_poly(data, ratios):
         c = _f_coeff(y, m, d)
         r, re = ratios.central
         cs[0] = (+(c * r / 2), +(c * re / 2))
-    return RealPolynomial(tuple(cs), bits=bits, label=(data.label or "Q"))
+    return RealPolynomial(tuple(cs), bits=bits)
 
 
 def partial_sum_T(m, d, conductor, bits=192):
@@ -217,7 +216,7 @@ def partial_sum_T(m, d, conductor, bits=192):
         for j in range(0, m + 1):
             c = _f_coeff(y, j, d)
             cs.append((+c, +(abs(c) * mp.mpf(2) ** (4 - bits))))
-    return RealPolynomial(tuple(cs), bits=bits, label="T")
+    return RealPolynomial(tuple(cs), bits=bits)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Unit circle to critical line: the Rodriguez-Villegas transform.
 
-Given a real polynomial U of degree at most e with U(1) != 0, expand
+Given a real polynomial U of degree e with U(1) != 0, expand
 
     U(z) / (1 - z)^{e+1} = sum_{l >= 0} H(l) z^l.
 
@@ -25,8 +25,10 @@ and the value moments
 
 which zeta_poly_closed_form evaluates exactly, in Fractions, and
 closed_form_ok checks against the transform exactly.  The transform
-itself is exact, in Python integers, and rounds each coefficient of Z
-once, counting that rounding in the coefficient's error; deflate_at_one
+itself is one linear map, exact in Python integers: e! Z = sum_j U_j B_j
+over the transforms B_j(s) = prod_{i=1}^{e} (i - j - s) of z^j, and the
+same basis bounds Z's error.  It rounds each coefficient of Z once,
+counting that rounding in the coefficient's error; deflate_at_one
 divides by (1 - z) exactly.  check_zeta_properties checks the functional
 equation exactly on the coefficients of Z, in Python integers, and the
 critical line on its isolated roots.
@@ -68,94 +70,73 @@ def stirling_first(a):
     """Signed Stirling numbers of the first kind: row s(a, q), q = 0..a,
     with sum_q s(a, q) x^q = x (x-1) ... (x-a+1) (empty product 1 for
     a = 0).  Exact integers."""
-    return _stirling_rows(a)[a]
-
-
-def _stirling_rows(a_max):
-    rows = [[1]]
-    for k in range(a_max):
-        prev = rows[-1]
-        nxt = [0] * (len(prev) + 1)
-        for q in range(len(nxt)):
-            left = prev[q - 1] if 1 <= q <= len(prev) else 0
-            right = prev[q] if q < len(prev) else 0
-            nxt[q] = left - k * right
-        rows.append(nxt)
-    return rows
+    row = [1]
+    for k in range(a):
+        row = [left - k * right for left, right in zip([0] + row, row + [0])]
+    return row
 
 
 def _integers(values):
     """Integers n and one positive integer den with values[j] = n[j] / den
-    exactly.  den is the lcm of the denominators: 2^-E for mpf values, E
-    the smallest exponent among their mantissas (1 when E >= 0)."""
-    fracs = [Fraction(*to_rational(v._mpf_)) if isinstance(v, mp.mpf)
-             else Fraction(v) for v in values]
+    exactly, for mpf values: den = 2^-E, E the smallest exponent among
+    their mantissas (1 when E >= 0)."""
+    fracs = [Fraction(*to_rational(v._mpf_)) for v in values]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
-    """Transform U into the line polynomial Z(s) = H(-s).
+def _unit_transforms(e):
+    """Coefficients of e! Z(s) for U = z^j, j = 0..e: H(l) = C(e + l - j, e),
+    so column j is B_j(s) = prod_{i=1}^{e} (i - j - s).  Column j + 1 is
+    column j times (-j - s), divided exactly by (e - j - s).  Exact
+    integers."""
+    col = [1]
+    for i in range(1, e + 1):
+        col = [i * c - d for c, d in zip(col + [0], [0] + col)]
+    cols = [col]
+    for j in range(e):
+        # t = col (-j - s), then t / (r - s) from the top, r = e - j:
+        # (r - s) q = t gives q_e = -t_{e+1} and q_{k-1} = r q_k - t_k
+        t = [-j * c - d for c, d in zip(col + [0], [0] + col)]
+        r = e - j
+        col = [0] * e + [-t[e + 1]]
+        for k in range(e, 0, -1):
+            col[k - 1] = r * col[k] - t[k]
+        cols.append(col)
+    return cols
 
-    poly_or_coeffs: a RealPolynomial or an ascending coefficient list
-    (ints, Fractions or mpf; bits 192 for a list).  e defaults to deg U and
-    must be >= deg U.  U(1) must be certified nonzero, since the
+
+def rv_transform(u, eps=None):
+    """Transform U into the line polynomial Z(s) = H(-s), with e = deg U.
+
+    u is a RealPolynomial; a transform at e > deg U is that of U with zero
+    coefficients appended.  U(1) must be certified nonzero, since the
     critical-line property fails without it.  eps, when given, is stored
     as the functional-equation sign; otherwise it is inferred from the
     palindrome type of U (and left at +1 if U has no palindrome type).
 
-    The values and errors of U become integers over one denominator and
-    the transform runs on them exactly: exact holds Z as Fractions, and
-    coeffs rounds it once at bits + 16 (values to nearest, errors up).
-    The error of Z_q is sum_j err_j |Z_q(e_j)|, the exact bound of the
-    linear map, over the unit vectors e_j with err_j != 0, plus the
-    rounding of Z_q's stored value, so |stored - exact| <= error even
-    for an input without errors.
+    The values and errors of U become integers a_j and b_j over one
+    denominator, and the transform runs on them exactly in the basis B_j
+    of _unit_transforms: e! Z = sum_j a_j B_j, held as Fractions in exact,
+    and coeffs rounds it once at bits + 16 (values to nearest, errors up).
+    The error of Z_q is sum_j b_j |B_j[q]| / e!, the exact bound of the
+    linear map, plus the rounding of Z_q's stored value, so
+    |stored - exact| <= error even for an input without errors.
     """
-    if isinstance(poly_or_coeffs, RealPolynomial):
-        vals = poly_or_coeffs.values()
-        errs = poly_or_coeffs.errors()
-        bits = poly_or_coeffs.bits
-    else:
-        vals = list(poly_or_coeffs)
-        errs = [0] * len(vals)
-        bits = 192
-    deg = len(vals) - 1
-    if e is None:
-        e = deg
-    if e < deg:
-        raise InputError("e must be at least deg U = %d" % deg)
-    ints, den = _integers(vals + errs)
-    pad = [0] * (e - deg)
-    a = ints[:deg + 1] + pad
-    b = ints[deg + 1:] + pad
+    e = u.degree
+    ints, den = _integers(u.values() + u.errors())
+    a, b = ints[:e + 1], ints[e + 1:]
     if abs(sum(a)) <= sum(b):
         raise InputError(
             "U(1) = %.8g is not certified nonzero (error %.8g); deflate first"
             % (sum(a) / den, sum(b) / den)
         )
-    # H(l) for l = 0..e, then its forward differences at l = 0
-    cur = [sum(a[j] * comb(e + l - j, e) for j in range(e + 1))
-           for l in range(e + 1)]
-    diffs = [cur[0]]
-    for _ in range(e):
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-        diffs.append(cur[0])
-    # e! Z(s) = sum_k (e!/k!) Delta^k H(0) sum_q s(k, q) (-s)^q, and
-    # (-1)^q s(k, q) = (-1)^k |s(k, q)|
-    rows = _stirling_rows(e)
     zq = [0] * (e + 1)
-    for k in range(e + 1):
-        w = factorial(e) // factorial(k)
-        for q in range(k + 1):
-            zq[q] += (-1) ** k * diffs[k] * abs(rows[k][q]) * w
-    # the errors: Z is linear in U, so e! |dZ_q| <= sum_j b_j |e! Z_q(e_j)|,
-    # exactly, over the transforms of the unit vectors e_j with b_j != 0
     ze = [0] * (e + 1)
-    for j, bj in enumerate(b):
+    for aj, bj, col in zip(a, b, _unit_transforms(e)):
+        zq = [z + aj * c for z, c in zip(zq, col)]
         if bj:
-            for q, c in enumerate(_unit_transform(e, j)):
-                ze[q] += bj * abs(c)
+            ze = [z + bj * abs(c) for z, c in zip(ze, col)]
     if eps is None:
         # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
         eps = (-1) ** e * _palindrome_sign(a, b)
@@ -163,28 +144,13 @@ def rv_transform(poly_or_coeffs, e=None, eps=None, label=""):
     exact = tuple(Fraction(z, scale) for z in zq)
     coeffs = []
     for x, err in zip(exact, ze):
-        value = from_rational(x.numerator, x.denominator, bits + 16,
+        value = from_rational(x.numerator, x.denominator, u.bits + 16,
                               round_nearest)
         err = Fraction(err, scale) + abs(Fraction(*to_rational(value)) - x)
         coeffs.append((mp.make_mpf(value),
                        mp.make_mpf(from_rational(err.numerator, err.denominator,
-                                                 bits + 16, round_up))))
-    return ZetaPolynomial(
-        tuple(coeffs),
-        bits=bits,
-        label=label,
-        eps=eps,
-        exact=exact,
-    )
-
-
-def _unit_transform(e, j):
-    """Coefficients of e! Z(s) for U = z^j: H(l) = C(e + l - j, e), so
-    e! Z(s) = prod_{i=1}^{e} (i - j - s).  Exact integers."""
-    out = [1]
-    for i in range(1, e + 1):
-        out = [(i - j) * c - d for c, d in zip(out + [0], [0] + out)]
-    return out
+                                                 u.bits + 16, round_up))))
+    return ZetaPolynomial(tuple(coeffs), bits=u.bits, eps=eps, exact=exact)
 
 
 def _palindrome_sign(a, b):
@@ -232,7 +198,7 @@ def deflate_at_one(p, eps):
     q = tuple((mp.make_mpf(from_man_exp(v, shift)),
                mp.make_mpf(from_man_exp(er, shift, p.bits, round_up)))
               for v, er in zip(accumulate(vals[:-1]), accumulate(errs[:-1])))
-    return RealPolynomial(q, bits=p.bits, label=p.label + "/(1-z)")
+    return RealPolynomial(q, bits=p.bits)
 
 
 def maclaurin_coefficients(u, e, count):
@@ -247,14 +213,6 @@ def maclaurin_coefficients(u, e, count):
                 +mp.fsum(vals[j] * comb(e + l - j, e) for j in range(len(vals)))
             )
         return out
-
-
-def zeta_polynomial(data, p_hat):
-    """The line polynomial of a dataset: transform of its special-value
-    polynomial p_hat, already deflated at z = 1 when eps = -1
-    (deflate_at_one), with e its degree (2m, or 2m - 1 when eps = -1)."""
-    return rv_transform(p_hat, e=p_hat.degree, eps=data.root_number,
-                        label=(data.label or "") + "-zeta")
 
 
 def zeta_poly_closed_form(p):
@@ -287,18 +245,18 @@ def zeta_poly_closed_form(p):
 
 def closed_form_ok(p, zeta):
     """Whether the closed form of p equals zeta, the transform of its
-    deflation (zeta_polynomial of deflate_at_one), exactly.
+    deflation (rv_transform of deflate_at_one), exactly.
 
     For eps = +1 the deflation is p itself.  For eps = -1,
     p = (1 - z) p_hat + p(1) z^{2m} exactly, so the transform of p at
-    e = 2m is zeta + p(1) Z(z^{2m}), with (2m)! Z(z^{2m}) =
-    _unit_transform(2m, 2m)."""
+    e = 2m is zeta + p(1) Z(z^{2m}), with (2m)! Z(z^{2m}) the last column
+    of _unit_transforms(2m)."""
     e = p.degree
     want = list(zeta.exact) + [0] * (e - zeta.degree)
     if zeta.degree < e:
         ints, den = _integers(p.values())
         p1 = Fraction(sum(ints), den * factorial(e))
-        want = [w + p1 * u for w, u in zip(want, _unit_transform(e, e))]
+        want = [w + p1 * u for w, u in zip(want, _unit_transforms(e)[e])]
     return zeta_poly_closed_form(p) == tuple(want)
 
 
@@ -338,7 +296,7 @@ def check_zeta_properties(zp):
     vals = list(zp.coeffs)
     while len(vals) > 1 and abs(vals[-1][0]) <= vals[-1][1]:
         vals.pop()
-    rp = RealPolynomial(tuple(vals), bits=zp.bits, label=zp.label)
+    rp = RealPolynomial(tuple(vals), bits=zp.bits)
     if rp.degree >= 1:
         located = poly_roots(rp)
         with mp.workprec(zp.bits):

@@ -71,6 +71,24 @@ class TestTopLevel:
         assert code == 2
         assert "subcommand" in err.lower() or "usage" in err.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ("am-table", "--m-max", "4"),
+        ("disc-table", "--degree", "4", "--n-max", "10"),
+        ("cache", "--dir", "."),
+        ("analyze", "--coeffs", data_path("curves.txt")),
+    ])
+    def test_unusable_output_path_is_an_input_error(self, capsys, tmp_path,
+                                                    argv):
+        # a file in a missing directory, then a directory
+        out_path = tmp_path / "missing" / "x.json"
+        for path in (out_path, tmp_path):
+            code, out, err = run_cli(capsys, *argv, "--output", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == ("input error: output must be a file in an "
+                           "existing directory: %s\n" % path)
+        assert not out_path.parent.exists()
+
 
 class TestAmTable:
     def test_json_report(self, capsys):
@@ -345,6 +363,28 @@ class TestAnalyzeCoefficientFiles:
                                    flag, value)
             assert code == 2
             assert err.endswith("--coeffs: %s\n" % flag)
+
+    def test_infinite_target_rejected(self, capsys, neg_coeffs):
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", neg_coeffs,
+                                 "--target-error", "inf")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_cache_dir_that_is_a_file_rejected(self, capsys, tmp_path,
+                                               neg_coeffs, monkeypatch):
+        # refused before the special values are computed
+        def never(*args):
+            raise AssertionError("special_values called")
+
+        monkeypatch.setattr("periodpoly.cli.special_values", never)
+        path = tmp_path / "cache"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", neg_coeffs,
+                                 "--cache-dir", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "input error: cache directory is a file: %s\n" % path
 
     def test_low_precision_rejected(self, capsys, neg_coeffs):
         code, _, err = run_cli(

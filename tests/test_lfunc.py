@@ -59,6 +59,11 @@ class TestDataValidation:
         with pytest.raises(InputError):
             toy_data(conductor=0)
 
+    @pytest.mark.parametrize("target", [math.inf, math.nan, 0.0, -1e-3])
+    def test_precision_needs_a_finite_positive_target(self, target):
+        with pytest.raises(InputError):
+            Precision(96, target)
+
 
 class TestGammaCompleted:
     def test_weight3_degree4_value(self, sym3_data):

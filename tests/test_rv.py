@@ -11,6 +11,7 @@ identity Z(-l) = [z^l] U(z)/(1-z)^{e+1}:
 
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
@@ -33,8 +34,8 @@ from periodpoly import (
     stirling_first,
     sym_lfunction_data,
     zeta_poly_closed_form,
-    zeta_polynomial,
 )
+from periodpoly.rv import _unit_transforms
 
 
 def rp(*coeffs, bits=192):
@@ -43,11 +44,23 @@ def rp(*coeffs, bits=192):
 
 def zeta_of(data, vals):
     p_hat = deflate_at_one(build_p_poly(data, vals), data.root_number)
-    return zeta_polynomial(data, p_hat)
+    return rv_transform(p_hat, eps=data.root_number)
 
 
 def exact(poly):
     return [Fraction(*to_rational(v._mpf_)) for v in poly.values()]
+
+
+def product(e, j):
+    """prod_{i=1}^{e} (i - j - s), multiplied out factor by factor."""
+    out = [1]
+    for i in range(1, e + 1):
+        nxt = [0] * (len(out) + 1)
+        for q, c in enumerate(out):
+            nxt[q] += (i - j) * c
+            nxt[q + 1] -= c
+        out = nxt
+    return out
 
 
 class TestStirling:
@@ -79,14 +92,15 @@ class TestTransformAnchors:
         ],
     )
     def test_exact(self, u, e, want, eps):
-        z = rv_transform(u, e=e)
+        # the transform at e > deg U is that of U padded with zeros
+        z = rv_transform(rp(*u, *[0] * (e + 1 - len(u))))
         assert z.exact == tuple(Fraction(w) for w in want)
         assert z.eps == eps
         assert z.degree == e
 
     def test_values_at_negative_integers(self):
         # Z(-l) must equal the Maclaurin coefficient of U/(1-z)^{e+1}
-        z = rv_transform([3, 1, 4], e=4)
+        z = rv_transform(rp(3, 1, 4, 0, 0))
         u = rp(3, 1, 4)
         mac = maclaurin_coefficients(u, 4, 9)
         with mp.workprec(192):
@@ -98,9 +112,9 @@ class TestTransformAnchors:
     def test_functional_equation_sign(self):
         # palindromic U with e = deg U: odd degree gives Z(s) = -Z(1-s),
         # even degree +; both land every root on Re(s) = 1/2
-        z1 = rv_transform([1, 3, 3, 1], e=3)
+        z1 = rv_transform(rp(1, 3, 3, 1))
         assert z1.eps == -1
-        z2 = rv_transform([1, 2, 1], e=2)
+        z2 = rv_transform(rp(1, 2, 1))
         assert z2.eps == 1
         for z in (z1, z2):
             chk = check_zeta_properties(z)
@@ -110,13 +124,13 @@ class TestTransformAnchors:
     def test_padding_past_degree_loses_the_line(self):
         # e > deg U re-centers the palindrome; the transform still works
         # as a Hilbert-series device but no longer promises the line
-        z = rv_transform([1, 2, 1], e=3)
+        z = rv_transform(rp(1, 2, 1, 0))
         chk = check_zeta_properties(z)
         assert not chk.ok
         assert chk.fe_residual > 1e-30
 
     def test_moved_coefficient_breaks_the_functional_equation(self):
-        z = rv_transform([1, 3, 3, 1])
+        z = rv_transform(rp(1, 3, 3, 1))
         for q in range(z.degree + 1):
             cs = list(z.coeffs)
             v, e = cs[q]
@@ -126,41 +140,36 @@ class TestTransformAnchors:
             # the roots stay on the line: each verdict reads its own check
             assert not chk.fe_ok and chk.line_ok and not chk.ok, q
 
-    def test_float_path_matches_exact(self):
-        ze = rv_transform([2, 3, 4], e=3)
-        zf = rv_transform(rp(2, 3, 4), e=3)
-        assert zf.coeffs == ze.coeffs
-        assert zf.exact == ze.exact
-
     def test_rejects_vanishing_at_one(self):
         with pytest.raises(InputError):
-            rv_transform([1, -1])
+            rv_transform(rp(1, -1))
         with pytest.raises(InputError):
             rv_transform(rp(1, 0, -1))
-
-    def test_rejects_small_e(self):
-        with pytest.raises(InputError):
-            rv_transform([1, 2, 3], e=1)
 
     @pytest.mark.parametrize("e", [2, 4, 6, 20])
     def test_errors_are_the_exact_linear_bound(self, e):
         # Z is linear in U, so its error is sum_j err_j |Z_q(e_j)| over the
-        # transforms of the unit vectors, plus the rounding of Z_q's value;
-        # the stated error is that sum, rounded up once at bits + 16
+        # transforms e! Z(z^j) = prod_i (i - j - s) of the unit vectors,
+        # multiplied out here, plus the rounding of Z_q's value; the stated
+        # error is that sum, rounded up once at bits + 16
         bits = 192
         err = Fraction(1, 2 ** 100)
         with mp.workprec(bits):
             u = RealPolynomial(tuple((1 + j % 3, mp.ldexp(1, -100)) for j in range(e + 1)),
                                bits=bits)
         z = rv_transform(u)
-        units = [rv_transform([int(i == j) for i in range(e + 1)], e=e).exact
-                 for j in range(e + 1)]
+        units = [product(e, j) for j in range(e + 1)]
         for q in range(e + 1):
             stored = Fraction(*to_rational(z.values()[q]._mpf_))
-            want = (sum(err * abs(col[q]) for col in units)
+            want = (sum(err * abs(col[q]) for col in units) / factorial(e)
                     + abs(stored - z.exact[q]))
             got = Fraction(*to_rational(z.errors()[q]._mpf_))
             assert want <= got <= want * (1 + Fraction(1, 2 ** (bits + 15)))
+
+    def test_unit_transforms_are_the_product(self):
+        for e in range(41):
+            assert _unit_transforms(e) == [product(e, j)
+                                           for j in range(e + 1)], e
 
     def test_zero_error_input_errs_by_its_rounding(self):
         # 1 + z + z^2 + z^3 gives Z_1 = -7/3, which no binary fraction holds
@@ -331,7 +340,7 @@ class TestZetaPolynomial:
             cs[1] = (cs[1][0] + mp.ldexp(1, -20), mp.ldexp(1, -10))
         p = replace(p, coeffs=tuple(cs))
         assert sum(exact(p)) != 0
-        zp = zeta_polynomial(data, deflate_at_one(p, -1))
+        zp = rv_transform(deflate_at_one(p, -1), eps=-1)
         assert closed_form_ok(p, zp)
         assert zeta_poly_closed_form(p)[:-1] != zp.exact
 
