@@ -40,7 +40,6 @@ from .sympow import (
 from .polys import (
     RealPolynomial,
     LValueRatios,
-    SBoundParts,
     binomial_weight,
     build_p_poly,
     build_P_poly,
@@ -111,7 +110,7 @@ __all__ = [
     "verify_hypothesis",
     "CurveSpec", "ap_count", "sym_local_factor",
     "sym_dirichlet_coeffs", "sym_hodge", "sym_lfunction_data",
-    "RealPolynomial", "LValueRatios", "SBoundParts",
+    "RealPolynomial", "LValueRatios",
     "binomial_weight", "build_p_poly", "build_P_poly", "build_Q_poly",
     "l_value_ratios", "partial_sum_T", "s_tail_parts",
     "q_decomposition_residual",

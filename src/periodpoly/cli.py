@@ -194,7 +194,7 @@ def _analysis_report(result, args, inputs, sym):
     """The canonical JSON report of an analysis."""
     data, vals, ratios = result.data, result.vals, result.ratios
     circ, scan, gate = result.circle, result.trig, result.gate
-    zp, zcheck, s_parts = result.zeta, result.zeta_check, result.s_parts
+    zp, zcheck = result.zeta, result.zeta_check
     bits = args.precision_bits
     digits = int(bits * 0.30103) + 8
     with mp.workprec(bits + 16):
@@ -231,13 +231,7 @@ def _analysis_report(result, args, inputs, sym):
             },
             "q_identity": {
                 "residual": fmt_mpf(result.q_residual, 12),
-                "max_abs_remainder": fmt_mpf(result.q_max_remainder, 12),
-                "remainder_bound": (None if s_parts is None else {
-                    "series": fmt_mpf(s_parts.series, 12),
-                    "central": fmt_mpf(s_parts.central, 12),
-                    "corner": fmt_mpf(s_parts.corner, 12),
-                    "total": fmt_mpf(s_parts.total, 12),
-                }),
+                "remainder_bound": fmt_mpf(result.remainder_bound, 12),
             },
             "circle": {
                 "tolerance": circ.tolerance,

@@ -29,12 +29,13 @@ slack on concrete data.
 
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
 import mpmath as mp
 
 from .errors import InputError
 from .lfunc import gamma_completed
-from .zeros import count_disc_zeros, poly_roots
+from .zeros import circle_values, count_disc_zeros, poly_roots
 
 # Conductor ranges of odd symmetric powers of weight-2 newforms that the
 # sufficient conditions above do not reach (squarefree level only).  The
@@ -243,11 +244,10 @@ def theorem_gate(data, vals=None, sym_context=None):
 class RoucheTransfer:
     """Disc-zero transfer certificate for m >= 2.
 
-    If min |T| on |z| = 1 exceeds the remainder bound, Q and the reversed
-    truncation share their disc-zero count, which equals m minus the
-    number of zeros of T in the closed unit disc region reached by the
-    reversal; t_disc_zeros and f_disc_zeros let the truncation be checked
-    against the limit series."""
+    If min |T| on |z| = 1 exceeds the remainder bound, Q has as many zeros
+    in |z| < 1 as z^m T(1/z), which is m minus the number t_disc_zeros of
+    zeros of T in the unit disc (Rouche); f_disc_zeros lets the truncation
+    be checked against the limit series."""
 
     certified: bool
     min_t: object
@@ -257,27 +257,24 @@ class RoucheTransfer:
     q_disc_zeros: object  # int when certified, else None
 
 
-def rouche_transfer(data, parts, t):
-    """Run the circle comparison |Q - z^m T(1/z)| <= remainder < min |T|
-    at t.bits of precision.
+def rouche_transfer(data, bound, t):
+    """Run the circle comparison |Q - z^m T(1/z)| <= bound < min |T|.
 
-    The minimum of |T| over the circle is certified from a uniform grid
-    and a derivative bound (|T'| summed coefficient magnitudes).  parts
-    is s_tail_parts(data, ratios), the remainder bound; t is
-    partial_sum_T(m, d, N, bits=ratios.bits)."""
+    bound is s_tail_parts(q, t); t is partial_sum_T(m, d, N, bits) at the
+    bits of Q.  min |T| on the circle is certified from a uniform grid of
+    circle_values, less their bound, and a derivative bound (sum_j j
+    (|c_j| + err_j)) for the half spacing between grid points."""
     m = data.m
     if m < 2:
         raise InputError("the transfer device applies to m >= 2")
     with mp.workprec(t.bits):
-        # |T'| on the circle is at most sum j |c_j|
-        deriv_cap = mp.fsum(j * abs(v) for j, v in enumerate(t.values()))
         step = 2 * mp.pi / _ROUCHE_GRID
-        mn = mp.inf
-        for i in range(_ROUCHE_GRID):
-            z = mp.expj(step * i)
-            mn = min(mn, abs(t(z)))
-        min_t = mn - deriv_cap * step / 2
-        bound = parts.total
+        grid = [step * i for i in range(_ROUCHE_GRID)]
+        values, err, exp = circle_values(t, grid)
+        low = isqrt(min(re * re + im * im for re, im in values)) - err
+        deriv_cap = mp.fsum(j * (abs(v) + e)
+                            for j, (v, e) in enumerate(t.coeffs))
+        min_t = mp.ldexp(low, exp) - deriv_cap * step / 2
         certified = min_t > bound
     located = poly_roots(t)
     t_in_disc = sum(1 for z, r in located if abs(z) + r < 1)
@@ -288,7 +285,7 @@ def rouche_transfer(data, parts, t):
     return RoucheTransfer(
         certified=bool(certified),
         min_t=+min_t,
-        remainder_bound=+bound,
+        remainder_bound=bound,
         t_disc_zeros=t_in_disc,
         f_disc_zeros=f_count,
         q_disc_zeros=(m - t_in_disc) if certified else None,

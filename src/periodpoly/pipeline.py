@@ -2,8 +2,8 @@
 
 analyze() calls each step of the analysis once and keeps what it returns.
 p, its deflation p_hat, the L-value ratios, Q, the truncation T, the
-remainder-bound parts and the zeta-polynomial Z are built once and handed
-to the steps that read them (build_P_poly, rv_transform, build_Q_poly,
+remainder bound and the zeta-polynomial Z are built once and handed to
+the steps that read them (build_P_poly, rv_transform, build_Q_poly,
 q_decomposition_residual, rouche_transfer, closed_form_ok).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
@@ -52,8 +52,7 @@ class Analysis:
     discrepancy: float
     trig: object
     q_residual: object
-    q_max_remainder: object
-    s_parts: object
+    remainder_bound: object
     gate: object
     rouche: object
     rouche_error: str
@@ -90,13 +89,12 @@ def analyze(data, vals, sym_context=None):
         angles.append(0.0)
     big_q = build_Q_poly(data, ratios)
     t = partial_sum_T(data.m, data.degree, data.conductor, bits=ratios.bits)
-    q_res, q_max_s = q_decomposition_residual(data, ratios, big_q, t)
+    bound = s_tail_parts(big_q, t)
 
-    s_parts = rouche = rouche_error = None
+    rouche = rouche_error = None
     if data.m >= 2:
-        s_parts = s_tail_parts(data, ratios)
         try:
-            rouche = rouche_transfer(data, s_parts, t)
+            rouche = rouche_transfer(data, bound, t)
         except (CertificationError, QuadratureError) as exc:
             rouche_error = str(exc)
 
@@ -113,9 +111,8 @@ def analyze(data, vals, sym_context=None):
         circle=circ,
         discrepancy=star_discrepancy(angles),
         trig=trig_sign_changes(big_p, data.root_number),
-        q_residual=q_res,
-        q_max_remainder=q_max_s,
-        s_parts=s_parts,
+        q_residual=q_decomposition_residual(data, ratios, big_q, t),
+        remainder_bound=bound,
         gate=theorem_gate(data, vals, sym_context=sym_context),
         rouche=rouche,
         rouche_error=rouche_error,

@@ -19,22 +19,25 @@ whose z^m-truncation error is controlled by the entire limit series
     F_{d,N}(z) = sum_{j>=0} c_j z^j.
 
 Q decomposes as Q(z) = z^m T(1/z) + central + S(z) where T is the
-degree-m partial sum of F and S is the exact remainder; on |z| = 1,
+degree-m partial sum of F and S is the exact remainder.  Note the degree-m
+partial sum z^m T(1/z) contributes a constant c_m that the j <= m-1 sum in
+Q lacks; the remainder S here absorbs that corner term, so the
+decomposition is exact.  q_decomposition_residual checks it coefficient
+by coefficient: the sum of the absolute coefficients of a polynomial
+bounds its maximum on |z| = 1.  By the same token, on |z| = 1
 
-    |S(z)| <= 2^{2-m} (zeta(3/2)^d - 1) F_{d,N}(2) + c_m (1 + |L-ratio|/2),
+    |Q(z) - z^m T(1/z)| <= sum_k |Q_k - T_{m-k}| + err(Q_k) + err(T_{m-k}),
 
-which is the certificate that transfers disc-zero counts from F to T to Q
-(Rouche).  Note the degree-m partial sum z^m T(1/z) contributes a constant
-c_m that the j <= m-1 sum in Q lacks; the remainder S here absorbs that
-corner term, so the decomposition above is exact.  q_decomposition_residual
-checks it coefficient by coefficient: the sum of the absolute coefficients
-of a polynomial bounds its maximum on |z| = 1.
+for every Q and T within their coefficient errors (s_tail_parts); below
+min |T| on the circle, this transfers the disc-zero count from T to Q
+(Rouche).
 """
 
 from dataclasses import dataclass
 from math import comb
 
 import mpmath as mp
+from mpmath.libmp import mpf_pos, mpf_sub, mpf_sum, round_up
 
 from .errors import InputError, VerificationError
 from .lfunc import gamma_completed
@@ -80,13 +83,6 @@ class RealPolynomial:
 
     def errors(self):
         return [c[1] for c in self.coeffs]
-
-    def __call__(self, z):
-        with mp.workprec(self.bits):
-            acc = mp.mpf(0)
-            for v, _ in reversed(self.coeffs):
-                acc = acc * z + v
-            return acc
 
     def to_json_obj(self, digits=None):
         return [[fmt_mpf(v, digits), fmt_mpf(e, digits)] for v, e in self.coeffs]
@@ -188,20 +184,23 @@ def build_Q_poly(data, ratios):
     """Gamma-normalized degree-m polynomial (ascending coefficients):
     Q(z) = sum_{j=0}^{m-1} c_j r_j z^{m-j} + (1/2) c_m r_central,
     with c_j = y^j/(j!)^{d/2}, y = (2pi)^{d/2}/sqrt(N).  The j = 0
-    coefficient is exactly 1.  ratios is l_value_ratios(data, vals)."""
+    coefficient is exactly 1.  ratios is l_value_ratios(data, vals).
+    Each error is c_j err(r_j) plus 2^(4 - bits) |c_j r_j| for the
+    rounding of c_j and of the product, as in partial_sum_T."""
     m = data.m
     d = data.degree
     bits = ratios.bits
     with mp.workprec(bits + 8):
+        slack = mp.mpf(2) ** (4 - bits)
         y = _f_term_factor(d, data.conductor, bits + 8)
         cs = [(mp.mpf(0), mp.mpf(0))] * (m + 1)
         for j in range(0, m):
             c = _f_coeff(y, j, d)
             r, re = ratios.ratios[j]
-            cs[m - j] = (+(c * r), +(c * re))
+            cs[m - j] = (+(c * r), +(c * re + abs(c * r) * slack))
         c = _f_coeff(y, m, d)
         r, re = ratios.central
-        cs[0] = (+(c * r / 2), +(c * re / 2))
+        cs[0] = (+(c * r / 2), +((c * re + abs(c * r) * slack) / 2))
     return RealPolynomial(tuple(cs), bits=bits)
 
 
@@ -219,72 +218,25 @@ def partial_sum_T(m, d, conductor, bits=192):
     return RealPolynomial(tuple(cs), bits=bits)
 
 
-@dataclass(frozen=True)
-class SBoundParts:
-    """Components of the remainder bound on |z| = 1.
-
-    series: 2^{2-m} (zeta(3/2)^d - 1) F_{d,N}(2), covering the L-ratio
-        deviations sum_{j<m} c_j (r_j - 1);
-    central: (1/2) c_m (|r_central| + its error), the central term itself;
-    corner: c_m, the j = m term of z^m T(1/z) that the Q sum lacks.
-    total = series + central + corner bounds |Q - z^m T(1/z)| on the circle,
-    which is the quantity Rouche needs against min |T|.
-    """
-
-    series: object
-    central: object
-    corner: object
-
-    @property
-    def total(self):
-        return self.series + self.central + self.corner
-
-
-def _f_at_two(d, conductor, bits):
-    """Upper bound on F_{d,N}(2): the partial sum of c_j 2^j up to the
-    first j whose ratio-test tail is below 2^-bits of the sum, plus that
-    tail, plus 2^-bits of the sum for the rounding of its terms (summed
-    with 16 guard bits)."""
-    with mp.workprec(bits + 16):
-        y2 = 2 * _f_term_factor(d, conductor, bits + 16)
-        total = mp.mpf(0)
-        j = 0
-        while True:
-            total += _f_coeff(y2, j, d)
-            # the terms after j + 1 shrink at least by the factor rho
-            rho = y2 / mp.mpf(j + 2) ** (mp.mpf(d) / 2)
-            if rho < 1:
-                tail = _f_coeff(y2, j + 1, d) / (1 - rho)
-                if tail < mp.mpf(2) ** -bits * total:
-                    return total + tail + mp.mpf(2) ** -bits * total
-            j += 1
-
-
-def s_tail_parts(data, ratios):
-    m = data.m
-    if m < 2:
-        raise InputError("remainder bound requires m >= 2")
-    d = data.degree
-    bits = ratios.bits
-    with mp.workprec(bits):
-        series = (
-            mp.mpf(2) ** (2 - m)
-            * (mp.zeta(mp.mpf(3) / 2) ** d - 1)
-            * _f_at_two(d, data.conductor, bits)
-        )
-        y = _f_term_factor(d, data.conductor, bits)
-        c_m = _f_coeff(y, m, d)
-        rc, rce = ratios.central
-        central = c_m * (abs(rc) + rce) / 2
-        return SBoundParts(series=+series, central=+central, corner=+c_m)
+def s_tail_parts(q, t):
+    """Upper bound on |Q'(z) - z^m T'(1/z)| on |z| = 1 for every Q' and T'
+    within the coefficient errors of q and t (both of degree m): the sum
+    over k of |Q_k - T_{m-k}| + err(Q_k) + err(T_{m-k}), exact and rounded
+    up once at q.bits."""
+    if q.degree != t.degree:
+        raise InputError("Q and T must have the same degree")
+    terms = []
+    for (qv, qe), (tv, te) in zip(q.coeffs, reversed(t.coeffs)):
+        terms += [mpf_sub(qv._mpf_, tv._mpf_), qe._mpf_, te._mpf_]
+    total = mpf_sum(terms, absolute=True)
+    return mp.make_mpf(mpf_pos(total, q.bits, round_up))
 
 
 def q_decomposition_residual(data, ratios, q, t):
     """Compare Q(z) and z^m T(1/z) + central + S(z) coefficient by
     coefficient, with S(z) = sum_{j<m} c_j (r_j - 1) z^{m-j} - c_m the
-    exact remainder.  Returns (sum_k |residual_k|, sum_k |S_k|); each sum
-    bounds the maximum of its polynomial over |z| = 1, the second for the
-    remainder-bound check.  Pure consistency diagnostic: q is
+    exact remainder.  Returns sum_k |residual_k|, which bounds the
+    residual's maximum over |z| = 1.  Pure consistency diagnostic: q is
     build_Q_poly(data, ratios) and t is partial_sum_T at ratios.bits, all
     built from the same ratios (l_value_ratios(data, vals)), so the
     residual should sit at rounding level."""
@@ -301,4 +253,4 @@ def q_decomposition_residual(data, ratios, q, t):
             abs(q.values()[m - j] - t.values()[j] - s[j]
                 - (central if j == m else 0))
             for j in range(m + 1))
-        return +resid, +mp.fsum(abs(v) for v in s)
+        return +resid

@@ -120,7 +120,8 @@ def rv_transform(u, eps=None):
     of _unit_transforms: e! Z = sum_j a_j B_j, held as Fractions in exact,
     and coeffs rounds it once at bits + 16 (values to nearest, errors up).
     The error of Z_q is sum_j b_j |B_j[q]| / e!, the exact bound of the
-    linear map, plus the rounding of Z_q's stored value, so
+    linear map, plus the rounding of Z_q's stored value, found in
+    integers over den e! like the rest, so
     |stored - exact| <= error even for an input without errors.
     """
     e = u.degree
@@ -141,16 +142,19 @@ def rv_transform(u, eps=None):
         # Z(1-s) = (-1)^e eps_U Z(s) for U with palindrome sign eps_U
         eps = (-1) ** e * _palindrome_sign(a, b)
     scale = den * factorial(e)
-    exact = tuple(Fraction(z, scale) for z in zq)
     coeffs = []
-    for x, err in zip(exact, ze):
-        value = from_rational(x.numerator, x.denominator, u.bits + 16,
-                              round_nearest)
-        err = Fraction(err, scale) + abs(Fraction(*to_rational(value)) - x)
-        coeffs.append((mp.make_mpf(value),
-                       mp.make_mpf(from_rational(err.numerator, err.denominator,
-                                                 u.bits + 16, round_up))))
-    return ZetaPolynomial(tuple(coeffs), bits=u.bits, eps=eps, exact=exact)
+    for z, err in zip(zq, ze):
+        value = from_rational(z, scale, u.bits + 16, round_nearest)
+        # value = man 2^exp, so value - z/scale = (man 2^exp scale - z)/scale
+        sign, man, exp, _ = value
+        man = -man if sign else man
+        lift = max(-exp, 0)
+        miss = abs((man << max(exp, 0)) * scale - (z << lift))
+        err = from_rational((err << lift) + miss, scale << lift, u.bits + 16,
+                            round_up)
+        coeffs.append((mp.make_mpf(value), mp.make_mpf(err)))
+    return ZetaPolynomial(tuple(coeffs), bits=u.bits, eps=eps,
+                          exact=tuple(Fraction(z, scale) for z in zq))
 
 
 def _palindrome_sign(a, b):

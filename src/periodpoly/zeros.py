@@ -23,7 +23,9 @@ polynomials live:
 2. trig_sign_changes: on |z| = 1 a (anti)palindromic real polynomial
    reduces to a pure cosine (eps = +1) or sine (eps = -1) polynomial in
    the angle; sign changes across a fixed grid of intervals certify the
-   full complement of circle roots without locating them first.
+   full complement of circle roots without locating them first.  The
+   samples come from circle_values, one fixed-point evaluator on |z| = 1
+   whose bound covers the coefficient errors and its own rounding.
 
 3. count_disc_zeros: the argument principle on |z| = r for the entire
    approximant series F_{d,N}, with adaptive contour refinement until
@@ -37,7 +39,7 @@ from math import isqrt
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpf_neg, to_fixed
+from mpmath.libmp import mpf_cos_sin, mpf_neg, to_fixed
 
 from .errors import CertificationError, InputError
 
@@ -81,16 +83,15 @@ def _horner(cs, ur, ui, f):
     return ar, ai, br, bi
 
 
-def _error_bounds(es, ur, ui, f):
+def _error_bounds(es, t, f):
     """Upper bounds, in units of 2^-f, on sum_j es[j] |u|^j, on its
     derivative sum_j j es[j] |u|^(j-1), and on how far _horner's q(u) and
     q'(u) lie from those of the exact coefficients, given that each cs[j]
-    is within one unit of its exact value."""
+    is within one unit of its exact value, for every u with |u| 2^f <= t."""
 
     def up(x):  # ceil(x 2^-f)
         return -(-x >> f)
 
-    t = isqrt(ur * ur + ui * ui) + 1  # >= |u| 2^f
     err = derr = ra = rb = 0
     for ej in reversed(es):
         # per step: q' gains the error of q and sqrt(2) < 2 units; q gains
@@ -100,6 +101,35 @@ def _error_bounds(es, ur, ui, f):
         derr = up(derr * t) + err
         err = up(err * t) + ej
     return err, derr, ra, rb
+
+
+def circle_values(p, thetas):
+    """p(e^{i theta}) at each angle theta (an mpf) in fixed point, with one
+    bound for all of them.
+
+    Returns (values, bound, exp): values[i] = (re, im) and bound are
+    integers in units of 2^exp, and every polynomial within p's
+    coefficient errors takes at exactly e^{i theta_i} a value within
+    bound of values[i].  The coefficients are scaled so the largest lies
+    in [1/2, 1), with f = p.bits + 32 fractional bits, and each point u is
+    e^{i theta} cut to that grid, so |u - e^{i theta}| < 2 units and
+    |u| 2^f <= t = 2^f + 2.  The bound adds the coefficient errors
+    sum_j e_j, the Horner rounding, and 2 units times sum_j j |a_j|
+    t^(j-1), which bounds how far p moves between u and e^{i theta}."""
+    f = p.bits + 32
+    parts = [v._mpf_ for v in p.values()]
+    m = max((exp + bc for _, man, exp, bc in parts if man), default=0)
+    cs = [to_fixed(c, f - m) for c in parts]
+    es = [-to_fixed(mpf_neg(e._mpf_), f - m) for e in p.errors()]
+    t = (1 << f) + 2
+    err, _, ra, _ = _error_bounds(es, t, f)
+    _, slope, _, _ = _error_bounds([abs(c) + 1 for c in cs], t, f)
+    bound = err + ra + (-(-2 * slope >> f))
+    values = []
+    for theta in thetas:
+        c, s = mpf_cos_sin(theta._mpf_, f + 8)
+        values.append(_horner(cs, to_fixed(c, f), to_fixed(s, f), f)[:2])
+    return values, bound, m - f
 
 
 def _aberth_float(desc, seeds):
@@ -216,7 +246,8 @@ def poly_roots(p):
             ar, ai, br, bi = _horner(cs, ur, ui, f)
             # the coefficient errors scaled like cs, rounded up
             es = [-to_fixed(e, f + j * k - m) for j, e in enumerate(neg_errs)]
-            perr, derr, ra, rb = _error_bounds(es, ur, ui, f)
+            perr, derr, ra, rb = _error_bounds(
+                es, isqrt(ur * ur + ui * ui) + 1, f)
             lead = abs(p.values()[-1]) - p.errors()[-1]
             resid = mp.ldexp(mp.sqrt(ar * ar + ai * ai) + perr + ra, m - f)
             dp_low = mp.ldexp(mp.sqrt(br * br + bi * bi) - rb - derr,
@@ -327,51 +358,43 @@ def trig_sign_changes(P, eps):
     """Census the circle values of p through its folded half P.
 
     For eps = +1, p(e^{i theta}) = 2 e^{i m theta} C(theta) with
-    C(theta) = sum_j a_j cos(j theta); each of the n = deg P intervals
-    ((2j-1) pi/(2n+1), (2j+1) pi/(2n+1)), j = 1..n, is scanned for a sign
-    change of C.  For eps = -1 the circle restriction is the sine
-    polynomial S(theta) = sum_j a_j sin(j theta), scanned on
-    (2j pi/(2n+1), 2(j+1) pi/(2n+1)), j = 0..n-1, with theta = 0 (and by
-    oddness theta = pi) an exact zero on top of the census.  A sign
-    change counts only between samples where |C| (or |S|) exceeds
-    sum_j err_j, the bound P's coefficient errors put on it."""
+    C(theta) = sum_j a_j cos(j theta) = Re P(e^{i theta}); each of the
+    n = deg P intervals ((2k+1) pi/(2n+1), (2k+3) pi/(2n+1)), k = 0..n-1,
+    is scanned for a sign change of C.  For eps = -1 the circle
+    restriction is the sine polynomial S(theta) = sum_j a_j sin(j theta)
+    = Im P(e^{i theta}), whose zeros theta = 0 and (by oddness) theta = pi
+    are exact; its other n - 1 zeros in (0, pi) are sought on
+    (2k pi/(2n+1), (2k+2) pi/(2n+1)), k = 1..n-1.  P is evaluated by
+    circle_values, and a sign change counts only between samples whose
+    value beats its bound, so it holds for every polynomial within P's
+    coefficient errors."""
     if eps not in (1, -1):
         raise InputError("eps must be +1 or -1")
     n = P.degree
     if n < 1:
         raise InputError("folded polynomial must have positive degree")
-    a = P.values()
-    # C (eps = +1) or S (eps = -1): the sine sum has no j = 0 term
-    trig, j0 = (mp.cos, 0) if eps == 1 else (mp.sin, 1)
-    with mp.workprec(P.bits):
-        noise = mp.fsum(P.errors()[j0:])
-
-    def f(theta):
-        with mp.workprec(P.bits):
-            return mp.fsum(a[j] * trig(j * theta) for j in range(j0, n + 1))
-
+    part = 0 if eps == 1 else 1  # C = Re P; S = Im P, scanned from k = 1
     den = 2 * n + 1
+    grid = []
     with mp.workprec(P.bits):
-        ivs = [(mp.pi * (2 * k + 1 - j0) / den, mp.pi * (2 * k + 3 - j0) / den)
-               for k in range(n)]
-        changes = []
-        for lo, hi in ivs:
-            width = hi - lo
-            inset = width * mp.mpf("1e-9")
-            grid = [
-                lo + inset + (width - 2 * inset) * k / (_TRIG_SAMPLES - 1)
-                for k in range(_TRIG_SAMPLES)
-            ]
-            # samples whose sign the coefficient errors could flip are
-            # dropped; a change between the remaining neighbours is certain
-            signs = [mp.sign(v) for v in map(f, grid) if abs(v) > noise]
-            c = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-            changes.append(c)
-    failing = tuple(i for i, c in enumerate(changes) if c == 0)
+        width = 2 * mp.pi / den
+        inset = width * mp.mpf("1e-9")
+        for k in range(part, n):
+            lo = mp.pi * (2 * k + 1 - part) / den
+            grid += [lo + inset + (width - 2 * inset) * i / (_TRIG_SAMPLES - 1)
+                     for i in range(_TRIG_SAMPLES)]
+    values, bound, _ = circle_values(P, grid)
+    changes = []
+    for k in range(0, len(grid), _TRIG_SAMPLES):
+        # samples whose sign the bound could flip are dropped; a change
+        # between the remaining neighbours is certain
+        signs = [v[part] > 0 for v in values[k:k + _TRIG_SAMPLES]
+                 if abs(v[part]) > bound]
+        changes.append(sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1))
     return TrigScan(
         kind="cos" if eps == 1 else "sin",
         changes=tuple(changes),
-        failing=failing,
+        failing=tuple(i for i, c in enumerate(changes) if c == 0),
         boundary_zero=(eps == -1),
     )
 

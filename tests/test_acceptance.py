@@ -46,6 +46,7 @@ from periodpoly import (
     poly_roots,
     q_decomposition_residual,
     rv_transform,
+    s_tail_parts,
     special_values,
     star_discrepancy,
     stirling_first,
@@ -446,12 +447,13 @@ def test_q_identity(sym3_data, sym3_vals, sym5_data, sym5_vals):
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
         ratios = l_value_ratios(data, vals)
-        resid, s_max = q_decomposition_residual(
-            data, ratios, build_Q_poly(data, ratios),
-            partial_sum_T(data.m, data.degree, data.conductor,
-                          bits=ratios.bits))
-        outcomes.append("%s: residual %.2e (max |S| %.3f)"
-                        % (data.label, float(resid), float(s_max)))
+        q = build_Q_poly(data, ratios)
+        t = partial_sum_T(data.m, data.degree, data.conductor,
+                          bits=ratios.bits)
+        resid = q_decomposition_residual(data, ratios, q, t)
+        outcomes.append("%s: residual %.2e (remainder bound %.3f)"
+                        % (data.label, float(resid),
+                           float(s_tail_parts(q, t))))
         ok = ok and resid < mp.mpf("1e-20")
     criterion("q-decomposition-identity", ok, "; ".join(outcomes))
 

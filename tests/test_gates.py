@@ -10,11 +10,13 @@ from mpmath import mp
 from periodpoly import (
     InputError,
     LFunctionData,
+    build_Q_poly,
     compute_A_m,
     coefficient_inequalities,
     hodge_condition,
     l_value_ratios,
     partial_sum_T,
+    poly_roots,
     rouche_transfer,
     s_tail_parts,
     theorem_gate,
@@ -141,16 +143,34 @@ class TestGateVerdicts:
 
 class TestRoucheTransfer:
     def test_sym5_consistency(self, sym5_data, sym5_vals):
+        m, d, n = sym5_data.m, sym5_data.degree, sym5_data.conductor
         r = l_value_ratios(sym5_data, sym5_vals)
-        t = partial_sum_T(sym5_data.m, sym5_data.degree, sym5_data.conductor,
-                          bits=r.bits)
-        rt = rouche_transfer(sym5_data, s_tail_parts(sym5_data, r), t)
+        q = build_Q_poly(sym5_data, r)
+        t = partial_sum_T(m, d, n, bits=r.bits)
+        rt = rouche_transfer(sym5_data, s_tail_parts(q, t), t)
         assert rt.f_disc_zeros >= 0
-        if rt.certified:
-            assert rt.min_t > rt.remainder_bound
-            assert rt.q_disc_zeros == sym5_data.m - rt.t_disc_zeros
-        else:
-            assert rt.q_disc_zeros is None
+        assert rt.certified
+        assert rt.min_t > rt.remainder_bound
+        assert rt.t_disc_zeros == 0
+        assert rt.q_disc_zeros == m
+        # the implication itself: Q's roots, isolated directly, all lie in
+        # the open unit disc
+        assert sum(1 for z, rad in poly_roots(q) if abs(z) + rad < 1) == m
+        # coverage: on a 4x finer grid at twice the bits, with T rebuilt
+        # there, the remainder stays below its bound and |T| above min_t
+        bits = 2 * r.bits
+        t2 = partial_sum_T(m, d, n, bits=bits).values()[::-1]
+        qs = q.values()[::-1]
+        gap = low = None
+        with mp.workprec(bits):
+            for i in range(16384):
+                z = mp.expj(2 * mp.pi * i / 16384)
+                tz = mp.polyval(t2, z)
+                diff = abs(mp.polyval(qs, z) - z ** m * mp.polyval(t2, 1 / z))
+                gap = diff if gap is None else max(gap, diff)
+                low = abs(tz) if low is None else min(low, abs(tz))
+        assert gap <= rt.remainder_bound
+        assert rt.min_t <= low
 
     def test_rejects_m1(self, sym3_data):
         with pytest.raises(InputError):

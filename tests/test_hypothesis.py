@@ -197,8 +197,9 @@ class TestSpecialValuePolynomials:
         m = data.m
         with mp.workprec(192):
             for z in (mp.mpf(2), mp.expj(mp.mpf("0.7")), mp.mpc(-1, 1) / 2):
-                lhs = p(z)
-                rhs = eps * z ** m * (P(z) + eps * P(1 / z))
+                lhs = mp.polyval(p.values()[::-1], z)
+                rhs = eps * z ** m * (mp.polyval(P.values()[::-1], z) + eps
+                                      * mp.polyval(P.values()[::-1], 1 / z))
                 assert abs(lhs - rhs) < mp.mpf("1e-40") * (1 + abs(lhs))
 
 

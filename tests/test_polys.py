@@ -5,10 +5,12 @@ at 192 bits with a 1e-25 absolute target and are asserted far above
 their certified error bounds.
 """
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
-from periodpoly import polys
 from periodpoly import (
     InputError,
     RealPolynomial,
@@ -83,8 +85,9 @@ class TestSym3Polynomials:
         with mp.workprec(192):
             for z in (mp.mpf(2), mp.mpf("0.4"), mp.expj(mp.mpf("0.9")),
                       mp.mpc(-1, 1) / 3):
-                lhs = p(z)
-                rhs = eps * z ** m * (P(z) + eps * P(1 / z))
+                lhs = mp.polyval(p.values()[::-1], z)
+                rhs = eps * z ** m * (mp.polyval(P.values()[::-1], z) + eps
+                                      * mp.polyval(P.values()[::-1], 1 / z))
                 assert abs(lhs - rhs) < mp.mpf("1e-45") * abs(lhs)
 
     def test_ratios(self, sym3_data, sym3_vals):
@@ -101,17 +104,27 @@ class TestSym3Polynomials:
 
     def test_q_decomposition_residual(self, sym3_data, sym3_vals):
         r = l_value_ratios(sym3_data, sym3_vals)
-        res, smax = q_decomposition_residual(
+        res = q_decomposition_residual(
             sym3_data, r, build_Q_poly(sym3_data, r),
             partial_sum_T(sym3_data.m, sym3_data.degree, sym3_data.conductor,
                           bits=r.bits))
         assert res < mp.mpf("1e-50")
-        assert float(smax) == pytest.approx(1.0821083, rel=1e-5)
 
-    def test_s_tail_requires_m_at_least_two(self, sym3_data, sym3_vals):
+    def test_remainder_bound(self, sym3_data, sym3_vals):
+        # m = 1: Q - z T(1/z) = Q_0 - c_1 + (Q_1 - 1) z; the bound is the
+        # exact sum of the coefficient gaps and errors, rounded up
         r = l_value_ratios(sym3_data, sym3_vals)
+        q = build_Q_poly(sym3_data, r)
+        t = partial_sum_T(1, sym3_data.degree, sym3_data.conductor,
+                          bits=r.bits)
+        bound = s_tail_parts(q, t)
+        frac = lambda x: Fraction(*to_rational(x._mpf_))
+        exact = sum(abs(frac(qv) - frac(tv)) + frac(qe) + frac(te)
+                    for (qv, qe), (tv, te) in zip(q.coeffs, t.coeffs[::-1]))
+        assert exact <= frac(bound) <= exact * (1 + Fraction(1, 2 ** 190))
+        assert float(bound) == pytest.approx(0.53727914444, rel=1e-9)
         with pytest.raises(InputError):
-            s_tail_parts(sym3_data, r)
+            s_tail_parts(q, partial_sum_T(2, 4, 1331, bits=r.bits))
 
 
 class TestRatioFailure:
@@ -139,14 +152,6 @@ class TestRatioFailure:
 
 class TestApproximantSeries:
     """The limit series F_{d,N}(z) = sum_j c_j z^j at d = 4, N = 1331."""
-
-    def test_value_at_two_is_an_upper_bound(self):
-        f2 = polys._f_at_two(4, 1331, 192)
-        assert near(f2, "4.65834510864966844", "1e-14")
-        with mp.workprec(400):
-            y2 = 2 * (2 * mp.pi) ** 2 / mp.sqrt(1331)
-            true = mp.fsum(y2 ** j / mp.factorial(j) ** 2 for j in range(120))
-            assert true <= f2 <= true * (1 + mp.mpf(2) ** -180)
 
     def test_partial_sum_matches_series_terms(self):
         T = partial_sum_T(3, 4, 1331, bits=192)

@@ -20,10 +20,12 @@ from periodpoly import (
     circle_report,
     count_disc_zeros,
     disc_transition_table,
+    partial_sum_T,
     poly_roots,
     star_discrepancy,
     trig_sign_changes,
 )
+from periodpoly.zeros import circle_values
 
 
 def rp(*coeffs, bits=192):
@@ -148,10 +150,12 @@ class TestTrigCensus:
         assert not scan.boundary_zero
 
     def test_sine_census_counts_forced_pair(self):
-        # P = 2.75 z: S(theta) = 2.75 sin(theta) has no interior change on
-        # (0, 2 pi/3); the forced z = +-1 pair still certifies two roots
+        # P = 2.75 z: S(theta) = 2.75 sin(theta) has no zero in (0, pi), so
+        # no interval is scanned; the forced z = +-1 pair still certifies
+        # two roots
         P = rp(0, 2.75)
         scan = trig_sign_changes(P, -1)
+        assert scan.changes == ()
         assert scan.kind == "sin"
         assert scan.boundary_zero
         assert scan.certified_on_circle == 2 * sum(scan.changes) + 2
@@ -159,6 +163,16 @@ class TestTrigCensus:
     def test_rejects_bad_eps(self):
         with pytest.raises(InputError):
             trig_sign_changes(rp(1, 1), 0)
+
+    def test_sym5_sine_census(self, sym5_data, sym5_vals):
+        # deg P = 2: S(theta) has one zero in (0, pi) besides the forced
+        # ones, sought on the one interval (2 pi/5, 4 pi/5)
+        P = build_P_poly(build_p_poly(sym5_data, sym5_vals))
+        scan = trig_sign_changes(P, sym5_data.root_number)
+        assert scan.kind == "sin"
+        assert scan.changes == (1,)
+        assert scan.failing == ()
+        assert scan.certified_on_circle == 4
 
     @pytest.mark.parametrize("err, changes", [("0.2", 1), ("0.5", 0)])
     def test_error_dominated_samples_do_not_count(self, err, changes):
@@ -169,6 +183,30 @@ class TestTrigCensus:
         scan = trig_sign_changes(P, 1)
         assert scan.changes == (changes,)
         assert scan.failing == (() if changes else (0,))
+
+
+class TestCircleValues:
+    def test_bound_covers_the_error_ball(self, sym5_data, sym5_vals):
+        # every polynomial of the ball, valued at exactly e^{i theta} with
+        # 128 more bits, lies within the bound of the fixed-point value
+        P = build_P_poly(build_p_poly(sym5_data, sym5_vals))
+        T = partial_sum_T(sym5_data.m, sym5_data.degree,
+                          sym5_data.conductor, bits=P.bits)
+        bare = RealPolynomial(tuple((v, 0) for v in P.values()), bits=P.bits)
+        for poly in (P, T, bare):
+            with mp.workprec(poly.bits):
+                thetas = [2 * mp.pi * (i + mp.mpf("0.37")) / 300
+                          for i in range(300)]
+            values, bound, exp = circle_values(poly, thetas)
+            with mp.workprec(poly.bits + 128):
+                corners = [[v + s * e for v, e in poly.coeffs]
+                           for s in (-1, 0, 1)]
+                for theta, (re, im) in zip(thetas, values):
+                    z = mp.expj(theta)
+                    got = mp.mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
+                    for c in corners:
+                        gap = abs(mp.polyval(c[::-1], z) - got)
+                        assert gap <= mp.ldexp(bound, exp)
 
 
 class TestDiscCounts:
