@@ -21,6 +21,8 @@ from .errors import (
     VerificationError,
 )
 from .lfunc import (
+    AfePlan,
+    Header,
     LFunctionData,
     SpecialValues,
     Precision,
@@ -34,6 +36,7 @@ from .sympow import (
     ap_count,
     sym_local_factor,
     sym_dirichlet_coeffs,
+    sym_header,
     sym_hodge,
     sym_lfunction_data,
 )
@@ -105,11 +108,11 @@ __all__ = [
     "__version__",
     "InputError", "PoleError", "InsufficientCoefficients", "QuadratureError",
     "CertificationError", "VerificationError",
-    "LFunctionData", "SpecialValues", "Precision",
+    "AfePlan", "Header", "LFunctionData", "SpecialValues", "Precision",
     "gamma_completed", "dirichlet_l", "special_values",
     "verify_hypothesis",
     "CurveSpec", "ap_count", "sym_local_factor",
-    "sym_dirichlet_coeffs", "sym_hodge", "sym_lfunction_data",
+    "sym_dirichlet_coeffs", "sym_header", "sym_hodge", "sym_lfunction_data",
     "RealPolynomial", "LValueRatios",
     "binomial_weight", "build_p_poly", "build_P_poly", "build_Q_poly",
     "l_value_ratios", "partial_sum_T", "s_tail_parts",

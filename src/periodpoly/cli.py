@@ -33,10 +33,10 @@ from .files import (FORMAT_REPORT, SpecialValuesCache, canonical_report_text,
                     data_digest, parse_coefficient_file, parse_curve_file,
                     parse_eps_overrides, sha256_file, write_report)
 from .gates import compute_A_m
-from .lfunc import Precision, special_values
+from .lfunc import AfePlan, Precision, special_values
 from .numutil import fmt_mpf
 from .pipeline import analyze, scale_estimate
-from .sympow import sym_lfunction_data
+from .sympow import sym_header, sym_lfunction_data
 from .zeros import disc_transition_table
 
 
@@ -48,6 +48,8 @@ def _check_args(args):
     target = getattr(args, "target_error", None)
     if target is not None and not 0 < target < math.inf:
         raise InputError("target error must be finite and positive")
+    if getattr(args, "coeff_limit", None) is not None and args.coeff_limit < 1:
+        raise InputError("--coeff-limit must be at least 1")
     for name in ("coeffs_path", "curve_path", "eps_overrides_path"):
         path = getattr(args, name, None)
         if path is not None and not os.path.exists(path):
@@ -88,7 +90,8 @@ def _emit(args, command, report, lines):
 
 
 def _ingest(args, inputs):
-    """Resolve the input files into (LFunctionData, sym, curve-or-None)."""
+    """Resolve the input files into (header, sym, curve-or-None, load),
+    load(plan) giving the LFunctionData the sums of that AfePlan run on."""
     if (args.coeffs_path is None) == (args.curve_path is None):
         raise InputError("exactly one of --coeffs or --curve is required")
     if args.coeffs_path:
@@ -103,7 +106,7 @@ def _ingest(args, inputs):
             args.coeffs_path)
         data = parse_coefficient_file(args.coeffs_path,
                                       bits=args.precision_bits)
-        return data, 0, None
+        return data.header, 0, None, lambda plan: data
     if args.sym is None:
         raise InputError("--curve needs --sym, an odd n >= 3")
     inputs[os.path.basename(args.curve_path)] = sha256_file(
@@ -128,27 +131,38 @@ def _ingest(args, inputs):
             args.eps_overrides_path)
         table = parse_eps_overrides(args.eps_overrides_path)
         recorded = table.get((curve.label, args.sym))
-    limit = 10000 if args.coeff_limit is None else args.coeff_limit
-    data = sym_lfunction_data(curve, args.sym, limit)
-    # the recorded sign is a cross-check of the exact one, never a source
-    if recorded not in (None, data.root_number):
-        raise InputError("%s Sym^%d: %s records root number %+d, but the "
-                         "local data give %+d"
-                         % (curve.label, args.sym,
-                            os.path.basename(args.eps_overrides_path),
-                            recorded, data.root_number))
-    return data, args.sym, curve
+    header = sym_header(curve, args.sym)
+
+    def load(plan):
+        # count what the sums read, or --coeff-limit when given; a count
+        # short of the plan is refused before any point is counted
+        limit = args.coeff_limit
+        plan.check_reach(10000 if limit is None else limit)
+        data = sym_lfunction_data(curve, args.sym,
+                                  plan.required if limit is None else limit)
+        # the recorded sign is a cross-check of the exact one, never a
+        # source
+        if recorded not in (None, data.root_number):
+            raise InputError("%s Sym^%d: %s records root number %+d, but "
+                             "the local data give %+d"
+                             % (curve.label, args.sym,
+                                os.path.basename(args.eps_overrides_path),
+                                recorded, data.root_number))
+        return data
+
+    return header, args.sym, curve, load
 
 
 def cmd_analyze(args):
     inputs = {}
-    data, sym, curve = _ingest(args, inputs)
-    label = data.label or "dataset"
+    header, sym, curve, load = _ingest(args, inputs)
     target = args.target_error
     if target is None:
-        target = scale_estimate(data) * 1e-25
-    prec = Precision(mantissa_bits=args.precision_bits,
-                     target_abs_error=target)
+        target = scale_estimate(header) * 1e-25
+    plan = AfePlan(header, Precision(mantissa_bits=args.precision_bits,
+                                     target_abs_error=target))
+    data = load(plan)
+    label = data.label or "dataset"
 
     cache = SpecialValuesCache(args.cache_dir) if args.cache_dir else None
     vals = None
@@ -157,7 +171,7 @@ def cmd_analyze(args):
         vals = cache.load(label, sym, args.precision_bits, data.weight,
                           target, digest)
     if vals is None:
-        vals = special_values(data, prec)
+        vals = special_values(data, plan)
         if cache is not None:
             cache.store(label, sym, vals, digest)
 
@@ -441,8 +455,11 @@ def build_parser():
                     help="absolute error target for completed values "
                          "(default: value scale * 1e-25)")
     pa.add_argument("--coeff-limit", type=int,
-                    help="how many Dirichlet coefficients to generate from "
-                         "a curve (default 10000; curve input only)")
+                    help="how many Dirichlet coefficients to count from a "
+                         "curve (default: as many as the AFE reads at the "
+                         "requested target, at most 10000; a limit short of "
+                         "that is refused before counting; curve input "
+                         "only)")
     pa.add_argument("--cache-dir", help="special-values cache directory")
     precision(pa)
     common(pa)

@@ -93,13 +93,13 @@ The kernel and its planning are built to be cheap:
   (a) each node costs one complex loggamma at F bits, at z - m' for the
       largest index m' with h_{m'} > 0; every other Gamma(z - nu) follows
       from it by the rising factors (z - m')(z - m' + 1)...(z - nu - 1),
-      and log 2, log 2 pi are computed once per engine;
+      and log 2, log 2 pi are computed once per plan;
   (b) each used line is built once, at its a-priori step, and a line no
       term uses is never built: the truncation point is planned from the
       Stirling mass bounds alone;
   (c) the terms run in Python integers, with no mpmath number per term.
       ln n comes from an additive sieve over the smallest prime factors
-      (one log per prime per engine, F + 32 fractional bits).  As
+      (one log per prime per plan, F + 32 fractional bits).  As
       sigma + c_min is a multiple of 1/4, n^-(sigma + c_min) is
       completely multiplicative: one exp per prime and one integer
       multiply per n along the same sieve give it as a mantissa of F + 8
@@ -128,10 +128,12 @@ The kernel and its planning are built to be cheap:
       and each later one only up to the best n0 so far less one, as it
       must beat that strictly; so the result is the smallest n0 over the
       lines, on its first line, with fewer bisection steps and mpmath
-      evaluations on the lines that cannot win.  It is the truncation
-      point when it is at most X.  Otherwise, special_values plans every
-      sigma before it raises, and InsufficientCoefficients reports the
-      largest n0 over them as required.
+      evaluations on the lines that cannot win.  The plan reads only the
+      header (weight, Hodge numbers, conductor) and the Precision, so
+      AfePlan makes it before any coefficient is counted.  X is checked
+      only when the sums run, where InsufficientCoefficients names the
+      largest n0 as required, and the ell error bound counts the prime
+      factors of n <= n0, not of n <= X.
 """
 
 import math
@@ -201,6 +203,24 @@ class Precision:
 
 
 @dataclass(frozen=True)
+class Header:
+    """What the AFE plan reads of a dataset: its weight, Hodge numbers and
+    conductor.  No coefficient and no root number enters the plan."""
+
+    weight: int
+    hodge: tuple
+    conductor: int
+
+    @property
+    def degree(self):
+        return 2 * sum(self.hodge)
+
+    @property
+    def m(self):
+        return (self.weight - 1) // 2
+
+
+@dataclass(frozen=True)
 class LFunctionData:
     """Self-dual motivic L-function data of odd weight.
 
@@ -255,6 +275,10 @@ class LFunctionData:
     @property
     def coeff_limit(self):
         return len(self.coefficients)
+
+    @property
+    def header(self):
+        return Header(self.weight, self.hodge, self.conductor)
 
 
 @dataclass(frozen=True)
@@ -360,7 +384,7 @@ class _Rung:
     suffix[k] is an integer at least 2^(fix_shift) sum_{j >= k} |g_j|, the
     nodes beyond the last one included, so terms can certify how much
     kernel mass a truncated node sum skips.  fix_err bounds the rounding
-    of one such sum (see _AfeEngine._node_sum), and node_err bounds
+    of one such sum (see AfePlan._node_sum), and node_err bounds
     sum_k |g_k - g(k h)|, what the nodes themselves err by.
     """
 
@@ -405,11 +429,16 @@ def _softplus(r):
     return max(r, 0.0) + math.log1p(math.exp(-abs(r)))
 
 
-class _AfeEngine:
-    """Shared state for the one-sided sums I(sigma) of a single dataset."""
+class AfePlan:
+    """The AFE of one Header under one Precision.  The plan, made here,
+    reads no coefficient: per sigma = 1..w the kernel ladder, its log
+    mass bounds, the truncation point n0 and its line (see (d) in the
+    module docstring); required is the largest n0, None when some sigma
+    has none.  one_sided sums on the coefficients a caller supplies."""
 
-    def __init__(self, data, prec):
-        self.data = data
+    def __init__(self, header, prec):
+        self.header = header
+        self.prec = prec
         self.bits = int(prec.mantissa_bits)
         self.workbits = self.bits + _GUARD_BITS
         self.fixbits = self.workbits + _FIX_GUARD_BITS
@@ -417,7 +446,7 @@ class _AfeEngine:
         self.weightbits = self.fixbits + _WEIGHT_GUARD_BITS
         self.target = mp.mpf(prec.target_abs_error)
         with mp.workprec(self.workbits):
-            self.ln_sqrt_n = mp.log(data.conductor) / 2
+            self.ln_sqrt_n = mp.log(header.conductor) / 2
         with mp.workprec(self.fixbits):  # for the nodes
             self._ln2 = mp.log(2)
             self._ln2pi = mp.log(2 * mp.pi)
@@ -425,25 +454,31 @@ class _AfeEngine:
         #            * prod_{j <= top} (z - j)^{e_j},
         # from Gamma(z - nu) = Gamma(z - top) (z - top) ... (z - nu - 1):
         # H = sum h_nu, S = sum nu h_nu, e_j = sum_{nu < j} h_nu.
-        hodge = data.hodge
+        hodge = header.hodge
         self._gammas = [(nu, h) for nu, h in enumerate(hodge) if h]
         self._top = self._gammas[-1][0]
         self._h_total = sum(hodge)
         self._h_moment = sum(nu * h for nu, h in enumerate(hodge))
         rising = ((j, sum(hodge[:j])) for j in range(1, self._top + 1))
         self._rising = [(j, e) for j, e in rising if e]
+        with mp.workprec(self.workbits):
+            self._plans = {sigma: self._plan(sigma)
+                           for sigma in range(1, header.weight + 1)}
+        n0s = [n0 for _, _, n0, _ in self._plans.values()]
+        self.required = None if None in n0s else max(n0s)
         # ln n (_ln_table) and ln sqrt(N) with lnbits fractional bits; a
         # log at lnbits + 10 bits, truncated, errs by less than
         # 1 + ln(x)/512 units of 2^-lnbits, and ell = ln sqrt(N) - ln n
-        # sums fewer than bitlen(X) of them: _ell_err bounds its error in
-        # those units
+        # sums fewer than bitlen(n0) of them, n0 the largest truncation
+        # point planned: _ell_err bounds its error in those units
         self._ln = [0, 0]
         self._spf = [0, 0]
         self._ln_sqrt_fix = to_fixed(
-            mpf_log(from_int(data.conductor), self.lnbits + 10), self.lnbits - 1)
-        big = max(data.coeff_limit, data.conductor)
-        self._ell_err = data.coeff_limit.bit_length() * (1 + math.log(big) / 512)
-        self._plans = {}
+            mpf_log(from_int(header.conductor), self.lnbits + 10),
+            self.lnbits - 1)
+        n_max = max(filter(None, n0s), default=1)
+        big = max(n_max, header.conductor)
+        self._ell_err = n_max.bit_length() * (1 + math.log(big) / 512)
 
     # -- fixed-point tables (Python integers) ----------------------------------
 
@@ -473,7 +508,7 @@ class _AfeEngine:
         exp per prime, from the ln table, then one integer multiply per
         composite n along the sieve.  Each prime's weight errs by less than
         2^(1-B) (truncation to B bits) + 2^-(B+6) (the exp at B + 8 bits)
-        + (a4/4) (1 + ln X/512) 2^-lnbits (the ln table), each product by
+        + (a4/4) (1 + ln n0/512) 2^-lnbits (the ln table), each product by
         less than 2^(1-B), and a term on line i divides by n^off_i with one
         more truncation; n has fewer than bitlen(n0) prime factors."""
         ln = self._ln_table(n0)
@@ -691,9 +726,10 @@ class _AfeEngine:
     # -- truncation planning ------------------------------------------------
 
     def _tail_bound(self, sigma, c, bound, n0):
-        t = mp.mpf(sigma) + c - mp.mpf(self.data.weight) / 2
-        pref = mp.power(self.data.conductor, (mp.mpf(sigma) + c) / 2) * bound
-        return pref * divisor_tail(n0, t, self.data.degree)
+        head = self.header
+        t = mp.mpf(sigma) + c - mp.mpf(head.weight) / 2
+        pref = mp.power(head.conductor, (mp.mpf(sigma) + c) / 2) * bound
+        return pref * divisor_tail(n0, t, head.degree)
 
     def _search_n0(self, sigma, c, log_bound, budget, cap):
         """Smallest n0 <= cap with _tail_bound(sigma, c, e^log_bound, n0)
@@ -704,14 +740,14 @@ class _AfeEngine:
         mpmath bound then confirms it (n0 passes, n0 - 1 fails) and, where
         the doubles erred near the crossing, steps n0 one at a time until
         it does."""
-        data = self.data
-        t = sigma + c - data.weight / 2
+        head = self.header
+        t = sigma + c - head.weight / 2
         log_budget = (float(mp.log(budget)) - log_bound
-                      - (sigma + c) / 2 * math.log(data.conductor))
+                      - (sigma + c) / 2 * math.log(head.conductor))
         lo, hi = 1, cap
         while lo < hi:
             mid = (lo + hi) // 2
-            if log_divisor_tail(mid, t, data.degree) > log_budget:
+            if log_divisor_tail(mid, t, head.degree) > log_budget:
                 lo = mid + 1
             else:
                 hi = mid
@@ -726,58 +762,58 @@ class _AfeEngine:
         return n0
 
     def _plan(self, sigma):
-        """(ladder, log_mass, n0, i) for sigma, planned once: the kernel
-        lines, their log mass bounds, the truncation point n0 (None when
-        no line reaches the tail budget within _N0_CAP terms) and the
-        first line i that reaches it with n0 terms; see (d) in the module
-        docstring."""
-        if sigma not in self._plans:
-            cmin = _min_offset(sigma, self.data.m)
-            ladder = [cmin + off for off in _OFFSETS]
-            log_mass = [self._log_mass(sigma, c) for c in ladder]
-            # Lambda(s) adds two one-sided sums; see the module docstring
-            tail_budget = self.target / (2 * _TARGET_MARGIN) * 3 / 8
-            n0 = i = None
-            for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
-                cap = _N0_CAP if n0 is None else n0 - 1
-                if cap < 1:
-                    break
-                found = self._search_n0(sigma, c, lm, tail_budget, cap)
-                if found is not None:
-                    n0, i = found, idx
-            self._plans[sigma] = ladder, log_mass, n0, i
-        return self._plans[sigma]
+        """(ladder, log_mass, n0, i) for sigma: the kernel lines, their log
+        mass bounds, the truncation point n0 (None when no line reaches
+        the tail budget within _N0_CAP terms) and the first line i that
+        reaches it with n0 terms; see (d) in the module docstring.  Call
+        at workbits, as the constructor does."""
+        cmin = _min_offset(sigma, self.header.m)
+        ladder = [cmin + off for off in _OFFSETS]
+        log_mass = [self._log_mass(sigma, c) for c in ladder]
+        # Lambda(s) adds two one-sided sums; see the module docstring
+        tail_budget = self.target / (2 * _TARGET_MARGIN) * 3 / 8
+        n0 = i = None
+        for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
+            cap = _N0_CAP if n0 is None else n0 - 1
+            if cap < 1:
+                break
+            found = self._search_n0(sigma, c, lm, tail_budget, cap)
+            if found is not None:
+                n0, i = found, idx
+        return ladder, log_mass, n0, i
 
-    def check_reach(self, sigmas):
-        """Raise InsufficientCoefficients unless X covers the truncation
-        point of every sigma given; it names the largest count required."""
-        need = {sigma: self._plan(sigma)[2] for sigma in sigmas}
-        short = [sigma for sigma, n0 in need.items()
-                 if n0 is None or n0 > self.data.coeff_limit]
+    def check_reach(self, x, sigmas=None):
+        """Raise InsufficientCoefficients unless X = x coefficients cover
+        the truncation point of every sigma given (default: all); it
+        names the largest count required."""
+        need = {sigma: plan[2] for sigma, plan in self._plans.items()
+                if sigmas is None or sigma in sigmas}
+        short = [sigma for sigma, n0 in need.items() if n0 is None or n0 > x]
         if short:
             n0s = [need[sigma] for sigma in short]
             required = None if None in n0s else max(n0s)
             raise InsufficientCoefficients(
                 "coefficient list (X = %d) too short for target %s at s = %s;"
                 " roughly %s terms required"
-                % (self.data.coeff_limit, mp.nstr(self.target, 6),
+                % (x, mp.nstr(self.target, 6),
                    ", ".join(map(str, short)), required),
                 required=required,
             )
 
     # -- main one-sided sum ---------------------------------------------------
 
-    def one_sided(self, sigma):
-        """(I(sigma), its error bound).  Call at workbits, as
-        special_values does: the rounding part assumes that precision."""
-        data = self.data
+    def one_sided(self, sigma, coefficients):
+        """(I(sigma), its error bound) on coefficients[n - 1] = lambda(n).
+        Call at workbits, as special_values does: the rounding part
+        assumes that precision."""
+        conductor = self.header.conductor
         sig = mp.mpf(sigma)
         # Lambda(s) adds two one-sided sums; see the module docstring
         budget = self.target / (2 * _TARGET_MARGIN)
         quad_budget = budget * 3 / 8
         skip_budget = budget / 8
-        self.check_reach([sigma])
-        ladder, log_mass, n0, i = self._plan(sigma)
+        self.check_reach(len(coefficients), [sigma])
+        ladder, log_mass, n0, i = self._plans[sigma]
         cmin = ladder[0]
         lnsq_f = float(self.ln_sqrt_n)
         tail = self._tail_bound(sigma, ladder[i], mp.exp(log_mass[i]), n0)
@@ -788,7 +824,7 @@ class _AfeEngine:
         man, exp, delta_w = self._weights(a4, n0)
         line_of = self._select_lines(ladder, log_mass, n0)
         groups = {}  # ladder index -> [(n, wm, e)], ascending n
-        for n, lam in zip(range(1, n0 + 1), data.coefficients):
+        for n, lam in zip(range(1, n0 + 1), coefficients):
             if not lam:
                 continue
             lm, e = _dyadic(lam)
@@ -817,7 +853,7 @@ class _AfeEngine:
         slack_w = 1 + 2 * delta_w  # true weight <= computed one * slack_w
         delta_c = mp.ldexp(1, 4 - self.fixbits)
         with mp.workprec(self.fixbits):
-            pref = mp.power(data.conductor, sig / 2)
+            pref = mp.power(conductor, sig / 2)
         lnsq = self._ln_sqrt_fix
         unit_z, node_sum = self._unit, self._node_sum
         pieces = []
@@ -831,7 +867,7 @@ class _AfeEngine:
             w_int = sum(scaled)
             c = ladder[idx]
             with mp.workprec(self.fixbits):
-                n_c = mp.power(data.conductor, mp.mpf(c) / 2)
+                n_c = mp.power(conductor, mp.mpf(c) / 2)
             w_sum = n_c * mp.mpf((w_int, unit)) * slack_w
             w_max = n_c * mp.mpf((max(scaled), unit))
             log_scale = float(mp.log(pref * w_sum / quad_share))
@@ -891,19 +927,25 @@ class _AfeEngine:
 def special_values(data, prec=Precision()):
     """All completed values Lambda(s), s = 1..w, by the two-sided AFE.
 
-    Lambda(s) = I(s) + eps I(w+1-s); the functional equation is exact by
-    construction, so verify_hypothesis exercises it only as a consistency
-    check on externally supplied value sets.
+    prec is a Precision, or an AfePlan already made for data.header, whose
+    plan the sums then run on.  Lambda(s) = I(s) + eps I(w+1-s); the
+    functional equation is exact by construction, so verify_hypothesis
+    exercises it only as a consistency check on externally supplied value
+    sets.
     """
-    engine = _AfeEngine(data, prec)
+    plan = prec if isinstance(prec, AfePlan) else AfePlan(data.header, prec)
+    if plan.header != data.header:
+        raise InputError("the AFE plan is for %s, not for the data's %s"
+                         % (plan.header, data.header))
+    # every sigma is planned, so a shortfall names the count that covers
+    # them all
+    plan.check_reach(data.coeff_limit)
     w = data.weight
     out = {}
-    with mp.workprec(engine.workbits):
-        ulp = mp.ldexp(1, -engine.workbits)
-        # every sigma is planned before any is summed, so a shortfall
-        # names the count that covers them all
-        engine.check_reach(range(1, w + 1))
-        sums = [engine.one_sided(sigma) for sigma in range(1, w + 1)]
+    with mp.workprec(plan.workbits):
+        ulp = mp.ldexp(1, -plan.workbits)
+        sums = [plan.one_sided(sigma, data.coefficients)
+                for sigma in range(1, w + 1)]
         for s in range(1, w + 1):
             a, ea = sums[s - 1]
             b, eb = sums[w - s]
@@ -913,8 +955,8 @@ def special_values(data, prec=Precision()):
     return SpecialValues(
         weight=w,
         values=out,
-        bits=prec.mantissa_bits,
-        target=prec.target_abs_error,
+        bits=plan.prec.mantissa_bits,
+        target=plan.prec.target_abs_error,
         label=data.label,
     )
 

@@ -40,8 +40,7 @@ from itertools import accumulate
 from math import comb, factorial, lcm
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, from_rational, round_nearest,
-                          round_up, to_rational)
+from mpmath.libmp import from_man_exp, round_nearest, round_up, to_rational
 
 from .errors import InputError, VerificationError
 from .polys import RealPolynomial
@@ -144,17 +143,28 @@ def rv_transform(u, eps=None):
     scale = den * factorial(e)
     coeffs = []
     for z, err in zip(zq, ze):
-        value = from_rational(z, scale, u.bits + 16, round_nearest)
+        value = _ratio(z, scale, u.bits + 16, round_nearest)
         # value = man 2^exp, so value - z/scale = (man 2^exp scale - z)/scale
         sign, man, exp, _ = value
         man = -man if sign else man
         lift = max(-exp, 0)
         miss = abs((man << max(exp, 0)) * scale - (z << lift))
-        err = from_rational((err << lift) + miss, scale << lift, u.bits + 16,
-                            round_up)
+        err = _ratio((err << lift) + miss, scale << lift, u.bits + 16,
+                     round_up)
         coeffs.append((mp.make_mpf(value), mp.make_mpf(err)))
     return ZetaPolynomial(tuple(coeffs), bits=u.bits, eps=eps,
                           exact=tuple(Fraction(z, scale) for z in zq))
+
+
+def _ratio(num, den, prec, rnd):
+    """num / den (den > 0) rounded to prec bits in direction rnd, as a
+    raw mpf: the integer quotient has at least prec + 1 bits, and one
+    sticky bit below it stands for a nonzero remainder, so from_man_exp
+    rounds as the exact ratio would be rounded."""
+    k = max(0, prec + 1 + den.bit_length() - abs(num).bit_length())
+    q, r = divmod(abs(num) << k, den)
+    man = q << 1 | (r != 0)
+    return from_man_exp(-man if num < 0 else man, -k - 1, prec, rnd)
 
 
 def _palindrome_sign(a, b):

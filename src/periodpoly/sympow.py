@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lfunc import LFunctionData
+from .lfunc import Header, LFunctionData
 from .numutil import primes_upto, smallest_prime_factors
 
 # The character sum is O(p), about 29 ns per residue and 58 ms at p = 2e6
@@ -391,6 +391,14 @@ def _prime_factors(n):
     return primes + [n] if n > 1 else primes
 
 
+def sym_header(curve, n):
+    """Header of Sym^n of the curve, all the AFE plan reads: weight n, the
+    Hodge numbers of sym_hodge and conductor N^n."""
+    if n < 3 or n % 2 == 0:
+        raise InputError("symmetric power n must be odd and >= 3")
+    return Header(n, sym_hodge(n), curve.conductor ** n)
+
+
 def sym_lfunction_data(curve, n, x):
     """LFunctionData for Sym^n of the curve: w = n, d = n+1, conductor N^n,
     coefficients to x, and the exact root number
@@ -406,13 +414,11 @@ def sym_lfunction_data(curve, n, x):
     counted otherwise, so each prime is counted once.  Raises InputError
     when a prime of the conductor has a_p other than +-1.
     """
-    if n < 3 or n % 2 == 0:
-        raise InputError("symmetric power n must be odd and >= 3")
+    header = sym_header(curve, n)
     coeffs = sym_dirichlet_coeffs(curve, n, x)
-    hodge = sym_hodge(n)
     # every exponent w - 2 nu + 1 is even for odd w, and i^(2k) = (-1)^k
     eps = (-1) ** (sum((n - 2 * nu + 1) * h
-                       for nu, h in enumerate(hodge)) // 2)
+                       for nu, h in enumerate(header.hodge)) // 2)
     for p in _prime_factors(curve.conductor):
         a_p = coeffs[p - 1] if p <= x else ap_count(curve, p)
         if a_p not in (1, -1):
@@ -423,9 +429,9 @@ def sym_lfunction_data(curve, n, x):
         eps *= -a_p
     return LFunctionData(
         weight=n,
-        degree=n + 1,
-        conductor=curve.conductor ** n,
-        hodge=hodge,
+        degree=header.degree,
+        conductor=header.conductor,
+        hodge=header.hodge,
         root_number=eps,
         coefficients=tuple(coeffs),
         label="%s-sym%d" % (curve.label or "curve", n),

@@ -11,8 +11,11 @@ import os
 
 import pytest
 
+from periodpoly import AfePlan, Precision, sym_lfunction_data, sympow
 from periodpoly.cli import main
 from periodpoly.files import SpecialValuesCache, data_digest, sha256_file
+from periodpoly.numutil import primes_upto
+from periodpoly.pipeline import scale_estimate
 
 DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "data"))
 
@@ -146,13 +149,38 @@ class TestTableReproducibility:
         assert out_a == out_b
 
 
+@pytest.fixture
+def counted_primes(monkeypatch):
+    """The primes sympow.ap_count is asked for, in order."""
+    primes = []
+    ap_count = sympow.ap_count
+
+    def counting(curve, p):
+        primes.append(p)
+        return ap_count(curve, p)
+
+    monkeypatch.setattr(sympow, "ap_count", counting)
+    return primes
+
+
 class TestAnalyzeCurve:
     def test_symmetric_cube_runs_and_is_deterministic(
-        self, capsys, tmp_path, sym3_data, sym3_vals
+        self, capsys, tmp_path, monkeypatch, curve_11a1, sym3_data, sym3_vals
     ):
+        # the default request (192 bits, scale * 1e-25) counts only the
+        # coefficients its sums read, so the seeded record is keyed by
+        # their digest, and both runs must hit it
+        target = scale_estimate(sym3_data) * 1e-25
+        n0 = AfePlan(sym3_data.header, Precision(192, target)).required
         cache_dir = tmp_path / "cache"
-        SpecialValuesCache(str(cache_dir)).store("11a1-sym3", 3, sym3_vals,
-                                                 data_digest(sym3_data))
+        SpecialValuesCache(str(cache_dir)).store(
+            "11a1-sym3", 3, sym3_vals,
+            data_digest(sym_lfunction_data(curve_11a1, 3, n0)))
+
+        def never(*args):
+            raise AssertionError("special_values called on a cache hit")
+
+        monkeypatch.setattr("periodpoly.cli.special_values", never)
         out_a = tmp_path / "report_a.json"
         out_b = tmp_path / "report_b.json"
         argv = (
@@ -171,6 +199,7 @@ class TestAnalyzeCurve:
 
         report = json.loads(out_a.read_text())
         assert report["label"] == "11a1-sym3"
+        assert report["coefficients_used"] == n0 == 1423
         assert report["weight"] == 3
         assert report["degree"] == 4
         assert report["conductor"] == 11 ** 3
@@ -236,6 +265,40 @@ class TestAnalyzeCurve:
             plain.pop("inputs"),
             **{"eps_overrides.txt": sha256_file(data_path("eps_overrides.txt"))})
         assert plain == checked
+
+    def test_counts_only_the_coefficients_the_sums_read(
+            self, capsys, counted_primes):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--curve", data_path("curves.txt"),
+            "--label", "11a1", "--sym", "3", "--precision-bits", "64",
+            "--target-error", "1e-3")
+        assert code == 0
+        assert json.loads(out)["coefficients_used"] == 193
+        assert counted_primes == primes_upto(193)
+
+    @pytest.mark.parametrize("argv,required", [
+        (("--sym", "3", "--coeff-limit", "100", "--precision-bits", "64",
+          "--target-error", "1e-3"), 193),
+        # the default cap of 10^4 coefficients is short of Sym^5's n0
+        (("--sym", "5"), 43133),
+    ])
+    def test_short_count_fails_before_counting(self, capsys, counted_primes,
+                                               argv, required):
+        code, out, err = run_cli(
+            capsys, "analyze", "--curve", data_path("curves.txt"),
+            "--label", "11a1", *argv)
+        assert code == 3
+        assert out == ""
+        assert "roughly %d terms required" % required in err
+        assert counted_primes == []
+
+    def test_coeff_limit_below_one_is_an_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analyze", "--curve", data_path("curves.txt"),
+            "--label", "11a1", "--sym", "3", "--coeff-limit", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "input error: --coeff-limit must be at least 1\n"
 
     def test_sym_must_be_odd_and_at_least_three(self, capsys):
         errors = set()

@@ -9,8 +9,9 @@ from mpmath.libmp import to_fixed
 
 from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
                         PoleError, Precision, SpecialValues, dirichlet_l,
-                        gamma_completed, special_values, verify_hypothesis)
-from periodpoly.lfunc import (_N0_CAP, _OFFSETS, _TARGET_MARGIN, _AfeEngine,
+                        gamma_completed, special_values, sym_lfunction_data,
+                        verify_hypothesis)
+from periodpoly.lfunc import (_N0_CAP, _OFFSETS, _TARGET_MARGIN, AfePlan,
                               _Rung, _min_offset, log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
 from periodpoly.pipeline import scale_estimate
@@ -145,7 +146,7 @@ def kernel_rung(engine, sigma, h, c=None, log_thresh=None):
     least offset, built until the dropped nodes weigh 2^-(bits+16) of the
     line's kernel-mass bound."""
     if c is None:
-        c = _min_offset(sigma, engine.data.m) + 2
+        c = _min_offset(sigma, engine.header.m) + 2
     if log_thresh is None:
         log_thresh = (engine._log_mass(sigma, c)
                       - (engine.bits + 16) * math.log(2))
@@ -181,7 +182,7 @@ class TestAfeKernel:
                                        (1, 2, 3, 4)])
     def test_g_value_matches_gamma_completed(self, hodge, bits):
         data = kernel_data(hodge)
-        engine = _AfeEngine(data, Precision(bits, 1e-3))
+        engine = AfePlan(data.header, Precision(bits, 1e-3))
         for sigma in (1, data.weight):
             c = mp.mpf(_min_offset(sigma, data.m)) + 2
             for t in ("0", "0.375", "3.5", "17.25", "60"):
@@ -207,7 +208,7 @@ class TestAfeKernel:
     @pytest.mark.parametrize("hodge", [(1, 1), (1, 0, 1), (1, 2, 3, 4)])
     def test_kernel_mass_bound_covers_quad(self, hodge):
         data = kernel_data(hodge)
-        engine = _AfeEngine(data, Precision(64, 1e-3))
+        engine = AfePlan(data.header, Precision(64, 1e-3))
         for sigma in (1, data.weight):
             cmin = _min_offset(sigma, data.m)
             for c in (cmin, cmin + 5, cmin + 24):
@@ -225,8 +226,8 @@ class TestAfeKernel:
     def test_a_priori_step_meets_alias_bound(self, hodge):
         data = kernel_data(hodge)
         bits = 64
-        engine = _AfeEngine(data, Precision(bits, 1e-3))
-        fine = _AfeEngine(data, Precision(bits + 64, 1e-3))
+        engine = AfePlan(data.header, Precision(bits, 1e-3))
+        fine = AfePlan(data.header, Precision(bits + 64, 1e-3))
         worst = 0
         for sigma in (1, data.weight):
             cmin = _min_offset(sigma, data.m)
@@ -256,7 +257,7 @@ class TestAfeKernel:
     def test_reference_sum_matches_quad(self):
         # the 4x-finer trapezoid used as reference above is the integral
         data = kernel_data((1, 1))
-        fine = _AfeEngine(data, Precision(128, 1e-3))
+        fine = AfePlan(data.header, Precision(128, 1e-3))
         sigma, ell = 1, -0.8
         c = _min_offset(sigma, data.m) + 2
         rung = kernel_rung(fine, sigma, 0.1, c)
@@ -266,7 +267,7 @@ class TestAfeKernel:
             assert abs(got - want) <= abs(want) * mp.mpf("1e-25")
 
     def test_each_used_line_built_once(self, sym3_data):
-        engine = _AfeEngine(sym3_data, Precision(64, 1e-3))
+        engine = AfePlan(sym3_data.header, Precision(64, 1e-3))
         nodes = []
         built = []
         g_value, build = engine._g_value, engine._build_nodes
@@ -282,7 +283,7 @@ class TestAfeKernel:
         engine._g_value, engine._build_nodes = counted, recorded
         with mp.workprec(engine.workbits):
             for sigma in (1, 2, 3):
-                engine.one_sided(sigma)
+                engine.one_sided(sigma, sym3_data.coefficients)
         assert len(nodes) == sum(len(r.g) for _, r in built)
         lines = [(sigma, r.c) for sigma, r in built]
         assert len(set(lines)) == len(lines)
@@ -294,8 +295,8 @@ class TestAfeKernel:
 
     @pytest.mark.parametrize("bits", [64, 192])
     def test_fixed_point_sum_within_bound(self, bits):
-        engine = _AfeEngine(kernel_data((1, 1), conductor=1331),
-                            Precision(bits, 1e-3))
+        engine = AfePlan(kernel_data((1, 1), conductor=1331).header,
+                         Precision(bits, 1e-3))
         rung = kernel_rung(engine, 1, "0.125")
         with mp.workprec(engine.workbits):
             mass = mp.fsum(abs(g) for g in rung.g)
@@ -322,7 +323,7 @@ class TestFixedPointTerms:
     def test_tables_within_bounds(self, sym3_data, bits, target):
         # every ln n, weight n^-(sigma + c_min) and e^{i h ell} the terms
         # use, against mpmath at F + 128 bits
-        engine = _AfeEngine(sym3_data, Precision(bits, target))
+        engine = AfePlan(sym3_data.header, Precision(bits, target))
         weights, units = [], []
         build_weights, unit = engine._weights, engine._unit
 
@@ -339,7 +340,7 @@ class TestFixedPointTerms:
         engine._weights, engine._unit = recorded_weights, recorded_unit
         with mp.workprec(engine.workbits):
             for sigma in (1, 2, 3):
-                engine.one_sided(sigma)
+                engine.one_sided(sigma, sym3_data.coefficients)
         n0 = max(n for _, n, _ in weights)
         fix, lnbits = engine.fixbits, engine.lnbits
         with mp.workprec(fix + 128):
@@ -368,7 +369,7 @@ class TestFixedPointTerms:
     def test_line_selection_is_the_float_argmin(self, hodge, conductor):
         # the vectorised selection against the per-n argmin over the ladder
         data = kernel_data(hodge, conductor)
-        engine = _AfeEngine(data, Precision(64, 1e-3))
+        engine = AfePlan(data.header, Precision(64, 1e-3))
         lnsq = float(engine.ln_sqrt_n)
         for sigma in (1, data.m + 1, data.weight):
             cmin = _min_offset(sigma, data.m)
@@ -392,13 +393,13 @@ class TestFixedPointTerms:
         n0s = {}
         lines = collections.Counter()
         nodes = collections.Counter()
-        one_sided = _AfeEngine.one_sided
-        weights = _AfeEngine._weights
-        build = _AfeEngine._build_nodes
+        one_sided = AfePlan.one_sided
+        weights = AfePlan._weights
+        build = AfePlan._build_nodes
 
-        def spy_one_sided(self, sigma):
+        def spy_one_sided(self, sigma, coefficients):
             now[0] = sigma
-            return one_sided(self, sigma)
+            return one_sided(self, sigma, coefficients)
 
         def spy_weights(self, a4, n0):
             n0s[now[0]] = n0
@@ -409,9 +410,9 @@ class TestFixedPointTerms:
             lines[sigma] += 1
             nodes[sigma] += len(rung.g)
 
-        monkeypatch.setattr(_AfeEngine, "one_sided", spy_one_sided)
-        monkeypatch.setattr(_AfeEngine, "_weights", spy_weights)
-        monkeypatch.setattr(_AfeEngine, "_build_nodes", spy_build)
+        monkeypatch.setattr(AfePlan, "one_sided", spy_one_sided)
+        monkeypatch.setattr(AfePlan, "_weights", spy_weights)
+        monkeypatch.setattr(AfePlan, "_build_nodes", spy_build)
         special_values(sym3_data, Precision(64, 1e-3))
         for sigma in (1, 2, 3):
             # the planning of every ladder line, one exp per node, a fixed
@@ -462,7 +463,7 @@ class TestTruncationPlanning:
                                                  ((1, 1, 1, 1), 11 ** 7)])
     def test_n0_equals_mpmath_bisection(self, hodge, conductor):
         data = kernel_data(hodge, conductor)
-        engine = _AfeEngine(data, Precision(64, 1e-3))
+        engine = AfePlan(data.header, Precision(64, 1e-3))
         seen = {"cap": 0, "none": 0, "inside": 0}
         with mp.workprec(engine.workbits):
             for sigma in (1, data.m + 1, data.weight):
@@ -490,13 +491,13 @@ class TestTruncationPlanning:
 
     def test_few_mpmath_bounds_per_sigma(self, sym3_data, monkeypatch):
         calls = []
-        tail_bound = _AfeEngine._tail_bound
+        tail_bound = AfePlan._tail_bound
 
         def counted(self, sigma, c, bound, n0):
             calls.append(sigma)
             return tail_bound(self, sigma, c, bound, n0)
 
-        monkeypatch.setattr(_AfeEngine, "_tail_bound", counted)
+        monkeypatch.setattr(AfePlan, "_tail_bound", counted)
         special_values(sym3_data, Precision(64, 1e-3))
         for sigma in (1, 2, 3):
             # one or two per ladder line, one for the chosen line's tail
@@ -506,22 +507,18 @@ class TestTruncationPlanning:
         # X = 100 cannot reach 1e-3 at any sigma; the count the error names
         # certifies that sigma, and one coefficient fewer does not
         prec = Precision(64, 1e-3)
-
-        def engine(x):
-            coeffs = sym3_data.coefficients[:x]
-            return _AfeEngine(replace(sym3_data, coefficients=coeffs), prec)
-
-        short = engine(100)
-        with mp.workprec(short.workbits):
+        plan = AfePlan(sym3_data.header, prec)
+        coeffs = sym3_data.coefficients
+        with mp.workprec(plan.workbits):
             for sigma in (1, 2, 3):
                 with pytest.raises(InsufficientCoefficients) as failed:
-                    short.one_sided(sigma)
+                    plan.one_sided(sigma, coeffs[:100])
                 need = failed.value.required
                 assert 100 < need < sym3_data.coeff_limit
-                _, err = engine(need).one_sided(sigma)
+                _, err = plan.one_sided(sigma, coeffs[:need])
                 assert err < prec.target_abs_error
                 with pytest.raises(InsufficientCoefficients) as one_less:
-                    engine(need - 1).one_sided(sigma)
+                    plan.one_sided(sigma, coeffs[:need - 1])
                 assert one_less.value.required == need
 
     @pytest.mark.parametrize("name,bits,target,scaled", [
@@ -537,7 +534,7 @@ class TestTruncationPlanning:
         data = request.getfixturevalue(name)
         if scaled:
             target *= scale_estimate(data)
-        engine = _AfeEngine(data, Precision(bits, target))
+        engine = AfePlan(data.header, Precision(bits, target))
         with mp.workprec(engine.workbits):
             tail_budget = engine.target / (2 * _TARGET_MARGIN) * 3 / 8
             for sigma in range(1, data.weight + 1):
@@ -546,6 +543,34 @@ class TestTruncationPlanning:
                        for c, lm in zip(ladder, log_mass)]
                 want = min(n for n in n0s if n is not None)
                 assert (n0, line) == (want, n0s.index(want)), sigma
+
+    @pytest.mark.parametrize("label,bits,target,scaled", [
+        ("11a1", 64, 1e-3, False),
+        ("43a1", 64, 1e-3, False),
+        ("11a1", 192, 1e-25, True),
+    ])
+    def test_counted_prefix_gives_the_same_values(self, curve_table, label,
+                                                   bits, target, scaled):
+        # the plan reads no coefficient: the values and bounds from the
+        # required prefix are those from X = 10^4, bit for bit
+        full = sym_lfunction_data(curve_table[label], 3, 10000)
+        if scaled:
+            target *= scale_estimate(full)
+        prec = Precision(bits, target)
+        plan = AfePlan(full.header, prec)
+        prefix = sym_lfunction_data(curve_table[label], 3, plan.required)
+        assert prefix.coefficients == full.coefficients[:plan.required]
+        got, want = special_values(prefix, plan), special_values(full, prec)
+        assert got.values == want.values
+        if scaled:
+            assert plan.required == 1423
+
+    def test_plan_for_another_header_is_refused(self, sym3_data):
+        # 37a1's Sym^3 header, not 11a1's
+        plan = AfePlan(kernel_data((1, 1), conductor=37 ** 3).header,
+                       Precision(64, 1e-3))
+        with pytest.raises(InputError, match="AFE plan is for"):
+            special_values(sym3_data, plan)
 
     def test_required_covers_every_sigma(self, sym3_data):
         # on 100 coefficients sigma = 1, 2, 3 need 187, 189 and 193: the

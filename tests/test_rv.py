@@ -9,13 +9,15 @@ identity Z(-l) = [z^l] U(z)/(1-z)^{e+1}:
     U = 1 + z^2, e = 2:  coefficients l^2 + l + 1, Z = s^2 - s + 1
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import (from_rational, round_floor, round_nearest, round_up,
+                          to_rational)
 
 from periodpoly import (
     InputError,
@@ -35,7 +37,7 @@ from periodpoly import (
     sym_lfunction_data,
     zeta_poly_closed_form,
 )
-from periodpoly.rv import _unit_transforms
+from periodpoly.rv import _ratio, _unit_transforms
 
 
 def rp(*coeffs, bits=192):
@@ -179,6 +181,21 @@ class TestTransformAnchors:
                 off = abs(Fraction(*to_rational(v._mpf_)) - x)
                 got = Fraction(*to_rational(err._mpf_))
                 assert off <= got <= off * (1 + Fraction(1, 2 ** (bits + 15)))
+
+    def test_ratio_rounds_as_from_rational(self):
+        # the sticky-bit quotient against mpmath's exact-division rounding,
+        # ties at the last place included
+        rng = random.Random(3)
+        for _ in range(3000):
+            prec = rng.choice((3, 53, 208))
+            den = rng.choice((1 << rng.randrange(300),
+                              rng.randrange(1, 10 ** 40), 3 << 90))
+            num = rng.randrange(-10 ** 80, 10 ** 80)
+            if rng.random() < 0.3:  # (m + 1/2) units of the last place
+                num = (2 * rng.randrange(1 << prec) + 1) * den
+            for rnd in (round_nearest, round_up, round_floor):
+                assert (_ratio(num, den, prec, rnd)
+                        == from_rational(num, den, prec, rnd))
 
 
 class TestDeflateAtOne:
