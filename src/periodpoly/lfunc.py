@@ -62,78 +62,74 @@ atan(t/x_nu) < 0, so S decreases: a left Riemann sum of S bounds its
 integral, and int_T^oo S <= S(T)/decay(T) closes the sum.  |g| itself
 decreases on t >= 0, as |Gamma(x)/Gamma(x+it)|^2 = prod_n (1 +
 t^2/(x+n)^2), so the nodes a line drops past its last one, K, weigh at
-most (1/h) int_{(K-1)h}^oo |g| <= S((K-1)h)/(h decay((K-1)h)).  Node
-building stops at the first K where that is below what the line's
-heaviest term may skip.  These sizings run in double precision, with an
-allowance for its rounding.
+most (1/h) int_{(K-1)h}^oo |g| <= S((K-1)h)/(h decay((K-1)h)).  A line
+has the first K where that is below what its heaviest term may skip.
+These sizings run in double precision, with an allowance for its
+rounding.
 
 Lambda(s) = I(s) + eps I(w+1-s) is budgeted at target/32, so each
 one-sided sum gets target/64, split as coefficient tail 3/8, quadrature
-3/8 (equal shares per used line) and skipped nodes 1/8 (equal shares per
-term): at most 7/8 of target/32 before rounding.  The margin of 32 costs
-little, as the node counts grow with log(1/budget) and the term count
-with a small power of it (Sym^3 of seven curves at X = 10^4, 64 bits,
-target 1e-3: 35% more loggamma calls than spending the whole target),
-and the bounds set the coefficient errors of p and so its root
+3/8 (equal shares per used line) and skipped nodes 1/32 (equal shares per
+term): at most 25/32 of target/32 before rounding.  The margin of 32
+costs little, as the node counts grow with log(1/budget) and the term
+count with a small power of it (Sym^3 of seven curves at X = 10^4, 64
+bits, target 1e-3: 24% more loggamma calls than spending the whole
+target), and the bounds set the coefficient errors of p and so its root
 inclusion radii, which the circle certificates compare with fixed
 tolerances.  The rounding component, the remaining 1/8, is computed
-rather than budgeted, from the operations the term pipeline (c) counts:
+rather than budgeted (only the line choice (e) keeps its prediction
+within that share), from the operations the term pipeline (c) counts:
 per line, its weight sum times the node sum's bound (the truncated
 nodes and Horner steps, each under one unit of 2^-F in either part
 relative to the largest node; the error of e^{i h ell}, which moves
 node k by k times as much; and the nodes' own error at F bits), the
 weights' relative error times the line's absolute sum, and the line
 constant's relative error; then the roundings of I(sigma) and of
-Lambda(s) to the working precision.  It assumes only that each mpmath operation errs by
-at most 2 ulp of its result.  The accounting is worst-case interval
-style, not rigorous ball arithmetic.
+Lambda(s) to the working precision.  It assumes only that each mpmath
+operation errs by at most 2 ulp of its result.  The accounting is
+worst-case interval style, not rigorous ball arithmetic.
 
 The kernel and its planning are built to be cheap:
 
-  (a) each node costs one complex loggamma at F bits, at z - m' for the
-      largest index m' with h_{m'} > 0; every other Gamma(z - nu) follows
-      from it by the rising factors (z - m')(z - m' + 1)...(z - nu - 1),
-      and log 2, log 2 pi are computed once per plan;
-  (b) each used line is built once, at its a-priori step, and a line no
-      term uses is never built: the truncation point is planned from the
-      Stirling mass bounds alone;
-  (c) the terms run in Python integers, with no mpmath number per term.
-      ln n comes from an additive sieve over the smallest prime factors
-      (one log per prime per plan, F + 32 fractional bits).  As
-      sigma + c_min is a multiple of 1/4, n^-(sigma + c_min) is
-      completely multiplicative: one exp per prime and one integer
-      multiply per n along the same sieve give it as a mantissa of F + 8
-      bits and a power of two, and a term on line i divides by the exact
-      integer n^off_i.  The angle h ell is exact (h has a 24-bit
-      mantissa), e^{i h ell} comes from mpf_cos_sin at F + 8 bits
-      truncated to F, and the trapezoid sums Re(sum_k g_k e^{i k h ell})
-      run by Horner's rule with F = working bits + 16 fractional bits, on
-      nodes scaled by a power of two and converted once per line.  The
-      terms are grouped by ladder line once, and one pass over the used
-      lines, in ascending index, finishes each line: its step and nodes
-      from the group's weight sum, largest weight and n range, its
-      constant N^{c/2} (h/pi) N^{sigma/2}, then its terms (the node
-      cutoff bisects integer suffix masses) summed exactly with their
-      absolute values and skipped mass at the group's finest power of
-      two, and its quadrature, rounding and skipped-mass parts.  The
-      constant multiplies the line's sum once, and the lines add exactly
-      before one rounding;
-  (d) the truncation point n0 of each ladder line is planned in double
-      precision, by bisecting the log of the divisor-tail majorant
-      (numutil.log_divisor_tail); the mpmath majorant then confirms that
-      n0 passes and n0 - 1 fails, and steps n0 only where the doubles
-      erred, so n0, the line chosen and every bound are those an mpmath
-      bisection gives, at one or two mpmath evaluations per line.  The
-      lines are searched in ascending index, the first up to 2^40 terms
-      and each later one only up to the best n0 so far less one, as it
-      must beat that strictly; so the result is the smallest n0 over the
-      lines, on its first line, with fewer bisection steps and mpmath
-      evaluations on the lines that cannot win.  The plan reads only the
-      header (weight, Hodge numbers, conductor) and the Precision, so
-      AfePlan makes it before any coefficient is counted.  X is checked
-      only when the sums run, where InsufficientCoefficients names the
-      largest n0 as required, and the ell error bound counts the prime
-      factors of n <= n0, not of n <= X.
+  (a) each node costs one complex loggamma at F bits, at z - top; every
+      other Gamma(z - nu) follows from it by the rising factors (z - top)
+      ... (z - nu - 1), and the arithmetic around it calls mpmath.libmp;
+  (b) each used line is built once, at the step and node count (e)
+      predicted for it; a line no term uses is never built;
+  (c) the terms run in Python integers, with no mpmath number per term:
+      ln n from an additive sieve over the smallest prime factors (one log
+      per prime per plan, F + 32 fractional bits); n^-(sigma + c_min),
+      completely multiplicative as sigma + c_min is a multiple of 1/4,
+      along the same sieve as an (F + 8)-bit mantissa and a power of two,
+      divided by the exact n^off_i on line i; e^{i h ell} from mpf_cos_sin
+      at F + 8 bits truncated to F (h has a 24-bit mantissa, so h ell is
+      exact); the trapezoid sums by Horner's rule with F = working bits +
+      16 fractional bits.  Each used line, in ascending index, sums its
+      terms exactly at their finest power of two (the node cutoff bisects
+      integer suffix masses) and multiplies by its constant N^{c/2} (h/pi)
+      N^{sigma/2} once; the lines add exactly before one rounding;
+  (d) n0 is searched in doubles, line by line, bisecting the log of the
+      divisor-tail majorant (numutil.log_divisor_tail), each line after
+      the first only below the best n0 so far, as it must beat that
+      strictly.  mpmath's majorant confirms that the winning line passes
+      at n0 and fails at n0 - 1, and checks another line only where its
+      doubles lie within _LOG_SLACK of the budget; where mpmath disagrees,
+      every line is searched again with mpmath confirming each.  So n0
+      and its line are those of an mpmath bisection, at two mpmath
+      evaluations per sigma.  The plan reads only the header and the
+      Precision, so AfePlan makes it before any coefficient is counted;
+  (e) the lines are chosen by predicted work, in doubles, before any node
+      is built.  Given a subset of the ladder, each term goes to the
+      argmin of log_mass[i] + c_i ell over it; the c_i increase, so each
+      line takes one range of n.  For a line and its range, the step
+      follows from the strip bound at its quadrature share, K from the
+      stop rule at its heaviest weight and the Horner steps sum kc from
+      the same bound at each term's threshold: work = K _NODE_STEPS +
+      sum kc + _LINE_STEPS.  The argmin over the whole ladder puts few
+      terms on its lowest lines, whose narrow strips (a <= c) need many
+      nodes, so lines are dropped from it greedily while the predicted
+      work falls.  A term moved up from c to c' cancels e^{(c' - c) ell}
+      more, so a subset's predicted rounding must stay within its share.
 """
 
 import math
@@ -142,12 +138,14 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_exp,
-                          mpf_log, to_fixed)
+from mpmath.libmp import (from_int, from_man_exp, mpc_abs,
+                          mpc_add_mpf, mpc_div, mpc_exp, mpc_mul, mpc_mul_int,
+                          mpc_mul_mpf, mpc_pow_int, mpc_sub, mpc_sub_mpf,
+                          mpf_add, mpf_cos_sin, mpf_exp, mpf_log, to_fixed)
 
 from .errors import InputError, PoleError, InsufficientCoefficients, QuadratureError
-from .numutil import (divisor_counts, divisor_tail, log_divisor_tail,
-                      smallest_prime_factors)
+from .checks import dirichlet_l, verify_hypothesis  # noqa: F401  (lfunc's names)
+from .numutil import divisor_tail, log_divisor_tail, smallest_prime_factors
 
 _LN2 = math.log(2)
 _LN2PI = math.log(2 * math.pi)
@@ -168,8 +166,8 @@ _LN_GUARD_BITS = 32
 _WEIGHT_GUARD_BITS = 8
 
 # Ladder of kernel-line offsets above the minimal admissible Re(u).  Large
-# offsets only pay off for terms far out in the Dirichlet series; the
-# per-term selection below picks the cheapest admissible line.
+# offsets only pay off for terms far out in the Dirichlet series; the line
+# choice, (e) in the module docstring, picks which of them to build.
 _OFFSETS = (0, 2, 5, 9, 15, 24, 38, 60, 90, 130, 190, 270, 380, 520, 700, 950, 1250)
 
 # Strip half-widths a / a_max tried when picking the trapezoid step.
@@ -179,6 +177,15 @@ _STRIP_FRACTIONS = (0.25, 0.5, 0.75, 0.875, 0.9375, 0.96875)
 _TARGET_MARGIN = 32
 
 _MAX_NODES = 25000
+
+# Predicted cost of a kernel node in Horner steps (one loggamma and a few
+# products at F bits: about 530 steps at F = 112 and 770 at F = 240), and
+# of a used line's constants and tables.
+_NODE_STEPS = 640
+_LINE_STEPS = 1000
+
+# Allowance, in log, for the rounding of the double-precision tail majorant.
+_LOG_SLACK = 1e-8
 
 # Largest truncation point searched: beyond X it only sizes the error.
 _N0_CAP = 1 << 40
@@ -340,37 +347,6 @@ def _check_pole(z):
             raise PoleError("gamma factor evaluated at pole z = %s" % (mp.nstr(z),))
 
 
-def dirichlet_l(s, data, prec):
-    """Partial Dirichlet sum with a divisor-function tail majorant.
-
-    Valid only in the absolute-convergence half plane Re(s) > w/2 + 1.
-    Returns (value, tail_bound); raises InsufficientCoefficients when the
-    tail bound misses prec.target_abs_error.  The majorant assumes the
-    coefficient bound |lambda(n)| <= d_degree(n) n^{w/2} (checked on the
-    stored range by verify_hypothesis).
-    """
-    with mp.workprec(prec.mantissa_bits + _GUARD_BITS):
-        sv = mp.mpmathify(s)
-        if not mp.re(sv) > mp.mpf(data.weight) / 2 + 1:
-            raise InputError(
-                "dirichlet_l requires Re(s) > w/2 + 1 = %s" % (data.weight / 2 + 1,)
-            )
-        x = data.coeff_limit
-        value = mp.fsum(
-            mp.mpf(lam) * mp.power(n, -sv)
-            for n, lam in enumerate(data.coefficients, start=1)
-            if lam
-        )
-        tail = divisor_tail(x, mp.re(sv) - mp.mpf(data.weight) / 2, data.degree)
-        if tail > mp.mpf(prec.target_abs_error):
-            raise InsufficientCoefficients(
-                "tail bound %s exceeds target %s with X = %d"
-                % (mp.nstr(tail, 8), mp.nstr(mp.mpf(prec.target_abs_error), 8), x),
-                required=None,
-            )
-        return +value, +tail
-
-
 class _Rung:
     """One vertical quadrature line Re(u) = c with its trapezoid nodes.
 
@@ -394,13 +370,6 @@ class _Rung:
     def __init__(self, c, h):
         self.c = c
         self.h = h
-        self.g = None
-        self.suffix = None
-        self.gre = None
-        self.gim = None
-        self.fix_shift = None
-        self.fix_err = None
-        self.node_err = None
 
 
 def log_abs_gamma_bound(x, t):
@@ -429,6 +398,19 @@ def _softplus(r):
     return max(r, 0.0) + math.log1p(math.exp(-abs(r)))
 
 
+def _bisect(over, cap):
+    """Smallest n <= cap with over(n) <= 0, for over nonincreasing in n;
+    cap when even over(cap) > 0."""
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if over(mid) > 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
 class AfePlan:
     """The AFE of one Header under one Precision.  The plan, made here,
     reads no coefficient: per sigma = 1..w the kernel ladder, its log
@@ -445,6 +427,7 @@ class AfePlan:
         self.lnbits = self.fixbits + _LN_GUARD_BITS
         self.weightbits = self.fixbits + _WEIGHT_GUARD_BITS
         self.target = mp.mpf(prec.target_abs_error)
+        self._masses = {}  # (sigma, c) -> _log_mass(sigma, c)
         with mp.workprec(self.workbits):
             self.ln_sqrt_n = mp.log(header.conductor) / 2
         with mp.workprec(self.fixbits):  # for the nodes
@@ -532,20 +515,6 @@ class AfePlan:
         delta = n0.bit_length() * (mp.ldexp(1, 2 - bits) + a4 * mp.ldexp(1, -lnbits))
         return man, exp, delta
 
-    def _select_lines(self, ladder, log_mass, n0):
-        """Ladder index for each n = 1..n0: the argmin of the kernel-mass
-        bound times (sqrt(N)/n)^c, log_mass[i] + ladder[i] (ln sqrt(N) -
-        ln n), in doubles, first index on ties."""
-        x = float(self.ln_sqrt_n) - np.array([math.log(n) for n in range(1, n0 + 1)])
-        best = log_mass[0] + ladder[0] * x
-        idx = np.zeros(n0, dtype=np.int64)
-        for i in range(1, len(ladder)):
-            key = log_mass[i] + ladder[i] * x
-            better = key < best
-            best[better] = key[better]
-            idx[better] = i
-        return idx.tolist()
-
     # -- a-priori bounds on the kernel (double precision) ---------------------
 
     def _g_bound(self, sigma, c, t):
@@ -564,7 +533,12 @@ class AfePlan:
     def _log_mass(self, sigma, c):
         """log of an upper bound for (1/pi) int_0^oo |g(t)| dt on the line
         Re u = c: a left Riemann sum of the decreasing S, closed by
-        int_T^oo S <= S(T) / decay(T)."""
+        int_T^oo S <= S(T) / decay(T).  Kept per plan."""
+        if (sigma, c) not in self._masses:
+            self._masses[sigma, c] = self._sum_mass(sigma, c)
+        return self._masses[sigma, c]
+
+    def _sum_mass(self, sigma, c):
         s0, _ = self._g_bound(sigma, c, 0.0)
         # about half the width of the Gaussian core exp(-t^2 sum h/(2 x))
         step = 0.5 / math.sqrt(sum(h / (sigma + c - nu) for nu, h in self._gammas))
@@ -596,21 +570,29 @@ class AfePlan:
     # -- node construction -------------------------------------------------
 
     def _g_value(self, sigma, c, t):
-        """L_inf(sigma + c + i t) / (c + i t) with one loggamma call.
-
-        Re(z - top) >= 1.75 by _min_offset, so the rising factors never
-        reach a Gamma pole."""
-        z = mp.mpc(mp.mpf(sigma) + c, t)
-        big_h = self._h_total
-        g = mp.exp(big_h * (self._ln2 + mp.loggamma(z - self._top))
-                   - self._ln2pi * (big_h * z - self._h_moment))
+        """L_inf(sigma + c + i t) / (c + i t) at F bits, rounding to nearest:
+        exp(H (log 2 + loggamma(z - top)) - log(2 pi) (H z - S)) times the
+        rising factors.  Re(z - top) >= 1.75 by _min_offset, so the rising
+        factors never reach a Gamma pole."""
+        prec, big_h = self.fixbits, self._h_total
+        c, t = mp.mpf(c)._mpf_, mp.mpf(t)._mpf_
+        z = (mpf_add(from_int(sigma), c, prec, "n"), t)
+        # through mpmath.loggamma, so that a count of its calls sees each node
+        lg = mp.loggamma(mp.make_mpc(mpc_sub_mpf(z, from_int(self._top), prec, "n")),
+                         prec=prec)._mpc_
+        hz = mpc_sub_mpf(mpc_mul_int(z, big_h, prec, "n"), from_int(self._h_moment),
+                         prec, "n")
+        g = mpc_exp(mpc_sub(
+            mpc_mul_int(mpc_add_mpf(lg, self._ln2._mpf_, prec, "n"), big_h, prec, "n"),
+            mpc_mul_mpf(hz, self._ln2pi._mpf_, prec, "n"), prec, "n"), prec, "n")
         for j, e in self._rising:
-            g *= (z - j) ** e
-        return g / mp.mpc(c, t)
+            g = mpc_mul(g, mpc_pow_int(mpc_sub_mpf(z, from_int(j), prec, "n"), e,
+                                       prec, "n"), prec, "n")
+        return mp.make_mpc(mpc_div(g, (c, t), prec, "n"))
 
-    def _g_rel_err(self, sigma, c, t):
-        """Relative error bound of _g_value(sigma, c, t) at F bits, the
-        precision the nodes are built at.
+    def _g_err_units(self, sigma, c, t):
+        """Relative error bound of _g_value(sigma, c, t), in units of
+        2^(4 - F) (F bits, the precision the nodes are built at).
 
         Every mpmath operation is taken to err by at most 2 ulp of its
         result; the exponent H (log 2 + loggamma(w)) - log(2 pi) (H z - S),
@@ -623,41 +605,35 @@ class AfePlan:
         w = math.hypot(x, t)
         log_w = math.hypot(math.log(w), math.atan2(t, x))
         big_h = self._h_total
-        mag = (big_h * (math.hypot(x - 0.5, t) * log_w + w + 3)
-               + 2 * (big_h * math.hypot(sigma + c, t) + self._h_moment)
-               + sum(e for _, e in self._rising) + 2)
-        return mp.ldexp(mp.mpf(mag), 4 - self.fixbits)
+        return (big_h * (math.hypot(x - 0.5, t) * log_w + w + 3)
+                + 2 * (big_h * math.hypot(sigma + c, t) + self._h_moment)
+                + sum(e for _, e in self._rising) + 2)
 
-    def _build_nodes(self, sigma, rung, log_thresh):
-        """Nodes g_0..g_{K-1} at the rung's step, K the first count whose
-        dropped nodes weigh at most e^log_thresh.  |g| decreases on
-        t >= 0, so sum_{k >= K} |g_k| <= (1/h) int_{(K-1)h}^oo |g|
-        <= S((K-1)h) / (h decay((K-1)h))."""
+    def _node_tails(self, sigma, c, h, log_thresh):
+        """[B_1, ..., B_{K-1}] at step h, B_k = log(S(k h) / (h decay(k h)))
+        the bound on the nodes past k, up to the first at or below
+        log_thresh: K nodes leave at most e^log_thresh."""
+        tails = []
+        while not tails or tails[-1] > log_thresh:
+            if len(tails) + 2 > _MAX_NODES:
+                raise QuadratureError("kernel node count reached %d on line c=%.6g"
+                                      % (_MAX_NODES, c))
+            log_s, decay = self._g_bound(sigma, c, (len(tails) + 1) * h)
+            tails.append(log_s - math.log(h * decay))
+        return tails
+
+    def _build_nodes(self, sigma, rung, count):
+        """Nodes g_0..g_{K-1}, K = count, at the rung's step; the nodes past
+        them weigh at most S((K-1)h) / (h decay((K-1)h))."""
         h = rung.h
         hf = float(h)
-        g = []
-        mags = []
-        k = 0
-        while True:
-            with mp.workprec(self.fixbits):
-                gk = self._g_value(sigma, rung.c, k * h)
-                mags.append(abs(gk))
-            g.append(gk)
-            if k:
-                log_s, decay = self._g_bound(sigma, rung.c, k * hf)
-                log_beyond = log_s - math.log(hf * decay)
-                if log_beyond <= log_thresh:
-                    break
-            k += 1
-            if k >= _MAX_NODES:
-                raise QuadratureError(
-                    "kernel node count reached %d on line c=%s"
-                    % (_MAX_NODES, mp.nstr(rung.c, 6))
-                )
-        rung.g = g
-        rung.node_err = mp.fsum(self._g_rel_err(sigma, rung.c, k * hf) * mk
-                                for k, mk in enumerate(mags))
-        self._fix_nodes(rung, mags, mp.exp(log_beyond))
+        rung.g = [self._g_value(sigma, rung.c, k * h) for k in range(count)]
+        mags = [mp.make_mpf(mpc_abs(gk._mpc_, self.fixbits, "n")) for gk in rung.g]
+        rung.node_err = mp.ldexp(mp.fsum(mp.mpf(self._g_err_units(sigma, rung.c, k * hf))
+                                         * mk for k, mk in enumerate(mags)),
+                                 4 - self.fixbits)
+        log_s, decay = self._g_bound(sigma, rung.c, (count - 1) * hf)
+        self._fix_nodes(rung, mags, mp.exp(log_s - math.log(hf * decay)))
 
     def _fix_nodes(self, rung, mags, beyond):
         """Fixed-point copy of the rung's nodes, their integer suffix
@@ -731,27 +707,21 @@ class AfePlan:
         pref = mp.power(head.conductor, (mp.mpf(sigma) + c) / 2) * bound
         return pref * divisor_tail(n0, t, head.degree)
 
-    def _search_n0(self, sigma, c, log_bound, budget, cap):
-        """Smallest n0 <= cap with _tail_bound(sigma, c, e^log_bound, n0)
-        <= budget, or None.
-
-        The majorant decreases in n0.  Bisecting its closed-form log in
-        double precision places n0 (at cap when even cap fails there); the
-        mpmath bound then confirms it (n0 passes, n0 - 1 fails) and, where
-        the doubles erred near the crossing, steps n0 one at a time until
-        it does."""
+    def _log_excess(self, sigma, c, log_bound, log_budget):
+        """n -> log _tail_bound(sigma, c, e^log_bound, n) - log_budget, in
+        doubles."""
         head = self.header
         t = sigma + c - head.weight / 2
-        log_budget = (float(mp.log(budget)) - log_bound
-                      - (sigma + c) / 2 * math.log(head.conductor))
-        lo, hi = 1, cap
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if log_divisor_tail(mid, t, head.degree) > log_budget:
-                lo = mid + 1
-            else:
-                hi = mid
-        n0 = hi
+        rest = log_budget - log_bound - (sigma + c) / 2 * math.log(head.conductor)
+        return lambda n: log_divisor_tail(n, t, head.degree) - rest
+
+    def _search_n0(self, sigma, c, log_bound, budget, cap):
+        """Smallest n0 <= cap with _tail_bound(sigma, c, e^log_bound, n0)
+        <= budget, or None: the majorant decreases in n0, its log bisected
+        in doubles places n0 (at cap when even cap fails there), and the
+        mpmath bound steps n0 one at a time until n0 passes and n0 - 1
+        fails, as the doubles may err near the crossing."""
+        n0 = _bisect(self._log_excess(sigma, c, log_bound, float(mp.log(budget))), cap)
         bound = mp.exp(log_bound)
         while self._tail_bound(sigma, c, bound, n0) > budget:
             if n0 == cap:
@@ -771,16 +741,40 @@ class AfePlan:
         ladder = [cmin + off for off in _OFFSETS]
         log_mass = [self._log_mass(sigma, c) for c in ladder]
         # Lambda(s) adds two one-sided sums; see the module docstring
-        tail_budget = self.target / (2 * _TARGET_MARGIN) * 3 / 8
-        n0 = i = None
-        for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
-            cap = _N0_CAP if n0 is None else n0 - 1
-            if cap < 1:
-                break
-            found = self._search_n0(sigma, c, lm, tail_budget, cap)
-            if found is not None:
-                n0, i = found, idx
-        return ladder, log_mass, n0, i
+        budget = self.target / (2 * _TARGET_MARGIN) * 3 / 8
+        log_budget = float(mp.log(budget))
+        excess = [self._log_excess(sigma, c, lm, log_budget)
+                  for c, lm in zip(ladder, log_mass)]
+
+        def passes(idx, n):
+            return self._tail_bound(sigma, ladder[idx], mp.exp(log_mass[idx]), n) <= budget
+
+        def search(n0_of):
+            # each line after the first only below the best n0 so far
+            n0 = i = None
+            for idx in range(len(ladder)):
+                if n0 == 1:
+                    break
+                found = n0_of(idx, _N0_CAP if n0 is None else n0 - 1)
+                if found is not None:
+                    n0, i = found, idx
+            return n0, i
+
+        def in_doubles(idx, cap):
+            n = _bisect(excess[idx], cap)
+            return n if excess[idx](n) <= 0 else None
+
+        n0, i = search(in_doubles)
+        # every other line must fail where it would tie or beat line i:
+        # at n0 before i, at n0 - 1 after it, at _N0_CAP when none passes
+        rivals = [(idx, _N0_CAP if n0 is None else n0 - (idx > i))
+                  for idx in range(len(ladder)) if idx != i]
+        if ((n0 is None or passes(i, n0) and (n0 == 1 or not passes(i, n0 - 1)))
+                and not any(passes(idx, n) for idx, n in rivals
+                            if n and excess[idx](n) <= _LOG_SLACK)):
+            return ladder, log_mass, n0, i
+        return (ladder, log_mass) + search(lambda idx, cap: self._search_n0(
+            sigma, ladder[idx], log_mass[idx], budget, cap))
 
     def check_reach(self, x, sigmas=None):
         """Raise InsufficientCoefficients unless X = x coefficients cover
@@ -800,6 +794,102 @@ class AfePlan:
                 required=required,
             )
 
+    # -- line choice (double precision) ---------------------------------------
+
+    def _choose_lines(self, sigma, ladder, log_mass, ell, base, log_budget):
+        """The kernel lines of one_sided(sigma), by predicted work ((e) in
+        the module docstring), as the greedy steps [(work, lines)] from the
+        argmin over the ladder to the choice, the last; lines is [(i, lo,
+        hi, h, a, log_e, K)] in ascending i, line i with step h, strip
+        half-width a, log E(a) and K nodes taking the terms lo..hi-1.
+        ell[t] and base[t] = log |lambda(n)| - sigma ln n are arrays over
+        the nonzero terms in ascending n; log_budget is the log of the
+        one-sided budget."""
+        m = len(ell)
+        ells = ell.tolist()
+        log_pref = sigma * float(self.ln_sqrt_n)
+        log_skip = log_budget - math.log(32 * m)
+        log_quad = log_budget + math.log(3 / 8)
+        wins, preds = {}, {}
+
+        def first_win(p, q):
+            # the first term where line q > p has the strictly smaller key,
+            # m if none (_bisect counts the terms from 1)
+            if (p, q) not in wins:
+                lp, cp, lq, cq = log_mass[p], ladder[p], log_mass[q], ladder[q]
+                wins[p, q] = _bisect(lambda t: lq + cq * ells[t - 1] >= lp + cp * ells[t - 1],
+                                     m + 1) - 1
+            return wins[p, q]
+
+        def split(lines):
+            # (i, lo, hi) of the argmin over lines, by its lower envelope
+            stack = []
+            for q in lines:
+                start = 0
+                while stack:
+                    start = first_win(stack[-1][0], q)
+                    if start > stack[-1][1]:
+                        break
+                    stack.pop()
+                    start = 0
+                if start < m:
+                    stack.append((q, start))
+            ends = [lo for _, lo in stack[1:]] + [m]
+            return [(i, lo, hi) for (i, lo), hi in zip(stack, ends)]
+
+        def predict(i, lo, hi, lines):
+            # (work, log rounding, (h, a, log_e, K)) of line i on terms lo..hi-1
+            if (i, lo, hi, lines) not in preds:
+                c = ladder[i]
+                lw = base[lo:hi] + c * ell[lo:hi]  # log weights, N^(sigma/2) aside
+                top = float(lw.max())
+                log_w = top + math.log(float(np.exp(lw - top).sum()))
+                h, a, log_e = self._pick_step(sigma, c, ells[hi - 1], ells[lo],
+                                              log_pref + log_w - log_quad + math.log(lines))
+                # 24 bits of h, rounded down: k h is exact at every node
+                mant, ex = math.frexp(h)
+                h = math.ldexp(math.floor(mant * 2 ** 24), ex - 24)
+                log_thresh = log_skip - log_pref - math.log(h / math.pi) - top
+                tails = self._node_tails(sigma, c, h, log_thresh)
+                count = len(tails) + 1
+                # a term with threshold log_thresh + top - lw needs
+                # 2 + #{k <= K - 2: B_k above it} nodes; counted on every
+                # stride-th term, as a prediction need not be exact
+                stride = 1 + (hi - lo) // 2048
+                steps = 2 * (hi - lo) + stride * int(np.searchsorted(
+                    -np.array(tails[:-1]), lw[::stride] - top - log_thresh).sum())
+                # the rounding part, mostly the nodes' own error and the
+                # truncations: a few units of 2^-F per node on the line's mass
+                log_round = (log_pref + log_w + log_mass[i] - self.fixbits * _LN2
+                             + math.log(16 * self._g_err_units(sigma, c, 0.0) + 4 * count))
+                preds[i, lo, hi, lines] = (count * _NODE_STEPS + steps + _LINE_STEPS,
+                                           log_round, (h, a, log_e, count))
+            return preds[i, lo, hi, lines]
+
+        def cost(lines):
+            # (work, log rounding, lines with their predictions) of a subset
+            parts = split(lines)
+            got = [predict(i, lo, hi, len(parts)) for i, lo, hi in parts]
+            top = max(r for _, r, _ in got)
+            return (sum(w for w, _, _ in got),
+                    top + math.log(sum(math.exp(r - top) for _, r, _ in got)),
+                    [part + p for part, (_, _, p) in zip(parts, got)])
+
+        history = [cost(range(len(ladder)))]
+        while len(history[-1][2]) > 1:
+            trials = []
+            for drop, *_ in history[-1][2]:
+                try:
+                    trials.append(cost([i for i, *_ in history[-1][2] if i != drop]))
+                except QuadratureError:
+                    pass
+            # by work, among those whose rounding keeps within its 1/8
+            best = min((t for t in trials if t[1] <= log_budget - 3 * _LN2), default=None)
+            if best is None or best[0] >= history[-1][0]:
+                break
+            history.append(best)
+        return [(work, lines) for work, _, lines in history]
+
     # -- main one-sided sum ---------------------------------------------------
 
     def one_sided(self, sigma, coefficients):
@@ -810,46 +900,31 @@ class AfePlan:
         sig = mp.mpf(sigma)
         # Lambda(s) adds two one-sided sums; see the module docstring
         budget = self.target / (2 * _TARGET_MARGIN)
-        quad_budget = budget * 3 / 8
-        skip_budget = budget / 8
         self.check_reach(len(coefficients), [sigma])
         ladder, log_mass, n0, i = self._plans[sigma]
-        cmin = ladder[0]
-        lnsq_f = float(self.ln_sqrt_n)
         tail = self._tail_bound(sigma, ladder[i], mp.exp(log_mass[i]), n0)
 
-        # each term's line and weight |lambda(n)| n^-(sigma + c) ~ |wm| 2^e
+        terms = [(n, lam) for n, lam in zip(range(1, n0 + 1), coefficients) if lam]
+        ln_n = np.log([n for n, _ in terms])
+        lines = self._choose_lines(
+            sigma, ladder, log_mass, float(self.ln_sqrt_n) - ln_n,
+            np.log(np.abs(np.array([lam for _, lam in terms], dtype=float)))
+            - sigma * ln_n, float(mp.log(budget)))[-1][1]
         ln = self._ln_table(n0)
-        a4 = int(4 * (sigma + cmin))  # sigma + c_min is a multiple of 1/4
+        a4 = int(4 * (sigma + ladder[0]))  # sigma + c_min is a multiple of 1/4
         man, exp, delta_w = self._weights(a4, n0)
-        line_of = self._select_lines(ladder, log_mass, n0)
-        groups = {}  # ladder index -> [(n, wm, e)], ascending n
-        for n, lam in zip(range(1, n0 + 1), coefficients):
-            if not lam:
-                continue
-            lm, e = _dyadic(lam)
-            idx = line_of[n - 1]
-            m = man[n]
-            e += exp[n]
-            off = _OFFSETS[idx]
-            if off:
-                q = n ** off
-                k = q.bit_length()
-                m = (m << k) // q
-                e -= k
-            groups.setdefault(idx, []).append((n, lm * m, e))
 
-        # Each used line in turn, in ascending index: its step from the
-        # strip bound, its nodes, its constant N^(c/2) (h/pi) N^(sigma/2)
-        # at F bits (within delta_c of the true one: six operations of at
-        # most 2 ulp), then its terms, summed exactly in integers at the
-        # line's finest exponent minus fix_shift: the value, its absolute
-        # sum and the skipped mass.  The rounding part bounds the node
-        # sums' error (fix_err + node_err per unit weight; node_err also
-        # covers the skipped nodes' own error), the weights' (delta_w times
-        # the absolute sum) and the constant's (delta_c).
-        skip_share = skip_budget / sum(len(g) for g in groups.values())
-        quad_share = quad_budget / len(groups)
+        # Each chosen line in turn, in ascending index: its terms' weights
+        # |lambda(n)| n^-(sigma + c) ~ |wm| 2^e, its nodes at the predicted
+        # step and count, its constant N^(c/2) (h/pi) N^(sigma/2) at F bits
+        # (within delta_c of the true one: six operations of at most 2
+        # ulp), then its terms, summed exactly in integers at the line's
+        # finest exponent minus fix_shift: the value, its absolute sum and
+        # the skipped mass.  The rounding part bounds the node sums' error
+        # (fix_err + node_err per unit weight; node_err also covers the
+        # skipped nodes' own error), the weights' (delta_w times the
+        # absolute sum) and the constant's (delta_c).
+        skip_share = budget / 32 / len(terms)
         slack_w = 1 + 2 * delta_w  # true weight <= computed one * slack_w
         delta_c = mp.ldexp(1, 4 - self.fixbits)
         with mp.workprec(self.fixbits):
@@ -860,29 +935,29 @@ class AfePlan:
         quad_err = mp.mpf(0)
         rounding = mp.mpf(0)
         skip_err = mp.mpf(0)
-        for idx in sorted(groups):
-            terms = groups[idx]
-            unit = min(e for _, _, e in terms)
-            scaled = [abs(wm) << (e - unit) for _, wm, e in terms]
-            w_int = sum(scaled)
+        for idx, lo, hi, h, a, log_e, count in lines:
+            off = _OFFSETS[idx]
+            group = []
+            for n, lam in terms[lo:hi]:
+                lm, e = _dyadic(lam)
+                m = man[n]
+                e += exp[n]
+                if off:
+                    q = n ** off
+                    k = q.bit_length()
+                    m = (m << k) // q
+                    e -= k
+                group.append((n, lm * m, e))
+            unit = min(e for _, _, e in group)
+            w_int = sum(abs(wm) << (e - unit) for _, wm, e in group)
             c = ladder[idx]
             with mp.workprec(self.fixbits):
                 n_c = mp.power(conductor, mp.mpf(c) / 2)
             w_sum = n_c * mp.mpf((w_int, unit)) * slack_w
-            w_max = n_c * mp.mpf((max(scaled), unit))
-            log_scale = float(mp.log(pref * w_sum / quad_share))
-            h, a, log_e = self._pick_step(sigma, c,
-                                          lnsq_f - math.log(terms[-1][0]),
-                                          lnsq_f - math.log(terms[0][0]),
-                                          log_scale)
-            # 24 bits of h, rounded down: k h is exact at every node
-            m, e = math.frexp(h)
-            r = _Rung(c, mp.ldexp(math.floor(m * 2 ** 24), e - 24))
+            r = _Rung(c, mp.mpf(h))
             quad_err += (pref * w_sum * 2 * mp.exp(log_e)
                          / mp.expm1(2 * mp.pi * a / r.h))
-            h_pi = r.h / mp.pi
-            log_thresh = mp.log(skip_share / (pref * h_pi * w_max))
-            self._build_nodes(sigma, r, float(log_thresh))
+            self._build_nodes(sigma, r, count)
             with mp.workprec(self.fixbits):
                 const = n_c * r.h / mp.pi * pref
 
@@ -893,7 +968,7 @@ class AfePlan:
             suffix = r.suffix
             neg_suffix = [-x for x in suffix[1:len(r.g)]]
             value = abs_sum = skipped = 0
-            for n, wm, e in terms:
+            for n, wm, e in group:
                 wa = abs(wm)
                 k = t_shift - e
                 limit = (t_man << k if k >= 0 else t_man >> -k) // wa
@@ -959,78 +1034,3 @@ def special_values(data, prec=Precision()):
         target=plan.prec.target_abs_error,
         label=data.label,
     )
-
-
-def verify_hypothesis(data, vals):
-    """Check the axioms the rest of the pipeline relies on; returns a list
-    of violation strings (empty iff everything passes within bounds).
-
-    Checked: the coefficient bound |lambda(n)| <= d_degree(n) n^{w/2}
-    (degree-d divisor function) on the stored range; functional-equation
-    symmetry of vals; central nonnegativity; the monotonicity chain
-    Lambda(m+1) <= Lambda(m+2) <= ... ; and for eps = -1 the strengthened
-    chain Lambda(m+1+k)/k nondecreasing (central value zero).
-    """
-    out = []
-    w = data.weight
-    m = data.m
-    eps = data.root_number
-    dk = divisor_counts(data.coeff_limit, data.degree)
-    for n in range(1, data.coeff_limit + 1):
-        lam = data.coefficients[n - 1]
-        if isinstance(lam, int):
-            if lam * lam > int(dk[n]) ** 2 * n ** w:
-                out.append(
-                    "grc: n=%d |lambda|=%d bound=%s"
-                    % (n, abs(lam), mp.nstr(mp.mpf(int(dk[n])) * mp.mpf(n) ** (mp.mpf(w) / 2), 8))
-                )
-        else:
-            bound = mp.mpf(int(dk[n])) * mp.mpf(n) ** (mp.mpf(w) / 2)
-            if abs(mp.mpf(lam)) > bound * (1 + mp.mpf("1e-12")):
-                out.append(
-                    "grc: n=%d |lambda|=%s bound=%s"
-                    % (n, mp.nstr(abs(mp.mpf(lam)), 8), mp.nstr(bound, 8))
-                )
-
-    def v(s):
-        return mp.mpf(vals.value(s))
-
-    def e(s):
-        return mp.mpf(vals.error(s))
-
-    for s in range(1, w + 1):
-        t = w + 1 - s
-        if abs(v(s) - eps * v(t)) > e(s) + e(t) + mp.mpf("1e-30") * abs(v(s)):
-            out.append(
-                "functional-equation: s=%d |Lambda(s) - eps Lambda(w+1-s)| = %s"
-                % (s, mp.nstr(abs(v(s) - eps * v(t)), 8))
-            )
-            break
-
-    c = m + 1
-    if v(c) < -e(c):
-        out.append("central-sign: Lambda(%d) = %s < 0" % (c, mp.nstr(v(c), 8)))
-    if eps == -1 and abs(v(c)) > e(c) + mp.mpf("1e-28") * (1 + abs(v(w))):
-        out.append(
-            "central-zero: eps=-1 but Lambda(%d) = %s != 0" % (c, mp.nstr(v(c), 8))
-        )
-
-    for s in range(m + 1, w):
-        if v(s) > v(s + 1) + e(s) + e(s + 1):
-            out.append(
-                "monotonicity: Lambda(%d) = %s > Lambda(%d) = %s"
-                % (s, mp.nstr(v(s), 8), s + 1, mp.nstr(v(s + 1), 8))
-            )
-
-    if eps == -1:
-        # strengthened chain: 0 <= Lambda(m+2) <= Lambda(m+3)/2 <= Lambda(m+4)/3 ...
-        for k in range(1, m):
-            s, t = m + 1 + k, m + 2 + k
-            lhs = v(s) / k
-            rhs = v(t) / (k + 1)
-            if lhs > rhs + e(s) / k + e(t) / (k + 1):
-                out.append(
-                    "strengthened-chain: Lambda(%d)/%d = %s > Lambda(%d)/%d = %s"
-                    % (s, k, mp.nstr(lhs, 8), t, k + 1, mp.nstr(rhs, 8))
-                )
-    return out

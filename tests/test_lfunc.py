@@ -5,16 +5,18 @@ from dataclasses import replace
 import pytest
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import mpc_abs, to_fixed
 
 from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
                         PoleError, Precision, SpecialValues, dirichlet_l,
                         gamma_completed, special_values, sym_lfunction_data,
                         verify_hypothesis)
+from periodpoly import lfunc
 from periodpoly.lfunc import (_N0_CAP, _OFFSETS, _TARGET_MARGIN, AfePlan,
                               _Rung, _min_offset, log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
 from periodpoly.pipeline import scale_estimate
+from periodpoly.sympow import sym_header
 
 
 def toy_data(**kw):
@@ -152,7 +154,8 @@ def kernel_rung(engine, sigma, h, c=None, log_thresh=None):
                       - (engine.bits + 16) * math.log(2))
     with mp.workprec(engine.workbits):
         rung = _Rung(c, mp.mpf(h))
-        engine._build_nodes(sigma, rung, log_thresh)
+        tails = engine._node_tails(sigma, c, float(rung.h), log_thresh)
+        engine._build_nodes(sigma, rung, len(tails) + 1)
     return rung
 
 
@@ -176,6 +179,33 @@ def kernel_integral(data, sigma, c, ell, bits):
         return mp.quad(f, [0, 5, 20, mp.inf]) / mp.pi
 
 
+def chosen_lines(curve_table, label, bits, target):
+    """Run the sums of Sym^3 of a curve on the coefficients its plan
+    reads; return the plan, the coefficients, per sigma what the line
+    choice saw and chose, (ladder, log_mass, ell, history), and every line
+    built, (sigma, rung)."""
+    curve = curve_table[label]
+    plan = AfePlan(sym_header(curve, 3), Precision(bits, target))
+    coefficients = sym_lfunction_data(curve, 3, plan.required).coefficients
+    steps, built = {}, []
+    choose, build = plan._choose_lines, plan._build_nodes
+
+    def spy_choose(sigma, ladder, log_mass, ell, base, log_budget):
+        history = choose(sigma, ladder, log_mass, ell, base, log_budget)
+        steps[sigma] = (ladder, log_mass, ell.tolist(), history)
+        return history
+
+    def spy_build(sigma, rung, count):
+        build(sigma, rung, count)
+        built.append((sigma, rung))
+
+    plan._choose_lines, plan._build_nodes = spy_choose, spy_build
+    with mp.workprec(plan.workbits):
+        for sigma in (1, 2, 3):
+            plan.one_sided(sigma, coefficients)
+    return plan, coefficients, steps, built
+
+
 class TestAfeKernel:
     @pytest.mark.parametrize("bits", [64, 192])
     @pytest.mark.parametrize("hodge", [(1, 1), (1, 0, 1), (0, 1, 1),
@@ -192,6 +222,29 @@ class TestAfeKernel:
                     u = mp.mpc(c, mp.mpf(t))
                     want = gamma_completed(sigma + u, data, bits + 64) / u
                     assert abs(got - want) <= abs(want) * mp.mpf(2) ** (8 - bits)
+
+    @pytest.mark.parametrize("hodge", [(1, 1), (1, 1, 1), (1, 1, 1, 1)])
+    def test_nodes_match_mpmath_bit_for_bit(self, hodge):
+        # the libmp node and its modulus, against the same formula in
+        # mpmath's number types at F bits
+        data = kernel_data(hodge)
+        engine = AfePlan(data.header, Precision(64, 1e-3))
+        big_h, top = engine._h_total, engine._top
+        h = mp.ldexp(9973451, -24)  # a 24-bit step, as the lines use
+        for sigma in (1, data.weight):
+            c = _min_offset(sigma, data.m) + 2
+            for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55):
+                with mp.workprec(engine.fixbits):
+                    z = mp.mpc(mp.mpf(sigma) + c, k * h)
+                    want = mp.exp(big_h * (engine._ln2 + mp.loggamma(z - top))
+                                  - engine._ln2pi * (big_h * z - engine._h_moment))
+                    for j, e in engine._rising:
+                        want *= (z - j) ** e
+                    want /= mp.mpc(c, k * h)
+                    with mp.workprec(engine.workbits):
+                        got = engine._g_value(sigma, c, k * h)
+                    assert got._mpc_ == want._mpc_
+                    assert mpc_abs(got._mpc_, engine.fixbits, "n") == abs(want)._mpf_
 
     def test_stirling_bound_covers_gamma(self):
         with mp.workprec(96):
@@ -364,23 +417,50 @@ class TestFixedPointTerms:
                 got = mp.mpc(mp.ldexp(zr, -fix), mp.ldexp(zi, -fix))
                 assert abs(got - want) <= engine._z_units(h) * mp.ldexp(1, -fix)
 
-    @pytest.mark.parametrize("hodge,conductor", [((1, 1), 11 ** 3),
-                                                 ((1, 1, 1, 1), 11 ** 7)])
-    def test_line_selection_is_the_float_argmin(self, hodge, conductor):
-        # the vectorised selection against the per-n argmin over the ladder
-        data = kernel_data(hodge, conductor)
-        engine = AfePlan(data.header, Precision(64, 1e-3))
-        lnsq = float(engine.ln_sqrt_n)
-        for sigma in (1, data.m + 1, data.weight):
-            cmin = _min_offset(sigma, data.m)
-            ladder = [cmin + off for off in _OFFSETS]
-            log_mass = [engine._log_mass(sigma, c) for c in ladder]
-            got = engine._select_lines(ladder, log_mass, 20000)
-            for n in range(1, 20001):
-                x = lnsq - math.log(n)
-                assert got[n - 1] == min(range(len(ladder)),
-                                         key=lambda i: log_mass[i] + ladder[i] * x)
-            assert len(set(got)) >= 3
+    @pytest.mark.parametrize("label,bits,target", [("11a1", 64, 1e-3),
+                                                   ("43a1", 64, 1e-3),
+                                                   ("11a1", 192, 1e-25)])
+    def test_chosen_lines_are_argmin_groups(self, curve_table, label, bits,
+                                            target):
+        # each chosen line takes one contiguous range of terms, and each
+        # term is on the argmin of log_mass + c ell over the chosen lines;
+        # the greedy starts from the argmin over the whole ladder and every
+        # step it takes lowers the predicted work
+        _, _, steps, _ = chosen_lines(curve_table, label, bits, target)
+        merged = 0
+        for sigma, (ladder, log_mass, ell, history) in steps.items():
+            works = [w for w, _ in history]
+            assert works == sorted(set(works), reverse=True)
+            for k, (_, lines) in enumerate((history[0], history[-1])):
+                idx = [i for i, *_ in lines]
+                assert idx == sorted(set(idx))
+                assert all(lo < hi for _, lo, hi, *_ in lines)
+                assert [lo for _, lo, *_ in lines] == [0] + [hi for _, _, hi, *_ in lines[:-1]]
+                assert lines[-1][2] == len(ell)
+                among = range(len(ladder)) if k == 0 else idx
+                for i, lo, hi, *_ in lines:
+                    for x in ell[lo:hi]:
+                        assert i == min(among, key=lambda j: log_mass[j] + ladder[j] * x)
+            merged += len(history[-1][1]) < len(history[0][1])
+        assert merged
+
+    def test_predicted_node_counts_are_built(self, curve_table):
+        # each line is built with the node count predicted for it, and that
+        # count is the stop rule's at the exact heaviest weight of its terms
+        plan, coefficients, steps, built = chosen_lines(curve_table, "43a1", 64, 1e-3)
+        with mp.workprec(plan.workbits):
+            for sigma, (ladder, _, ell, history) in steps.items():
+                lines = history[-1][1]
+                assert [len(r.g) for s, r in built if s == sigma] == [k for *_, k in lines]
+                terms = [(n, lam) for n, lam in enumerate(coefficients, 1)
+                         if lam and n <= plan._plans[sigma][2]]
+                skip_share = plan.target / (2 * _TARGET_MARGIN) / 32 / len(terms)
+                for i, lo, hi, h, _, _, count in lines:
+                    c = ladder[i]
+                    w_max = max(abs(lam) * mp.power(n, -sigma - c) for n, lam in terms[lo:hi])
+                    w_max *= mp.power(plan.header.conductor, (sigma + c) / 2)
+                    thresh = float(mp.log(skip_share / (w_max * h / mp.pi)))
+                    assert len(plan._node_tails(sigma, c, h, thresh)) + 1 == count
 
     def test_no_mpmath_call_per_term(self, sym3_data, monkeypatch):
         now = [None]
@@ -433,6 +513,33 @@ class TestFixedPointTerms:
                 assert e > 2 * target * 7 / 8 / 32
                 v_ref, e_ref = sym3_vals.values[s]
                 assert abs(mp.mpf(v) - v_ref) <= e + e_ref
+
+    def test_merged_lines_rounding_coverage(self, curve_table):
+        # 43a1 has the largest ln sqrt(N), so a term moved to a higher line
+        # cancels the most; at this target rounding makes most of each
+        # bound of s = 1, 3 and some sigma still merges lines
+        data = sym_lfunction_data(curve_table["43a1"], 3, 16000)
+        ref = special_values(data, Precision(128, 1e-27))
+        with mp.workprec(256):
+            target = float(abs(ref.value(3)) * mp.ldexp(1, -93))
+        plan = AfePlan(data.header, Precision(64, target))
+        merged = []
+        choose = plan._choose_lines
+
+        def spy(*args):
+            history = choose(*args)
+            merged.append(len(history) > 1)
+            return history
+
+        plan._choose_lines = spy
+        low = special_values(data, plan)
+        assert any(merged)
+        with mp.workprec(256):
+            for s in (1, 2, 3):
+                v, e = low.values[s]
+                if s != 2:
+                    assert e > 2 * target * 25 / 32 / 32
+                assert abs(mp.mpf(v) - ref.value(s)) <= e + ref.error(s)
 
 
 def bisected_n0(engine, sigma, c, log_bound, budget, cap):
@@ -502,6 +609,57 @@ class TestTruncationPlanning:
         for sigma in (1, 2, 3):
             # one or two per ladder line, one for the chosen line's tail
             assert calls.count(sigma) <= 2 * len(_OFFSETS) + 2
+
+    def test_plan_confirms_twice_per_sigma(self, curve_table, monkeypatch):
+        # the ladder search runs in doubles; mpmath's majorant confirms
+        # that n0 passes and n0 - 1 fails on the winning line, and is asked
+        # about another line only where its doubles nearly tie
+        calls = collections.Counter()
+        now = [None]
+        tail, plan_sigma = lfunc.divisor_tail, AfePlan._plan
+
+        def counted(*args):
+            calls[now[0]] += 1
+            return tail(*args)
+
+        def spy(self, sigma):
+            now[0] = (self.header, sigma)
+            return plan_sigma(self, sigma)
+
+        monkeypatch.setattr(lfunc, "divisor_tail", counted)
+        monkeypatch.setattr(AfePlan, "_plan", spy)
+        for label in ("11a1", "14a1", "15a1", "17a1", "19a1", "37a1", "43a1"):
+            AfePlan(sym_header(curve_table[label], 3), Precision(64, 1e-3))
+        assert len(calls) == 21 and max(calls.values()) <= 3, calls
+
+    @pytest.mark.parametrize("err", ["up", "down", "slack"])
+    def test_plan_is_exact_where_doubles_err(self, sym3_data, monkeypatch,
+                                             err):
+        # doubles that misplace n0 on the winning line of sigma = 1 (so
+        # that n0 or n0 - 1 fails to confirm), or an allowance that sends
+        # every rival line to mpmath, give the plan of exact search
+        prec = Precision(64, 1e-3)
+        want = AfePlan(sym3_data.header, prec)
+        ladder, log_mass, n0, i = want._plans[1]
+        with mp.workprec(want.workbits):
+            log_budget = float(mp.log(want.target / (2 * _TARGET_MARGIN) * 3 / 8))
+        over = want._log_excess(1, ladder[i], log_mass[i], log_budget)
+        shift = {"up": 1e-6 - over(n0), "down": -1e-6 - over(n0 - 1)}.get(err, 0)
+        t_win = 1 + ladder[i] - sym3_data.weight / 2
+        log_tail, search = lfunc.log_divisor_tail, AfePlan._search_n0
+        searched = []
+
+        def spy(self, *args):
+            searched.append(args)
+            return search(self, *args)
+
+        monkeypatch.setattr(lfunc, "log_divisor_tail", lambda x, t, k: (
+            log_tail(x, t, k) + (shift if t == t_win else 0)))
+        monkeypatch.setattr(AfePlan, "_search_n0", spy)
+        if err == "slack":
+            monkeypatch.setattr(lfunc, "_LOG_SLACK", 1e9)
+        assert AfePlan(sym3_data.header, prec)._plans == want._plans
+        assert bool(searched) == (err != "slack")
 
     def test_required_is_tight(self, sym3_data):
         # X = 100 cannot reach 1e-3 at any sigma; the count the error names
