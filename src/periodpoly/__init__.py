@@ -27,10 +27,10 @@ from .lfunc import (
     SpecialValues,
     Precision,
     gamma_completed,
-    dirichlet_l,
     special_values,
     verify_hypothesis,
 )
+from .checks import dirichlet_l
 from .sympow import (
     CurveSpec,
     ap_count,

@@ -109,15 +109,14 @@ The kernel and its planning are built to be cheap:
       integer suffix masses) and multiplies by its constant N^{c/2} (h/pi)
       N^{sigma/2} once; the lines add exactly before one rounding;
   (d) n0 is searched in doubles, line by line, bisecting the log of the
-      divisor-tail majorant (numutil.log_divisor_tail), each line after
-      the first only below the best n0 so far, as it must beat that
-      strictly.  mpmath's majorant confirms that the winning line passes
-      at n0 and fails at n0 - 1, and checks another line only where its
-      doubles lie within _LOG_SLACK of the budget; where mpmath disagrees,
-      every line is searched again with mpmath confirming each.  So n0
-      and its line are those of an mpmath bisection, at two mpmath
-      evaluations per sigma.  The plan reads only the header and the
-      Precision, so AfePlan makes it before any coefficient is counted;
+      divisor-tail majorant (numutil.log_divisor_tail) against the budget
+      less _LOG_SLACK, each line after the first only below the best n0
+      so far, as it must beat that strictly.  The doubles err by far less
+      than _LOG_SLACK, so the mpmath majorant at n0, which one_sided adds
+      to the bound, is within budget; n0 is that of an mpmath bisection
+      unless its crossing lies within _LOG_SLACK of the budget, and then
+      only larger.  The plan reads only the header and the Precision, so
+      AfePlan makes it before any coefficient is counted;
   (e) the lines are chosen by predicted work, in doubles, before any node
       is built.  Given a subset of the ladder, each term goes to the
       argmin of log_mass[i] + c_i ell over it; the c_i increase, so each
@@ -144,7 +143,8 @@ from mpmath.libmp import (from_int, from_man_exp, mpc_abs,
                           mpf_add, mpf_cos_sin, mpf_exp, mpf_log, to_fixed)
 
 from .errors import InputError, PoleError, InsufficientCoefficients, QuadratureError
-from .checks import dirichlet_l, verify_hypothesis  # noqa: F401  (lfunc's names)
+# perfbench/spans.py looks up verify_hypothesis here, as lfunc.verify_hypothesis
+from .checks import verify_hypothesis  # noqa: F401
 from .numutil import divisor_tail, log_divisor_tail, smallest_prime_factors
 
 _LN2 = math.log(2)
@@ -184,7 +184,10 @@ _MAX_NODES = 25000
 _NODE_STEPS = 640
 _LINE_STEPS = 1000
 
-# Allowance, in log, for the rounding of the double-precision tail majorant.
+# Margin, in log, by which n0 clears the tail budget in doubles: the
+# double-precision majorant errs by at most 9.7e-12 in log against mpmath
+# (1.25 <= t <= 1255.5, x <= _N0_CAP, k <= 10), so the mpmath majorant at
+# n0 is within budget.
 _LOG_SLACK = 1e-8
 
 # Largest truncation point searched: beyond X it only sizes the error.
@@ -715,66 +718,27 @@ class AfePlan:
         rest = log_budget - log_bound - (sigma + c) / 2 * math.log(head.conductor)
         return lambda n: log_divisor_tail(n, t, head.degree) - rest
 
-    def _search_n0(self, sigma, c, log_bound, budget, cap):
-        """Smallest n0 <= cap with _tail_bound(sigma, c, e^log_bound, n0)
-        <= budget, or None: the majorant decreases in n0, its log bisected
-        in doubles places n0 (at cap when even cap fails there), and the
-        mpmath bound steps n0 one at a time until n0 passes and n0 - 1
-        fails, as the doubles may err near the crossing."""
-        n0 = _bisect(self._log_excess(sigma, c, log_bound, float(mp.log(budget))), cap)
-        bound = mp.exp(log_bound)
-        while self._tail_bound(sigma, c, bound, n0) > budget:
-            if n0 == cap:
-                return None
-            n0 += 1
-        while n0 > 1 and self._tail_bound(sigma, c, bound, n0 - 1) <= budget:
-            n0 -= 1
-        return n0
-
     def _plan(self, sigma):
         """(ladder, log_mass, n0, i) for sigma: the kernel lines, their log
-        mass bounds, the truncation point n0 (None when no line reaches
+        mass bounds, the truncation point n0 (None when no line clears
         the tail budget within _N0_CAP terms) and the first line i that
-        reaches it with n0 terms; see (d) in the module docstring.  Call
+        clears it with n0 terms; see (d) in the module docstring.  Call
         at workbits, as the constructor does."""
         cmin = _min_offset(sigma, self.header.m)
         ladder = [cmin + off for off in _OFFSETS]
         log_mass = [self._log_mass(sigma, c) for c in ladder]
         # Lambda(s) adds two one-sided sums; see the module docstring
-        budget = self.target / (2 * _TARGET_MARGIN) * 3 / 8
-        log_budget = float(mp.log(budget))
-        excess = [self._log_excess(sigma, c, lm, log_budget)
-                  for c, lm in zip(ladder, log_mass)]
-
-        def passes(idx, n):
-            return self._tail_bound(sigma, ladder[idx], mp.exp(log_mass[idx]), n) <= budget
-
-        def search(n0_of):
+        log_budget = float(mp.log(self.target / (2 * _TARGET_MARGIN) * 3 / 8))
+        n0 = i = None
+        for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
+            if n0 == 1:
+                break
             # each line after the first only below the best n0 so far
-            n0 = i = None
-            for idx in range(len(ladder)):
-                if n0 == 1:
-                    break
-                found = n0_of(idx, _N0_CAP if n0 is None else n0 - 1)
-                if found is not None:
-                    n0, i = found, idx
-            return n0, i
-
-        def in_doubles(idx, cap):
-            n = _bisect(excess[idx], cap)
-            return n if excess[idx](n) <= 0 else None
-
-        n0, i = search(in_doubles)
-        # every other line must fail where it would tie or beat line i:
-        # at n0 before i, at n0 - 1 after it, at _N0_CAP when none passes
-        rivals = [(idx, _N0_CAP if n0 is None else n0 - (idx > i))
-                  for idx in range(len(ladder)) if idx != i]
-        if ((n0 is None or passes(i, n0) and (n0 == 1 or not passes(i, n0 - 1)))
-                and not any(passes(idx, n) for idx, n in rivals
-                            if n and excess[idx](n) <= _LOG_SLACK)):
-            return ladder, log_mass, n0, i
-        return (ladder, log_mass) + search(lambda idx, cap: self._search_n0(
-            sigma, ladder[idx], log_mass[idx], budget, cap))
+            excess = self._log_excess(sigma, c, lm, log_budget - _LOG_SLACK)
+            n = _bisect(excess, _N0_CAP if n0 is None else n0 - 1)
+            if excess(n) <= 0:
+                n0, i = n, idx
+        return ladder, log_mass, n0, i
 
     def check_reach(self, x, sigmas=None):
         """Raise InsufficientCoefficients unless X = x coefficients cover

@@ -12,8 +12,9 @@ from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
                         gamma_completed, special_values, sym_lfunction_data,
                         verify_hypothesis)
 from periodpoly import lfunc
-from periodpoly.lfunc import (_N0_CAP, _OFFSETS, _TARGET_MARGIN, AfePlan,
-                              _Rung, _min_offset, log_abs_gamma_bound)
+from periodpoly.lfunc import (_LOG_SLACK, _N0_CAP, _OFFSETS, _TARGET_MARGIN,
+                              AfePlan, _bisect, _Rung, _min_offset,
+                              log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
 from periodpoly.pipeline import scale_estimate
 from periodpoly.sympow import sym_header
@@ -545,7 +546,7 @@ class TestFixedPointTerms:
 def bisected_n0(engine, sigma, c, log_bound, budget, cap):
     """Smallest n0 <= cap whose mpmath tail majorant is within budget, or
     None: doubling then bisection on _tail_bound alone, the reference for
-    the double-precision planning in _search_n0."""
+    the double-precision planning in AfePlan._plan."""
     bound = mp.exp(log_bound)
 
     def fails(n):
@@ -565,10 +566,32 @@ def bisected_n0(engine, sigma, c, log_bound, budget, cap):
     return hi
 
 
+def searched_n0(engine, sigma, c, log_bound, log_budget, cap):
+    """One line's search in AfePlan._plan: the smallest n0 <= cap whose
+    doubles clear log_budget by _LOG_SLACK, or None."""
+    over = engine._log_excess(sigma, c, log_bound, log_budget - _LOG_SLACK)
+    n = _bisect(over, cap)
+    return n if over(n) <= 0 else None
+
+
+def assert_n0_passes(plan):
+    """Every sigma's n0 passes the mpmath tail majorant on its line."""
+    with mp.workprec(plan.workbits):
+        budget = plan.target / (2 * _TARGET_MARGIN) * 3 / 8
+        for sigma, (ladder, log_mass, n0, i) in plan._plans.items():
+            tail = plan._tail_bound(sigma, ladder[i], mp.exp(log_mass[i]), n0)
+            assert tail <= budget, (plan.header, sigma)
+
+
+SYM3_LABELS = ("11a1", "14a1", "15a1", "17a1", "19a1", "37a1", "43a1")
+
+
 class TestTruncationPlanning:
     @pytest.mark.parametrize("hodge,conductor", [((1, 1), 11 ** 3),
                                                  ((1, 1, 1, 1), 11 ** 7)])
     def test_n0_equals_mpmath_bisection(self, hodge, conductor):
+        # the doubles give mpmath's n0, or a larger one only where mpmath's
+        # crossing lies within _LOG_SLACK of the budget
         data = kernel_data(hodge, conductor)
         engine = AfePlan(data.header, Precision(64, 1e-3))
         seen = {"cap": 0, "none": 0, "inside": 0}
@@ -579,15 +602,21 @@ class TestTruncationPlanning:
                     for log_bound in (-20.0, 0.0, 35.0):
                         for budget in ("1e-3", "1e-12", "1e-40"):
                             budget = mp.mpf(budget)
-                            args = (sigma, c, log_bound, budget)
-                            need = bisected_n0(engine, *args, 1 << 40)
-                            assert engine._search_n0(*args, 1 << 40) == need
-                            caps = [1, 40, 10 ** 4]
+                            args = (sigma, c, log_bound)
+                            need = bisected_n0(engine, *args, budget, _N0_CAP)
+                            caps = [_N0_CAP, 1, 40, 10 ** 4]
                             if need is not None:
                                 caps += [need, need - 1]
                             for cap in filter(None, caps):
-                                want = bisected_n0(engine, *args, cap)
-                                assert engine._search_n0(*args, cap) == want
+                                want = bisected_n0(engine, *args, budget, cap)
+                                got = searched_n0(engine, *args,
+                                                  float(mp.log(budget)), cap)
+                                if got != want:
+                                    assert want is not None
+                                    assert got is None or got > want
+                                    tail = engine._tail_bound(
+                                        sigma, c, mp.exp(log_bound), want)
+                                    assert mp.log(tail / budget) > -2 * _LOG_SLACK
                                 if want is None:
                                     seen["none"] += 1
                                 elif want == cap:
@@ -596,70 +625,50 @@ class TestTruncationPlanning:
                                     seen["inside"] += 1
         assert all(seen.values()), seen
 
-    def test_few_mpmath_bounds_per_sigma(self, sym3_data, monkeypatch):
-        calls = []
-        tail_bound = AfePlan._tail_bound
+    def test_few_mpmath_bounds_per_sigma(self, sym3_data, curve_table,
+                                         monkeypatch):
+        # planning runs in doubles alone; each sigma's sum adds one mpmath
+        # tail majorant, at its n0
+        tails, sigmas = [], []
+        divisor_tail, tail_bound = lfunc.divisor_tail, AfePlan._tail_bound
 
-        def counted(self, sigma, c, bound, n0):
-            calls.append(sigma)
+        def counted_tail(*args):
+            tails.append(args)
+            return divisor_tail(*args)
+
+        def counted_bound(self, sigma, c, bound, n0):
+            sigmas.append(sigma)
             return tail_bound(self, sigma, c, bound, n0)
 
-        monkeypatch.setattr(AfePlan, "_tail_bound", counted)
-        special_values(sym3_data, Precision(64, 1e-3))
-        for sigma in (1, 2, 3):
-            # one or two per ladder line, one for the chosen line's tail
-            assert calls.count(sigma) <= 2 * len(_OFFSETS) + 2
-
-    def test_plan_confirms_twice_per_sigma(self, curve_table, monkeypatch):
-        # the ladder search runs in doubles; mpmath's majorant confirms
-        # that n0 passes and n0 - 1 fails on the winning line, and is asked
-        # about another line only where its doubles nearly tie
-        calls = collections.Counter()
-        now = [None]
-        tail, plan_sigma = lfunc.divisor_tail, AfePlan._plan
-
-        def counted(*args):
-            calls[now[0]] += 1
-            return tail(*args)
-
-        def spy(self, sigma):
-            now[0] = (self.header, sigma)
-            return plan_sigma(self, sigma)
-
-        monkeypatch.setattr(lfunc, "divisor_tail", counted)
-        monkeypatch.setattr(AfePlan, "_plan", spy)
-        for label in ("11a1", "14a1", "15a1", "17a1", "19a1", "37a1", "43a1"):
+        monkeypatch.setattr(lfunc, "divisor_tail", counted_tail)
+        monkeypatch.setattr(AfePlan, "_tail_bound", counted_bound)
+        for label in SYM3_LABELS:
             AfePlan(sym_header(curve_table[label], 3), Precision(64, 1e-3))
-        assert len(calls) == 21 and max(calls.values()) <= 3, calls
+        assert not tails
+        special_values(sym3_data, Precision(64, 1e-3))
+        assert sorted(sigmas) == [1, 2, 3] and len(tails) == 3
 
-    @pytest.mark.parametrize("err", ["up", "down", "slack"])
-    def test_plan_is_exact_where_doubles_err(self, sym3_data, monkeypatch,
-                                             err):
-        # doubles that misplace n0 on the winning line of sigma = 1 (so
-        # that n0 or n0 - 1 fails to confirm), or an allowance that sends
-        # every rival line to mpmath, give the plan of exact search
-        prec = Precision(64, 1e-3)
-        want = AfePlan(sym3_data.header, prec)
-        ladder, log_mass, n0, i = want._plans[1]
-        with mp.workprec(want.workbits):
-            log_budget = float(mp.log(want.target / (2 * _TARGET_MARGIN) * 3 / 8))
-        over = want._log_excess(1, ladder[i], log_mass[i], log_budget)
-        shift = {"up": 1e-6 - over(n0), "down": -1e-6 - over(n0 - 1)}.get(err, 0)
-        t_win = 1 + ladder[i] - sym3_data.weight / 2
-        log_tail, search = lfunc.log_divisor_tail, AfePlan._search_n0
-        searched = []
-
-        def spy(self, *args):
-            searched.append(args)
-            return search(self, *args)
-
-        monkeypatch.setattr(lfunc, "log_divisor_tail", lambda x, t, k: (
-            log_tail(x, t, k) + (shift if t == t_win else 0)))
-        monkeypatch.setattr(AfePlan, "_search_n0", spy)
-        if err == "slack":
-            monkeypatch.setattr(lfunc, "_LOG_SLACK", 1e9)
-        assert AfePlan(sym3_data.header, prec)._plans == want._plans
-        assert bool(searched) == (err != "slack")
+    @pytest.mark.parametrize("err", ["down", "up"])
+    def test_plan_passes_where_doubles_err(self, curve_table, monkeypatch,
+                                           err):
+        # doubles that understate ("down") or overstate ("up") the tail
+        # majorant by 0.9 _LOG_SLACK still give every sigma an n0 that
+        # passes in mpmath: on the seven Sym^3 headers at 1e-3, and at a
+        # target whose budget lies _LOG_SLACK / 2 below the majorant of
+        # 11a1's sigma = 1 at its n0, which understated doubles without the
+        # margin would accept
+        heads = [sym_header(curve_table[label], 3) for label in SYM3_LABELS]
+        plan = AfePlan(heads[0], Precision(64, 1e-3))
+        ladder, log_mass, n0, i = plan._plans[1]
+        with mp.workprec(plan.workbits):
+            tail = plan._tail_bound(1, ladder[i], mp.exp(log_mass[i]), n0)
+            edge = float(tail * mp.exp(-_LOG_SLACK / 2) * 2 * _TARGET_MARGIN * 8 / 3)
+        log_tail = lfunc.log_divisor_tail
+        shift = 0.9 * _LOG_SLACK * (-1 if err == "down" else 1)
+        monkeypatch.setattr(lfunc, "log_divisor_tail",
+                            lambda x, t, k: log_tail(x, t, k) + shift)
+        for head, target in [(h, 1e-3) for h in heads] + [(heads[0], edge)]:
+            assert_n0_passes(AfePlan(head, Precision(64, target)))
 
     def test_required_is_tight(self, sym3_data):
         # X = 100 cannot reach 1e-3 at any sigma; the count the error names
@@ -688,19 +697,21 @@ class TestTruncationPlanning:
     def test_capped_search_keeps_the_minimum(self, request, name, bits,
                                              target, scaled):
         # each later line searched only below the best n0 so far gives the
-        # minimum of the uncapped searches, on its first line
+        # minimum of the uncapped searches, on its first line, and that n0
+        # passes in mpmath
         data = request.getfixturevalue(name)
         if scaled:
             target *= scale_estimate(data)
         engine = AfePlan(data.header, Precision(bits, target))
         with mp.workprec(engine.workbits):
-            tail_budget = engine.target / (2 * _TARGET_MARGIN) * 3 / 8
+            log_budget = float(mp.log(engine.target / (2 * _TARGET_MARGIN) * 3 / 8))
             for sigma in range(1, data.weight + 1):
                 ladder, log_mass, n0, line = engine._plan(sigma)
-                n0s = [engine._search_n0(sigma, c, lm, tail_budget, _N0_CAP)
+                n0s = [searched_n0(engine, sigma, c, lm, log_budget, _N0_CAP)
                        for c, lm in zip(ladder, log_mass)]
                 want = min(n for n in n0s if n is not None)
                 assert (n0, line) == (want, n0s.index(want)), sigma
+        assert_n0_passes(engine)
 
     @pytest.mark.parametrize("label,bits,target,scaled", [
         ("11a1", 64, 1e-3, False),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from periodpoly.lfunc import _LOG_SLACK, _N0_CAP
 from periodpoly.numutil import (divisor_count_at, divisor_counts,
                                 divisor_tail, fmt_mpf, log_divisor_tail,
                                 log_gamma_c_real, primes_upto,
@@ -91,12 +92,16 @@ def test_divisor_tail_majorizes_partial_tails(x, t, k):
 
 
 def test_log_divisor_tail_matches_mpmath():
+    # the AFE plan clears its budget in doubles by _LOG_SLACK, so over the
+    # ladder's range the doubles must err by far less: t from 1.25 (t - 1 =
+    # 1/4 on the lowest line) to 1 + w/2 + 1250 (the top offset, w <= 9),
+    # x up to _N0_CAP, k up to 10 (Sym^9)
     with mp.workprec(96):
-        for x in (1, 7, 10 ** 4, 1 << 40):
-            for t in (1.25, 2.5, 600.0):
-                for k in (2, 4, 8):
+        for x in (1, 2, 7, 10 ** 4, 35000017, 10 ** 9 + 7, _N0_CAP):
+            for t in (1.25, 1.5, 2.25, 5.5, 40.25, 380.75, 1251.25, 1255.5):
+                for k in (2, 4, 6, 8, 10):
                     want = mp.log(divisor_tail(x, t, k))
-                    assert abs(log_divisor_tail(x, t, k) - want) <= 1e-12 * (1 + abs(want))
+                    assert abs(log_divisor_tail(x, t, k) - want) <= _LOG_SLACK / 100
 
 
 def test_divisor_tail_decreasing_in_x():
