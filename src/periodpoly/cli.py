@@ -27,11 +27,11 @@ import sys
 from mpmath import mp
 
 from . import __version__
-from .errors import (CertificationError, InputError, InsufficientCoefficients,
-                     QuadratureError, VerificationError)
+from .errors import CertificationError, InputError, VerificationError
 from .files import (FORMAT_REPORT, SpecialValuesCache, canonical_report_text,
-                    data_digest, parse_coefficient_file, parse_curve_file,
-                    parse_eps_overrides, sha256_file, write_report)
+                    data_digest, digits_for_bits, parse_coefficient_file,
+                    parse_curve_file, parse_eps_overrides, sha256_file,
+                    write_report)
 from .gates import compute_A_m
 from .lfunc import AfePlan, Precision, special_values
 from .numutil import fmt_mpf
@@ -66,11 +66,6 @@ def _check_args(args):
 
 def _pair(v, e, digits):
     return [fmt_mpf(v, digits), fmt_mpf(e, digits)]
-
-
-def _poly_obj(p, digits):
-    with mp.workprec(p.bits + 16):
-        return p.to_json_obj(digits)
 
 
 def _emit(args, command, report, lines):
@@ -210,97 +205,96 @@ def _analysis_report(result, args, inputs, sym):
     circ, scan, gate = result.circle, result.trig, result.gate
     zp, zcheck = result.zeta, result.zeta_check
     bits = args.precision_bits
-    digits = int(bits * 0.30103) + 8
-    with mp.workprec(bits + 16):
-        return {
-            "inputs": inputs,
-            "precision_bits": bits,
-            "target_error_requested": (None if args.target_error is None
-                                       else float(args.target_error)),
-            "target_error_effective": float(vals.target),
-            "label": data.label or "dataset",
-            "sym": sym,
-            "weight": data.weight,
-            "degree": data.degree,
-            "conductor": data.conductor,
-            "hodge": list(data.hodge),
-            "root_number": data.root_number,
-            "coefficients_used": len(data.coefficients),
-            "special_values": {
-                str(s): _pair(vals.values[s][0], vals.values[s][1], digits)
-                for s in sorted(vals.values)
-            },
-            "hypothesis_violations": list(result.violations),
-            "polynomials": {
-                "p": _poly_obj(result.p, digits),
-                "p_deflated": _poly_obj(result.p_hat, digits),
-                "P": _poly_obj(result.big_p, digits),
-                "Q": _poly_obj(result.big_q, digits),
-                "forced_root_at_one": data.root_number == -1,
-            },
-            "ratios": {
-                "r": [_pair(v, e, digits) for v, e in ratios.ratios],
-                "central": _pair(ratios.central[0], ratios.central[1],
-                                 digits),
-            },
-            "q_identity": {
-                "residual": fmt_mpf(result.q_residual, 12),
-                "remainder_bound": fmt_mpf(result.remainder_bound, 12),
-            },
-            "circle": {
-                "tolerance": circ.tolerance,
-                "roots": [
-                    {
-                        "re": fmt_mpf(mp.re(z), digits),
-                        "im": fmt_mpf(mp.im(z), digits),
-                        "radius": fmt_mpf(r, 8),
-                        "verdict": v,
-                    }
-                    for z, r, v in zip(circ.roots, circ.radii, circ.verdicts)
-                ],
-                "num_on": circ.num_on,
-                "num_off": circ.num_off,
-                "num_uncertain": circ.num_uncertain,
-                "star_discrepancy": result.discrepancy,
-            },
-            "trig_certificate": {
-                "kind": scan.kind,
-                "sign_changes": list(scan.changes),
-                "certified_on_circle": scan.certified_on_circle,
-                "failing_intervals": list(scan.failing),
-                "boundary_zero": scan.boundary_zero,
-            },
-            "gate": {
-                "case": gate.case,
-                "satisfied": gate.satisfied,
-                "m": gate.m,
-                "hodge_ok": gate.hodge_ok,
-                "hodge_lhs": gate.hodge_lhs,
-                "hodge_rhs": gate.hodge_rhs,
-                "a_m": (None if gate.a_m is None else fmt_mpf(gate.a_m, 12)),
-                "a_m_power_d": (None if gate.a_m_power_d is None
-                                else fmt_mpf(gate.a_m_power_d, 12)),
-                "margins_11": [_pair(v, e, 12) for v, e in gate.margins_11],
-                "margin_22": (None if gate.margin_22 is None
-                              else _pair(gate.margin_22[0],
-                                         gate.margin_22[1], 12)),
-                "notes": list(gate.notes),
-            },
-            "rouche": _rouche_obj(result),
-            "zeta": {
-                "e": zp.degree,
-                "eps": zp.eps,
-                "coefficients": [_pair(v, err, digits)
-                                 for v, err in zp.coeffs],
-                "roots": [[fmt_mpf(mp.re(z), digits),
-                           fmt_mpf(mp.im(z), digits)]
-                          for z in zcheck.roots],
-                "fe_residual": zcheck.fe_residual,
-                "max_line_deviation": zcheck.max_line_deviation,
-                "line_ok": zcheck.line_ok,
-            },
-            "checks": result.checks,
-        }
+    digits = digits_for_bits(bits)
+    return {
+        "inputs": inputs,
+        "precision_bits": bits,
+        "target_error_requested": (None if args.target_error is None
+                                   else float(args.target_error)),
+        "target_error_effective": float(vals.target),
+        "label": data.label or "dataset",
+        "sym": sym,
+        "weight": data.weight,
+        "degree": data.degree,
+        "conductor": data.conductor,
+        "hodge": list(data.hodge),
+        "root_number": data.root_number,
+        "coefficients_used": len(data.coefficients),
+        "special_values": {
+            str(s): _pair(vals.values[s][0], vals.values[s][1], digits)
+            for s in sorted(vals.values)
+        },
+        "hypothesis_violations": list(result.violations),
+        "polynomials": {
+            "p": result.p.to_json_obj(digits),
+            "p_deflated": result.p_hat.to_json_obj(digits),
+            "P": result.big_p.to_json_obj(digits),
+            "Q": result.big_q.to_json_obj(digits),
+            "forced_root_at_one": data.root_number == -1,
+        },
+        "ratios": {
+            "r": [_pair(v, e, digits) for v, e in ratios.ratios],
+            "central": _pair(ratios.central[0], ratios.central[1],
+                             digits),
+        },
+        "q_identity": {
+            "residual": fmt_mpf(result.q_residual, 12),
+            "remainder_bound": fmt_mpf(result.remainder_bound, 12),
+        },
+        "circle": {
+            "tolerance": circ.tolerance,
+            "roots": [
+                {
+                    "re": fmt_mpf(mp.re(z), digits),
+                    "im": fmt_mpf(mp.im(z), digits),
+                    "radius": fmt_mpf(r, 8),
+                    "verdict": v,
+                }
+                for z, r, v in zip(circ.roots, circ.radii, circ.verdicts)
+            ],
+            "num_on": circ.num_on,
+            "num_off": circ.num_off,
+            "num_uncertain": circ.num_uncertain,
+            "star_discrepancy": result.discrepancy,
+        },
+        "trig_certificate": {
+            "kind": scan.kind,
+            "sign_changes": list(scan.changes),
+            "certified_on_circle": scan.certified_on_circle,
+            "failing_intervals": list(scan.failing),
+            "boundary_zero": scan.boundary_zero,
+        },
+        "gate": {
+            "case": gate.case,
+            "satisfied": gate.satisfied,
+            "m": gate.m,
+            "hodge_ok": gate.hodge_ok,
+            "hodge_lhs": gate.hodge_lhs,
+            "hodge_rhs": gate.hodge_rhs,
+            "a_m": (None if gate.a_m is None else fmt_mpf(gate.a_m, 12)),
+            "a_m_power_d": (None if gate.a_m_power_d is None
+                            else fmt_mpf(gate.a_m_power_d, 12)),
+            "margins_11": [_pair(v, e, 12) for v, e in gate.margins_11],
+            "margin_22": (None if gate.margin_22 is None
+                          else _pair(gate.margin_22[0],
+                                     gate.margin_22[1], 12)),
+            "notes": list(gate.notes),
+        },
+        "rouche": _rouche_obj(result),
+        "zeta": {
+            "e": zp.degree,
+            "eps": zp.eps,
+            "coefficients": [_pair(v, err, digits)
+                             for v, err in zp.coeffs],
+            "roots": [[fmt_mpf(mp.re(z), digits),
+                       fmt_mpf(mp.im(z), digits)]
+                      for z in zcheck.roots],
+            "fe_residual": zcheck.fe_residual,
+            "max_line_deviation": zcheck.max_line_deviation,
+            "line_ok": zcheck.line_ok,
+        },
+        "checks": result.checks,
+    }
 
 
 def _analysis_lines(result):
@@ -506,8 +500,7 @@ def main(argv=None):
     except VerificationError as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return 1
-    except (CertificationError, QuadratureError,
-            InsufficientCoefficients) as exc:
+    except CertificationError as exc:
         print("certification failure: %s" % exc, file=sys.stderr)
         return 3
 

@@ -2,9 +2,9 @@
 
 The CLI maps these onto exit codes: InputError and its subclasses are
 usage/data problems (exit 2), VerificationError marks a mathematical check
-that failed on otherwise well-formed input (exit 1), and the remaining
-runtime errors mean a numerical procedure could not certify its result at
-the requested precision (exit 3).
+that failed on otherwise well-formed input (exit 1), and
+CertificationError and its subclasses mean a numerical procedure could not
+certify its result at the requested precision (exit 3).
 """
 
 
@@ -23,7 +23,13 @@ class VerificationError(RuntimeError):
     to an error by the caller)."""
 
 
-class InsufficientCoefficients(RuntimeError):
+class CertificationError(RuntimeError):
+    """A zero count or winding number could not be certified (margin too
+    small after all radius retries, or the phase residual stayed away
+    from a multiple of 2*pi)."""
+
+
+class InsufficientCoefficients(CertificationError):
     """The stored Dirichlet coefficients do not reach far enough to meet
     the requested error target."""
 
@@ -32,13 +38,6 @@ class InsufficientCoefficients(RuntimeError):
         self.required = required
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(CertificationError):
     """A kernel line reached its node cap before the nodes it drops fell
     below the share of the error budget they may take."""
-
-
-class CertificationError(RuntimeError):
-    """A zero count or winding number could not be certified (margin too
-    small after all radius retries, or the phase residual stayed away
-    from a multiple of 2*pi)."""
-

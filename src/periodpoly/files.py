@@ -36,7 +36,7 @@ FORMAT_REPORT = "periodpoly-report-1"
 # Decimal digits carried by serialized values, as a function of the
 # mantissa size.  0.30103 = log10(2); the +8 headroom keeps the decimal
 # form strictly finer than the binary one.
-def _digits_for_bits(bits):
+def digits_for_bits(bits):
     return int(bits * 0.30103) + 8
 
 
@@ -183,7 +183,7 @@ def parse_coefficient_file(path, bits=192):
 
 def coefficient_file_text(data):
     """Serialize LFunctionData in the coefficient-file format."""
-    digits = _digits_for_bits(192)
+    digits = digits_for_bits(192)
     out = ["format=%s" % FORMAT_COEFFS,
            "degree=%d" % data.degree,
            "weight=%d" % data.weight,
@@ -391,7 +391,7 @@ class SpecialValuesCache:
         key = (label, int(sym), bits, target, digest)
         if any(k == key for k, _ in self.records()):
             return 0
-        digits = _digits_for_bits(bits)
+        digits = digits_for_bits(bits)
         entries = {}
         for s, (val, err) in values.values.items():
             work = max(bits + 32, _exact_mpf(val)._mpf_[3] + 8,

@@ -221,6 +221,22 @@ class Header:
     hodge: tuple
     conductor: int
 
+    def __post_init__(self):
+        w = self.weight
+        if w < 3 or w % 2 == 0:
+            raise InputError("weight must be odd and >= 3, got %r" % (w,))
+        hodge = tuple(int(h) for h in self.hodge)
+        object.__setattr__(self, "hodge", hodge)
+        if len(hodge) != self.m + 1:
+            raise InputError("hodge list must have length m+1 = %d, got %d"
+                             % (self.m + 1, len(hodge)))
+        if any(h < 0 for h in hodge):
+            raise InputError("hodge numbers must be nonnegative")
+        if not any(hodge):
+            raise InputError("all Hodge numbers vanish; degree would be 0")
+        if self.conductor < 1:
+            raise InputError("conductor must be a positive integer")
+
     @property
     def degree(self):
         return 2 * sum(self.hodge)
@@ -248,27 +264,12 @@ class LFunctionData:
     label: str = ""
 
     def __post_init__(self):
-        w = self.weight
-        if w < 3 or w % 2 == 0:
-            raise InputError("weight must be odd and >= 3, got %r" % (w,))
-        m = (w - 1) // 2
-        hodge = tuple(int(h) for h in self.hodge)
-        object.__setattr__(self, "hodge", hodge)
-        if len(hodge) != m + 1:
-            raise InputError(
-                "hodge list must have length m+1 = %d, got %d" % (m + 1, len(hodge))
-            )
-        if any(h < 0 for h in hodge):
-            raise InputError("hodge numbers must be nonnegative")
-        if not any(hodge):
-            raise InputError("all Hodge numbers vanish; degree would be 0")
-        if self.degree != 2 * sum(hodge):
-            raise InputError(
-                "degree %d inconsistent with 2*sum(hodge) = %d"
-                % (self.degree, 2 * sum(hodge))
-            )
-        if self.conductor < 1:
-            raise InputError("conductor must be a positive integer")
+        # the weight, Hodge numbers and conductor are checked by Header
+        header = self.header
+        object.__setattr__(self, "hodge", header.hodge)
+        if self.degree != header.degree:
+            raise InputError("degree %d inconsistent with 2*sum(hodge) = %d"
+                             % (self.degree, header.degree))
         if self.root_number not in (-1, 1):
             raise InputError("root number must be +1 or -1")
         coeffs = tuple(self.coefficients)
@@ -348,31 +349,6 @@ def _check_pole(z):
     if zr <= mp.mpf("0.25") and abs(zi) < mp.mpf("1e-12"):
         if abs(zr - mp.nint(zr)) < mp.mpf("1e-12") and mp.nint(zr) <= 0:
             raise PoleError("gamma factor evaluated at pole z = %s" % (mp.nstr(z),))
-
-
-class _Rung:
-    """One vertical quadrature line Re(u) = c with its trapezoid nodes.
-
-    g[k] = L_inf(sigma + c + i k h) / (c + i k h); only t >= 0 is stored
-    since the integrand is conjugate-symmetric.
-
-    For the kernel sums the nodes are also held in fixed point: gre[k] and
-    gim[k] are the real and imaginary parts of g_k * 2^(fix_shift),
-    truncated to integers (g_0 halved, as the trapezoid rule weights it),
-    with fix_shift chosen so the largest |g_k| sits just below 2^F.
-    suffix[k] is an integer at least 2^(fix_shift) sum_{j >= k} |g_j|, the
-    nodes beyond the last one included, so terms can certify how much
-    kernel mass a truncated node sum skips.  fix_err bounds the rounding
-    of one such sum (see AfePlan._node_sum), and node_err bounds
-    sum_k |g_k - g(k h)|, what the nodes themselves err by.
-    """
-
-    __slots__ = ("c", "h", "g", "suffix", "gre", "gim", "fix_shift", "fix_err",
-                 "node_err")
-
-    def __init__(self, c, h):
-        self.c = c
-        self.h = h
 
 
 def log_abs_gamma_bound(x, t):
@@ -459,6 +435,7 @@ class AfePlan:
         # point planned: _ell_err bounds its error in those units
         self._ln = [0, 0]
         self._spf = [0, 0]
+        self._weight_table = (None, None, None)  # (a4, man, exp); see _weights
         self._ln_sqrt_fix = to_fixed(
             mpf_log(from_int(header.conductor), self.lnbits + 10),
             self.lnbits - 1)
@@ -496,14 +473,18 @@ class AfePlan:
         2^(1-B) (truncation to B bits) + 2^-(B+6) (the exp at B + 8 bits)
         + (a4/4) (1 + ln n0/512) 2^-lnbits (the ln table), each product by
         less than 2^(1-B), and a term on line i divides by n^off_i with one
-        more truncation; n has fewer than bitlen(n0) prime factors."""
+        more truncation; n has fewer than bitlen(n0) prime factors.
+
+        One table is kept, for the last a4, and grown on demand: every
+        sigma <= m has a4 = 4m + 7."""
         ln = self._ln_table(n0)
         spf = self._spf
         bits = self.weightbits
         lnbits = self.lnbits
-        man = [0, 1 << (bits - 1)]
-        exp = [0, 1 - bits]
-        for n in range(2, n0 + 1):
+        if self._weight_table[0] != a4:
+            self._weight_table = (a4, [0, 1 << (bits - 1)], [0, 1 - bits])
+        _, man, exp = self._weight_table
+        for n in range(len(man), n0 + 1):
             p = spf[n]
             if p == n:
                 _, m, e, _ = mpf_exp(from_man_exp(-a4 * ln[n], -lnbits - 2),
@@ -625,28 +606,29 @@ class AfePlan:
             tails.append(log_s - math.log(h * decay))
         return tails
 
-    def _build_nodes(self, sigma, rung, count):
-        """Nodes g_0..g_{K-1}, K = count, at the rung's step; the nodes past
-        them weigh at most S((K-1)h) / (h decay((K-1)h))."""
-        h = rung.h
-        hf = float(h)
-        rung.g = [self._g_value(sigma, rung.c, k * h) for k in range(count)]
-        mags = [mp.make_mpf(mpc_abs(gk._mpc_, self.fixbits, "n")) for gk in rung.g]
-        rung.node_err = mp.ldexp(mp.fsum(mp.mpf(self._g_err_units(sigma, rung.c, k * hf))
-                                         * mk for k, mk in enumerate(mags)),
-                                 4 - self.fixbits)
-        log_s, decay = self._g_bound(sigma, rung.c, (count - 1) * hf)
-        self._fix_nodes(rung, mags, mp.exp(log_s - math.log(hf * decay)))
-
-    def _fix_nodes(self, rung, mags, beyond):
-        """Fixed-point copy of the rung's nodes, their integer suffix
-        masses (beyond: the mass past the last node) and the rounding
-        bound of one node sum."""
+    def _build_nodes(self, sigma, c, h, count):
+        """The nodes g_k = L_inf(sigma + c + i k h) / (c + i k h), k < K =
+        count, of the line Re u = c at the step h (an mpf), in fixed point:
+        (gre, gim, suffix, shift, fix_err, node_err).  gre[k] and gim[k] are
+        the real and imaginary parts of g_k 2^shift truncated to integers
+        (g_0 halved, as the trapezoid rule weights it), shift putting the
+        largest |g_k| just below 2^F.  suffix[k] is an integer at least
+        2^shift sum_{j >= k} |g_j|, with the nodes past the last, which weigh
+        at most S((K-1)h) / (h decay((K-1)h)), so a term can certify the
+        mass a truncated node sum skips.  fix_err bounds the rounding of one
+        _node_sum, and node_err bounds sum_k |g_k - g(k h)|, what the nodes
+        themselves err by."""
         fix = self.fixbits
+        hf = float(h)
+        parts = [self._g_value(sigma, c, k * h)._mpc_ for k in range(count)]
+        mags = [mp.make_mpf(mpc_abs(gk, fix, "n")) for gk in parts]
+        node_err = mp.ldexp(mp.fsum(mp.mpf(self._g_err_units(sigma, c, k * hf)) * mk
+                                    for k, mk in enumerate(mags)), 4 - fix)
+        log_s, decay = self._g_bound(sigma, c, (count - 1) * hf)
+        beyond = mp.exp(log_s - math.log(hf * decay))
         _, _, exp, bc = max(mags)._mpf_
         mag_exp = exp + bc  # every |g_k| < 2^mag_exp
         shift = fix - mag_exp
-        parts = [gk._mpc_ for gk in rung.g]
         gre = [to_fixed(re, shift) for re, _ in parts]
         gim = [to_fixed(im, shift) for _, im in parts]
         # g_k 2^shift lies in [gre, gre + 1) x [gim, gim + 1), so its
@@ -659,19 +641,16 @@ class AfePlan:
             b = y + 1 if y >= 0 else -y
             acc += math.isqrt(a * a + b * b) + 1
             suffix.append(acc)
-        rung.suffix = suffix[::-1]
         # the trapezoid rule weights g_0 by 1/2
         gre[0] = to_fixed(parts[0][0], shift - 1)
         gim[0] = to_fixed(parts[0][1], shift - 1)
-        rung.gre, rung.gim = gre, gim
-        rung.fix_shift = shift
         # Each truncation (g_k, every Horner step) is below sqrt(2) units
         # of 2^-shift; |z - zhat| < _z_units(h) units of 2^-fix moves node
         # k by k times that.  (1 + 2^(1-fix))^k < 1.01 for k <= _MAX_NODES.
         moment = mp.fsum(k * mk for k, mk in enumerate(mags))
-        rung.fix_err = (3 * len(mags) * mp.mpf(2) ** mag_exp
-                        + mp.mpf(1.01 * self._z_units(rung.h)) * moment) \
-            * mp.mpf(2) ** (-fix)
+        fix_err = (3 * count * mp.mpf(2) ** mag_exp
+                   + mp.mpf(1.01 * self._z_units(h)) * moment) * mp.mpf(2) ** (-fix)
+        return gre, gim, suffix[::-1], shift, fix_err, node_err
 
     def _z_units(self, h):
         """Bound, in units of 2^-F, on |e^{i h ell} - z| for the z that
@@ -689,13 +668,12 @@ class AfePlan:
         c, s = mpf_cos_sin(from_man_exp(hm * ell, he - self.lnbits), fix + 8)
         return to_fixed(c, fix), to_fixed(s, fix)
 
-    def _node_sum(self, rung, zr, zi, count):
-        """Re(g_0/2 + sum_{0<k<count} g_k z^k) times 2^(fix_shift), the
-        trapezoid kernel sum at z = e^{i h ell} given by _unit, by Horner's
-        rule in fixed-point integers.  The sum it stands for errs by at
-        most rung.fix_err."""
+    def _node_sum(self, gre, gim, zr, zi, count):
+        """Re(g_0/2 + sum_{0<k<count} g_k z^k) times 2^shift, the trapezoid
+        kernel sum at z = e^{i h ell} given by _unit, by Horner's rule on
+        the fixed-point nodes of _build_nodes.  The sum it stands for errs
+        by at most their fix_err."""
         fix = self.fixbits
-        gre, gim = rung.gre, rung.gim
         ar, ai = gre[count - 1], gim[count - 1]
         for k in range(count - 2, -1, -1):
             ar, ai = (((ar * zr - ai * zi) >> fix) + gre[k],
@@ -883,7 +861,7 @@ class AfePlan:
         # step and count, its constant N^(c/2) (h/pi) N^(sigma/2) at F bits
         # (within delta_c of the true one: six operations of at most 2
         # ulp), then its terms, summed exactly in integers at the line's
-        # finest exponent minus fix_shift: the value, its absolute sum and
+        # finest exponent minus the nodes' shift: the value, its absolute sum and
         # the skipped mass.  The rounding part bounds the node sums' error
         # (fix_err + node_err per unit weight; node_err also covers the
         # skipped nodes' own error), the weights' (delta_w times the
@@ -918,37 +896,37 @@ class AfePlan:
             with mp.workprec(self.fixbits):
                 n_c = mp.power(conductor, mp.mpf(c) / 2)
             w_sum = n_c * mp.mpf((w_int, unit)) * slack_w
-            r = _Rung(c, mp.mpf(h))
+            h = mp.mpf(h)
             quad_err += (pref * w_sum * 2 * mp.exp(log_e)
-                         / mp.expm1(2 * mp.pi * a / r.h))
-            self._build_nodes(sigma, r, count)
+                         / mp.expm1(2 * mp.pi * a / h))
+            gre, gim, suffix, shift, fix_err, node_err = self._build_nodes(
+                sigma, c, h, count)
             with mp.workprec(self.fixbits):
-                const = n_c * r.h / mp.pi * pref
+                const = n_c * h / mp.pi * pref
 
             # node cutoff: the first k whose suffix mass times the term's
             # weight and the line constant is at most skip_share
             t_man, t_exp = _dyadic(skip_share / const)
-            t_shift = t_exp + r.fix_shift
-            suffix = r.suffix
-            neg_suffix = [-x for x in suffix[1:len(r.g)]]
+            t_shift = t_exp + shift
+            neg_suffix = [-x for x in suffix[1:count]]
             value = abs_sum = skipped = 0
             for n, wm, e in group:
                 wa = abs(wm)
                 k = t_shift - e
                 limit = (t_man << k if k >= 0 else t_man >> -k) // wa
                 kc = 1 + bisect_left(neg_suffix, -limit)
-                zr, zi = unit_z(r.h, lnsq - ln[n])
-                v = wm * node_sum(r, zr, zi, kc) << (e - unit)
+                zr, zi = unit_z(h, lnsq - ln[n])
+                v = wm * node_sum(gre, gim, zr, zi, kc) << (e - unit)
                 value += v
                 abs_sum += abs(v)
                 skipped += wa * suffix[kc] << (e - unit)
 
-            x = unit - r.fix_shift
+            x = unit - shift
             cm, ce = _dyadic(const)
             pieces.append((cm * value, ce + x))
             c_hi = const * (1 + 2 * delta_c)
             rounding += c_hi * slack_w * (mp.mpf((w_int, unit))
-                                          * (r.fix_err + r.node_err)
+                                          * (fix_err + node_err)
                                           + delta_w * mp.mpf((abs_sum, x)))
             rounding += 2 * delta_c * const * mp.mpf((abs(value), x))
             skip_err += c_hi * slack_w * mp.mpf((skipped, x))

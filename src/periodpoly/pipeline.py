@@ -12,7 +12,7 @@ stay with the caller.
 import math
 from dataclasses import dataclass
 
-from .errors import CertificationError, QuadratureError
+from .errors import CertificationError
 from .gates import rouche_transfer, theorem_gate
 from .lfunc import verify_hypothesis
 from .numutil import log_gamma_c_real
@@ -95,7 +95,7 @@ def analyze(data, vals, sym_context=None):
     if data.m >= 2:
         try:
             rouche = rouche_transfer(data, bound, t)
-        except (CertificationError, QuadratureError) as exc:
+        except CertificationError as exc:
             rouche_error = str(exc)
 
     zeta = rv_transform(p_hat, eps=data.root_number)

@@ -13,7 +13,7 @@ from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
                         verify_hypothesis)
 from periodpoly import lfunc
 from periodpoly.lfunc import (_LOG_SLACK, _N0_CAP, _OFFSETS, _TARGET_MARGIN,
-                              AfePlan, _bisect, _Rung, _min_offset,
+                              AfePlan, Header, _bisect, _min_offset,
                               log_abs_gamma_bound)
 from periodpoly.numutil import divisor_count_at, primes_upto
 from periodpoly.pipeline import scale_estimate
@@ -62,6 +62,14 @@ class TestDataValidation:
     def test_rejects_bad_conductor(self):
         with pytest.raises(InputError):
             toy_data(conductor=0)
+
+    @pytest.mark.parametrize("weight,hodge,conductor", [
+        (3, (0, 0), 11), (3, (1, 1), 0), (4, (1, 1), 11), (3, (1, -1), 11),
+        (3, (1,), 11)])
+    def test_header_validates_itself(self, weight, hodge, conductor):
+        # an AfePlan reads a Header alone, so the Header checks what it holds
+        with pytest.raises(InputError):
+            Header(weight, hodge, conductor)
 
     @pytest.mark.parametrize("target", [math.inf, math.nan, 0.0, -1e-3])
     def test_precision_needs_a_finite_positive_target(self, target):
@@ -144,30 +152,42 @@ def kernel_data(hodge, conductor=11):
                          coefficients=(1,), label="kernel")
 
 
-def kernel_rung(engine, sigma, h, c=None, log_thresh=None):
-    """Nodes of one line at step h; by default the line two above the
-    least offset, built until the dropped nodes weigh 2^-(bits+16) of the
-    line's kernel-mass bound."""
+# One kernel line Re u = c at step h: what _build_nodes returns for it.
+Line = collections.namedtuple(
+    "Line", "sigma c h gre gim suffix shift fix_err node_err")
+
+
+def kernel_line(engine, sigma, h, c=None, log_thresh=None):
+    """One line at step h; by default the line two above the least offset,
+    built until the dropped nodes weigh 2^-(bits+16) of the line's
+    kernel-mass bound."""
     if c is None:
         c = _min_offset(sigma, engine.header.m) + 2
     if log_thresh is None:
         log_thresh = (engine._log_mass(sigma, c)
                       - (engine.bits + 16) * math.log(2))
     with mp.workprec(engine.workbits):
-        rung = _Rung(c, mp.mpf(h))
-        tails = engine._node_tails(sigma, c, float(rung.h), log_thresh)
-        engine._build_nodes(sigma, rung, len(tails) + 1)
-    return rung
+        h = mp.mpf(h)
+        count = len(engine._node_tails(sigma, c, float(h), log_thresh)) + 1
+        return Line(sigma, c, h, *engine._build_nodes(sigma, c, h, count))
 
 
-def node_sum(engine, rung, ell, count=None):
-    """The rung's trapezoid kernel sum Re(g_0/2 + sum_k g_k e^{i k h ell})
+def line_nodes(engine, line):
+    """The line's nodes g_0..g_{K-1} as mpc, straight from _g_value."""
+    with mp.workprec(engine.workbits):
+        return [engine._g_value(line.sigma, line.c, k * line.h)
+                for k in range(len(line.gre))]
+
+
+def node_sum(engine, line, ell, count=None):
+    """The line's trapezoid kernel sum Re(g_0/2 + sum_k g_k e^{i k h ell})
     over its first count nodes (all by default), as an mpf, with ell
     truncated to the ln table's fixed point as every term's ell is."""
     ell = to_fixed(mp.mpf(ell)._mpf_, engine.lnbits)
-    zr, zi = engine._unit(rung.h, ell)
-    total = engine._node_sum(rung, zr, zi, count or len(rung.g))
-    return mp.mpf((total, -rung.fix_shift))
+    zr, zi = engine._unit(line.h, ell)
+    total = engine._node_sum(line.gre, line.gim, zr, zi,
+                             count or len(line.gre))
+    return mp.mpf((total, -line.shift))
 
 
 def kernel_integral(data, sigma, c, ell, bits):
@@ -184,7 +204,7 @@ def chosen_lines(curve_table, label, bits, target):
     """Run the sums of Sym^3 of a curve on the coefficients its plan
     reads; return the plan, the coefficients, per sigma what the line
     choice saw and chose, (ladder, log_mass, ell, history), and every line
-    built, (sigma, rung)."""
+    built, (sigma, c, h, count)."""
     curve = curve_table[label]
     plan = AfePlan(sym_header(curve, 3), Precision(bits, target))
     coefficients = sym_lfunction_data(curve, 3, plan.required).coefficients
@@ -196,9 +216,9 @@ def chosen_lines(curve_table, label, bits, target):
         steps[sigma] = (ladder, log_mass, ell.tolist(), history)
         return history
 
-    def spy_build(sigma, rung, count):
-        build(sigma, rung, count)
-        built.append((sigma, rung))
+    def spy_build(sigma, c, h, count):
+        built.append((sigma, c, h, count))
+        return build(sigma, c, h, count)
 
     plan._choose_lines, plan._build_nodes = spy_choose, spy_build
     with mp.workprec(plan.workbits):
@@ -296,11 +316,11 @@ class TestAfeKernel:
                         alias = 2 * mp.exp(log_e) / mp.expm1(2 * mp.pi * a / h)
                         assert alias <= mp.exp(-log_scale) * (1 + 1e-9)
                         thresh = float(mp.log(alias * 1e-4 * mp.pi / h))
-                    rung = kernel_rung(engine, sigma, h, c, thresh)
-                    ref = kernel_rung(fine, sigma, h / 4, c,
+                    line = kernel_line(engine, sigma, h, c, thresh)
+                    ref = kernel_line(fine, sigma, h / 4, c,
                                       thresh - 25 * math.log(10))
                     with mp.workprec(bits + 64):
-                        got = rung.h / mp.pi * node_sum(engine, rung, ell)
+                        got = line.h / mp.pi * node_sum(engine, line, ell)
                         want = ref.h / mp.pi * node_sum(fine, ref, ell)
                         assert abs(got - want) <= alias
                         worst = max(worst, abs(got - want) / alias)
@@ -314,9 +334,9 @@ class TestAfeKernel:
         fine = AfePlan(data.header, Precision(128, 1e-3))
         sigma, ell = 1, -0.8
         c = _min_offset(sigma, data.m) + 2
-        rung = kernel_rung(fine, sigma, 0.1, c)
+        line = kernel_line(fine, sigma, 0.1, c)
         with mp.workprec(128):
-            got = rung.h / mp.pi * node_sum(fine, rung, ell)
+            got = line.h / mp.pi * node_sum(fine, line, ell)
             want = kernel_integral(data, sigma, c, ell, 128)
             assert abs(got - want) <= abs(want) * mp.mpf("1e-25")
 
@@ -330,19 +350,19 @@ class TestAfeKernel:
             nodes.append((sigma, c, t))
             return g_value(sigma, c, t)
 
-        def recorded(sigma, rung, log_thresh):
-            build(sigma, rung, log_thresh)
-            built.append((sigma, rung))
+        def recorded(sigma, c, h, count):
+            built.append((sigma, c, h, count))
+            return build(sigma, c, h, count)
 
         engine._g_value, engine._build_nodes = counted, recorded
         with mp.workprec(engine.workbits):
             for sigma in (1, 2, 3):
                 engine.one_sided(sigma, sym3_data.coefficients)
-        assert len(nodes) == sum(len(r.g) for _, r in built)
-        lines = [(sigma, r.c) for sigma, r in built]
+        assert len(nodes) == sum(count for *_, count in built)
+        lines = [(sigma, c) for sigma, c, _, _ in built]
         assert len(set(lines)) == len(lines)
-        want = sorted((sigma, r.c, k * r.h) for sigma, r in built
-                      for k in range(len(r.g)))
+        want = sorted((sigma, c, k * h) for sigma, c, h, count in built
+                      for k in range(count))
         assert sorted(nodes) == want
         # the three sigma use fewer lines than the ladder holds
         assert len(lines) < 3 * len(_OFFSETS)
@@ -351,22 +371,23 @@ class TestAfeKernel:
     def test_fixed_point_sum_within_bound(self, bits):
         engine = AfePlan(kernel_data((1, 1), conductor=1331).header,
                          Precision(bits, 1e-3))
-        rung = kernel_rung(engine, 1, "0.125")
+        line = kernel_line(engine, 1, "0.125")
+        g = line_nodes(engine, line)
         with mp.workprec(engine.workbits):
-            mass = mp.fsum(abs(g) for g in rung.g)
-        assert rung.fix_err < mass * mp.mpf(2) ** (-(bits + 16))
+            mass = mp.fsum(abs(gk) for gk in g)
+        assert line.fix_err < mass * mp.mpf(2) ** (-(bits + 16))
         smallest = mass
         for ell in ("3.6", "0.7", "0", "-1.7", "-4.25"):
-            for count in (len(rung.g), len(rung.g) // 3):
+            for count in (len(g), len(g) // 3):
                 # enough bits that the integer result converts exactly
                 with mp.workprec(engine.fixbits + 96):
-                    got = node_sum(engine, rung, ell, count)
-                    z = mp.expj(rung.h * mp.mpf(ell))
-                    acc = rung.g[count - 1]
+                    got = node_sum(engine, line, ell, count)
+                    z = mp.expj(line.h * mp.mpf(ell))
+                    acc = g[count - 1]
                     for k in range(count - 2, 0, -1):
-                        acc = acc * z + rung.g[k]
-                    ref = mp.re(acc * z + rung.g[0] / 2)
-                    assert abs(got - ref) <= rung.fix_err
+                        acc = acc * z + g[k]
+                    ref = mp.re(acc * z + g[0] / 2)
+                    assert abs(got - ref) <= line.fix_err
                     smallest = min(smallest, abs(ref))
         # the sums include one that cancels to far below the node mass
         assert smallest < mass * mp.mpf("1e-12")
@@ -418,6 +439,26 @@ class TestFixedPointTerms:
                 got = mp.mpc(mp.ldexp(zr, -fix), mp.ldexp(zi, -fix))
                 assert abs(got - want) <= engine._z_units(h) * mp.ldexp(1, -fix)
 
+    def test_weight_table_grows_for_a_shared_a4(self):
+        # sigma = 1, 2 of weight 5 share a4 = 15: the one table grows to the
+        # larger n0, each call's bound is that of its own n0, and every
+        # table equals a fresh one; another a4 replaces the table
+        header = kernel_data((1, 1, 1)).header
+
+        def fresh(a4, n0):
+            return AfePlan(header, Precision(64, 1e-3))._weights(a4, n0)
+
+        plan = AfePlan(header, Precision(64, 1e-3))
+        with mp.workprec(plan.workbits):
+            small = plan._weights(15, 50)
+            small_delta = fresh(15, 50)[2]
+            grown = plan._weights(15, 300)
+            assert grown[0] is small[0] and small[2] == small_delta
+            assert grown == fresh(15, 300)
+            other = plan._weights(16, 100)
+            assert other[0] is not grown[0]
+            assert other == fresh(16, 100)
+
     @pytest.mark.parametrize("label,bits,target", [("11a1", 64, 1e-3),
                                                    ("43a1", 64, 1e-3),
                                                    ("11a1", 192, 1e-25)])
@@ -452,7 +493,7 @@ class TestFixedPointTerms:
         with mp.workprec(plan.workbits):
             for sigma, (ladder, _, ell, history) in steps.items():
                 lines = history[-1][1]
-                assert [len(r.g) for s, r in built if s == sigma] == [k for *_, k in lines]
+                assert [k for s, *_, k in built if s == sigma] == [k for *_, k in lines]
                 terms = [(n, lam) for n, lam in enumerate(coefficients, 1)
                          if lam and n <= plan._plans[sigma][2]]
                 skip_share = plan.target / (2 * _TARGET_MARGIN) / 32 / len(terms)
@@ -486,10 +527,10 @@ class TestFixedPointTerms:
             n0s[now[0]] = n0
             return weights(self, a4, n0)
 
-        def spy_build(self, sigma, rung, log_thresh):
-            build(self, sigma, rung, log_thresh)
+        def spy_build(self, sigma, c, h, count):
             lines[sigma] += 1
-            nodes[sigma] += len(rung.g)
+            nodes[sigma] += count
+            return build(self, sigma, c, h, count)
 
         monkeypatch.setattr(AfePlan, "one_sided", spy_one_sided)
         monkeypatch.setattr(AfePlan, "_weights", spy_weights)
