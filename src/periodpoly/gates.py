@@ -29,6 +29,7 @@ slack on concrete data.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from math import isqrt
 
 import mpmath as mp
@@ -246,8 +247,10 @@ class RoucheTransfer:
 
     If min |T| on |z| = 1 exceeds the remainder bound, Q has as many zeros
     in |z| < 1 as z^m T(1/z), which is m minus the number t_disc_zeros of
-    zeros of T in the unit disc (Rouche); f_disc_zeros lets the truncation
-    be checked against the limit series."""
+    zeros of T in the unit disc (Rouche).  That count reads T's inclusion
+    discs, so it certifies only when they are pairwise disjoint and none
+    meets the circle.  f_disc_zeros lets the truncation be checked against
+    the limit series."""
 
     certified: bool
     min_t: object
@@ -278,8 +281,11 @@ def rouche_transfer(data, bound, t):
         certified = min_t > bound
     located = poly_roots(t)
     t_in_disc = sum(1 for z, r in located if abs(z) + r < 1)
-    # a root straddling the circle makes the reversal count ambiguous
-    if any(abs(z) - r <= 1 <= abs(z) + r for z, r in located):
+    # a root straddling the circle makes the reversal count ambiguous, and
+    # two discs that meet may hold one root between them
+    if any(abs(z) - r <= 1 <= abs(z) + r for z, r in located) or any(
+            abs(z1 - z2) <= r1 + r2
+            for (z1, r1), (z2, r2) in combinations(located, 2)):
         certified = False
     f_count = count_disc_zeros(data.degree, data.conductor).zeros
     return RoucheTransfer(

@@ -134,6 +134,7 @@ The kernel and its planning are built to be cheap:
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Integral
 
 import mpmath as mp
 import numpy as np
@@ -225,6 +226,10 @@ class Header:
         w = self.weight
         if w < 3 or w % 2 == 0:
             raise InputError("weight must be odd and >= 3, got %r" % (w,))
+        if not all(isinstance(n, Integral)
+                   for n in (*self.hodge, self.conductor)):
+            raise InputError("Hodge numbers and conductor must be integers, "
+                             "got %r and %r" % (self.hodge, self.conductor))
         hodge = tuple(int(h) for h in self.hodge)
         object.__setattr__(self, "hodge", hodge)
         if len(hodge) != self.m + 1:

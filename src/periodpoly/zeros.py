@@ -27,19 +27,23 @@ polynomials live:
    samples come from circle_values, one fixed-point evaluator on |z| = 1
    whose bound covers the coefficient errors and its own rounding.
 
-3. count_disc_zeros: the argument principle on |z| = r for the entire
-   approximant series F_{d,N}, with adaptive contour refinement until
-   every phase increment is below pi/2 and the winding total lands within
-   0.1 of an integer multiple of 2*pi.
+3. count_disc_zeros: F_{d,N}(z) = G(y z) with G(u) = sum_j u^j/(j!)^{d/2},
+   y = (2 pi)^{d/2}/sqrt(N), has only negative real zeros (1/j! is a
+   multiplier sequence: Polya & Schur, J. reine angew. Math. 144, 1914).
+   They are bracketed on the negative axis, each end's sign proved in
+   integers; a complex128 winding count checks that none was missed.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
+from numbers import Integral
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpf_cos_sin, mpf_neg, to_fixed
+from mpmath.libmp import (mpf_cos_sin, mpf_neg, mpf_pi, round_ceiling,
+                          round_floor, to_fixed, to_rational)
 
 from .errors import CertificationError, InputError
 
@@ -401,134 +405,129 @@ def trig_sign_changes(P, eps):
 
 @dataclass(frozen=True)
 class DiscCount:
-    """Argument-principle count of zeros of F_{d,N} in |z| < radius.
-
-    radius is the contour actually used (it may differ from the request
-    when a near-zero forced a perturbed retry); points is the final
-    number of contour samples; min_abs the smallest |F| seen on the
-    contour."""
+    """The zeros -x of F_{d,N} in |z| < radius, each x inside one bracket
+    (lo, hi) of Fractions in roots; points counts the winding samples."""
 
     zeros: int
     radius: float
-    requested_radius: float
     points: int
-    min_abs: float
+    roots: tuple
 
 
-def _series_on_contour(d, conductor, r, ts):
-    """F_{d,N}(r e^{2 pi i t}) for a vector of t, complex128 incremental
-    series with termination when terms fall below 1e-20 of the running
-    magnitude."""
-    y = float((2.0 * np.pi) ** (d / 2.0) / np.sqrt(conductor))
-    z = r * np.exp(2j * np.pi * ts)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    scale = 1.0
-    for j in range(1, 600):
-        term = term * (y * z) / float(j) ** (d / 2.0)
-        acc += term
-        scale = max(scale, float(np.max(np.abs(acc))))
-        if float(np.max(np.abs(term))) < 1e-20 * scale:
+def _neg_series(k, s):
+    """a_j = (-s)^j/(j!)^k in doubles, so that G(-s x) = sum_j a_j x^j, up
+    to the first term below 2^-52 of the largest with each later one at
+    most half the one before ((j + 1)^k >= 2 s)."""
+    a, peak = [1.0], 1.0  # a peak past doubles ends the list at inf
+    while peak < math.inf and (len(a) ** k < 2 * s
+                               or abs(a[-1]) >= 2.0 ** -52 * peak):
+        a.append(a[-1] * -s / len(a) ** k)
+        peak = max(peak, abs(a[-1]))
+    return np.array(a)
+
+
+def _exact_sign(k, u, terms):
+    """The sign of G(-u) at the double u, proved, or 0: the first terms + 1
+    terms, summed in integers, must beat 2 t_{terms+1}, which bounds the
+    tail while (terms + 2)^k >= 2 u."""
+    p, q = float(u).as_integer_ratio()
+    b = den = 1  # the sum is b/den, den = q^J (J!)^k, by Horner inward
+    for j in range(terms, 0, -1):
+        den *= q * j ** k
+        b = den - p * b
+    proved = q * (terms + 2) ** k >= 2 * p and \
+        abs(b) * q * (terms + 1) ** k > 2 * p ** (terms + 1)
+    return ((b > 0) - (b < 0)) if proved else 0
+
+
+def _bracket(k, a, s, lo, hi, sign, slack):
+    """Bisect (lo, hi), a sign change of G(-u) with that sign at lo, in
+    doubles while the midpoint's value beats slack, the rounding bound at
+    hi, and prove the signs at both ends."""
+    coeffs = a[::-1].tolist()
+    while lo < (lo + hi) / 2 < hi:
+        mid, val = (lo + hi) / 2, 0.0
+        for c in coeffs:
+            val = val * (mid / s) + c
+        if abs(val) <= slack:
             break
-    else:
-        raise CertificationError("series did not converge on the contour")
-    return acc
+        lo, hi = (mid, hi) if (val > 0) == (sign > 0) else (lo, mid)
+    if [_exact_sign(k, u, len(a) - 1) for u in (lo, hi)] != [sign, -sign]:
+        raise CertificationError("unproved sign change on (%r, %r)" % (lo, hi))
+    return lo, hi
 
 
 def count_disc_zeros(d, conductor, radius=1.0):
-    """Count zeros of F_{d,N} inside |z| < radius by the argument
-    principle, with certification.
-
-    The contour starts at 2^10 uniform samples and doubles to 2^12 while
-    any wrapped phase increment reaches pi/2; past that, offending
-    segments are bisected locally.  The winding total must land within
-    0.1 of 2 pi k.  A contour point too close to a zero (min |F| below
-    1e-7 of the median) triggers retries at perturbed radii; persistent
-    failure raises CertificationError."""
-    if d < 2 or d % 2:
-        raise InputError("d must be a positive even integer")
-    if conductor < 1:
-        raise InputError("conductor must be positive")
-    r0 = float(radius)
-    if not 0.5 <= r0 <= 2.0:
+    """Count the zeros of F_{d,N} in |z| < radius, bracketed on the
+    negative axis: sign changes of G(-u) in doubles at u = v^k, v in steps
+    of 1/8 to 2 v_r + 4 (v_r on the circle; the zeros lie about pi/(k
+    sin(pi/k)), in [1, pi/2], apart in v), bisected, with the ends' signs
+    proved.  A winding count on 2^10 points, midway across the first gap
+    between brackets whose middle is at or beyond the circle, must equal
+    the brackets inside it.  A sign not proved, a winding that disagrees
+    or a bracket across the radius raises CertificationError."""
+    if not (isinstance(d, Integral) and isinstance(conductor, Integral)
+            and d >= 2 and d % 2 == 0 and conductor >= 1):
+        raise InputError("need an even d >= 2 and a conductor >= 1")
+    radius = float(radius)
+    if not 0.5 <= radius <= 2.0:
         raise InputError("radius must lie in [0.5, 2]")
-    last_reason = ""
-    for bump in (0.0, 3e-4, -3e-4, 1e-3, -1e-3, 3e-3, -3e-3):
-        r = r0 * (1.0 + bump)
-        ts = np.arange(2 ** 10, dtype=np.float64) / 2 ** 10
-        for _ in range(24):
-            fv = _series_on_contour(d, conductor, r, ts)
-            mags = np.abs(fv)
-            med = float(np.median(mags))
-            mn = float(np.min(mags))
-            if med == 0 or mn < 1e-7 * med:
-                last_reason = "contour point too close to a zero"
-                break
-            # phase increments along the closed contour, wrapped into [-pi, pi)
-            phases = np.angle(fv)
-            steps = np.diff(np.concatenate([phases, phases[:1]]))
-            steps = (steps + np.pi) % (2 * np.pi) - np.pi
-            total = float(np.sum(steps))
-            if float(np.max(np.abs(steps))) < np.pi / 2:
-                k = round(total / (2 * np.pi))
-                if abs(total - 2 * np.pi * k) < 0.1:
-                    return DiscCount(
-                        zeros=int(k),
-                        radius=r,
-                        requested_radius=r0,
-                        points=len(ts),
-                        min_abs=mn,
-                    )
-                last_reason = "winding total %.6f not near a multiple of 2 pi" % total
-                break
-            if len(ts) < 2 ** 12:
-                ts = np.arange(2 * len(ts), dtype=np.float64) / (2 * len(ts))
-                continue
-            # local bisection of offending segments
-            bad = np.nonzero(np.abs(steps) >= np.pi / 2)[0]
-            if len(ts) > 2 ** 21:
-                last_reason = "contour refinement exploded"
-                break
-            nxt = ts[(bad + 1) % len(ts)]
-            nxt = np.where(nxt <= ts[bad], nxt + 1.0, nxt)
-            mids = ((ts[bad] + nxt) / 2.0) % 1.0
-            ts = np.unique(np.concatenate([ts, mids]))
-        else:
-            last_reason = "refinement loop exhausted"
-    raise CertificationError(
-        "could not certify the winding number at radius %.6g: %s"
-        % (r0, last_reason or "unknown")
-    )
+    k = d // 2
+    v_r = (radius * (2 * math.pi) ** k / math.sqrt(conductor)) ** (1 / k)
+    v = np.arange(math.ceil(16 * v_r) + 33) / 8
+    s, x = v[-1] ** k, (v / v[-1]) ** k
+    a = _neg_series(k, s)
+    vals = np.polyval(a[::-1], x)
+    # a sign counts where the value beats its rounding: J units from x,
+    # 3 J from the coefficients and 2 J from Horner's rule
+    slack = 6 * len(a) * 2.0 ** -52 * np.polyval(np.abs(a[::-1]), x)
+    signs = np.where(np.abs(vals) > slack, np.sign(vals), 0)
+    kept = np.flatnonzero(signs)
+    cells = [(v[i], v[j], signs[i], slack[j]) for i, j in zip(kept, kept[1:])
+             if signs[i] != signs[j]]
+    ends = [0.0] + [e for c in cells for e in c[:2]] + [v[-1]]
+    # the last gap's middle lies past v_r + 2, so one qualifies
+    i = next(i for i in range(0, len(ends), 2)
+             if ends[i] + ends[i + 1] >= 2 * v_r)
+    brackets = [_bracket(k, a, s, lo ** k, hi ** k, sign, tol)
+                for lo, hi, sign, tol in cells[:i // 2]]
+    aw = _neg_series(k, ((ends[i] + ends[i + 1]) / 2) ** k)
+    n = 2 ** 10
+    phases = np.angle(np.polyval(aw[::-1],
+                                 -np.exp(2j * np.pi * np.arange(n) / n)))
+    steps = (np.diff(phases, append=phases[0]) + np.pi) % (2 * np.pi) - np.pi
+    if not np.max(np.abs(steps)) < np.pi / 2 or \
+            round(np.sum(steps) / (2 * np.pi)) != len(brackets):
+        raise CertificationError("the winding count does not confirm the "
+                                 "%d brackets" % len(brackets))
+    # y = (2 pi)^k/sqrt(N) between Fractions to 2^-128, inside the brackets
+    pi_lo, pi_hi = (Fraction(*to_rational(mpf_pi(128, rnd)))
+                    for rnd in (round_floor, round_ceiling))
+    root = isqrt(conductor << 256)
+    y_lo, y_hi = ((2 * pi_lo) ** k * 2 ** 128 / (root + 1),
+                  (2 * pi_hi) ** k * 2 ** 128 / root)
+    roots = [(Fraction(lo) / y_hi, Fraction(hi) / y_lo) for lo, hi in brackets]
+    if any(lo < radius <= hi for lo, hi in roots):
+        raise CertificationError("a zero lies too near |z| = %r" % radius)
+    inside = tuple((lo, hi) for lo, hi in roots if hi < radius)
+    return DiscCount(zeros=len(inside), radius=radius, points=n, roots=inside)
 
 
 def disc_transition_table(d, n_limit, radius=1.0):
-    """Conductor thresholds where the |z| < radius zero count of F_{d,N}
-    drops.  Returns [(N, count at N), ...] listing each first conductor
-    with a new (lower) count, exploiting that the count is nonincreasing
-    in N.  Binary searches each drop, so large n_limit is cheap."""
+    """[(N, count at N), ...] for each first conductor up to n_limit with
+    a new (lower) count of zeros of F_{d,N} in |z| < radius.  The zeros of
+    F_{d,N} are those of F_{d,1} times sqrt(N), so the zero -x leaves the
+    disc at N = ceil(radius^2/x^2), read exactly from its bracket or else
+    CertificationError."""
     if n_limit < 1:
         raise InputError("n_limit must be at least 1")
-    cache = {}
-
-    def cnt(n):
-        if n not in cache:
-            cache[n] = count_disc_zeros(d, n, radius).zeros
-        return cache[n]
-
-    out = [(1, cnt(1))]
-    cur = out[0][1]
-    lo = 1
-    while cur > cnt(n_limit):
-        # smallest n with cnt(n) < cur
-        hi = n_limit
-        l = lo
-        while l + 1 < hi:
-            mid = (l + hi) // 2
-            if cnt(mid) < cur:
-                hi = mid
-            else:
-                l = mid
-        out.append((hi, cnt(hi)))
-        cur = cnt(hi)
-        lo = hi
-    return out
+    count = count_disc_zeros(d, 1, radius)
+    r2 = Fraction(count.radius) ** 2
+    drops = [(math.ceil(r2 / hi ** 2), math.ceil(r2 / lo ** 2))
+             for lo, hi in count.roots]
+    if any(first <= n_limit and first != last for first, last in drops):
+        raise CertificationError("a zero of F_{%d,1} leaves |z| < %g at an "
+                                 "undecided conductor" % (d, radius))
+    firsts = sorted({first for first, _ in drops if first <= n_limit})
+    return [(1, count.zeros)] + [
+        (n, sum(1 for first, _ in drops if first > n)) for n in firsts]

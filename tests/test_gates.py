@@ -10,6 +10,7 @@ from mpmath import mp
 from periodpoly import (
     InputError,
     LFunctionData,
+    RealPolynomial,
     build_Q_poly,
     compute_A_m,
     coefficient_inequalities,
@@ -175,3 +176,23 @@ class TestRoucheTransfer:
     def test_rejects_m1(self, sym3_data):
         with pytest.raises(InputError):
             rouche_transfer(sym3_data, None, None)
+
+    def test_meeting_discs_withhold_the_certificate(self):
+        # T = (z - 1/2)(z - 1/2 - 2^-100): min |T| on the circle (about
+        # 1/4) beats the bound, but the two inclusion discs about 1/2 meet,
+        # so they may hold one root between them and the count is unproved
+        data = LFunctionData(weight=5, degree=6, conductor=2 * 10 ** 8 + 7,
+                             hodge=(1, 1, 1), root_number=1,
+                             coefficients=(mp.mpf(1),), label="near-double")
+        with mp.workprec(128):
+            e = mp.mpf(2) ** -100
+            t = RealPolynomial(((mp.mpf(0.25) + e / 2, 0), (-(1 + e), 0),
+                                (1, 0)), bits=128)
+        (z1, r1), (z2, r2) = poly_roots(t)
+        assert abs(z1 - z2) <= r1 + r2
+        assert all(abs(z) + r < 1 for z, r in ((z1, r1), (z2, r2)))
+        rt = rouche_transfer(data, mp.mpf("0.01"), t)
+        assert rt.min_t > rt.remainder_bound
+        assert rt.t_disc_zeros == 2
+        assert not rt.certified
+        assert rt.q_disc_zeros is None

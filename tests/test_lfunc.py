@@ -65,7 +65,7 @@ class TestDataValidation:
 
     @pytest.mark.parametrize("weight,hodge,conductor", [
         (3, (0, 0), 11), (3, (1, 1), 0), (4, (1, 1), 11), (3, (1, -1), 11),
-        (3, (1,), 11)])
+        (3, (1,), 11), (3, (1.5, 1), 11), (3, (1, 1), 11.5)])
     def test_header_validates_itself(self, weight, hodge, conductor):
         # an AfePlan reads a Header alone, so the Header checks what it holds
         with pytest.raises(InputError):

@@ -2,7 +2,8 @@
 names the package exports."""
 
 import periodpoly
-from periodpoly import analyze
+from periodpoly import analyze, count_disc_zeros
+from periodpoly.cli import _rouche_obj
 
 
 def test_all_names_resolve_once():
@@ -18,3 +19,19 @@ def test_sym3_analysis_passes(sym3_data, sym3_vals):
     assert result.circle.num_on == 2
     # eps = +1: no forced root joins the angles
     assert result.discrepancy == result.circle.discrepancy
+
+
+def test_sym5_rouche_transfer_certifies(sym5_data, sym5_vals):
+    result = analyze(sym5_data, sym5_vals)
+    rt = result.rouche
+    assert result.rouche_error is None
+    assert rt.certified
+    assert rt.t_disc_zeros == 0
+    assert rt.q_disc_zeros == sym5_data.m
+    assert rt.f_disc_zeros == count_disc_zeros(6, 11 ** 5).zeros
+    # the report renders the certified branch
+    obj = _rouche_obj(result)
+    assert obj["certified"] is True
+    assert obj["q_disc_zeros"] == sym5_data.m
+    assert set(obj) == {"certified", "min_t_on_circle", "remainder_bound",
+                        "t_disc_zeros", "f_disc_zeros", "q_disc_zeros"}

@@ -7,6 +7,7 @@ in the acceptance suite; here the counts themselves are anchored.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -25,7 +26,7 @@ from periodpoly import (
     star_discrepancy,
     trig_sign_changes,
 )
-from periodpoly.zeros import circle_values
+from periodpoly.zeros import _exact_sign, _neg_series, circle_values
 
 
 def rp(*coeffs, bits=192):
@@ -216,11 +217,14 @@ class TestDiscCounts:
             assert got.zeros == want, n
 
     def test_count_result_fields(self):
+        # N = 10 lies between the d = 4 transitions at 5 and 27
         c = count_disc_zeros(4, 10)
-        assert c.requested_radius == 1.0
-        assert 0.99 <= c.radius <= 1.01
+        assert c.radius == 1.0
+        assert c.zeros == len(c.roots) == 2
         assert c.points >= 1024
-        assert c.min_abs > 0
+        for lo, hi in c.roots:
+            assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+            assert 0 < lo < hi < 1
 
     def test_radius_validation(self):
         with pytest.raises(InputError):
@@ -241,3 +245,54 @@ class TestDiscCounts:
     def test_transition_table_validates(self):
         with pytest.raises(InputError):
             disc_transition_table(4, 0)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    def test_degree_4_matches_bessel_zeros(self, radius):
+        # sum_j (-t)^j/(j!)^2 = J_0(2 sqrt(t)), and F_{4,1}(z) is that sum at
+        # t = -(2 pi)^2 z: its k-th zero is -j_{0,k}^2/(16 pi^2), which
+        # leaves |z| < r at N = ceil(16 r^2 (2 pi)^4/j_{0,k}^4)
+        with mp.workprec(128):
+            zeros = list(itertools.takewhile(
+                lambda j: j < 4 * mp.pi * mp.sqrt(radius),
+                (mp.besseljzero(0, k) for k in itertools.count(1))))
+            drops = sorted(int(mp.ceil(16 * radius ** 2 * (2 * mp.pi) ** 4
+                                       / j ** 4)) for j in zeros)
+            count = count_disc_zeros(4, 1, radius)
+            assert count.zeros == len(zeros)
+            for (lo, hi), j in zip(count.roots, zeros):
+                x = j ** 2 / (16 * mp.pi ** 2)
+                assert mp.mpf(lo.numerator) / lo.denominator < x
+                assert x < mp.mpf(hi.numerator) / hi.denominator
+        c = len(zeros)
+        assert disc_transition_table(4, 10 ** 4, radius) == \
+            [(1, c)] + [(n, c - i) for i, n in enumerate(drops, 1)]
+
+    def test_exact_sign_is_never_wrong(self):
+        # for d = 4, G(-u) = J_0(2 sqrt(u)): about its first zero the sign
+        # is proved or left at 0, never wrong; too few terms prove nothing
+        terms = len(_neg_series(2, 100.0)) - 1
+        with mp.workprec(128):
+            t1 = mp.besseljzero(0, 1) ** 2 / 4
+            for rel in (-1e-9, -1e-15, 0, 1e-15, 1e-9):
+                u = float(t1 * (1 + rel))
+                want = int(mp.sign(mp.besselj(0, 2 * mp.sqrt(u))))
+                got = _exact_sign(2, u, terms)
+                assert got == want if abs(rel) >= 1e-9 else got in (0, want)
+        assert _exact_sign(2, 50.0, 3) == 0
+
+    def test_degree_8_last_transition(self):
+        # the last zero of F_{8,1} in the unit disc, -x with x = 6.8699e-4,
+        # leaves it at N = ceil(1/x^2) = 2118835 (mpmath, 50 digits)
+        assert disc_transition_table(8, 3 * 10 ** 6)[-1] == (2118835, 0)
+
+    def test_tables_agree_with_counts_at_each_transition(self):
+        # each transition N puts a zero within about 1/(2N) of the circle
+        # at N - 1 and N, where a count must still decide
+        for d in range(2, 13, 2):
+            for radius in (0.5, 1.0, 2.0):
+                table = disc_transition_table(d, 10 ** 9, radius)
+                counts = [c for _, c in table]
+                assert all(a > b for a, b in zip(counts, counts[1:]))
+                for (_, before), (n, after) in zip(table, table[1:]):
+                    assert count_disc_zeros(d, n - 1, radius).zeros == before
+                    assert count_disc_zeros(d, n, radius).zeros == after
