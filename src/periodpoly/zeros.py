@@ -3,22 +3,12 @@
 Three independent devices certify where the zeros of the special-value
 polynomials live:
 
-1. poly_roots: root isolation in two stages, with a per-root inclusion
-   radius.  Aberth-Ehrlich sweeps in complex128 converge all roots from
-   companion-matrix seeds together; then each root is polished alone by
-   Newton steps (with the Aberth correction against the complex128
-   positions of the others) in fixed-point Python integers, and stops
-   once its step has converged or stopped shrinking.  The polish scales
-   each root by the power of two rho nearest |z|, so its integers hold
-   c_j rho^j relative to max_j |c_j| rho^j: one absolute scale for all
-   roots would lose to cancellation the digits of the high-degree
-   zeta-polynomials.  The radius applies the classical bound (the disc
-   of radius deg * |p(z)/p'(z)| about z contains a root) to every
-   polynomial within the coefficient error bounds, since our
-   coefficients are special values known only to such bounds: the
-   largest change of p(z) over that ball, and the Horner rounding bound
-   of the fixed-point evaluation, are added to |p(z)|, and the largest
-   change of p'(z) and its rounding bound are subtracted from |p'(z)|.
+1. poly_roots: root isolation with a per-root inclusion radius: complex128
+   Aberth-Ehrlich sweeps down to their rounding floor, then a fixed-point
+   polish of each root alone, scaled by the power of two nearest |z| (one
+   absolute scale would lose to cancellation the digits of the
+   high-degree zeta-polynomials), and the classical radius deg |p/p'|
+   widened to hold for every polynomial within the coefficient errors.
 
 2. trig_sign_changes: on |z| = 1 a (anti)palindromic real polynomial
    reduces to a pure cosine (eps = +1) or sine (eps = -1) polynomial in
@@ -42,8 +32,11 @@ from numbers import Integral
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (mpf_cos_sin, mpf_neg, mpf_pi, round_ceiling,
-                          round_floor, to_fixed, to_rational)
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_abs, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_pow, mpf_shift, mpf_sqrt, mpf_sub,
+                          round_ceiling, round_floor, round_nearest, to_fixed,
+                          to_rational)
 
 from .errors import CertificationError, InputError
 
@@ -92,19 +85,26 @@ def _error_bounds(es, t, f):
     derivative sum_j j es[j] |u|^(j-1), and on how far _horner's q(u) and
     q'(u) lie from those of the exact coefficients, given that each cs[j]
     is within one unit of its exact value, for every u with |u| 2^f <= t."""
-
-    def up(x):  # ceil(x 2^-f)
-        return -(-x >> f)
-
     err = derr = ra = rb = 0
     for ej in reversed(es):
-        # per step: q' gains the error of q and sqrt(2) < 2 units; q gains
-        # sqrt(2) + 1 < 3 units (product and coefficient)
-        rb = up(rb * t) + ra + 2
-        ra = up(ra * t) + 3
-        derr = up(derr * t) + err
-        err = up(err * t) + ej
+        # per step, products rounded up: q' gains the error of q and
+        # sqrt(2) < 2 units; q gains sqrt(2) + 1 < 3 units (product, c_j)
+        rb = -(-rb * t >> f) + ra + 2
+        ra = -(-ra * t >> f) + 3
+        derr = -(-derr * t >> f) + err
+        err = -(-err * t >> f) + ej
     return err, derr, ra, rb
+
+
+def _scaled(p, k, f):
+    """(m, cs, es): q(u) = p(2^k u) 2^-m, largest coefficient in [1/2, 1),
+    has coefficients cs and error bounds es (rounded up) in units 2^-f."""
+    parts = [v._mpf_ for v in p.values()]
+    m = max((exp + bc + j * k for j, (_, man, exp, bc) in enumerate(parts)
+             if man), default=0)
+    sh = [f + j * k - m for j in range(len(parts))]
+    return m, [to_fixed(c, s) for c, s in zip(parts, sh)], [
+        -to_fixed(mpf_neg(e._mpf_), s) for e, s in zip(p.errors(), sh)]
 
 
 def circle_values(p, thetas):
@@ -121,10 +121,7 @@ def circle_values(p, thetas):
     sum_j e_j, the Horner rounding, and 2 units times sum_j j |a_j|
     t^(j-1), which bounds how far p moves between u and e^{i theta}."""
     f = p.bits + 32
-    parts = [v._mpf_ for v in p.values()]
-    m = max((exp + bc for _, man, exp, bc in parts if man), default=0)
-    cs = [to_fixed(c, f - m) for c in parts]
-    es = [-to_fixed(mpf_neg(e._mpf_), f - m) for e in p.errors()]
+    m, cs, es = _scaled(p, 0, f)
     t = (1 << f) + 2
     err, _, ra, _ = _error_bounds(es, t, f)
     _, slope, _, _ = _error_bounds([abs(c) + 1 for c in cs], t, f)
@@ -139,9 +136,11 @@ def circle_values(p, thetas):
 def _aberth_float(desc, seeds):
     """complex128 Aberth-Ehrlich sweeps over all roots of the polynomial
     with descending coefficients desc, until every step is below
-    _FLOAT_STOP of its root or after _ABERTH_ITERS sweeps."""
+    _FLOAT_STOP of its root, or the largest relative step stops shrinking
+    within 10 _FLOAT_STOP (the rounding floor: degree-30 products hover
+    at 1e-14 to 6e-14, clusters far above), or after _ABERTH_ITERS sweeps."""
     ddesc = np.polyder(desc)
-    z = seeds.copy()
+    z, last = seeds.copy(), math.inf
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_ITERS):
             w = np.polyval(desc, z) / np.polyval(ddesc, z)
@@ -150,8 +149,11 @@ def _aberth_float(desc, seeds):
             step = w / (1 - w * (1 / diff).sum(axis=1))
             step[~np.isfinite(step)] = 0
             z -= step
-            if np.all(np.abs(step) <= _FLOAT_STOP * np.abs(z)):
+            rel = np.max(np.abs(step) / np.abs(z))  # nan if a root is 0
+            if np.all(np.abs(step) <= _FLOAT_STOP * np.abs(z)) or \
+                    last <= rel <= 10 * _FLOAT_STOP:
                 break
+            last = rel
     return z
 
 
@@ -188,20 +190,21 @@ def _polish(cs, ur, ui, others, f, stop):
 
 def poly_roots(p):
     """All complex roots of a RealPolynomial with certified inclusion
-    radii, as a list of (root, radius) sorted by argument.
+    radii, as a list of (root, radius) ordered by the double-precision
+    argument in [0, 2 pi) and modulus of each returned root, ties kept in
+    seed order, whatever the caller's precision.
 
-    Seeds come from the numpy companion matrix.  Aberth-Ehrlich sweeps
-    in complex128 converge all roots together; each root is then
-    polished alone in fixed point at p.bits + 16 plus guard bits, scaled
-    by the power of two nearest its modulus, and stops once its step
-    falls below 2^(8 - p.bits) of the root or stops shrinking.  Roots are
-    returned at p.bits + 16.  Each radius holds a root of every
-    polynomial within the coefficient error bounds e_j: it adds
-    sum_j e_j |z|^j to the residual |p(z)| at the returned point and
-    subtracts sum_j j e_j |z|^(j-1) from |p'(z)|, each with the rounding
-    of that evaluation, and a clustered root's bound divides by
-    |lead| - e_lead.  Raises InputError for a degenerate (leading
-    coefficient not certifiably nonzero) input.
+    _aberth_float converges the numpy companion-matrix seeds; each root is
+    then polished alone in fixed point at p.bits + 16 plus guard bits,
+    scaled by the power of two 2^k nearest its modulus (once per k),
+    until its step falls below 2^(8 - p.bits) of the root or stops
+    shrinking, and returned at p.bits + 16.  Each radius holds a root of
+    every polynomial within the coefficient error bounds e_j: it adds
+    sum_j e_j |z|^j to |p(z)| and subtracts sum_j j e_j |z|^(j-1) from
+    |p'(z)|, each with its rounding, in libmp rounded to nearest at
+    p.bits + 16; a cluster's bound divides by |lead| - e_lead.  Raises
+    InputError for a degenerate (leading coefficient not certifiably
+    nonzero) input.
     """
     if p.degenerate:
         raise InputError(
@@ -223,47 +226,44 @@ def poly_roots(p):
 
     f = p.bits + 16 + _POLISH_GUARD_BITS
     stop = 1 << 2 * (f + 8 - p.bits)
-    parts = [v._mpf_ for v in p.values()]
-    neg_errs = [mpf_neg(e._mpf_) for e in p.errors()]
+    prec, rnd = p.bits + 16, round_nearest
+    lead = mpf_sub(mpf_abs(p.values()[-1]._mpf_, prec, rnd),
+                   p.errors()[-1]._mpf_, prec, rnd)
+    ks = [round(math.log2(abs(z0))) if z0 else 0 for z0 in zf]
+    scaled = {k: _scaled(p, k, f) for k in set(ks)}
     out = []
-    for i, z0 in enumerate(zf):
-        # z = 2^k u with |u| near 1; q(u) = p(2^k u) 2^-m has every
-        # coefficient below 1 in modulus and the largest above 1/2
-        k = round(math.log2(abs(z0))) if z0 else 0
-        m = max(exp + bc + j * k
-                for j, (_, man, exp, bc) in enumerate(parts) if man)
-        cs = [to_fixed(c, f + j * k - m) for j, c in enumerate(parts)]
+    for i, (z0, k) in enumerate(zip(zf, ks)):
+        m, cs, es = scaled[k]  # z = 2^k u with |u| near 1
         others = np.delete(zf, i) / 2.0 ** k
         ur, ui = _polish(cs, _fixed(z0.real / 2.0 ** k, f),
                          _fixed(z0.imag / 2.0 ** k, f), others, f, stop)
         if ui * ui <= stop:
-            # p is real: an imaginary part below the step tolerance is
-            # noise, whose sign would otherwise decide whether a positive
-            # real root sorts first or last
+            # p is real: an imaginary part under the step tolerance is noise;
+            # its sign would put a positive real root first or last
             ui = 0
-        with mp.workprec(p.bits + 16):
-            z = mp.mpc(mp.mpf((ur, k - f)), mp.mpf((ui, k - f)))
-            # rounding to p.bits + 16 leaves z on the fixed-point grid,
-            # so the radius pass evaluates at exactly the returned z
-            ur = to_fixed(z.real._mpf_, f - k)
-            ui = to_fixed(z.imag._mpf_, f - k)
-            ar, ai, br, bi = _horner(cs, ur, ui, f)
-            # the coefficient errors scaled like cs, rounded up
-            es = [-to_fixed(e, f + j * k - m) for j, e in enumerate(neg_errs)]
-            perr, derr, ra, rb = _error_bounds(
-                es, isqrt(ur * ur + ui * ui) + 1, f)
-            lead = abs(p.values()[-1]) - p.errors()[-1]
-            resid = mp.ldexp(mp.sqrt(ar * ar + ai * ai) + perr + ra, m - f)
-            dp_low = mp.ldexp(mp.sqrt(br * br + bi * bi) - rb - derr,
-                              m - k - f)
-            if dp_low > mp.ldexp(lead, -(p.bits // 2)):
-                rad = deg * resid / dp_low
-            else:
-                # clustered/multiple root: product-of-distances bound
-                rad = (resid / lead) ** (mp.mpf(1) / deg)
-            out.append((z, +rad))
-    out.sort(key=lambda t: (mp.arg(t[0]) % (2 * mp.pi), abs(t[0])))
-    return out
+        # rounding to p.bits + 16 leaves z on the fixed-point grid, so the
+        # radius pass evaluates at exactly the returned z
+        re, im = (from_man_exp(x, k - f, prec, rnd) for x in (ur, ui))
+        ur, ui = to_fixed(re, f - k), to_fixed(im, f - k)
+        ar, ai, br, bi = _horner(cs, ur, ui, f)
+        perr, derr, ra, rb = _error_bounds(es, isqrt(ur * ur + ui * ui) + 1, f)
+        resid = mpf_sqrt(from_int(ar * ar + ai * ai), prec, rnd)
+        dp_low = mpf_sqrt(from_int(br * br + bi * bi), prec, rnd)
+        for a, b in ((perr, rb), (ra, derr)):
+            resid = mpf_add(resid, from_int(a), prec, rnd)
+            dp_low = mpf_sub(dp_low, from_int(b), prec, rnd)
+        resid, dp_low = mpf_shift(resid, m - f), mpf_shift(dp_low, m - k - f)
+        if mpf_gt(dp_low, mpf_shift(lead, -(p.bits // 2))):
+            rad = mpf_div(mpf_mul(resid, from_int(deg), prec, rnd), dp_low,
+                          prec, rnd)
+        else:
+            # clustered/multiple root: product-of-distances bound
+            rad = mpf_pow(mpf_div(resid, lead, prec, rnd),
+                          mpf_div(fone, from_int(deg), prec, rnd), prec, rnd)
+        x, y = math.ldexp(ur, k - f), math.ldexp(ui, k - f)
+        out.append((math.atan2(y, x) % (2 * math.pi), math.hypot(x, y), i,
+                    mp.make_mpc((re, im)), mp.make_mpf(rad)))
+    return [t[3:] for t in sorted(out)]
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,16 @@ the session-fixture construction costs and its timing criteria measure
 the real builds.
 """
 
+import hashlib
 import math
 import os
 import random
 import sys
 import time
-from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from periodpoly import zeros
@@ -405,21 +406,117 @@ def test_polish_stops_early(monkeypatch):
     """Each root of suite polynomial 99 (Z of degree 36) stops polishing
     within 8 steps; one more kernel pass gives its radius."""
     z = rv_transform(random_circle_suite()[99])
-    kernel = zeros._horner
-    passes = []
+    kernel, polish = zeros._horner, zeros._polish
+    passes = [0]  # every Horner pass of the call
+    steps = []  # the Horner passes, one per step, of each _polish call
 
-    def counting(cs, *args):
-        passes.append(cs)  # keeps each root's coefficient list, and id, alive
-        return kernel(cs, *args)
+    def counting(*args):
+        passes[0] += 1
+        return kernel(*args)
+
+    def polishing(*args):
+        start = passes[0]
+        out = polish(*args)
+        steps.append(passes[0] - start)
+        return out
 
     monkeypatch.setattr(zeros, "_horner", counting)
+    monkeypatch.setattr(zeros, "_polish", polishing)
     poly_roots(z)
-    # each root is polished on its own scaled coefficient list
-    per_root = Counter(map(id, passes))
-    steps = max(per_root.values()) - 1
-    criterion("polish-stops-early", len(per_root) == z.degree and steps <= 8,
-              "degree %d, %d roots, at most %d polish steps per root"
-              % (z.degree, len(per_root), steps))
+    radius_passes = passes[0] - sum(steps)
+    criterion("polish-stops-early",
+              len(steps) == radius_passes == z.degree and max(steps) <= 8,
+              "degree %d, %d roots, at most %d polish steps per root, %d "
+              "radius passes" % (z.degree, len(steps), max(steps),
+                                 radius_passes))
+
+
+def test_root_order_ignores_caller_precision():
+    """Suite polynomial 0 comes back in one order under 53 and 300 bits:
+    roots sort by the double angle and modulus of each returned root, so
+    the caller's precision cannot reorder the near-ties at angle pi of its
+    (1 + z) cluster."""
+    u = random_circle_suite()[0]
+    with mp.workprec(53):
+        low = poly_roots(u)
+    with mp.workprec(300):
+        high = poly_roots(u)
+    moved = sum(1 for a, b in zip(low, high) if a != b)
+    criterion("root-order-precision-free", low == high,
+              "degree %d, %d of %d places differ"
+              % (u.degree, moved, len(low)))
+
+
+def test_sweeps_stop_at_the_floor(monkeypatch):
+    """The complex128 Aberth sweeps end at their rounding floor: each
+    circle-rv seed-1 polynomial of degree 28 or more within 5 sweeps
+    (stopping only below _FLOAT_STOP, six of the eight ran 16 to 60),
+    while the cluster of (1 + z)^4, far above the floor, runs all 60."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CIRCLE_SHAPES, circle_polynomials
+
+    fill, sweep = np.fill_diagonal, zeros._aberth_float
+    sweeps = []  # one np.fill_diagonal per sweep, counted per call
+
+    def counting(*args):
+        sweeps[-1] += 1
+        return fill(*args)
+
+    def sweeping(desc, seeds):
+        sweeps.append(0)
+        return sweep(desc, seeds)
+
+    monkeypatch.setattr(np, "fill_diagonal", counting)
+    monkeypatch.setattr(zeros, "_aberth_float", sweeping)
+    polys = []
+    for u, n_plus in circle_polynomials(1, CIRCLE_SHAPES):
+        polys += [rv_transform(u)] + ([u] if n_plus == 0 else [])
+    high = []
+    for p in polys:
+        poly_roots(p)
+        if p.degree >= 28:
+            high.append((p.degree, sweeps[-1]))
+    poly_roots(real_poly([1, 4, 6, 4, 1]))
+    ok = len(high) == 8 and max(n for _, n in high) <= 5 and \
+        sweeps[-1] == zeros._ABERTH_ITERS
+    criterion("sweeps-stop-at-floor", ok,
+              "(degree, sweeps) %s; (1 + z)^4: %d sweeps" % (high, sweeps[-1]))
+
+
+# sha256 of poly_roots' output on the inputs of test_root_isolation_digest,
+# recorded before the sweeps stopped at their floor; a change to any root,
+# radius or order must update it on purpose
+ROOT_DIGEST = ("90f87702a75b931742438c143ee2f46e"
+               "a8bd554c334b7accc89da85e949d9a11")
+
+
+def test_root_isolation_digest(sym3_data, sym3_vals):
+    """Root isolation's exact output, pinned: the (sign, mantissa,
+    exponent) of every root and radius, in order, over the circle-rv
+    seed-1 polynomials (each Z, and each U without a 1 + z factor) and
+    the circle report of the sym3 p-hat."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CIRCLE_SHAPES, circle_polynomials
+
+    t0 = time.perf_counter()
+    located = []
+    for u, n_plus in circle_polynomials(1, CIRCLE_SHAPES):
+        located += poly_roots(rv_transform(u))
+        if n_plus == 0:
+            located += poly_roots(u)
+    p_hat = deflate_at_one(build_p_poly(sym3_data, sym3_vals),
+                           sym3_data.root_number)
+    circ = circle_report(p_hat)
+    located += zip(circ.roots, circ.radii)
+    h = hashlib.sha256()
+    for z, r in located:
+        for v in (z.real, z.imag, r):
+            sign, man, exp, _ = v._mpf_
+            h.update(b"%d %x %d;" % (sign, man, exp))
+    elapsed = time.perf_counter() - t0
+    criterion("root-isolation-digest", h.hexdigest() == ROOT_DIGEST,
+              "%d roots, sha256 %s, %.2fs" % (len(located), h.hexdigest(),
+                                              elapsed))
 
 
 def test_closed_form_equivalence(sym3_data, sym3_vals, sym5_data, sym5_vals,
