@@ -1,10 +1,11 @@
 """The analysis of one dataset as a library call.
 
 analyze() calls each step of the analysis once and keeps what it returns.
-p, its deflation p_hat, the L-value ratios, Q, the truncation T, the
-remainder bound and the zeta-polynomial Z are built once and handed to
-the steps that read them (build_P_poly, rv_transform, build_Q_poly,
-q_decomposition_residual, rouche_transfer, closed_form_ok).
+p, its deflation p_hat, P, Q = P/Lambda(w), the truncation T, the L-value
+ratios read off Q and T, the remainder bound and the zeta-polynomial Z are
+built once and handed to the steps that read them (build_P_poly,
+rv_transform, build_Q_poly, l_value_ratios, q_decomposition_residual,
+rouche_transfer, closed_form_ok).
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
 """
@@ -80,15 +81,15 @@ def analyze(data, vals, sym_context=None):
     level) for a symmetric-power dataset, else None."""
     violations = verify_hypothesis(data, vals)
     p = build_p_poly(data, vals)
-    ratios = l_value_ratios(data, vals)
     big_p = build_P_poly(p)
+    big_q = build_Q_poly(big_p, vals)
     p_hat = deflate_at_one(p, data.root_number)
     circ = circle_report(p_hat)
     angles = circ.on_angles()
     if data.root_number == -1:
         angles.append(0.0)
-    big_q = build_Q_poly(data, ratios)
-    t = partial_sum_T(data.m, data.degree, data.conductor, bits=ratios.bits)
+    t = partial_sum_T(data.m, data.degree, data.conductor, bits=big_q.bits)
+    ratios = l_value_ratios(big_q, t)
     bound = s_tail_parts(big_q, t)
 
     rouche = rouche_error = None
@@ -111,7 +112,7 @@ def analyze(data, vals, sym_context=None):
         circle=circ,
         discrepancy=star_discrepancy(angles),
         trig=trig_sign_changes(big_p, data.root_number),
-        q_residual=q_decomposition_residual(data, ratios, big_q, t),
+        q_residual=q_decomposition_residual(ratios, big_q, t),
         remainder_bound=bound,
         gate=theorem_gate(data, vals, sym_context=sym_context),
         rouche=rouche,

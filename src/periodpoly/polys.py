@@ -9,12 +9,29 @@ is
 a degree-2m polynomial with (anti)palindromic coefficients: the functional
 equation forces coeff(j) = eps * coeff(2m-j).  Folding it around the
 center gives P(z) of degree m with p(z) = eps z^m (P(z) + eps P(1/z)).
-Normalizing by the archimedean factors turns the large-N shape transparent:
+Normalizing by Lambda(w) turns the large-N shape transparent:
 
-    Q(z) = z^m sum_{j=0}^{m-1} c_j z^{-j} L(w-j)/L(w) + (1/2) c_m L(m+1)/L(w),
-    c_j  = (1/(j!)^{d/2}) ((2pi)^{d/2}/sqrt(N))^j,
+    Q(z) = P(z)/Lambda(w)
+         = z^m sum_{j=0}^{m-1} c_j z^{-j} L(w-j)/L(w) + (1/2) c_m L(m+1)/L(w),
+    c_j  = (1/(j!)^{d/2}) ((2pi)^{d/2}/sqrt(N))^j.
 
-whose z^m-truncation error is controlled by the entire limit series
+The archimedean factors cancel exactly.  P's z^{m-j} coefficient is
+b_j Lambda(w-j) (halved at j = m), b_j = prod_nu C(2m-nu, j)^{h_nu}, and
+Lambda(s) = N^{s/2} L_inf(s) L(s) with L_inf(s) = prod_nu Gamma_C(s-nu)^{h_nu},
+Gamma_C(s) = 2 (2pi)^{-s} Gamma(s).  For each nu, as w - nu = 2m+1-nu,
+
+    C(2m-nu, j) Gamma_C(w-j-nu)/Gamma_C(w-nu)
+        = (2m-nu)!/(j! (2m-nu-j)!) * (2pi)^j (2m-nu-j)!/(2m-nu)! = (2pi)^j/j!,
+
+and N^{(w-j)/2}/N^{w/2} = N^{-j/2}; with d = 2 sum_nu h_nu,
+
+    b_j Lambda(w-j)/Lambda(w) = c_j L(w-j)/L(w)
+
+for any Hodge numbers.  So P = Lambda(w) Q coefficient by coefficient,
+Q's z^m coefficient is 1, and build_Q_poly divides P by Lambda(w) without
+evaluating Gamma; the ratios L(w-j)/L(w) = Q_{m-j}/c_j are read off Q.
+
+Q's z^m-truncation error is controlled by the entire limit series
 
     F_{d,N}(z) = sum_{j>=0} c_j z^j.
 
@@ -33,14 +50,13 @@ min |T| on the circle, this transfers the disc-zero count from T to Q
 (Rouche).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import mpmath as mp
 from mpmath.libmp import mpf_pos, mpf_sub, mpf_sum, round_up
 
 from .errors import InputError, VerificationError
-from .lfunc import gamma_completed
 from .numutil import fmt_mpf
 
 
@@ -50,13 +66,13 @@ class RealPolynomial:
 
     coeffs is ascending: coeffs[j] = (value, error_bound) for z^j.  bits
     records the working precision its values were produced under; all
-    evaluation runs at that precision.  degenerate marks a leading
-    coefficient not distinguishable from zero.
+    evaluation runs at that precision.  degenerate, computed, marks a
+    leading coefficient not distinguishable from zero.
     """
 
     coeffs: tuple
     bits: int = 192
-    degenerate: bool = False
+    degenerate: bool = field(init=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -71,8 +87,8 @@ class RealPolynomial:
             )
         object.__setattr__(self, "coeffs", cs)
         lead_v, lead_e = cs[-1]
-        if abs(lead_v) <= lead_e and len(cs) > 1 and not self.degenerate:
-            object.__setattr__(self, "degenerate", True)
+        object.__setattr__(self, "degenerate",
+                           abs(lead_v) <= lead_e and len(cs) > 1)
 
     @property
     def degree(self):
@@ -127,6 +143,36 @@ def build_P_poly(p):
     return RealPolynomial(cs, bits=p.bits)
 
 
+def build_Q_poly(big_p, vals):
+    """Q = P/Lambda(w) (ascending coefficients; see the module docstring),
+    divided at vals.bits + 8.  Each error is err(P_k)/|Lambda(w)| +
+    |P_k| err(Lambda(w))/Lambda(w)^2 plus 2^(4 - bits) |Q_k| for the
+    rounding of P_k and of the quotient.  big_p is build_P_poly of the p
+    built from vals, so Lambda(w) is P_m (b_0 = 1) and Q_m = 1 exactly.
+
+    Raises VerificationError when Lambda(w) is not certified nonzero.
+    """
+    w = vals.weight
+    if w != 2 * big_p.degree + 1:
+        raise InputError("special values of weight %d for P of degree %d"
+                         % (w, big_p.degree))
+    bits = vals.bits
+    top_v, top_e = big_p.coeffs[-1]
+    with mp.workprec(bits + 8):
+        if abs(top_v) <= 2 * top_e:
+            raise VerificationError(
+                "Lambda(w) = %s +- %s is not certified nonzero; cannot form"
+                " Q = P/Lambda(w)" % (mp.nstr(top_v, 8), mp.nstr(top_e, 8))
+            )
+        slack = mp.mpf(2) ** (4 - bits)
+        cs = []
+        for v, e in big_p.coeffs:
+            q = v / top_v
+            cs.append((q, e / abs(top_v) + abs(v) * top_e / top_v ** 2
+                       + abs(q) * slack))
+    return RealPolynomial(tuple(cs), bits=bits)
+
+
 @dataclass(frozen=True)
 class LValueRatios:
     """Finite L-value ratios r_j = L(w-j)/L(w) for j = 0..m-1 plus the
@@ -134,86 +180,38 @@ class LValueRatios:
 
     ratios: tuple
     central: tuple
-    bits: int = 192
 
 
-def l_value_ratios(data, vals):
-    """Strip conductor and gamma factors from the completed values:
-    L(s) = Lambda(s) / (N^{s/2} L_inf(s)), then form the ratios entering Q.
-
-    Raises VerificationError when Lambda(w) is not certified nonzero.
-    """
-    m = data.m
-    w = data.weight
-    with mp.workprec(vals.bits + 8):
-        top_v = mp.mpf(vals.value(w))
-        top_e = mp.mpf(vals.error(w))
-        if abs(top_v) <= 2 * top_e:
-            raise VerificationError(
-                "Lambda(w) = %s +- %s is not certified nonzero; cannot form"
-                " L-value ratios" % (mp.nstr(top_v, 8), mp.nstr(top_e, 8))
-            )
-        g_top = gamma_completed(w, data, bits=vals.bits)
+def l_value_ratios(q, t):
+    """Read the ratios off Q and T = partial_sum_T: r_j = Q_{m-j}/T_j and
+    central = 2 Q_0/T_m, as T_j = c_j.  Each error is err(Q)/T +
+    |Q| err(T)/T^2 plus 2^-bits |r| for the rounding of the quotient at
+    q.bits + 8."""
+    if q.degree != t.degree:
+        raise InputError("Q and T must have the same degree")
+    m = q.degree
+    with mp.workprec(q.bits + 8):
+        slack = mp.mpf(2) ** -q.bits
         out = []
-        # s = w - j for j = 0..m-1, then the central s = m + 1
-        for s in [w - j for j in range(m)] + [m + 1]:
-            v = mp.mpf(vals.value(s))
-            e = mp.mpf(vals.error(s))
-            g = gamma_completed(s, data, bits=vals.bits)
-            # L(s)/L(w) = Lambda(s)/Lambda(w) * N^{(w-s)/2} * g_top/g
-            fac = mp.power(data.conductor, mp.mpf(w - s) / 2) * g_top / g
-            r = v / top_v * fac
-            re = (e / abs(top_v) + abs(v) * top_e / top_v ** 2) * abs(fac)
-            out.append((+r, +re))
-        return LValueRatios(ratios=tuple(out[:-1]), central=out[-1],
-                            bits=vals.bits)
-
-
-def _f_term_factor(d, n_cond, bits):
-    with mp.workprec(bits):
-        return mp.power(2 * mp.pi, mp.mpf(d) / 2) / mp.sqrt(n_cond)
-
-
-def _f_coeff(y, j, d):
-    """c_j = y^j / (j!)^{d/2}, the z^j coefficient of F_{d,N} when
-    y = (2pi)^{d/2}/sqrt(N), at the ambient precision."""
-    return mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2)
-
-
-def build_Q_poly(data, ratios):
-    """Gamma-normalized degree-m polynomial (ascending coefficients):
-    Q(z) = sum_{j=0}^{m-1} c_j r_j z^{m-j} + (1/2) c_m r_central,
-    with c_j = y^j/(j!)^{d/2}, y = (2pi)^{d/2}/sqrt(N).  The j = 0
-    coefficient is exactly 1.  ratios is l_value_ratios(data, vals).
-    Each error is c_j err(r_j) plus 2^(4 - bits) |c_j r_j| for the
-    rounding of c_j and of the product, as in partial_sum_T."""
-    m = data.m
-    d = data.degree
-    bits = ratios.bits
-    with mp.workprec(bits + 8):
-        slack = mp.mpf(2) ** (4 - bits)
-        y = _f_term_factor(d, data.conductor, bits + 8)
-        cs = [(mp.mpf(0), mp.mpf(0))] * (m + 1)
-        for j in range(0, m):
-            c = _f_coeff(y, j, d)
-            r, re = ratios.ratios[j]
-            cs[m - j] = (+(c * r), +(c * re + abs(c * r) * slack))
-        c = _f_coeff(y, m, d)
-        r, re = ratios.central
-        cs[0] = (+(c * r / 2), +((c * re + abs(c * r) * slack) / 2))
-    return RealPolynomial(tuple(cs), bits=bits)
+        for (qv, qe), (tv, te), scale in zip(
+                reversed(q.coeffs), t.coeffs, [1] * m + [2]):
+            r = scale * qv / tv
+            out.append((r, scale * (qe / tv + abs(qv) * te / tv ** 2)
+                        + abs(r) * slack))
+    return LValueRatios(ratios=tuple(out[:-1]), central=out[-1])
 
 
 def partial_sum_T(m, d, conductor, bits=192):
-    """Degree-m truncation T_{m,d,N} of F_{d,N} as a RealPolynomial (its
-    coefficient errors are pure rounding slack)."""
+    """Degree-m truncation T_{m,d,N} of F_{d,N}, c_j = y^j/(j!)^{d/2} with
+    y = (2pi)^{d/2}/sqrt(N), as a RealPolynomial (its coefficient errors
+    are pure rounding slack)."""
     if m < 0:
         raise InputError("m must be >= 0")
     with mp.workprec(bits + 8):
-        y = _f_term_factor(d, conductor, bits + 8)
+        y = mp.power(2 * mp.pi, mp.mpf(d) / 2) / mp.sqrt(conductor)
         cs = []
         for j in range(0, m + 1):
-            c = _f_coeff(y, j, d)
+            c = mp.power(y, j) / mp.factorial(j) ** (mp.mpf(d) / 2)
             cs.append((+c, +(abs(c) * mp.mpf(2) ** (4 - bits))))
     return RealPolynomial(tuple(cs), bits=bits)
 
@@ -232,25 +230,21 @@ def s_tail_parts(q, t):
     return mp.make_mpf(mpf_pos(total, q.bits, round_up))
 
 
-def q_decomposition_residual(data, ratios, q, t):
+def q_decomposition_residual(ratios, q, t):
     """Compare Q(z) and z^m T(1/z) + central + S(z) coefficient by
     coefficient, with S(z) = sum_{j<m} c_j (r_j - 1) z^{m-j} - c_m the
-    exact remainder.  Returns sum_k |residual_k|, which bounds the
-    residual's maximum over |z| = 1.  Pure consistency diagnostic: q is
-    build_Q_poly(data, ratios) and t is partial_sum_T at ratios.bits, all
-    built from the same ratios (l_value_ratios(data, vals)), so the
-    residual should sit at rounding level."""
-    m = data.m
-    d = data.degree
-    bits = ratios.bits
-    with mp.workprec(bits):
-        y = _f_term_factor(d, data.conductor, bits)
-        c = [_f_coeff(y, j, d) for j in range(m + 1)]
+    exact remainder and c_j = T_j.  Returns sum_k |residual_k|, which
+    bounds the residual's maximum over |z| = 1.  Pure consistency
+    diagnostic: ratios is l_value_ratios(q, t), so the residual should
+    sit at rounding level."""
+    m = q.degree
+    with mp.workprec(q.bits):
+        c = t.values()
         central = c[m] * ratios.central[0] / 2
-        # coefficients of z^{m-j}, j = 0..m: S has these, z^m T(1/z) has t_j
+        # coefficients of z^{m-j}, j = 0..m: S has these, z^m T(1/z) has c_j
         s = [c[j] * (ratios.ratios[j][0] - 1) for j in range(m)] + [-c[m]]
         resid = mp.fsum(
-            abs(q.values()[m - j] - t.values()[j] - s[j]
+            abs(q.values()[m - j] - c[j] - s[j]
                 - (central if j == m else 0))
             for j in range(m + 1))
         return +resid

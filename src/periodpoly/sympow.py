@@ -83,7 +83,6 @@ class CurveSpec:
     a6: int
     conductor: int
     label: str = ""
-    cm_flag: bool = False
 
     def __post_init__(self):
         disc = self.discriminant
@@ -106,8 +105,6 @@ class CurveSpec:
             raise InputError(
                 "conductor %d does not match the model: the discriminant %d"
                 " has the factor %d prime to it" % (n, disc, rest))
-        if self.cm_flag:
-            raise InputError("CM curves are out of scope (cm_flag must be false)")
 
     @property
     def b_invariants(self):
@@ -372,12 +369,10 @@ def sym_dirichlet_coeffs(curve, n, x):
     return lam[1:]
 
 
-def sym_hodge(n, k=2):
-    """Hodge numbers of Sym^n of a weight-k form: h_nu = 1 exactly when
-    nu is a multiple of k-1 inside [0, m]; for k = 2 all of 0..m."""
-    w = n * (k - 1)
-    m = (w - 1) // 2
-    return tuple(1 if (k == 2 or nu % (k - 1) == 0) else 0 for nu in range(m + 1))
+def sym_hodge(n):
+    """Hodge numbers of Sym^n of an elliptic curve (weight n = 2m + 1):
+    h_nu = 1 for every nu in 0..m."""
+    return (1,) * ((n - 1) // 2 + 1)
 
 
 def _prime_factors(n):

@@ -418,7 +418,9 @@ def _neg_series(k, s):
     """a_j = (-s)^j/(j!)^k in doubles, so that G(-s x) = sum_j a_j x^j, up
     to the first term below 2^-52 of the largest with each later one at
     most half the one before ((j + 1)^k >= 2 s)."""
-    a, peak = [1.0], 1.0  # a peak past doubles ends the list at inf
+    # Python floats reach inf without numpy's overflow warning; a peak
+    # past doubles ends the list at inf
+    a, peak, s = [1.0], 1.0, float(s)
     while peak < math.inf and (len(a) ** k < 2 * s
                                or abs(a[-1]) >= 2.0 ** -52 * peak):
         a.append(a[-1] * -s / len(a) ** k)
@@ -464,8 +466,9 @@ def count_disc_zeros(d, conductor, radius=1.0):
     sin(pi/k)), in [1, pi/2], apart in v), bisected, with the ends' signs
     proved.  A winding count on 2^10 points, midway across the first gap
     between brackets whose middle is at or beyond the circle, must equal
-    the brackets inside it.  A sign not proved, a winding that disagrees
-    or a bracket across the radius raises CertificationError."""
+    the brackets inside it.  A series term past doubles (d >= 84 at
+    N = 1), a sign not proved, a winding that disagrees or a bracket
+    across the radius raises CertificationError."""
     if not (isinstance(d, Integral) and isinstance(conductor, Integral)
             and d >= 2 and d % 2 == 0 and conductor >= 1):
         raise InputError("need an even d >= 2 and a conductor >= 1")
@@ -477,6 +480,9 @@ def count_disc_zeros(d, conductor, radius=1.0):
     v = np.arange(math.ceil(16 * v_r) + 33) / 8
     s, x = v[-1] ** k, (v / v[-1]) ** k
     a = _neg_series(k, s)
+    if not math.isfinite(a[-1]):
+        raise CertificationError("d = %d is too large for the double-precision"
+                                 " grid at conductor %d" % (d, conductor))
     vals = np.polyval(a[::-1], x)
     # a sign counts where the value beats its rounding: J units from x,
     # 3 J from the coefficients and 2 J from Horner's rule

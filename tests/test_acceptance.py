@@ -31,6 +31,7 @@ from periodpoly import (
     RealPolynomial,
     SpecialValues,
     binomial_weight,
+    build_P_poly,
     build_Q_poly,
     build_p_poly,
     check_zeta_properties,
@@ -543,11 +544,9 @@ def test_q_identity(sym3_data, sym3_vals, sym5_data, sym5_vals):
     outcomes = []
     ok = True
     for data, vals in ((sym3_data, sym3_vals), (sym5_data, sym5_vals)):
-        ratios = l_value_ratios(data, vals)
-        q = build_Q_poly(data, ratios)
-        t = partial_sum_T(data.m, data.degree, data.conductor,
-                          bits=ratios.bits)
-        resid = q_decomposition_residual(data, ratios, q, t)
+        q = build_Q_poly(build_P_poly(build_p_poly(data, vals)), vals)
+        t = partial_sum_T(data.m, data.degree, data.conductor, bits=q.bits)
+        resid = q_decomposition_residual(l_value_ratios(q, t), q, t)
         outcomes.append("%s: residual %.2e (remainder bound %.3f)"
                         % (data.label, float(resid),
                            float(s_tail_parts(q, t))))

@@ -11,11 +11,12 @@ from periodpoly import (
     InputError,
     LFunctionData,
     RealPolynomial,
+    build_P_poly,
     build_Q_poly,
+    build_p_poly,
     compute_A_m,
     coefficient_inequalities,
     hodge_condition,
-    l_value_ratios,
     partial_sum_T,
     poly_roots,
     rouche_transfer,
@@ -145,9 +146,9 @@ class TestGateVerdicts:
 class TestRoucheTransfer:
     def test_sym5_consistency(self, sym5_data, sym5_vals):
         m, d, n = sym5_data.m, sym5_data.degree, sym5_data.conductor
-        r = l_value_ratios(sym5_data, sym5_vals)
-        q = build_Q_poly(sym5_data, r)
-        t = partial_sum_T(m, d, n, bits=r.bits)
+        q = build_Q_poly(build_P_poly(build_p_poly(sym5_data, sym5_vals)),
+                         sym5_vals)
+        t = partial_sum_T(m, d, n, bits=q.bits)
         rt = rouche_transfer(sym5_data, s_tail_parts(q, t), t)
         assert rt.f_disc_zeros >= 0
         assert rt.certified
@@ -159,7 +160,7 @@ class TestRoucheTransfer:
         assert sum(1 for z, rad in poly_roots(q) if abs(z) + rad < 1) == m
         # coverage: on a 4x finer grid at twice the bits, with T rebuilt
         # there, the remainder stays below its bound and |T| above min_t
-        bits = 2 * r.bits
+        bits = 2 * q.bits
         t2 = partial_sum_T(m, d, n, bits=bits).values()[::-1]
         qs = q.values()[::-1]
         gap = low = None

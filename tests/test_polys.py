@@ -1,4 +1,5 @@
-"""Special-value polynomials, ratios, and the gamma-normalized family.
+"""Special-value polynomials, Q = P/Lambda(w), the ratios read off it, and
+the limit series.
 
 Frozen decimal expectations were produced by the completed-value engine
 at 192 bits with a 1e-25 absolute target and are asserted far above
@@ -18,6 +19,7 @@ from periodpoly import (
     build_P_poly,
     build_Q_poly,
     build_p_poly,
+    gamma_completed,
     l_value_ratios,
     partial_sum_T,
     q_decomposition_residual,
@@ -29,6 +31,46 @@ from periodpoly import (
 def near(x, s, tol):
     with mp.workprec(256):
         return abs(mp.mpf(x) - mp.mpf(s)) <= mp.mpf(tol)
+
+
+def q_route(data, vals):
+    """(Q, T, ratios) the way pipeline.analyze builds them: P -> Q -> T ->
+    ratios."""
+    q = build_Q_poly(build_P_poly(build_p_poly(data, vals)), vals)
+    t = partial_sum_T(data.m, data.degree, data.conductor, bits=q.bits)
+    return q, t, l_value_ratios(q, t)
+
+
+def gamma_route(data, vals):
+    """Reference ratios [L(w-j)/L(w) for j < m] + [L(m+1)/L(w)], with
+    N^{s/2} L_inf(s) stripped from each Lambda(s) by gamma_completed at 64
+    bits above vals.bits."""
+    w, bits = data.weight, vals.bits + 64
+    with mp.workprec(bits):
+        def finite(s):
+            return mp.mpf(vals.value(s)) / (
+                mp.power(data.conductor, mp.mpf(s) / 2)
+                * gamma_completed(s, data, bits=bits))
+
+        top = finite(w)
+        return [finite(s) / top for s in [w - j for j in range(data.m)]
+                + [data.m + 1]]
+
+
+def hodge01_dataset():
+    """Weight 3 with hodge (0, 1): one Gamma_C(s - 1) factor, degree 2."""
+    from periodpoly import LFunctionData, SpecialValues
+
+    with mp.workprec(208):
+        tiny = mp.mpf(2) ** (-192)
+        data = LFunctionData(weight=3, degree=2, conductor=7,
+                             hodge=(0, 1), root_number=1,
+                             coefficients=(mp.mpf(1),), label="t")
+        vals = SpecialValues(weight=3, values={
+            1: (mp.mpf(3), tiny), 2: (mp.mpf("1.7"), tiny),
+            3: (mp.mpf(3), tiny)}, bits=192, target=float(tiny),
+            label="t")
+    return data, vals
 
 
 class TestBinomialWeights:
@@ -91,32 +133,26 @@ class TestSym3Polynomials:
                 assert abs(lhs - rhs) < mp.mpf("1e-45") * abs(lhs)
 
     def test_ratios(self, sym3_data, sym3_vals):
-        r = l_value_ratios(sym3_data, sym3_vals)
+        r = q_route(sym3_data, sym3_vals)[2]
         # r_0 = L(w)/L(w) is exactly 1
         assert r.ratios[0][0] == 1
         assert near(r.central[0], "1.00697708686343655932", "1e-18")
 
     def test_Q_coefficients(self, sym3_data, sym3_vals):
-        Q = build_Q_poly(sym3_data, l_value_ratios(sym3_data, sym3_vals))
+        Q = q_route(sym3_data, sym3_vals)[0]
         assert Q.degree == 1
         assert near(Q.values()[0], "0.544829107712380524", "1e-15")
-        assert Q.values()[1] == 1  # c_0 r_0 exactly
+        assert Q.values()[1] == 1  # P_m/Lambda(w) exactly
 
     def test_q_decomposition_residual(self, sym3_data, sym3_vals):
-        r = l_value_ratios(sym3_data, sym3_vals)
-        res = q_decomposition_residual(
-            sym3_data, r, build_Q_poly(sym3_data, r),
-            partial_sum_T(sym3_data.m, sym3_data.degree, sym3_data.conductor,
-                          bits=r.bits))
+        q, t, r = q_route(sym3_data, sym3_vals)
+        res = q_decomposition_residual(r, q, t)
         assert res < mp.mpf("1e-50")
 
     def test_remainder_bound(self, sym3_data, sym3_vals):
         # m = 1: Q - z T(1/z) = Q_0 - c_1 + (Q_1 - 1) z; the bound is the
         # exact sum of the coefficient gaps and errors, rounded up
-        r = l_value_ratios(sym3_data, sym3_vals)
-        q = build_Q_poly(sym3_data, r)
-        t = partial_sum_T(1, sym3_data.degree, sym3_data.conductor,
-                          bits=r.bits)
+        q, t, _ = q_route(sym3_data, sym3_vals)
         bound = s_tail_parts(q, t)
         frac = lambda x: Fraction(*to_rational(x._mpf_))
         exact = sum(abs(frac(qv) - frac(tv)) + frac(qe) + frac(te)
@@ -124,7 +160,44 @@ class TestSym3Polynomials:
         assert exact <= frac(bound) <= exact * (1 + Fraction(1, 2 ** 190))
         assert float(bound) == pytest.approx(0.53727914444, rel=1e-9)
         with pytest.raises(InputError):
-            s_tail_parts(q, partial_sum_T(2, 4, 1331, bits=r.bits))
+            s_tail_parts(q, partial_sum_T(2, 4, 1331, bits=q.bits))
+
+
+class TestGammaRoute:
+    """P = Lambda(w) Q needs no Gamma; the Gamma route, which strips
+    N^{s/2} L_inf(s) from each Lambda(s), is kept here as the reference."""
+
+    @pytest.mark.parametrize("fixture", ["sym3", "sym5", "sym7", "hodge01"])
+    def test_ratios_and_Q_within_their_bounds(self, fixture, request):
+        if fixture == "hodge01":
+            data, vals = hodge01_dataset()
+        else:
+            data = request.getfixturevalue(fixture + "_data")
+            vals = request.getfixturevalue(fixture + "_vals")
+        q, t, r = q_route(data, vals)
+        ref = gamma_route(data, vals)
+        m = data.m
+        with mp.workprec(vals.bits + 64):
+            c = partial_sum_T(m, data.degree, data.conductor,
+                              bits=vals.bits + 64).values()
+            q_ref = [c[m] * ref[m] / 2] + [c[j] * ref[j]
+                                           for j in range(m - 1, -1, -1)]
+            for (v, e), want in zip(r.ratios + (r.central,), ref):
+                assert abs(v - want) <= e
+            for (v, e), want in zip(q.coeffs, q_ref):
+                assert abs(v - want) <= e
+        assert q.values()[m] == 1 and r.ratios[0][0] == 1
+
+    def test_ratios_need_matching_degrees(self, sym3_data, sym3_vals):
+        q = q_route(sym3_data, sym3_vals)[0]
+        with pytest.raises(InputError):
+            l_value_ratios(q, partial_sum_T(2, 4, 1331, bits=q.bits))
+
+    def test_Q_needs_values_of_the_weight(self, sym3_data, sym3_vals,
+                                          sym5_vals):
+        big_p = build_P_poly(build_p_poly(sym3_data, sym3_vals))
+        with pytest.raises(InputError, match="weight 5 for P of degree 1"):
+            build_Q_poly(big_p, sym5_vals)
 
 
 class TestRatioFailure:
@@ -141,13 +214,14 @@ class TestRatioFailure:
                 1: (mp.mpf(-3), tiny), 2: (mp.mpf(0), tiny),
                 3: (mp.mpf(3), tiny)}, bits=192, target=float(tiny),
                 label="t")
-        r = l_value_ratios(data, vals)
+        r = q_route(data, vals)[2]
         assert r.ratios[0][0] == 1
         bad = SpecialValues(weight=3, values={
             1: (mp.mpf(0), tiny), 2: (mp.mpf(0), tiny),
             3: (mp.mpf(0), tiny)}, bits=192, target=float(tiny), label="t")
-        with pytest.raises(VerificationError):
-            l_value_ratios(data, bad)
+        big_p = build_P_poly(build_p_poly(data, bad))
+        with pytest.raises(VerificationError, match="not certified nonzero"):
+            build_Q_poly(big_p, bad)
 
 
 class TestApproximantSeries:

@@ -246,10 +246,6 @@ class TestHodgeAndData:
         assert sym_hodge(5) == (1, 1, 1)
         assert sym_hodge(7) == (1, 1, 1, 1)
 
-    def test_higher_weight_spacing(self):
-        # weight-3 input: only even slots survive
-        assert sym_hodge(3, k=3) == (1, 0, 1)
-
     def test_dataset_shape(self):
         data = sym_lfunction_data(CURVE_11A1, 3, 300)
         assert data.weight == 3

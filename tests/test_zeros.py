@@ -7,6 +7,7 @@ in the acceptance suite; here the counts themselves are anchored.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,17 @@ class TestDiscCounts:
         for d, conductor in ((3, 10), (0, 10), (4, 0)):
             with pytest.raises(InputError):
                 count_disc_zeros(d, conductor)
+
+    def test_degree_past_doubles_is_refused_quietly(self):
+        # from d = 84 at N = 1 the terms of G overflow doubles: the count
+        # names the cause, and numpy warns of nothing
+        assert count_disc_zeros(82, 1).zeros == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificationError,
+                               match="d = 84 is too large for the "
+                                     "double-precision grid at conductor 1"):
+                count_disc_zeros(84, 1)
 
     def test_transition_table_d4(self):
         assert disc_transition_table(4, 800) == [
