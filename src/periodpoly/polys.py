@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 import mpmath as mp
-from mpmath.libmp import mpf_pos, mpf_sub, mpf_sum, round_up
+from mpmath.libmp import (from_int, mpf_abs, mpf_add, mpf_mul, mpf_pos,
+                          mpf_sub, mpf_sum, round_up)
 
 from .errors import InputError, VerificationError
 from .numutil import fmt_mpf
@@ -116,7 +117,11 @@ def binomial_weight(m, hodge, jdist):
 
 def build_p_poly(data, vals):
     """Degree-2m special-value polynomial; coefficient of z^j is
-    binomial_weight(m, hodge, |m-j|) * Lambda(w - j)."""
+    b_j Lambda(w - j), b_j = binomial_weight(m, hodge, |m-j|), with Lambda
+    and the product each rounded to nearest at vals.bits.  Its error is
+    b_j err(Lambda(w - j)) plus the exact distance of the coefficient
+    from b_j times the stored Lambda, which holds both roundings, summed
+    exactly and rounded up once."""
     m = data.m
     w = data.weight
     if vals.weight != w:
@@ -126,7 +131,12 @@ def build_p_poly(data, vals):
         cs = []
         for j in range(0, 2 * m + 1):
             b = binomial_weight(m, data.hodge, abs(m - j))
-            cs.append((b * mp.mpf(vals.value(w - j)), b * mp.mpf(vals.error(w - j))))
+            lam, err = vals.values[w - j]
+            v = b * mp.mpf(lam)
+            miss = mpf_abs(mpf_sub(v._mpf_, mpf_mul(from_int(b), lam._mpf_)))
+            err = mpf_add(mpf_mul(from_int(b), err._mpf_), miss, vals.bits,
+                          round_up)
+            cs.append((v, mp.make_mpf(err)))
     return RealPolynomial(tuple(cs), bits=vals.bits)
 
 

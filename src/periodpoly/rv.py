@@ -31,7 +31,7 @@ same basis bounds Z's error.  It rounds each coefficient of Z once,
 counting that rounding in the coefficient's error; deflate_at_one
 divides by (1 - z) exactly.  check_zeta_properties checks the functional
 equation exactly on the coefficients of Z, in Python integers, and the
-critical line on its isolated roots.
+critical line on its located (uncertified) roots.
 """
 
 from dataclasses import KW_ONLY, dataclass
@@ -277,7 +277,11 @@ def closed_form_ok(p, zeta):
 @dataclass(frozen=True)
 class ZetaCheck:
     """Measured functional-equation residual and root-line deviation,
-    with the verdict on each and ok for both."""
+    with the verdict on each and ok for both.
+
+    roots are Z's roots located by poly_roots(..., radii=False), not
+    certified: no inclusion radius backs them, so the line deviation is an
+    unchecked cross-check."""
 
     fe_residual: float
     max_line_deviation: float
@@ -298,7 +302,8 @@ def check_zeta_properties(zp):
     Z(1-s).  The stored z_q are integers over one power of two
     (_integers), so d_k is exact and only the final quotient is rounded.
     fe_ok is fe_residual <= _FE_TOL, and line_ok is
-    max |Re(root) - 1/2| <= _LINE_TOL.
+    max |Re(root) - 1/2| <= _LINE_TOL over the roots located without
+    radii.
 
     Leading coefficients indistinguishable from zero are stripped before
     root finding."""
@@ -312,10 +317,9 @@ def check_zeta_properties(zp):
         vals.pop()
     rp = RealPolynomial(tuple(vals), bits=zp.bits)
     if rp.degree >= 1:
-        located = poly_roots(rp)
+        roots = tuple(poly_roots(rp, radii=False))
         with mp.workprec(zp.bits):
-            dev = max(abs(mp.re(z) - mp.mpf(1) / 2) for z, _ in located)
-        roots = tuple(z for z, _ in located)
+            dev = max(abs(mp.re(z) - mp.mpf(1) / 2) for z in roots)
         max_dev = float(dev)
     else:
         roots = ()

@@ -7,8 +7,11 @@ polynomials live:
    Aberth-Ehrlich sweeps down to their rounding floor, then a fixed-point
    polish of each root alone, scaled by the power of two nearest |z| (one
    absolute scale would lose to cancellation the digits of the
-   high-degree zeta-polynomials), and the classical radius deg |p/p'|
-   widened to hold for every polynomial within the coefficient errors.
+   high-degree zeta-polynomials), in real arithmetic by synthetic
+   division, its first step at about half the bits.  The classical radius
+   deg |p/p'|, widened to hold for every polynomial within the coefficient
+   errors, is a separate pass at the returned roots, skipped for callers
+   that read no radius.
 
 2. trig_sign_changes: on |z| = 1 a (anti)palindromic real polynomial
    reduces to a pure cosine (eps = +1) or sine (eps = -1) polynomial in
@@ -24,6 +27,7 @@ polynomials live:
    integers; a complex128 winding count checks that none was missed.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,86 +161,110 @@ def _aberth_float(desc, seeds):
     return z
 
 
-def _polish(cs, ur, ui, others, f, stop):
-    """Newton steps with the Aberth correction against the complex128
-    positions others of the other roots (all in the scaled variable u),
-    from u = (ur + i ui) 2^-f, until the squared step (in units of
-    2^-2f) is at most stop or no smaller than the one before, or after
-    _ABERTH_ITERS steps."""
-    one = 1 << f
+def _real_horner(cs, ur, ui, f):
+    """_horner's four results by real arithmetic: Knuth's synthetic
+    division of q by z^2 - r z + s, r = 2 Re u and s = |u|^2 (TAOCP
+    vol. 2, 4.6.4), four products per coefficient instead of eight.
+    b_k = c_k + r b_{k+1} - s b_{k+2} gives q(u) = b_1 u + c_0 - s b_2;
+    the quotient B = sum_{k>=2} b_k z^(k-2), divided the same way (d_k),
+    gives B(u) = d_3 u + b_2 - s d_4 and q'(u) = 2 i Im(u) B(u) + b_1.
+    Each step truncates once; the results differ from _horner's by less
+    than twice its rounding bound (_error_bounds)."""
+    r, s = 2 * ur, (ur * ur + ui * ui) >> f
+    b1 = b2 = d1 = d2 = 0
+    for c in reversed(cs[1:]):
+        # d1, d2 = d_{k+2}, d_{k+3} runs two steps behind b1, b2 = b_k, b_{k+1}
+        d1, d2 = b2 + ((r * d1 - s * d2) >> f), d1
+        b1, b2 = c + ((r * b1 - s * b2) >> f), b1
+    qr = cs[0] + ((b1 * ur - s * b2) >> f)
+    br = b2 + ((d1 * ur - s * d2) >> f)
+    bi = (d1 * ui) >> f
+    return qr, (b1 * ui) >> f, b1 - (2 * ui * bi >> f), 2 * ui * br >> f
+
+
+def _newton_step(cs, ur, ui, others, f):
+    """The Newton step with the Aberth correction, u -= q / (q' - q sigma),
+    sigma = sum_j 1/(u - u_j) over the complex128 positions others of the
+    other roots, at u = (ur + i ui) 2^-f; None where the denominator
+    vanishes."""
+    ar, ai, br, bi = _real_horner(cs, ur, ui, f)
+    u = complex(ur / (1 << f), ui / (1 << f))
+    try:
+        sig = sum(1 / (u - w) for w in others)
+    except ZeroDivisionError:  # u on another root's position
+        sig = 0j
+    if not cmath.isfinite(sig):
+        sig = 0j
+    sr, si = _fixed(sig.real, f), _fixed(sig.imag, f)
+    dr = br - ((ar * sr - ai * si) >> f)
+    di = bi - ((ar * si + ai * sr) >> f)
+    den = dr * dr + di * di
+    if den == 0:
+        return None
+    return ((ar * dr + ai * di) << f) // den, ((ai * dr - ar * di) << f) // den
+
+
+def _polish(cs, cut, h, u0, others, f, stop):
+    """Newton-Aberth steps from the complex128 seed u0 (in the scaled
+    variable u, like others) until the squared step (in units of 2^-2f)
+    is at most stop or no smaller than the one before, or after
+    _ABERTH_ITERS steps; returns u in units of 2^-f.  The first step runs
+    on cut, the coefficients cs cut to h fractional bits, the rest on
+    cs."""
+    ur, ui = _fixed(u0.real, h) << f - h, _fixed(u0.imag, h) << f - h
     last = None
-    for _ in range(_ABERTH_ITERS):
-        ar, ai, br, bi = _horner(cs, ur, ui, f)
-        sig = complex(np.sum(1 / (complex(ur / one, ui / one) - others)))
-        if not np.isfinite(sig):
-            sig = 0j
-        sr, si = _fixed(sig.real, f), _fixed(sig.imag, f)
-        # u -= q / (q' - q sigma), sigma = sum_j 1/(u - u_j)
-        dr = br - ((ar * sr - ai * si) >> f)
-        di = bi - ((ar * si + ai * sr) >> f)
-        den = dr * dr + di * di
-        if den == 0:
+    for i in range(_ABERTH_ITERS):
+        coeffs, g = (cut, h) if i == 0 else (cs, f)
+        step = _newton_step(coeffs, ur >> f - g, ui >> f - g, others, g)
+        if step is None:
             break
-        step_r = ((ar * dr + ai * di) << f) // den
-        step_i = ((ai * dr - ar * di) << f) // den
-        ur -= step_r
-        ui -= step_i
-        size = step_r * step_r + step_i * step_i
+        dr, di = step[0] << f - g, step[1] << f - g
+        ur, ui = ur - dr, ui - di
+        size = dr * dr + di * di
         if size <= stop or (last is not None and size >= last):
             break
         last = size
     return ur, ui
 
 
-def poly_roots(p):
-    """All complex roots of a RealPolynomial with certified inclusion
-    radii, as a list of (root, radius) ordered by the double-precision
-    argument in [0, 2 pi) and modulus of each returned root, ties kept in
-    seed order, whatever the caller's precision.
-
-    _aberth_float converges the numpy companion-matrix seeds; each root is
-    then polished alone in fixed point at p.bits + 16 plus guard bits,
-    scaled by the power of two 2^k nearest its modulus (once per k),
-    until its step falls below 2^(8 - p.bits) of the root or stops
-    shrinking, and returned at p.bits + 16.  Each radius holds a root of
-    every polynomial within the coefficient error bounds e_j: it adds
-    sum_j e_j |z|^j to |p(z)| and subtracts sum_j j e_j |z|^(j-1) from
-    |p'(z)|, each with its rounding, in libmp rounded to nearest at
-    p.bits + 16; a cluster's bound divides by |lead| - e_lead.  Raises
-    InputError for a degenerate (leading coefficient not certifiably
-    nonzero) input.
-    """
-    if p.degenerate:
-        raise InputError(
-            "leading coefficient is not certified nonzero; deflate first"
-        )
+def _locate(p):
+    """The roots of p, located but not certified: (f, scaled, located)
+    with scaled[k] = _scaled(p, k, f) and located the sorted list of
+    (k, ur, ui, root), root = (ur + i ui) 2^(k - f) rounded to p.bits + 16
+    (see poly_roots)."""
     deg = p.degree
-    if deg == 0:
-        return []
-    vals = [float(v) for v in p.values()]
-    scale = max(abs(v) for v in vals)
-    if scale == 0:
-        raise InputError("zero polynomial")
-    desc = np.array(vals[::-1]) / scale
+    # a power of two brings the coefficients into double range (the roots
+    # do not move); only inputs outside it are shifted
+    tops = [exp + bc for _, man, exp, bc in (v._mpf_ for v in p.values())
+            if man]
+    shift = -max(tops) if max(tops) >= 1024 or min(tops) < -1021 else 0
+    vals = [float(mp.ldexp(v, shift)) for v in p.values()]
+    desc = np.array(vals[::-1]) / max(abs(v) for v in vals)
     seeds = np.roots(desc)
+    if len(seeds) != deg or not np.all(np.isfinite(seeds)):
+        raise CertificationError(
+            "%d finite complex128 seeds for degree %d: the coefficients span"
+            " more than doubles hold" % (np.sum(np.isfinite(seeds)), deg))
     # tiny deterministic stagger so exactly coincident seeds separate
     idx = np.arange(len(seeds))
     seeds = seeds + 1e-12 * (((idx * 7) % 11 - 5) + 1j * ((idx * 3) % 7 - 3))
-    zf = _aberth_float(desc, seeds)
+    zf = _aberth_float(desc, seeds).tolist()
 
     f = p.bits + 16 + _POLISH_GUARD_BITS
     stop = 1 << 2 * (f + 8 - p.bits)
     prec, rnd = p.bits + 16, round_nearest
-    lead = mpf_sub(mpf_abs(p.values()[-1]._mpf_, prec, rnd),
-                   p.errors()[-1]._mpf_, prec, rnd)
     ks = [round(math.log2(abs(z0))) if z0 else 0 for z0 in zf]
     scaled = {k: _scaled(p, k, f) for k in set(ks)}
+    # the first step takes a seed's ~46 correct bits to ~92: half of f,
+    # and 24 bits for the rounding of a degree-40 evaluation, hold them
+    h = f // 2 + 24
+    cut = {k: [c >> f - h for c in scaled[k][1]] for k in scaled}
     out = []
     for i, (z0, k) in enumerate(zip(zf, ks)):
-        m, cs, es = scaled[k]  # z = 2^k u with |u| near 1
-        others = np.delete(zf, i) / 2.0 ** k
-        ur, ui = _polish(cs, _fixed(z0.real / 2.0 ** k, f),
-                         _fixed(z0.imag / 2.0 ** k, f), others, f, stop)
+        # z = 2^k u with |u| near 1
+        others = [w / 2.0 ** k for j, w in enumerate(zf) if j != i]
+        ur, ui = _polish(scaled[k][1], cut[k], h, z0 / 2.0 ** k, others, f,
+                         stop)
         if ui * ui <= stop:
             # p is real: an imaginary part under the step tolerance is noise;
             # its sign would put a positive real root first or last
@@ -245,6 +273,52 @@ def poly_roots(p):
         # radius pass evaluates at exactly the returned z
         re, im = (from_man_exp(x, k - f, prec, rnd) for x in (ur, ui))
         ur, ui = to_fixed(re, f - k), to_fixed(im, f - k)
+        x, y = math.ldexp(ur, k - f), math.ldexp(ui, k - f)
+        out.append((math.atan2(y, x) % (2 * math.pi), math.hypot(x, y), i,
+                    (k, ur, ui, mp.make_mpc((re, im)))))
+    return f, scaled, [t[3] for t in sorted(out)]
+
+
+def poly_roots(p, radii=True):
+    """All complex roots of a RealPolynomial with certified inclusion
+    radii, as a list of (root, radius) ordered by the double-precision
+    argument in [0, 2 pi) and modulus of each returned root, ties kept in
+    seed order, whatever the caller's precision.  With radii=False, the
+    same roots in the same order, located but not certified: the radius
+    pass is skipped.
+
+    The numpy companion-matrix seeds (from coefficients shifted by a power
+    of two where they fall outside double range) are converged by
+    _aberth_float; each root is then polished alone in fixed point at
+    p.bits + 16 plus guard bits, scaled by the power of two 2^k nearest
+    its modulus (once per k), with real arithmetic (_real_horner) and a
+    first step at about half those bits, until its step falls below
+    2^(8 - p.bits) of the root or stops shrinking, and returned at
+    p.bits + 16.  Each radius holds a root of every polynomial within the
+    coefficient error bounds e_j: it adds sum_j e_j |z|^j to |p(z)| and
+    subtracts sum_j j e_j |z|^(j-1) from |p'(z)|, each evaluated by
+    _horner at the returned root with its rounding, in libmp rounded to
+    nearest at p.bits + 16; a cluster's bound divides by |lead| - e_lead.
+    Raises InputError for a degenerate (leading coefficient not
+    certifiably nonzero) input, and CertificationError when the
+    complex128 seeds are not deg finite numbers.
+    """
+    if p.degenerate:
+        raise InputError(
+            "leading coefficient is not certified nonzero; deflate first"
+        )
+    deg = p.degree
+    if deg == 0:
+        return []
+    f, scaled, located = _locate(p)
+    if not radii:
+        return [z for _, _, _, z in located]
+    prec, rnd = p.bits + 16, round_nearest
+    lead = mpf_sub(mpf_abs(p.values()[-1]._mpf_, prec, rnd),
+                   p.errors()[-1]._mpf_, prec, rnd)
+    out = []
+    for k, ur, ui, z in located:
+        m, cs, es = scaled[k]
         ar, ai, br, bi = _horner(cs, ur, ui, f)
         perr, derr, ra, rb = _error_bounds(es, isqrt(ur * ur + ui * ui) + 1, f)
         resid = mpf_sqrt(from_int(ar * ar + ai * ai), prec, rnd)
@@ -260,10 +334,8 @@ def poly_roots(p):
             # clustered/multiple root: product-of-distances bound
             rad = mpf_pow(mpf_div(resid, lead, prec, rnd),
                           mpf_div(fone, from_int(deg), prec, rnd), prec, rnd)
-        x, y = math.ldexp(ur, k - f), math.ldexp(ui, k - f)
-        out.append((math.atan2(y, x) % (2 * math.pi), math.hypot(x, y), i,
-                    mp.make_mpc((re, im)), mp.make_mpf(rad)))
-    return [t[3:] for t in sorted(out)]
+        out.append((z, mp.make_mpf(rad)))
+    return out
 
 
 @dataclass(frozen=True)

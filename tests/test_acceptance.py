@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -403,33 +404,76 @@ def test_rv_transform_is_exact():
               % (len(inputs), inexact, misrounded))
 
 
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function of zeros to count its calls in the
+    returned Counter."""
+    counts = Counter()
+    for name in names:
+        def counting(*args, _fn=getattr(zeros, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(zeros, name, counting)
+    return counts
+
+
 def test_polish_stops_early(monkeypatch):
     """Each root of suite polynomial 99 (Z of degree 36) stops polishing
-    within 8 steps; one more kernel pass gives its radius."""
+    within 8 steps, each one pass of the real-arithmetic kernel; one
+    _horner pass at the returned root gives its radius."""
     z = rv_transform(random_circle_suite()[99])
-    kernel, polish = zeros._horner, zeros._polish
-    passes = [0]  # every Horner pass of the call
-    steps = []  # the Horner passes, one per step, of each _polish call
-
-    def counting(*args):
-        passes[0] += 1
-        return kernel(*args)
+    counts = _count_calls(monkeypatch, "_real_horner", "_horner")
+    polish = zeros._polish
+    steps = []  # the kernel passes, one per step, of each _polish call
 
     def polishing(*args):
-        start = passes[0]
+        start = counts["_real_horner"]
         out = polish(*args)
-        steps.append(passes[0] - start)
+        steps.append(counts["_real_horner"] - start)
         return out
 
-    monkeypatch.setattr(zeros, "_horner", counting)
     monkeypatch.setattr(zeros, "_polish", polishing)
     poly_roots(z)
-    radius_passes = passes[0] - sum(steps)
+    radius_passes = counts["_horner"]
     criterion("polish-stops-early",
-              len(steps) == radius_passes == z.degree and max(steps) <= 8,
-              "degree %d, %d roots, at most %d polish steps per root, %d "
-              "radius passes" % (z.degree, len(steps), max(steps),
+              len(steps) == radius_passes == z.degree
+              and sum(steps) == counts["_real_horner"]
+              and 1 <= min(steps) and max(steps) <= 8,
+              "degree %d, %d roots, %d to %d polish steps per root, %d "
+              "radius passes" % (z.degree, len(steps), min(steps), max(steps),
                                  radius_passes))
+
+
+def test_located_roots_are_the_certified_roots(sym3_data, sym3_vals):
+    """poly_roots(p, radii=False) returns exactly poly_roots' roots, in
+    the same order, on the circle-rv seed-1 polynomials (each U and Z) and
+    on the sym3 p-hat."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CIRCLE_SHAPES, circle_polynomials
+
+    polys = [deflate_at_one(build_p_poly(sym3_data, sym3_vals),
+                            sym3_data.root_number)]
+    for u, _ in circle_polynomials(1, CIRCLE_SHAPES):
+        polys += [u, rv_transform(u)]
+    differ = [i for i, p in enumerate(polys)
+              if poly_roots(p, radii=False) != [z for z, _ in poly_roots(p)]]
+    criterion("located-roots-match", not differ,
+              "%d polynomials, differing %s" % (len(polys), differ))
+
+
+def test_zeta_check_certifies_no_radius(monkeypatch):
+    """check_zeta_properties reads only the located roots of Z: it makes
+    no _horner or _error_bounds call, while its line check still runs."""
+    zp = rv_transform(random_circle_suite()[99])
+    counts = _count_calls(monkeypatch, "_horner", "_error_bounds",
+                          "_real_horner")
+    chk = check_zeta_properties(zp)
+    criterion("zeta-check-certifies-no-radius",
+              counts["_horner"] == counts["_error_bounds"] == 0
+              and counts["_real_horner"] > 0 and len(chk.roots) == zp.degree
+              and chk.line_ok,
+              "degree %d: %d _horner, %d _error_bounds, %d kernel passes"
+              % (zp.degree, counts["_horner"], counts["_error_bounds"],
+                 counts["_real_horner"]))
 
 
 def test_root_order_ignores_caller_precision():
@@ -484,11 +528,10 @@ def test_sweeps_stop_at_the_floor(monkeypatch):
               "(degree, sweeps) %s; (1 + z)^4: %d sweeps" % (high, sweeps[-1]))
 
 
-# sha256 of poly_roots' output on the inputs of test_root_isolation_digest,
-# recorded before the sweeps stopped at their floor; a change to any root,
-# radius or order must update it on purpose
-ROOT_DIGEST = ("90f87702a75b931742438c143ee2f46e"
-               "a8bd554c334b7accc89da85e949d9a11")
+# sha256 of poly_roots' output on the inputs of test_root_isolation_digest;
+# a change to any root, radius or order must update it on purpose
+ROOT_DIGEST = ("a9cd3d06c4a6c5f69f852ab9f89de06b"
+               "d679f82e2e526e194db2d2a6ea118881")
 
 
 def test_root_isolation_digest(sym3_data, sym3_vals):

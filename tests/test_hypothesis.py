@@ -7,6 +7,7 @@ arithmetic, palindromy of the special-value polynomial, root recovery,
 serialization round-trips, and the integer form of the Hodge condition.
 """
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -30,6 +31,7 @@ from periodpoly import (
     rv_transform,
     star_discrepancy,
 )
+from periodpoly.zeros import _error_bounds, _horner, _real_horner
 
 HEAVY = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -147,6 +149,27 @@ class TestRootRecovery:
             for root, radius in roots:
                 assert abs(abs(root) - 1) < 1e-12
                 assert min(abs(root - z) for z in planted) < max(radius, mp.mpf("1e-30")) + mp.mpf("1e-12")
+
+
+class TestPolishKernel:
+    @LIGHT
+    @given(st.integers(0, 40), st.randoms(use_true_random=False),
+           st.floats(0, 2), st.floats(0, 2 * math.pi), st.booleans())
+    def test_real_division_agrees_with_horner(self, deg, rnd, r, theta, real):
+        # random 240-bit coefficients in (-1, 1) and a point with |u| <= 2
+        # (on the real axis when real): both kernels evaluate the same q(u)
+        # and q'(u), and on every output they stay within twice _horner's
+        # own rounding bound of each other
+        f = 240
+        cs = [rnd.getrandbits(f + 1) - (1 << f) for _ in range(deg + 1)]
+        ur, ui = (int(x * 2 ** 52) << f - 52 for x in
+                  (r * math.cos(theta), 0.0 if real else r * math.sin(theta)))
+        t = math.isqrt(ur * ur + ui * ui) + 1
+        _, _, ra, rb = _error_bounds([0] * len(cs), t, f)
+        want = _horner(cs, ur, ui, f)
+        got = _real_horner(cs, ur, ui, f)
+        for a, b, bound in zip(want, got, (ra, ra, rb, rb)):
+            assert abs(a - b) <= 2 * bound
 
 
 class TestSpecialValuePolynomials:

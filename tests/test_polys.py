@@ -103,6 +103,24 @@ class TestSym3Polynomials:
         # palindromic exactly (identical products at both ends)
         assert p.values()[0] == p.values()[2]
 
+    @pytest.mark.parametrize("name", ["sym3", "sym5"])
+    def test_p_errors_cover_their_rounding(self, request, name):
+        # the stored Lambda carry more than vals.bits bits, so rounding them
+        # and the products moves p; recomputed at 4x the bits, that move
+        # lies inside the part of each error beyond b err(Lambda)
+        data = request.getfixturevalue(name + "_data")
+        vals = request.getfixturevalue(name + "_vals")
+        p = build_p_poly(data, vals)
+        m, w = data.m, data.weight
+        gaps = []
+        with mp.workprec(4 * vals.bits):
+            for j, (v, e) in enumerate(p.coeffs):
+                b = binomial_weight(m, data.hodge, abs(m - j))
+                gap = abs(v - b * vals.value(w - j))
+                assert gap <= e - b * vals.error(w - j), j
+                gaps.append(gap)
+        assert max(gaps) > 0
+
     def test_p_needs_values_of_the_data_weight(self, sym3_vals):
         from periodpoly import LFunctionData
 

@@ -111,6 +111,28 @@ class TestPolyRoots:
     def test_constant_has_no_roots(self):
         assert poly_roots(rp(3)) == []
 
+    def test_coefficients_below_double_range(self):
+        # 10^-400 (z^2 + 1): every coefficient underflows a double, yet the
+        # seeds come from coefficients shifted by a power of two
+        with mp.workprec(192):
+            tiny = mp.mpf(10) ** -400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = poly_roots(rp(tiny, 0, tiny))
+        assert sorted((complex(z).imag, complex(z).real) for z, _ in roots) \
+            == [(-1.0, 0.0), (1.0, 0.0)]
+        assert all(r < mp.mpf("1e-50") for _, r in roots)
+
+    def test_coefficients_spanning_more_than_doubles(self):
+        # z^2 + 10^400 z + 1: shifted into range, z^2's coefficient still
+        # underflows, so a seed is missing; that is refused, not dropped
+        with mp.workprec(192):
+            huge = mp.mpf(10) ** 400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificationError, match="degree 2"):
+                poly_roots(rp(1, huge, 1))
+
 
 class TestCircleReport:
     def test_on_circle(self):
