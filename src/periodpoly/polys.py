@@ -79,13 +79,16 @@ class RealPolynomial:
         if not self.coeffs:
             raise InputError("polynomial needs at least one coefficient")
         # convert under the recorded precision: mp.mpf() rounds at the
-        # *ambient* context, which is typically 53 bits
+        # *ambient* context, which is typically 53 bits.  A list, not a
+        # generator: tuple() grows a generator's tuple by resizing, and
+        # CPython's tuple free lists keep the resized blocks, so the memory
+        # of a long run creeps up with every polynomial built
         with mp.workprec(max(self.bits, 64)):
-            cs = tuple(
+            cs = tuple([
                 (v if isinstance(v, mp.mpf) else mp.mpf(v),
                  e if isinstance(e, mp.mpf) else mp.mpf(e))
                 for v, e in self.coeffs
-            )
+            ])
         object.__setattr__(self, "coeffs", cs)
         lead_v, lead_e = cs[-1]
         object.__setattr__(self, "degenerate",

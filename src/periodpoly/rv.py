@@ -31,16 +31,18 @@ same basis bounds Z's error.  It rounds each coefficient of Z once,
 counting that rounding in the coefficient's error; deflate_at_one
 divides by (1 - z) exactly.  check_zeta_properties checks the functional
 equation exactly on the coefficients of Z, in Python integers, and the
-critical line on its located (uncertified) roots.
+critical line on the located (uncertified) roots of Z's symmetric part:
+with W(y) = 2^e Z((1 + y)/2) = y^par V(y^2), par = (1 - eps)/2, one root
+search on V, of degree floor(e/2), gives them all.
 """
 
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, round_up, to_rational
+from mpmath.libmp import from_man_exp, round_nearest, round_up
 
 from .errors import InputError, VerificationError
 from .polys import RealPolynomial
@@ -79,9 +81,20 @@ def _integers(values):
     """Integers n and one positive integer den with values[j] = n[j] / den
     exactly, for mpf values: den = 2^-E, E the smallest exponent among
     their mantissas (1 when E >= 0)."""
-    fracs = [Fraction(*to_rational(v._mpf_)) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    parts = [v._mpf_ for v in values]
+    low = min([0] + [exp for _, man, exp, _ in parts if man])
+    return [(-man if sign else man) << (exp - low)
+            for sign, man, exp, _ in parts], 1 << -low
+
+
+def _shift(c):
+    """Coefficients of sum_q c[q] (1 + x)^q, by Horner in (1 + x):
+    additions only, exact for integers."""
+    out = []
+    for cq in reversed(c):
+        out = [a + b for a, b in zip(out + [0], [0] + out)]
+        out[0] += cq
+    return out
 
 
 def _unit_transforms(e):
@@ -153,7 +166,7 @@ def rv_transform(u, eps=None):
                      round_up)
         coeffs.append((mp.make_mpf(value), mp.make_mpf(err)))
     return ZetaPolynomial(tuple(coeffs), bits=u.bits, eps=eps,
-                          exact=tuple(Fraction(z, scale) for z in zq))
+                          exact=tuple([Fraction(z, scale) for z in zq]))
 
 
 def _ratio(num, den, prec, rnd):
@@ -279,9 +292,11 @@ class ZetaCheck:
     """Measured functional-equation residual and root-line deviation,
     with the verdict on each and ok for both.
 
-    roots are Z's roots located by poly_roots(..., radii=False), not
-    certified: no inclusion radius backs them, so the line deviation is an
-    unchecked cross-check."""
+    roots are the roots of Z's symmetric part, the part that satisfies
+    Z(1-s) = eps Z(s) exactly, located by poly_roots(..., radii=False)
+    on its half V (check_zeta_properties), not certified: no inclusion
+    radius backs them, so the line deviation is an unchecked cross-check.
+    fe_residual bounds the rest of Z."""
 
     fe_residual: float
     max_line_deviation: float
@@ -295,39 +310,52 @@ class ZetaCheck:
 
 
 def check_zeta_properties(zp):
-    """Check Z(s) = eps Z(1-s) on the coefficients and locate the roots.
+    """Check Z(s) = eps Z(1-s) on the coefficients and locate the roots
+    of Z's symmetric part.
 
-    fe_residual is max_k |d_k| / max_q |z_q|, where d_k = z_k - eps (-1)^k
-    sum_{q >= k} C(q, k) z_q is the coefficient of s^k in Z(s) - eps
-    Z(1-s).  The stored z_q are integers over one power of two
-    (_integers), so d_k is exact and only the final quotient is rounded.
-    fe_ok is fe_residual <= _FE_TOL, and line_ok is
-    max |Re(root) - 1/2| <= _LINE_TOL over the roots located without
-    radii.
+    Z's values and errors are integers n_q and r_q over one power of two
+    (_integers), and _shift(n)_k = sum_{q >= k} C(q, k) n_q.  So the
+    coefficient d_k = n_k - eps (-1)^k _shift(n)_k of Z(s) - eps Z(1-s) is
+    exact, and fe_residual = max_k |d_k| / max_q |n_q| is rounded once;
+    fe_ok is fe_residual <= _FE_TOL.
 
-    Leading coefficients indistinguishable from zero are stripped before
-    root finding."""
-    n, _ = _integers(zp.values())
-    d = [n[k] - zp.eps * (-1) ** k
-         * sum(comb(q, k) * n[q] for q in range(k, len(n)))
-         for k in range(len(n))]
+    W(y) = 2^e Z((1 + y)/2) has the coefficients _shift(n_q 2^(e-q)), its
+    errors shifted the same way.  The functional equation says
+    W(-y) = eps W(y), so Z's symmetric part is W = y^par V(y^2), with
+    par = (1 - eps)/2 and V's coefficients w_par, w_par+2, ... taken
+    exactly.  Its roots are s = 1/2 when par = 1 and s = (1 +- sqrt(v))/2
+    over the roots v of V, located by one poly_roots call without radii
+    after V's leading coefficients within their errors are stripped.  s
+    is on Re(s) = 1/2 exactly when v is real and <= 0, and line_ok is
+    max |Re sqrt(v)|/2 <= _LINE_TOL.  W's other-parity part, Z's
+    departure from the functional equation, is what fe_residual bounds."""
+    e = zp.degree
+    par = (1 - zp.eps) // 2 if e else 0  # a constant has no roots
+    ints, den = _integers(zp.values() + zp.errors())
+    n, err = ints[:e + 1], ints[e + 1:]
+    d = [nk - zp.eps * (-1) ** k * tk
+         for k, (nk, tk) in enumerate(zip(n, _shift(n)))]
     fe_res = max(abs(x) for x in d) / max(abs(x) for x in n)
-    vals = list(zp.coeffs)
-    while len(vals) > 1 and abs(vals[-1][0]) <= vals[-1][1]:
-        vals.pop()
-    rp = RealPolynomial(tuple(vals), bits=zp.bits)
-    if rp.degree >= 1:
-        roots = tuple(poly_roots(rp, radii=False))
-        with mp.workprec(zp.bits):
-            dev = max(abs(mp.re(z) - mp.mpf(1) / 2) for z in roots)
-        max_dev = float(dev)
-    else:
-        roots = ()
-        max_dev = 0.0
+    v, verr = (_shift([c << e - q for q, c in enumerate(cs)])[par::2]
+               for cs in (n, err))
+    while len(v) > 1 and abs(v[-1]) <= verr[-1]:
+        v.pop()
+        verr.pop()
+    low = 1 - den.bit_length() - e
+    # tuples from lists, not generators (RealPolynomial.__post_init__)
+    vp = RealPolynomial(tuple([(mp.make_mpf(from_man_exp(c, low)),
+                                mp.make_mpf(from_man_exp(r, low)))
+                               for c, r in zip(v, verr)]), bits=zp.bits)
+    with mp.workprec(zp.bits + 16):
+        half = mp.mpf(1) / 2
+        rs = [mp.sqrt(x) / 2 for x in poly_roots(vp, radii=False)]
+        roots = [mp.mpc(half)] * par + [
+            s for r in rs for s in (half + r, half - r)]
+    max_dev = float(max((abs(r.real) for r in rs), default=0))
     return ZetaCheck(
         fe_residual=fe_res,
         max_line_deviation=max_dev,
-        roots=roots,
+        roots=tuple(roots),
         fe_ok=fe_res <= _FE_TOL,
         line_ok=max_dev <= _LINE_TOL,
     )

@@ -23,6 +23,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import to_rational
 
 from periodpoly import zeros
 from periodpoly import (
@@ -328,6 +329,31 @@ def test_rv_random_circle_suite():
         "200 transforms, line failures %s, maclaurin checked %d failures %s, %.1fs"
         % (line_failures, mac_checked, mac_failures, elapsed),
     )
+
+
+def test_fe_residual_matches_the_binomial_sums():
+    """fe_residual against the explicit binomial sums as the oracle,
+    bit for bit: max_k |d_k| / max_q |z_q| with d_k = z_k - eps (-1)^k
+    sum_{q >= k} C(q, k) z_q in Fractions, on circle-rv seeds 1-5 and the
+    random suite."""
+    sys.path.insert(0, PERFBENCH)
+    from workloads import CIRCLE_SHAPES, circle_polynomials
+
+    us = [u for seed in range(1, 6)
+          for u, _ in circle_polynomials(seed, CIRCLE_SHAPES)]
+    us += random_circle_suite()
+    differ = []
+    for i, u in enumerate(us):
+        zp = rv_transform(u)
+        z = [Fraction(*to_rational(v._mpf_)) for v in zp.values()]
+        d = [z[k] - zp.eps * (-1) ** k
+             * sum(math.comb(q, k) * z[q] for q in range(k, len(z)))
+             for k in range(len(z))]
+        want = float(max(map(abs, d)) / max(map(abs, z)))
+        if check_zeta_properties(zp).fe_residual != want:
+            differ.append(i)
+    criterion("fe-residual-binomial-oracle", not differ,
+              "%d polynomials, differing %s" % (len(us), differ))
 
 
 def test_root_radius_coverage():

@@ -12,7 +12,7 @@ identity Z(-l) = [z^l] U(z)/(1-z)^{e+1}:
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 from mpmath import mp
@@ -37,7 +37,9 @@ from periodpoly import (
     sym_lfunction_data,
     zeta_poly_closed_form,
 )
-from periodpoly.rv import _ratio, _unit_transforms
+from periodpoly import rv
+from periodpoly.rv import ZetaPolynomial, _integers, _ratio, _unit_transforms
+from periodpoly.zeros import poly_roots
 
 
 def rp(*coeffs, bits=192):
@@ -251,6 +253,118 @@ class TestMaclaurin:
                     uv[j] * comb(l - j + e, e) for j in range(3) if l - j >= 0
                 )
                 assert got[l] == want
+
+
+def integers_by_fractions(values):
+    """The integers-over-one-denominator of exact mpf values, by the
+    Fraction route: each value reduced, den the lcm of the denominators."""
+    fracs = [Fraction(*to_rational(v._mpf_)) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("values", [
+        [],
+        [0],
+        [0, 0, 0],
+        [3, -5, 12, 2 ** 70, -(2 ** 40)],  # positive exponents only
+        [0, "0.375", "-1e-30", 7, 0],
+        ["-0.5", "1e40", "-3.25", "1e-80"],
+    ])
+    def test_matches_the_fraction_route(self, values):
+        with mp.workprec(192):
+            vals = [mp.mpf(v) for v in values]
+        assert _integers(vals) == integers_by_fractions(vals)
+
+    def test_zeta_values_and_errors(self):
+        for coeffs in ((1, 1, 1, 1), (1, 2, 3, 1, 2), (1, 3, 3, 1)):
+            z = rv_transform(rp(*coeffs))
+            vals = z.values() + z.errors()
+            assert _integers(vals) == integers_by_fractions(vals), coeffs
+
+
+def assert_anchor_roots(roots):
+    """roots are those of s^2 - s + 1, 1/2 + i sqrt(3)/2 first."""
+    with mp.workprec(192):
+        for s, sign in zip(roots, (1, -1), strict=True):
+            want = mp.mpc(0.5, sign * mp.sqrt(3) / 2)
+            assert abs(s - want) < mp.mpf(10) ** -55
+
+
+class TestZetaCheck:
+    def test_root_off_the_circle_leaves_the_line(self):
+        # U = (1 + z^2)(z^2 - 2.5 z + 1) is palindromic, so Z satisfies the
+        # functional equation, but U's roots 2 and 1/2 move Z's off the line
+        z = rv_transform(rp(1, -2.5, 2, -2.5, 1))
+        chk = check_zeta_properties(z)
+        assert chk.fe_ok and not chk.line_ok
+        assert len(chk.roots) == 4
+        assert chk.max_line_deviation > 1
+
+    @pytest.mark.parametrize("u,eps", [
+        ((1, 1), -1),
+        ((1, 0, 1), 1),
+        ((1, 1, 1), 1),
+        ((1, 1, 1, 1), -1),
+        ((1, 3, 3, 1), -1),
+    ])
+    def test_low_degrees(self, u, eps):
+        z = rv_transform(rp(*u))
+        chk = check_zeta_properties(z)
+        assert z.eps == eps and chk.ok
+        assert len(chk.roots) == z.degree
+        # W(y) = y V(y^2) when eps = -1: the root y = 0 is s = 1/2 exactly
+        assert (chk.roots[0] == mp.mpf(1) / 2) == (eps == -1)
+        with mp.workprec(z.bits):
+            for s in chk.roots:
+                assert abs(mp.polyval(z.values()[::-1], s)) < mp.mpf(10) ** -50
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_constant_has_no_roots(self, eps):
+        chk = check_zeta_properties(rv_transform(rp(3), eps=eps))
+        assert chk.roots == () and chk.line_ok
+        assert chk.fe_ok == (eps == 1)
+
+    def test_anchor_roots(self):
+        # Z = s^2 - s + 1 from U = 1 + z^2 has roots 1/2 +- i sqrt(3)/2
+        chk = check_zeta_properties(rv_transform(rp(1, 0, 1)))
+        assert_anchor_roots(chk.roots)
+
+    def test_one_root_search_on_the_half(self, monkeypatch):
+        # one poly_roots call per check, on V of degree (e - par) // 2
+        seen = []
+
+        def spy(p, radii=True):
+            seen.append((p.degree, radii))
+            return poly_roots(p, radii)
+
+        monkeypatch.setattr(rv, "poly_roots", spy)
+        for k in range(1, 9):  # U = (1 + z)^k, e = k
+            z = rv_transform(rp(*(comb(k, j) for j in range(k + 1))))
+            seen.clear()
+            chk = check_zeta_properties(z)
+            assert seen == [((k - (1 - z.eps) // 2) // 2, False)], k
+            assert chk.ok and len(chk.roots) == k, k
+
+    def test_trims_the_half_to_its_certain_degree(self, monkeypatch):
+        # s^2 - s + 1 with s^4 and s^6 terms smaller than their errors:
+        # V's two leading coefficients vanish within their errors
+        seen = []
+
+        def spy(p, radii=True):
+            seen.append(p.degree)
+            return poly_roots(p, radii)
+
+        monkeypatch.setattr(rv, "poly_roots", spy)
+        with mp.workprec(192):
+            tiny = mp.mpf(2) ** -300
+            z = ZetaPolynomial(((1, 0), (-1, 0), (1, 0), (0, 0),
+                                (0, 8 * tiny), (0, 0), (tiny, 2 * tiny)),
+                               bits=192, eps=1, exact=None)
+        chk = check_zeta_properties(z)
+        assert seen == [1] and len(chk.roots) == 2 and chk.ok
+        assert_anchor_roots(chk.roots)
 
 
 def synthetic_dataset(weight, eps, upper_values, hodge, conductor=7,
