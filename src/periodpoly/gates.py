@@ -12,31 +12,25 @@ polynomial lies on |z| = 1:
 
 For large m there is a weaker guarantee ("LARGE_M"): the normalized
 polynomial Q has exactly m - c_{d,N} zeros inside the unit disc, where
-c_{d,N} counts the disc zeros of the limit series F_{d,N}.  That transfer
-is certified here by an explicit Rouche comparison of min |T| on the
-circle against the remainder bound.
-
-The inequalities behind LARGE_N are also exposed directly with margins:
-
-  (ratio chain)  (m-j)^{-d/2} L(m+j+1) < sqrt(N/(2 pi)^d) L(m+j+2)
-                 for 1 <= j <= m-1, and
-  (central step) (1/2) [prod_nu m^{-h_nu}] Lambda(m+1)
-                 <= [prod_nu (m+1-nu)^{-h_nu}] Lambda(m+2),
-
-so a gate verdict can always be cross-examined against the measured
-slack on concrete data.
+c_{d,N} counts the disc zeros of the limit series F_{d,N}.
+rouche_transfer proves the count m - t, t the disc zeros of F's truncation
+T, by Rouche (min |T| on the circle beats the remainder bound) and by the
+winding number of the same samples.  coefficient_inequalities measures the
+slack in the inequalities behind LARGE_N, to cross-examine a verdict.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from math import isqrt
 
 import mpmath as mp
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_mul, mpf_pi,
+                          mpf_shift, mpf_sub, mpf_sum, round_ceiling,
+                          round_floor)
 
 from .errors import InputError
 from .lfunc import gamma_completed
-from .zeros import circle_values, count_disc_zeros, poly_roots
+from .zeros import circle_values, count_disc_zeros
 
 # Conductor ranges of odd symmetric powers of weight-2 newforms that the
 # sufficient conditions above do not reach (squarefree level only).  The
@@ -110,12 +104,12 @@ def _finite_l(data, vals, s):
 
 
 def coefficient_inequalities(data, vals):
-    """Measured slack in the two value inequalities.
+    """Measured slack in the two value inequalities behind LARGE_N.
 
-    Returns (margins, central_margin): margins[j-1] = (value, error) of
-    sqrt(N/(2 pi)^d) L(m+j+2) - (m-j)^{-d/2} L(m+j+1) for j = 1..m-1
-    (empty for m = 1), and central_margin the slack of the central step
-    in completed values.  Positive values mean the inequality holds."""
+    Returns (margins, central), (value, error) pairs: margins[j-1] of
+    sqrt(N/(2 pi)^d) L(m+j+2) - (m-j)^{-d/2} L(m+j+1), j = 1..m-1 (none
+    for m = 1), central of [prod_nu (m+1-nu)^{-h_nu}] Lambda(m+2) - (1/2)
+    [prod_nu m^{-h_nu}] Lambda(m+1).  Positive means the inequality holds."""
     m = data.m
     d = data.degree
     with mp.workprec(vals.bits):
@@ -241,21 +235,29 @@ def theorem_gate(data, vals=None, sym_context=None):
     )
 
 
+def _winding(values):
+    """Winding number about 0 of the closed integer polygon values (no edge
+    through 0): signed crossings of the positive real axis, by a d - b c."""
+    wind, (a, b) = 0, values[-1]
+    for c, d in values:
+        wind += (b <= 0 < d and a * d > b * c) - (d <= 0 < b and a * d < b * c)
+        a, b = c, d
+    return wind
+
+
 @dataclass(frozen=True)
 class RoucheTransfer:
     """Disc-zero transfer certificate for m >= 2.
 
     If min |T| on |z| = 1 exceeds the remainder bound, Q has as many zeros
-    in |z| < 1 as z^m T(1/z), which is m minus the number t_disc_zeros of
-    zeros of T in the unit disc (Rouche).  That count reads T's inclusion
-    discs, so it certifies only when they are pairwise disjoint and none
-    meets the circle.  f_disc_zeros lets the truncation be checked against
-    the limit series."""
+    in |z| < 1 as z^m T(1/z): m less T's zeros in the disc (Rouche), whose
+    number t_disc_zeros is the winding number of T's circle samples when
+    min_t > 0, else None.  f_disc_zeros checks T against the limit series."""
 
     certified: bool
     min_t: object
     remainder_bound: object
-    t_disc_zeros: int
+    t_disc_zeros: object  # int when min_t > 0, else None
     f_disc_zeros: int
     q_disc_zeros: object  # int when certified, else None
 
@@ -264,33 +266,35 @@ def rouche_transfer(data, bound, t):
     """Run the circle comparison |Q - z^m T(1/z)| <= bound < min |T|.
 
     bound is s_tail_parts(q, t); t is partial_sum_T(m, d, N, bits) at the
-    bits of Q.  min |T| on the circle is certified from a uniform grid of
-    circle_values, less their bound, and a derivative bound (sum_j j
-    (|c_j| + err_j)) for the half spacing between grid points."""
+    bits of Q.  min_t <= min |T| on the circle, in directed rounding, is
+    the least circle_values sample less their bound and less sum_j j
+    (|c_j| + err_j) >= |T'| times half the step: the samples are exact
+    multiples of a step >= 2 pi/_ROUCHE_GRID, so no gap (the last, up to
+    2 pi, included) is wider.  If min_t > 0, every T within the coefficient
+    errors lies within less than |S| of the nearer sample S, so it turns by
+    less than pi from sample to sample, and the samples' winding number
+    counts its zeros in |z| < 1."""
     m = data.m
     if m < 2:
         raise InputError("the transfer device applies to m >= 2")
-    with mp.workprec(t.bits):
-        step = 2 * mp.pi / _ROUCHE_GRID
-        grid = [step * i for i in range(_ROUCHE_GRID)]
-        values, err, exp = circle_values(t, grid)
-        low = isqrt(min(re * re + im * im for re, im in values)) - err
-        deriv_cap = mp.fsum(j * (abs(v) + e)
-                            for j, (v, e) in enumerate(t.coeffs))
-        min_t = mp.ldexp(low, exp) - deriv_cap * step / 2
-        certified = min_t > bound
-    located = poly_roots(t)
-    t_in_disc = sum(1 for z, r in located if abs(z) + r < 1)
-    # a root straddling the circle makes the reversal count ambiguous, and
-    # two discs that meet may hold one root between them
-    if any(abs(z) - r <= 1 <= abs(z) + r for z, r in located) or any(
-            abs(z1 - z2) <= r1 + r2
-            for (z1, r1), (z2, r2) in combinations(located, 2)):
-        certified = False
+    step = mpf_div(mpf_shift(mpf_pi(t.bits, round_ceiling), 1),
+                   from_int(_ROUCHE_GRID), t.bits, round_ceiling)
+    grid = [mp.make_mpf(mpf_mul(step, from_int(i)))
+            for i in range(_ROUCHE_GRID)]
+    values, err, exp = circle_values(t, grid)
+    low = isqrt(min(re * re + im * im for re, im in values)) - err
+    deriv_cap = mpf_sum([mpf_mul(from_int(j), x._mpf_)
+                         for j, pair in enumerate(t.coeffs) for x in pair],
+                        absolute=True)
+    drift = mpf_mul(deriv_cap, mpf_shift(step, -1), t.bits, round_ceiling)
+    min_t = mp.make_mpf(mpf_sub(from_man_exp(low, exp), drift, t.bits,
+                                round_floor))
+    t_in_disc = _winding(values) if min_t > 0 else None
+    certified = t_in_disc is not None and min_t > bound
     f_count = count_disc_zeros(data.degree, data.conductor).zeros
     return RoucheTransfer(
-        certified=bool(certified),
-        min_t=+min_t,
+        certified=certified,
+        min_t=min_t,
         remainder_bound=bound,
         t_disc_zeros=t_in_disc,
         f_disc_zeros=f_count,

@@ -390,8 +390,6 @@ def circle_report(p, tolerance=1e-8):
     else is "uncertain"."""
     tol = max(float(tolerance), 1e-8)
     located = poly_roots(p)
-    roots = tuple(z for z, _ in located)
-    radii = tuple(r for _, r in located)
     verdicts = []
     with mp.workprec(p.bits):
         for z, r in located:
@@ -402,12 +400,10 @@ def circle_report(p, tolerance=1e-8):
                 verdicts.append("off")
             else:
                 verdicts.append("uncertain")
-    return UnitCircleReport(
-        roots=roots,
-        radii=radii,
-        verdicts=tuple(verdicts),
-        tolerance=tol,
-    )
+    # tuples of lists, not of generators: see RealPolynomial.__post_init__
+    return UnitCircleReport(roots=tuple([z for z, _ in located]),
+                            radii=tuple([r for _, r in located]),
+                            verdicts=tuple(verdicts), tolerance=tol)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ A_2 has a one-term closed form, 2 pi (zeta(3/2)/zeta(5/2))^2, recomputed
 here directly from mpmath as the oracle for the frozen digits.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp
 
+from periodpoly import gates, zeros
 from periodpoly import (
     InputError,
     LFunctionData,
@@ -178,10 +181,9 @@ class TestRoucheTransfer:
         with pytest.raises(InputError):
             rouche_transfer(sym3_data, None, None)
 
-    def test_meeting_discs_withhold_the_certificate(self):
-        # T = (z - 1/2)(z - 1/2 - 2^-100): min |T| on the circle (about
-        # 1/4) beats the bound, but the two inclusion discs about 1/2 meet,
-        # so they may hold one root between them and the count is unproved
+    def test_near_double_root_certifies(self):
+        # T = (z - 1/2)(z - 1/2 - 2^-100): the two inclusion discs about 1/2
+        # meet, but the winding of the circle samples counts both zeros
         data = LFunctionData(weight=5, degree=6, conductor=2 * 10 ** 8 + 7,
                              hodge=(1, 1, 1), root_number=1,
                              coefficients=(mp.mpf(1),), label="near-double")
@@ -194,6 +196,61 @@ class TestRoucheTransfer:
         assert all(abs(z) + r < 1 for z, r in ((z1, r1), (z2, r2)))
         rt = rouche_transfer(data, mp.mpf("0.01"), t)
         assert rt.min_t > rt.remainder_bound
+        assert rt.certified
         assert rt.t_disc_zeros == 2
+        assert rt.q_disc_zeros == 0
+
+    def test_zero_on_the_circle_withholds(self):
+        # T = (z - 1)(z - 1/2): |T(1)| = 0, so no min_t > 0 and no count
+        t = RealPolynomial(((mp.mpf(0.5), 0), (-1.5, 0), (1, 0)), bits=128)
+        rt = rouche_transfer(_transfer_data(2, 6, 10 ** 8), mp.mpf(0), t)
+        assert rt.min_t <= 0
         assert not rt.certified
+        assert rt.t_disc_zeros is None
         assert rt.q_disc_zeros is None
+
+    def test_winding_matches_inclusion_discs(self):
+        # the oracle: T's roots isolated by poly_roots, counted inside the
+        # disc; the grid holds 0 to 6 zeros, and (6, 2, 5) a zero too near
+        # the circle for the samples (min_t <= 0, no count)
+        cases = [(m, d, n) for m in range(2, 7) for d in (2, 8)
+                 for n in (1, 5, 100, 1000, 10 ** 4)]
+        cases += [(2, 4, n) for n in (1, 100, 10 ** 4)]  # T = (1 + yz/2)^2
+        # 14a1, 37a1 and 53a1 Sym^5, 37a1 Sym^7 and 11a1 Sym^9
+        cases += [(2, 6, 14 ** 5), (2, 6, 37 ** 5), (2, 6, 53 ** 5),
+                  (3, 8, 37 ** 7), (4, 10, 11 ** 9)]
+        counts = []
+        for m, d, n in cases:
+            t = partial_sum_T(m, d, n, bits=128)
+            rt = rouche_transfer(_transfer_data(m, d, n), mp.mpf(0), t)
+            if rt.min_t > 0:
+                located = poly_roots(t)
+                assert not any(abs(z) - r <= 1 <= abs(z) + r
+                               for z, r in located)
+                want = sum(1 for z, r in located if abs(z) + r < 1)
+            else:
+                want = None
+            assert rt.t_disc_zeros == want, (m, d, n)
+            counts.append(want)
+        assert set(counts) == {None, 0, 1, 2, 3, 4, 5, 6}
+        assert counts[-5:] == [0] * 5
+
+    def test_transfer_locates_no_roots(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return poly_roots(*args, **kwargs)
+
+        monkeypatch.setattr(zeros, "poly_roots", spy)
+        # an import by name would escape the patch of zeros
+        monkeypatch.setattr(gates, "poly_roots", spy, raising=False)
+        t = partial_sum_T(3, 8, 11 ** 7, bits=128)
+        rt = rouche_transfer(_transfer_data(3, 8, 11 ** 7), mp.mpf(0), t)
+        assert rt.t_disc_zeros == 0
+        assert calls == []
+
+
+def _transfer_data(m, d, n):
+    """The fields of a dataset that rouche_transfer reads."""
+    return SimpleNamespace(m=m, degree=d, conductor=n)

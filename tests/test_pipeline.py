@@ -21,17 +21,20 @@ def test_sym3_analysis_passes(sym3_data, sym3_vals):
     assert result.discrepancy == result.circle.discrepancy
 
 
-def test_sym5_rouche_transfer_certifies(sym5_data, sym5_vals):
-    result = analyze(sym5_data, sym5_vals)
-    rt = result.rouche
-    assert result.rouche_error is None
-    assert rt.certified
-    assert rt.t_disc_zeros == 0
-    assert rt.q_disc_zeros == sym5_data.m
-    assert rt.f_disc_zeros == count_disc_zeros(6, 11 ** 5).zeros
-    # the report renders the certified branch
-    obj = _rouche_obj(result)
-    assert obj["certified"] is True
-    assert obj["q_disc_zeros"] == sym5_data.m
-    assert set(obj) == {"certified", "min_t_on_circle", "remainder_bound",
-                        "t_disc_zeros", "f_disc_zeros", "q_disc_zeros"}
+def test_sym5_rouche_transfer_certifies(sym5_data, sym5_vals, sym7_data,
+                                        sym7_vals):
+    for data, vals in ((sym5_data, sym5_vals), (sym7_data, sym7_vals)):
+        result = analyze(data, vals)
+        rt = result.rouche
+        assert result.rouche_error is None
+        assert rt.certified
+        assert rt.t_disc_zeros == 0
+        assert rt.q_disc_zeros == data.m
+        assert rt.f_disc_zeros == count_disc_zeros(data.degree,
+                                                   data.conductor).zeros
+        # the report renders the certified branch
+        obj = _rouche_obj(result)
+        assert obj["certified"] is True
+        assert obj["q_disc_zeros"] == data.m
+        assert set(obj) == {"certified", "min_t_on_circle", "remainder_bound",
+                            "t_disc_zeros", "f_disc_zeros", "q_disc_zeros"}
