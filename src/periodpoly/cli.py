@@ -170,7 +170,7 @@ def cmd_analyze(args):
         if cache is not None:
             cache.store(label, sym, vals, digest)
 
-    sym_context = (2, sym, curve.conductor) if curve is not None else None
+    sym_context = (sym, curve.conductor) if curve is not None else None
     result = analyze(data, vals, sym_context)
     _emit(args, "analyze", _analysis_report(result, args, inputs, sym),
           _analysis_lines(result))

@@ -152,7 +152,7 @@ def parse_coefficient_text(text, source="<coeffs>", bits=192):
 
     lineno, hodge_text = header["hodge"]
     try:
-        hodge = tuple(int(t) for t in hodge_text.split(","))
+        hodge = tuple([int(t) for t in hodge_text.split(",")])
     except ValueError:
         raise InputError("%s, line %d: hodge must be comma-separated "
                          "integers, got %r" % (source, lineno, hodge_text))

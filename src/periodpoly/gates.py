@@ -10,13 +10,22 @@ polynomial lies on |z| = 1:
 
       A_m = max_{1 <= j <= m-1} (2 pi / (m - j)) (zeta(j+1/2)/zeta(j+3/2))^2.
 
+LARGE_N forces L-value inequalities, and by the identity
+b_j Lambda(w-j) = Lambda(w) c_j L(w-j)/L(w) of polys each is a positive
+multiple of one step of the folded polynomial P's coefficients:
+P_{j+1} - P_j is N^{w/2} L_inf(w) y^{m-j}/((m-j-1)!)^{d/2} times
+sqrt(N/(2 pi)^d) L(m+j+2) - (m-j)^{-d/2} L(m+j+1) for j = 1..m-1, and
+P_1 - P_0 is b_m m^{sum h} times the central inequality's slack.  So the
+inequalities say that P's coefficients increase, and
+coefficient_inequalities measures them there, with no Gamma evaluated,
+to cross-examine a verdict.
+
 For large m there is a weaker guarantee ("LARGE_M"): the normalized
 polynomial Q has exactly m - c_{d,N} zeros inside the unit disc, where
 c_{d,N} counts the disc zeros of the limit series F_{d,N}.
 rouche_transfer proves the count m - t, t the disc zeros of F's truncation
 T, by Rouche (min |T| on the circle beats the remainder bound) and by the
-winding number of the same samples.  coefficient_inequalities measures the
-slack in the inequalities behind LARGE_N, to cross-examine a verdict.
+winding number of the same samples.
 """
 
 from dataclasses import dataclass
@@ -24,27 +33,26 @@ from functools import cache
 from math import isqrt
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_mul, mpf_pi,
-                          mpf_shift, mpf_sub, mpf_sum, round_ceiling,
-                          round_floor)
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul,
+                          mpf_pi, mpf_shift, mpf_sub, mpf_sum, round_ceiling,
+                          round_floor, round_up)
 
 from .errors import InputError
-from .lfunc import gamma_completed
 from .zeros import circle_values, count_disc_zeros
 
 # Conductor ranges of odd symmetric powers of weight-2 newforms that the
-# sufficient conditions above do not reach (squarefree level only).  The
-# root numbers recorded in the LMFDB are -1 throughout, except for the
-# two isogeny classes listed under eps_plus.  Reporting only; nothing is
-# decided by this table.
+# sufficient conditions above do not reach (squarefree level only), keyed
+# by the power.  The root numbers recorded in the LMFDB are -1 throughout,
+# except for the two isogeny classes listed under eps_plus.  Reporting
+# only; nothing is decided by this table.
 SYM_POWER_GAPS = {
-    (2, 5): {"levels": (11, 43), "eps_plus": (37, 43)},
-    (2, 7): {"levels": (11, 15), "eps_plus": ()},
+    5: {"levels": (11, 43), "eps_plus": (37, 43)},
+    7: {"levels": (11, 15), "eps_plus": ()},
 }
 
 # Level floors above which the LARGE_N gate is known to fire for odd
-# symmetric powers of non-CM newforms of the given (modular weight, power).
-COROLLARY_LEVEL_FLOORS = {(2, 5): 46, (2, 7): 17, (4, 3): 17}
+# symmetric powers of non-CM weight-2 newforms, keyed by the power.
+COROLLARY_LEVEL_FLOORS = {5: 46, 7: 17}
 
 _ROUCHE_GRID = 4096  # circle points where rouche_transfer samples |T|
 _GATE_BITS = 128  # precision of A_m and A_m^d in theorem_gate
@@ -95,41 +103,22 @@ def hodge_condition(m, hodge):
     return lhs >= rhs, lhs, rhs
 
 
-def _finite_l(data, vals, s):
-    """(L(s), error) stripped of conductor and archimedean factors."""
-    with mp.workprec(vals.bits):
-        g = gamma_completed(s, data, bits=vals.bits)
-        den = mp.power(data.conductor, mp.mpf(s) / 2) * g
-        return mp.mpf(vals.value(s)) / den, mp.mpf(vals.error(s)) / abs(den)
+def coefficient_inequalities(big_p):
+    """The steps of P's coefficients: the measured slack in the value
+    inequalities behind LARGE_N (module docstring).
 
-
-def coefficient_inequalities(data, vals):
-    """Measured slack in the two value inequalities behind LARGE_N.
-
-    Returns (margins, central), (value, error) pairs: margins[j-1] of
-    sqrt(N/(2 pi)^d) L(m+j+2) - (m-j)^{-d/2} L(m+j+1), j = 1..m-1 (none
-    for m = 1), central of [prod_nu (m+1-nu)^{-h_nu}] Lambda(m+2) - (1/2)
-    [prod_nu m^{-h_nu}] Lambda(m+1).  Positive means the inequality holds."""
-    m = data.m
-    d = data.degree
-    with mp.workprec(vals.bits):
-        pref = mp.sqrt(mp.mpf(data.conductor) / (2 * mp.pi) ** d)
-        margins = []
-        for j in range(1, m):
-            la, ea = _finite_l(data, vals, m + j + 1)
-            lb, eb = _finite_l(data, vals, m + j + 2)
-            wgt = mp.mpf(m - j) ** (-mp.mpf(d) / 2)
-            margins.append((+(pref * lb - wgt * la), +(pref * eb + wgt * ea)))
-        prod_a = mp.mpf(1)
-        prod_b = mp.mpf(1)
-        for nu, h in enumerate(data.hodge):
-            if h:
-                prod_a *= mp.mpf(m) ** (-h)
-                prod_b *= mp.mpf(m + 1 - nu) ** (-h)
-        va, ea = mp.mpf(vals.value(m + 1)), mp.mpf(vals.error(m + 1))
-        vb, eb = mp.mpf(vals.value(m + 2)), mp.mpf(vals.error(m + 2))
-        central = (+(prod_b * vb - prod_a * va / 2), +(prod_b * eb + prod_a * ea / 2))
-    return tuple(margins), central
+    Returns (margins, central), (value, error) pairs: central = P_1 - P_0,
+    b_m m^{sum h} times [prod_nu (m+1-nu)^{-h_nu}] Lambda(m+2) - (1/2)
+    [prod_nu m^{-h_nu}] Lambda(m+1), and margins[j-1] = P_{j+1} - P_j,
+    N^{w/2} L_inf(w) y^{m-j}/((m-j-1)!)^{d/2} times sqrt(N/(2 pi)^d)
+    L(m+j+2) - (m-j)^{-d/2} L(m+j+1), for j = 1..m-1 (none for m = 1).
+    Positive means the inequality holds.  Each difference is exact; each
+    error is err(P_j) + err(P_{j+1}), rounded up once at big_p.bits."""
+    steps = [(mp.make_mpf(mpf_sub(hi._mpf_, lo._mpf_)),
+              mp.make_mpf(mpf_add(lo_e._mpf_, hi_e._mpf_, big_p.bits,
+                                  round_up)))
+             for (lo, lo_e), (hi, hi_e) in zip(big_p.coeffs, big_p.coeffs[1:])]
+    return tuple(steps[1:]), steps[0]
 
 
 @dataclass(frozen=True)
@@ -138,9 +127,11 @@ class GateReport:
 
     case is "M1", "LARGE_N", or "NONE"; satisfied says whether one of the
     two unconditional gates fired.  a_m and a_m_power_d are None when
-    m = 1.  margins_11/margin_22 are filled when special values were
-    supplied.  notes carries reporting-only context (known gap ranges,
-    large-m transfer results)."""
+    m = 1.  margins_11/margin_22 are P's coefficient steps P_{j+1} - P_j
+    and P_1 - P_0, positive multiples of the inequalities' slack
+    (coefficient_inequalities), filled when P was supplied; positive means
+    the inequality holds.  notes carries reporting-only context (known gap
+    ranges, large-m transfer results)."""
 
     label: str
     case: str
@@ -161,13 +152,14 @@ class GateReport:
         return self.case in ("M1", "LARGE_N")
 
 
-def theorem_gate(data, vals=None, sym_context=None):
+def theorem_gate(data, big_p=None, sym_context=None):
     """Evaluate the unit-circle gates on one dataset.
 
-    sym_context, when given, is (modular_weight, power, base_level) for a
-    symmetric-power dataset; it only adds reporting notes from the known
-    gap table, never changes the verdict.  vals (special values) enables
-    the margin measurements."""
+    sym_context, when given, is (power, base_level) for a symmetric power
+    of a weight-2 newform; it only adds reporting notes from the known
+    gap table, never changes the verdict.  big_p (build_P_poly of the
+    dataset's values) enables the margin measurements: the steps of its
+    coefficients, positive multiples of the inequalities' slack."""
     m = data.m
     hodge_ok, lhs, rhs = hodge_condition(m, data.hodge)
     notes = []
@@ -196,8 +188,8 @@ def theorem_gate(data, vals=None, sym_context=None):
                     % (data.conductor, mp.nstr(a_pow, 8))
                 )
     if sym_context is not None:
-        k, n, base = sym_context
-        gap = SYM_POWER_GAPS.get((k, n))
+        n, base = sym_context
+        gap = SYM_POWER_GAPS.get(n)
         if gap and gap["levels"][0] <= base <= gap["levels"][1]:
             eps_note = (
                 "root number +1 recorded for levels %s" % (gap["eps_plus"],)
@@ -208,16 +200,16 @@ def theorem_gate(data, vals=None, sym_context=None):
                 "level %d lies in the known gap range %d..%d for power %d; %s"
                 % (base, gap["levels"][0], gap["levels"][1], n, eps_note)
             )
-        floor = COROLLARY_LEVEL_FLOORS.get((k, n))
+        floor = COROLLARY_LEVEL_FLOORS.get(n)
         if floor is not None and base >= floor:
             notes.append(
-                "level %d meets the known floor %d for (weight %d, power %d)"
-                % (base, floor, k, n)
+                "level %d meets the known floor %d for (weight 2, power %d)"
+                % (base, floor, n)
             )
     margins = ()
     central = None
-    if vals is not None:
-        margins, central = coefficient_inequalities(data, vals)
+    if big_p is not None:
+        margins, central = coefficient_inequalities(big_p)
     return GateReport(
         label=data.label,
         case=case,

@@ -230,7 +230,7 @@ class Header:
                    for n in (*self.hodge, self.conductor)):
             raise InputError("Hodge numbers and conductor must be integers, "
                              "got %r and %r" % (self.hodge, self.conductor))
-        hodge = tuple(int(h) for h in self.hodge)
+        hodge = tuple([int(h) for h in self.hodge])
         object.__setattr__(self, "hodge", hodge)
         if len(hodge) != self.m + 1:
             raise InputError("hodge list must have length m+1 = %d, got %d"

@@ -5,7 +5,11 @@ p, its deflation p_hat, P, Q = P/Lambda(w), the truncation T, the L-value
 ratios read off Q and T, the remainder bound and the zeta-polynomial Z are
 built once and handed to the steps that read them (build_P_poly,
 rv_transform, build_Q_poly, l_value_ratios, q_decomposition_residual,
-rouche_transfer, closed_form_ok).
+theorem_gate, rouche_transfer, closed_form_ok).  The gate's margins are
+P's coefficient steps: by b_j Lambda(w-j) = Lambda(w) c_j L(w-j)/L(w),
+P_{j+1} - P_j is N^{w/2} L_inf(w) y^{m-j}/((m-j-1)!)^{d/2} times the
+slack of one LARGE_N inequality and P_1 - P_0 is b_m m^{sum h} times the
+central one's, so no Gamma is evaluated outside the AFE kernel.
 Obtaining the values (special_values or a cache) and rendering the result
 stay with the caller.
 """
@@ -77,8 +81,8 @@ class Analysis:
 def analyze(data, vals, sym_context=None):
     """Run the full analysis of data on its completed values vals.
 
-    sym_context is passed to theorem_gate: (modular weight, power, base
-    level) for a symmetric-power dataset, else None."""
+    sym_context is passed to theorem_gate: (power, base level) for a
+    symmetric power of a weight-2 newform, else None."""
     violations = verify_hypothesis(data, vals)
     p = build_p_poly(data, vals)
     big_p = build_P_poly(p)
@@ -114,7 +118,7 @@ def analyze(data, vals, sym_context=None):
         trig=trig_sign_changes(big_p, data.root_number),
         q_residual=q_decomposition_residual(ratios, big_q, t),
         remainder_bound=bound,
-        gate=theorem_gate(data, vals, sym_context=sym_context),
+        gate=theorem_gate(data, big_p, sym_context=sym_context),
         rouche=rouche,
         rouche_error=rouche_error,
         zeta=zeta,

@@ -222,9 +222,9 @@ def deflate_at_one(p, eps):
             " zero at z = 1" % (total / den, terr / den))
     # den is a power of two, since p's coefficients are mpf
     shift = 1 - den.bit_length()
-    q = tuple((mp.make_mpf(from_man_exp(v, shift)),
-               mp.make_mpf(from_man_exp(er, shift, p.bits, round_up)))
-              for v, er in zip(accumulate(vals[:-1]), accumulate(errs[:-1])))
+    q = tuple([(mp.make_mpf(from_man_exp(v, shift)),
+                mp.make_mpf(from_man_exp(er, shift, p.bits, round_up)))
+               for v, er in zip(accumulate(vals[:-1]), accumulate(errs[:-1]))])
     return RealPolynomial(q, bits=p.bits)
 
 
@@ -264,10 +264,10 @@ def zeta_poly_closed_form(p):
                for j in range(e + 1)]
     srow = stirling_first(e)
     scale = den * factorial(e)
-    return tuple(
+    return tuple([
         Fraction((-1) ** h * sum(comb(h + j, h) * srow[h + j] * moments[j]
                                  for j in range(e + 1 - h)), scale)
-        for h in range(e + 1))
+        for h in range(e + 1)])
 
 
 def closed_form_ok(p, zeta):

@@ -466,7 +466,7 @@ def trig_sign_changes(P, eps):
     return TrigScan(
         kind="cos" if eps == 1 else "sin",
         changes=tuple(changes),
-        failing=tuple(i for i, c in enumerate(changes) if c == 0),
+        failing=tuple([i for i, c in enumerate(changes) if c == 0]),
         boundary_zero=(eps == -1),
     )
 
@@ -583,7 +583,7 @@ def count_disc_zeros(d, conductor, radius=1.0):
     roots = [(Fraction(lo) / y_hi, Fraction(hi) / y_lo) for lo, hi in brackets]
     if any(lo < radius <= hi for lo, hi in roots):
         raise CertificationError("a zero lies too near |z| = %r" % radius)
-    inside = tuple((lo, hi) for lo, hi in roots if hi < radius)
+    inside = tuple([(lo, hi) for lo, hi in roots if hi < radius])
     return DiscCount(zeros=len(inside), radius=radius, points=n, roots=inside)
 
 

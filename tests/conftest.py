@@ -11,11 +11,14 @@ import os
 from fractions import Fraction
 from math import comb, factorial
 
+import mpmath as mp
 import pytest
 from mpmath.libmp import to_rational
 
-from periodpoly import (Precision, parse_curve_file, parse_eps_overrides,
-                        special_values, sym_lfunction_data)
+from periodpoly import (LFunctionData, Precision, SpecialValues,
+                        gamma_completed, parse_curve_file,
+                        parse_eps_overrides, special_values,
+                        sym_lfunction_data)
 from periodpoly.pipeline import scale_estimate
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -108,3 +111,25 @@ def trend_sym3(curve_table):
         out[label] = (data, special_values(data, Precision(128, target)))
     return out
 
+
+@pytest.fixture(scope="session")
+def large_n_synthetic():
+    """m = 2 dataset with conductor above A_2^6 and finite L values 1:
+    Lambda(s) = N^{s/2} L_inf(s) for s = 3, 4, 5."""
+    n_cond = 200000007
+    data = LFunctionData(weight=5, degree=6, conductor=n_cond,
+                         hodge=(1, 1, 1), root_number=1,
+                         coefficients=(mp.mpf(1),), label="large-n")
+    with mp.workprec(192):
+        tiny = mp.mpf(2) ** (-120)
+        values = {}
+        for s in (3, 4, 5):
+            lam = mp.power(n_cond, mp.mpf(s) / 2) * gamma_completed(
+                s, data, bits=192
+            )
+            values[s] = (+lam, tiny)
+        values[1] = values[5]  # functional-equation mirrors; P reads
+        values[2] = values[4]  # only s = 3, 4, 5
+        vals = SpecialValues(weight=5, values=values, bits=192, target=1e-20,
+                             label=data.label)
+    return data, vals

@@ -623,39 +623,15 @@ def test_q_identity(sym3_data, sym3_vals, sym5_data, sym5_vals):
     criterion("q-decomposition-identity", ok, "; ".join(outcomes))
 
 
-def _large_n_synthetic():
-    """m = 2 dataset with conductor above A_2^6 and finite L ratios == 1."""
-    hodge = (1, 1, 1)
-    n_cond = 200000007
-    data = LFunctionData(weight=5, degree=6, conductor=n_cond, hodge=hodge,
-                         root_number=1, coefficients=(mp.mpf(1),),
-                         label="large-n")
-    with mp.workprec(192):
-        tiny = mp.mpf(2) ** (-120)
-        values = {}
-        for s in (3, 4, 5):
-            lam = mp.power(n_cond, mp.mpf(s) / 2) * gamma_completed(
-                s, data, bits=192
-            )
-            values[s] = (+lam, tiny)
-        values[1] = values[5]  # functional-equation mirrors; the gamma
-        values[2] = values[4]  # factors at s <= 2 are never consulted
-        vals = SpecialValues(weight=5, values=values, bits=192, target=1e-20,
-                             label=data.label)
-    return data, vals
-
-
 def test_gate_implication(sym3_data, sym3_vals, sym5_data, sym5_vals,
-                          sym7_data, sym7_vals, trend_sym3):
-    reports = [
-        theorem_gate(sym3_data, sym3_vals),
-        theorem_gate(sym5_data, sym5_vals),
-        theorem_gate(sym7_data, sym7_vals),
-    ]
-    for label, (data, vals) in sorted(trend_sym3.items()):
-        reports.append(theorem_gate(data, vals))
-    ln_data, ln_vals = _large_n_synthetic()
-    reports.append(theorem_gate(ln_data, ln_vals))
+                          sym7_data, sym7_vals, trend_sym3,
+                          large_n_synthetic):
+    datasets = [(sym3_data, sym3_vals), (sym5_data, sym5_vals),
+                (sym7_data, sym7_vals)]
+    datasets += [dv for _, dv in sorted(trend_sym3.items())]
+    datasets.append(large_n_synthetic)
+    reports = [theorem_gate(data, build_P_poly(build_p_poly(data, vals)))
+               for data, vals in datasets]
 
     cases = []
     ok = True

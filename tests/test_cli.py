@@ -210,7 +210,11 @@ class TestAnalyzeCurve:
         assert report["checks"]["closed_form_ok"] is True
         assert report["circle"]["num_off"] == 0
         assert report["circle"]["num_uncertain"] == 0
-        assert report["gate"]["case"] in {"M1", "M2", "NONE"}
+        assert report["gate"]["case"] == "M1"
+        assert report["gate"]["satisfied"] is True
+        # P_1 - P_0 in P's units, rendered as [value, error]
+        value, error = report["gate"]["margin_22"]
+        assert float(value) > float(error) > 0
 
     def test_cache_misses_under_tighter_target(self, capsys, tmp_path):
         # values cached under 1e-3 must not answer a request for 1e-8

@@ -6,19 +6,22 @@ here directly from mpmath as the oracle for the frozen digits.
 
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 from mpmath import mp
 
-from periodpoly import gates, zeros
+from periodpoly import gates, lfunc, zeros
 from periodpoly import (
     InputError,
     LFunctionData,
     RealPolynomial,
+    binomial_weight,
     build_P_poly,
     build_Q_poly,
     build_p_poly,
     compute_A_m,
     coefficient_inequalities,
+    gamma_completed,
     hodge_condition,
     partial_sum_T,
     poly_roots,
@@ -81,19 +84,57 @@ class TestHodgeCondition:
                     assert ok == alt, (m, h0, hm)
 
 
+def _big_p(data, vals):
+    return build_P_poly(build_p_poly(data, vals))
+
+
+def _gamma_route(data, vals):
+    """The margins as the L-value inequalities state them, with
+    N^{s/2} L_inf(s) stripped from each Lambda(s) by gamma_completed:
+    margins[j-1] = sqrt(N/(2 pi)^d) L(m+j+2) - (m-j)^{-d/2} L(m+j+1), and
+    central = [prod_nu (m+1-nu)^{-h_nu}] Lambda(m+2)
+    - (1/2) [prod_nu m^{-h_nu}] Lambda(m+1), each with its error."""
+    m, d, n = data.m, data.degree, data.conductor
+
+    def finite_l(s):
+        den = mp.power(n, mp.mpf(s) / 2) * gamma_completed(s, data,
+                                                            bits=vals.bits)
+        return mp.mpf(vals.value(s)) / den, mp.mpf(vals.error(s)) / den
+
+    with mp.workprec(vals.bits):
+        pref = mp.sqrt(mp.mpf(n) / (2 * mp.pi) ** d)
+        margins = []
+        for j in range(1, m):
+            la, ea = finite_l(m + j + 1)
+            lb, eb = finite_l(m + j + 2)
+            wgt = mp.mpf(m - j) ** (-mp.mpf(d) / 2)
+            margins.append((pref * lb - wgt * la, pref * eb + wgt * ea))
+        prod_a = prod_b = mp.mpf(1)
+        for nu, h in enumerate(data.hodge):
+            prod_a *= mp.mpf(m) ** (-h)
+            prod_b *= mp.mpf(m + 1 - nu) ** (-h)
+        va, ea = vals.values[m + 1]
+        vb, eb = vals.values[m + 2]
+        central = (prod_b * vb - prod_a * va / 2, prod_b * eb + prod_a * ea / 2)
+    return margins, central
+
+
 class TestGateVerdicts:
     def test_sym3_m1(self, sym3_data, sym3_vals):
-        g = theorem_gate(sym3_data, sym3_vals, sym_context=(2, 3, 11))
+        g = theorem_gate(sym3_data, _big_p(sym3_data, sym3_vals),
+                         sym_context=(3, 11))
         assert g.case == "M1"
         assert g.satisfied
         assert g.a_m is None
         assert g.margins_11 == ()
         v, e = g.margin_22
-        assert abs(v - mp.mpf("10.2229307719591287")) < 1e-13
+        # P_1 - P_0: b_1 = 2 times the Gamma-route central margin
+        assert abs(v - mp.mpf("20.4458615439182574")) < 1e-13
         assert float(e) < 1e-20
 
     def test_sym5_none_with_margins(self, sym5_data, sym5_vals):
-        g = theorem_gate(sym5_data, sym5_vals, sym_context=(2, 5, 11))
+        g = theorem_gate(sym5_data, _big_p(sym5_data, sym5_vals),
+                         sym_context=(5, 11))
         assert g.case == "NONE"
         assert not g.satisfied
         assert g.hodge_ok
@@ -141,9 +182,63 @@ class TestGateVerdicts:
         assert any("Hodge condition fails" in n for n in g.notes)
 
     def test_coefficient_inequalities_shape(self, sym5_data, sym5_vals):
-        margins, central = coefficient_inequalities(sym5_data, sym5_vals)
+        margins, central = coefficient_inequalities(_big_p(sym5_data,
+                                                           sym5_vals))
         assert len(margins) == sym5_data.m - 1
         assert central is not None
+
+    @pytest.mark.parametrize("fixture", ["sym3", "sym5", "sym7", "large_n"])
+    def test_steps_are_scaled_gamma_route_margins(self, request, fixture):
+        # P_{j+1} - P_j = N^{w/2} L_inf(w) y^{m-j}/((m-j-1)!)^{d/2} times the
+        # Gamma route's margin, and P_1 - P_0 = b_m m^{sum h} times its
+        # central one; the errors scale alike, up to rounding
+        if fixture == "large_n":
+            data, vals = request.getfixturevalue("large_n_synthetic")
+        else:
+            data = request.getfixturevalue(fixture + "_data")
+            vals = request.getfixturevalue(fixture + "_vals")
+        m, d, n, w = data.m, data.degree, data.conductor, data.weight
+        margins, central = coefficient_inequalities(_big_p(data, vals))
+        old_margins, old_central = _gamma_route(data, vals)
+        assert len(margins) == len(old_margins) == m - 1
+        with mp.workprec(vals.bits):
+            lam_w = mp.power(n, mp.mpf(w) / 2) * gamma_completed(
+                w, data, bits=vals.bits)
+            y = mp.power(2 * mp.pi, mp.mpf(d) / 2) / mp.sqrt(n)
+            factors = [lam_w * y ** (m - j)
+                       / mp.factorial(m - j - 1) ** (mp.mpf(d) / 2)
+                       for j in range(1, m)]
+            factors.append(binomial_weight(m, data.hodge, 0)
+                           * m ** sum(data.hodge))
+            tol = mp.mpf(2) ** (8 - vals.bits)
+            for (v, e), (ov, oe), f in zip(
+                    list(margins) + [central],
+                    old_margins + [old_central], factors):
+                assert (v > 0) == (ov > 0) and (v > e) == (ov > oe)
+                assert abs(v / (f * ov) - 1) < tol
+                assert abs((e / abs(v)) / (oe / abs(ov)) - 1) < 1e-10
+
+    def test_gate_evaluates_no_gamma(self, monkeypatch, sym5_data,
+                                     sym5_vals):
+        big_p = _big_p(sym5_data, sym5_vals)
+        calls = []
+
+        def spy(real):
+            def inner(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return inner
+
+        monkeypatch.setattr(lfunc, "gamma_completed",
+                            spy(lfunc.gamma_completed))
+        # an import by name would escape the patch of lfunc
+        monkeypatch.setattr(gates, "gamma_completed",
+                            spy(lfunc.gamma_completed), raising=False)
+        monkeypatch.setattr(mpmath, "gamma", spy(mpmath.gamma))
+        monkeypatch.setattr(mp, "gamma", spy(mp.gamma))
+        g = theorem_gate(sym5_data, big_p, sym_context=(5, 11))
+        assert len(g.margins_11) == 1
+        assert calls == []
 
 
 class TestRoucheTransfer:
