@@ -50,7 +50,10 @@ def verify_hypothesis(data, vals):
     (degree-d divisor function) on the stored range; functional-equation
     symmetry of vals; central nonnegativity; the monotonicity chain
     Lambda(m+1) <= Lambda(m+2) <= ... ; and for eps = -1 the strengthened
-    chain Lambda(m+1+k)/k nondecreasing (central value zero).
+    chain Lambda(m+1+k)/k nondecreasing (central value zero).  Values from
+    special_values satisfy the functional equation and, for eps = -1, the
+    central zero by construction; on them those two checks hold trivially
+    and matter for value sets supplied from elsewhere, such as a cache.
     """
     out = []
     w = data.weight

@@ -30,7 +30,7 @@ from .sympow import CurveSpec
 FORMAT_COEFFS = "periodpoly-coeffs-1"
 FORMAT_CURVES = "periodpoly-curves-1"
 FORMAT_EPS = "periodpoly-eps-1"
-FORMAT_CACHE = "periodpoly-cache-2"
+FORMAT_CACHE = "periodpoly-cache-3"
 FORMAT_REPORT = "periodpoly-report-1"
 
 # Decimal digits carried by serialized values, as a function of the
@@ -358,7 +358,9 @@ class SpecialValuesCache:
 
         A line is skipped, so that a lookup misses and the caller
         recomputes, if it does not parse, is in another format (such as
-        the per-s records of periodpoly-cache-1), fails its checksum,
+        the per-s records of periodpoly-cache-1, or periodpoly-cache-2,
+        whose eps = -1 central value has an error bound where a cold run
+        gives 0), fails its checksum,
         lacks a key field or does not hold exactly s = 1..weight."""
         if not os.path.exists(self.path):
             return

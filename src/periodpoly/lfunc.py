@@ -93,7 +93,10 @@ The kernel and its planning are built to be cheap:
 
   (a) each node costs one complex loggamma at F bits, at z - top; every
       other Gamma(z - nu) follows from it by the rising factors (z - top)
-      ... (z - nu - 1), and the arithmetic around it calls mpmath.libmp;
+      ... (z - nu - 1), and the arithmetic around it calls mpmath.libmp.
+      When eps = -1, Lambda((w+1)/2) = -Lambda((w+1)/2) is 0 exactly, so
+      special_values returns it with error 0 and builds no node for
+      I((w+1)/2);
   (b) each used line is built once, at the step and node count (e)
       predicted for it; a line no term uses is never built;
   (c) the terms run in Python integers, with no mpmath number per term:
@@ -101,22 +104,29 @@ The kernel and its planning are built to be cheap:
       per prime per plan, F + 32 fractional bits); n^-(sigma + c_min),
       completely multiplicative as sigma + c_min is a multiple of 1/4,
       along the same sieve as an (F + 8)-bit mantissa and a power of two,
-      divided by the exact n^off_i on line i; e^{i h ell} from mpf_cos_sin
-      at F + 8 bits truncated to F (h has a 24-bit mantissa, so h ell is
-      exact); the trapezoid sums by Horner's rule with F = working bits +
-      16 fractional bits.  Each used line, in ascending index, sums its
-      terms exactly at their finest power of two (the node cutoff bisects
-      integer suffix masses) and multiplies by its constant N^{c/2} (h/pi)
-      N^{sigma/2} once; the lines add exactly before one rounding;
+      divided by the exact n^off_i on line i; e^{i h ell} per line as
+      e^{i h ln sqrt(N)} times e^{-i h ln p} for each prime factor p of n,
+      one mpf_cos_sin per prime, the products along the same sieve at
+      F + 16 fractional bits and truncated to F (h has a 24-bit mantissa
+      and ln n sums its primes' logs, so the angles are exact, and 16
+      guard bits keep the error of up to 40 factors under that of one
+      cos and sin at F + 8 bits); the trapezoid sums by Horner's rule
+      with F = working bits + 16 fractional bits.  Each used line, in
+      ascending index, sums its terms exactly at their finest power of
+      two (the node cutoff bisects integer suffix masses) and multiplies
+      by its constant N^{c/2} (h/pi) N^{sigma/2} once; the lines add
+      exactly before one rounding;
   (d) n0 is searched in doubles, line by line, bisecting the log of the
       divisor-tail majorant (numutil.log_divisor_tail) against the budget
       less _LOG_SLACK, each line after the first only below the best n0
-      so far, as it must beat that strictly.  The doubles err by far less
-      than _LOG_SLACK, so the mpmath majorant at n0, which one_sided adds
-      to the bound, is within budget; n0 is that of an mpmath bisection
-      unless its crossing lies within _LOG_SLACK of the budget, and then
-      only larger.  The plan reads only the header and the Precision, so
-      AfePlan makes it before any coefficient is counted;
+      so far, as it must beat that strictly, and only when it clears the
+      budget at one less than that n0, the majorant falling with n.  The
+      doubles err by far less than _LOG_SLACK, so the mpmath majorant at
+      n0, which one_sided adds to the bound, is within budget; n0 is that
+      of an mpmath bisection unless its crossing lies within _LOG_SLACK
+      of the budget, and then only larger.  The plan reads only the
+      header and the Precision, so AfePlan makes it before any
+      coefficient is counted;
   (e) the lines are chosen by predicted work, in doubles, before any node
       is built.  Given a subset of the ladder, each term goes to the
       argmin of log_mass[i] + c_i ell over it; the c_i increase, so each
@@ -129,6 +139,10 @@ The kernel and its planning are built to be cheap:
       nodes, so lines are dropped from it greedily while the predicted
       work falls.  A term moved up from c to c' cancels e^{(c' - c) ell}
       more, so a subset's predicted rounding must stay within its share.
+      The Stirling bound S(t) that sizes the masses and node counts is a
+      closure per line: what it needs of each Gamma factor that does not
+      depend on t is computed once, and one atan2 serves the phase and
+      the decay, with the formula's operations in its order.
 """
 
 import math
@@ -162,6 +176,10 @@ _FIX_GUARD_BITS = 16
 # Fractional bits of the ln n table beyond F: an angle h ell errs by h
 # times the table's error, which these bits keep far below 2^-F.
 _LN_GUARD_BITS = 32
+
+# Fractional bits of the products e^{i h ell} beyond F: a product of up to
+# 41 factors errs by less than 2^7 units of its last bit.
+_UNIT_GUARD_BITS = 16
 
 # Mantissa bits of the weights n^-(sigma + c) beyond F.
 _WEIGHT_GUARD_BITS = 8
@@ -360,7 +378,9 @@ def log_abs_gamma_bound(x, t):
     """Upper bound for log|Gamma(x + i t)|, x > 0, in double precision.
 
     Stirling's formula with Binet's remainder bound |mu(z)| <= 1/(12 Re z),
-    plus an allowance far above the rounding of the doubles."""
+    plus an allowance far above the rounding of the doubles.  The planning
+    evaluates it inside AfePlan._g_bound's per-line closure, bit for bit;
+    this is the formula that closure is tested against."""
     t = abs(t)
     power = (x - 0.5) * 0.5 * math.log(x * x + t * t)
     phase = t * math.atan2(t, x)
@@ -506,18 +526,35 @@ class AfePlan:
 
     # -- a-priori bounds on the kernel (double precision) ---------------------
 
-    def _g_bound(self, sigma, c, t):
-        """(log S(t), decay(t)): S(t) >= |g(t)| on the line Re u = c by
+    def _g_bound(self, sigma, c):
+        """t -> (log S(t), decay(t)) on the line Re u = c: S(t) >= |g(t)| by
         Stirling, and decay(t) = sum h_nu atan(t / x_nu) <= -(log S)'(t')
-        for every t' >= t.  Needs c > 0 and sigma + c - top > 0."""
-        t = abs(t)
-        log_s = -0.5 * math.log(c * c + t * t)
-        decay = 0.0
+        for every t' >= t.  Needs c > 0 and sigma + c - top > 0.  What does
+        not depend on t is computed once per line, and one atan2 serves the
+        phase and the decay; the rest is log_abs_gamma_bound's operations
+        in its order, so the bound is the formula's bit for bit."""
+        cc = c * c
+        half_ln2pi = 0.5 * _LN2PI
+        parts = []
         for nu, h in self._gammas:
             x = sigma + c - nu
-            log_s += h * (_LN2 - x * _LN2PI + log_abs_gamma_bound(x, t))
-            decay += h * math.atan2(t, x)
-        return log_s, decay
+            parts.append((h, x, x * x, (x - 0.5) * 0.5, 1 / (12 * x),
+                          _LN2 - x * _LN2PI))
+
+        def bound(t):
+            t = abs(t)
+            tt = t * t
+            log_s = -0.5 * math.log(cc + tt)
+            decay = 0.0
+            for h, x, xx, half, binet, const in parts:
+                power = half * math.log(xx + tt)
+                angle = math.atan2(t, x)
+                phase = t * angle
+                log_s += h * (const + (power - phase - x + half_ln2pi + binet
+                                       + 1e-12 * (abs(power) + phase + x + 1)))
+                decay += h * angle
+            return log_s, decay
+        return bound
 
     def _log_mass(self, sigma, c):
         """log of an upper bound for (1/pi) int_0^oo |g(t)| dt on the line
@@ -528,13 +565,14 @@ class AfePlan:
         return self._masses[sigma, c]
 
     def _sum_mass(self, sigma, c):
-        s0, _ = self._g_bound(sigma, c, 0.0)
+        g_bound = self._g_bound(sigma, c)
+        s0, _ = g_bound(0.0)
         # about half the width of the Gaussian core exp(-t^2 sum h/(2 x))
         step = 0.5 / math.sqrt(sum(h / (sigma + c - nu) for nu, h in self._gammas))
         acc = 0.0
         k = 0
         while True:
-            log_s, decay = self._g_bound(sigma, c, k * step)
+            log_s, decay = g_bound(k * step)
             if k and log_s - s0 < -12:
                 acc += math.exp(log_s - s0) / decay
                 return s0 + math.log(acc / math.pi)
@@ -602,12 +640,13 @@ class AfePlan:
         """[B_1, ..., B_{K-1}] at step h, B_k = log(S(k h) / (h decay(k h)))
         the bound on the nodes past k, up to the first at or below
         log_thresh: K nodes leave at most e^log_thresh."""
+        g_bound = self._g_bound(sigma, c)
         tails = []
         while not tails or tails[-1] > log_thresh:
             if len(tails) + 2 > _MAX_NODES:
                 raise QuadratureError("kernel node count reached %d on line c=%.6g"
                                       % (_MAX_NODES, c))
-            log_s, decay = self._g_bound(sigma, c, (len(tails) + 1) * h)
+            log_s, decay = g_bound((len(tails) + 1) * h)
             tails.append(log_s - math.log(h * decay))
         return tails
 
@@ -629,7 +668,7 @@ class AfePlan:
         mags = [mp.make_mpf(mpc_abs(gk, fix, "n")) for gk in parts]
         node_err = mp.ldexp(mp.fsum(mp.mpf(self._g_err_units(sigma, c, k * hf)) * mk
                                     for k, mk in enumerate(mags)), 4 - fix)
-        log_s, decay = self._g_bound(sigma, c, (count - 1) * hf)
+        log_s, decay = self._g_bound(sigma, c)((count - 1) * hf)
         beyond = mp.exp(log_s - math.log(hf * decay))
         _, _, exp, bc = max(mags)._mpf_
         mag_exp = exp + bc  # every |g_k| < 2^mag_exp
@@ -659,23 +698,55 @@ class AfePlan:
 
     def _z_units(self, h):
         """Bound, in units of 2^-F, on |e^{i h ell} - z| for the z that
-        _unit returns: cos and sin each within 2^-(F+8) at F + 8 bits and
-        then truncated to F bits, plus h times the error of the ell held
-        in the ln table."""
+        _units returns: cos and sin each within 2^-(F+8) before their
+        truncation to F bits, plus h times the error of the ell held in the
+        ln table."""
         return 1.4198 + float(h) * self._ell_err * 2.0 ** -_LN_GUARD_BITS
 
-    def _unit(self, h, ell):
-        """z = e^{i h ell} as fixed-point integers (re, im) with F
-        fractional bits, for ell with lnbits fractional bits.  h has a
-        24-bit mantissa, so the angle h ell is exact."""
-        fix = self.fixbits
+    def _units(self, h, ns):
+        """z = e^{i h ell_n} for each n of ns, as fixed-point integers (re,
+        im) with F fractional bits.  ln n in the ln table is the sum of ln p
+        over the prime factors of n, and h has a 24-bit mantissa, so
+        e^{i h ell_n} = e^{i h ln sqrt(N)} prod_{p^k || n} (e^{-i h ln p})^k
+        with exact angles.  Each factor, made once per prime, is cos and
+        sin at G + 8 bits truncated to G = F + _UNIT_GUARD_BITS fractional
+        bits, within sqrt(2) (1 + 2^-8) units of 2^-G; the products, along
+        the smallest prime factors and kept for the call, truncate to G
+        bits, each within sqrt(2) more.  n <= _N0_CAP has at most 40 prime
+        factors, so each part errs by less than 41 * 1.42 + 40 * 1.42 < 2^7
+        units of 2^-G, within 2^-(F+8), before the truncation to F bits.
+        A generator, so that only the products that are factors of later
+        ones are held."""
+        g = self.fixbits + _UNIT_GUARD_BITS
         _, hm, he, _ = h._mpf_
-        c, s = mpf_cos_sin(from_man_exp(hm * ell, he - self.lnbits), fix + 8)
-        return to_fixed(c, fix), to_fixed(s, fix)
+        lnbits, ln, spf = self.lnbits, self._ln, self._spf
+
+        def unit(x):  # e^{i h x 2^-lnbits}
+            c, s = mpf_cos_sin(from_man_exp(hm * x, he - lnbits), g + 8)
+            return to_fixed(c, g), to_fixed(s, g)
+
+        made = {1: unit(self._ln_sqrt_fix)}
+        factors = {}
+        reused = max(ns, default=1) // 2  # no n // p of an n in ns is above
+        for n in ns:
+            chain = []
+            while n not in made:
+                chain.append(n)
+                n //= spf[n]
+            zr, zi = made[n]
+            for k in reversed(chain):
+                p = spf[k]
+                if p not in factors:
+                    factors[p] = unit(-ln[p])
+                fr, fi = factors[p]
+                zr, zi = (zr * fr - zi * fi) >> g, (zr * fi + zi * fr) >> g
+                if k <= reused:
+                    made[k] = zr, zi
+            yield zr >> _UNIT_GUARD_BITS, zi >> _UNIT_GUARD_BITS
 
     def _node_sum(self, gre, gim, zr, zi, count):
         """Re(g_0/2 + sum_{0<k<count} g_k z^k) times 2^shift, the trapezoid
-        kernel sum at z = e^{i h ell} given by _unit, by Horner's rule on
+        kernel sum at z = e^{i h ell} given by _units, by Horner's rule on
         the fixed-point nodes of _build_nodes.  The sum it stands for errs
         by at most their fix_err."""
         fix = self.fixbits
@@ -716,8 +787,11 @@ class AfePlan:
         for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
             if n0 == 1:
                 break
-            # each line after the first only below the best n0 so far
+            # each line after the first only below the best n0 so far, and
+            # only if it clears the budget there: excess falls with n
             excess = self._log_excess(sigma, c, lm, log_budget - _LOG_SLACK)
+            if n0 is not None and excess(n0 - 1) > 0:
+                continue
             n = _bisect(excess, _N0_CAP if n0 is None else n0 - 1)
             if excess(n) <= 0:
                 n0, i = n, idx
@@ -857,7 +931,6 @@ class AfePlan:
             sigma, ladder, log_mass, float(self.ln_sqrt_n) - ln_n,
             np.log(np.abs(np.array([lam for _, lam in terms], dtype=float)))
             - sigma * ln_n, float(mp.log(budget)))[-1][1]
-        ln = self._ln_table(n0)
         a4 = int(4 * (sigma + ladder[0]))  # sigma + c_min is a multiple of 1/4
         man, exp, delta_w = self._weights(a4, n0)
 
@@ -876,8 +949,7 @@ class AfePlan:
         delta_c = mp.ldexp(1, 4 - self.fixbits)
         with mp.workprec(self.fixbits):
             pref = mp.power(conductor, sig / 2)
-        lnsq = self._ln_sqrt_fix
-        unit_z, node_sum = self._unit, self._node_sum
+        node_sum = self._node_sum
         pieces = []
         quad_err = mp.mpf(0)
         rounding = mp.mpf(0)
@@ -915,12 +987,12 @@ class AfePlan:
             t_shift = t_exp + shift
             neg_suffix = [-x for x in suffix[1:count]]
             value = abs_sum = skipped = 0
-            for n, wm, e in group:
+            units = self._units(h, [n for n, _, _ in group])
+            for (_, wm, e), (zr, zi) in zip(group, units):
                 wa = abs(wm)
                 k = t_shift - e
                 limit = (t_man << k if k >= 0 else t_man >> -k) // wa
                 kc = 1 + bisect_left(neg_suffix, -limit)
-                zr, zi = unit_z(h, lnsq - ln[n])
                 v = wm * node_sum(gre, gim, zr, zi, kc) << (e - unit)
                 value += v
                 abs_sum += abs(v)
@@ -951,9 +1023,12 @@ def special_values(data, prec=Precision()):
 
     prec is a Precision, or an AfePlan already made for data.header, whose
     plan the sums then run on.  Lambda(s) = I(s) + eps I(w+1-s); the
-    functional equation is exact by construction, so verify_hypothesis
-    exercises it only as a consistency check on externally supplied value
-    sets.
+    functional equation is exact by construction, and when eps = -1 it
+    forces Lambda((w+1)/2) = 0, which is returned with error 0 and no
+    sum.  So verify_hypothesis exercises the functional equation and the
+    central zero only as consistency checks on externally supplied value
+    sets.  The check of the coefficient count still covers every sigma,
+    as the plan reads no root number.
     """
     plan = prec if isinstance(prec, AfePlan) else AfePlan(data.header, prec)
     if plan.header != data.header:
@@ -963,14 +1038,19 @@ def special_values(data, prec=Precision()):
     # them all
     plan.check_reach(data.coeff_limit)
     w = data.weight
+    # eps = -1 makes Lambda at the centre its own negative: exactly 0
+    zero = (w + 1) // 2 if data.root_number == -1 else None
     out = {}
     with mp.workprec(plan.workbits):
         ulp = mp.ldexp(1, -plan.workbits)
-        sums = [plan.one_sided(sigma, data.coefficients)
-                for sigma in range(1, w + 1)]
+        sums = {sigma: plan.one_sided(sigma, data.coefficients)
+                for sigma in range(1, w + 1) if sigma != zero}
         for s in range(1, w + 1):
-            a, ea = sums[s - 1]
-            b, eb = sums[w - s]
+            if s == zero:
+                out[s] = (mp.mpf(0), mp.mpf(0))
+                continue
+            a, ea = sums[s]
+            b, eb = sums[w + 1 - s]
             val = a + data.root_number * b
             # the sum's own rounding, and the bound's, rounded up
             out[s] = (val, (ea + eb + abs(val) * ulp) * (1 + 4 * ulp))

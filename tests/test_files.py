@@ -263,6 +263,15 @@ class TestCache:
         assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
         assert list(cache.records()) == []
 
+    def test_cache_2_record_misses(self, tmp_path):
+        # periodpoly-cache-2 records predate the exact zero central value of
+        # eps = -1 (they carry an error where a cold run gives 0), so they
+        # miss rather than answer with other bounds than a recomputation
+        cache = self._rewrite(
+            tmp_path, lambda rec: rec.update(format="periodpoly-cache-2"))
+        assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None
+        assert list(cache.records()) == []
+
     def test_record_without_target_misses(self, tmp_path):
         cache = self._rewrite(tmp_path, lambda rec: rec.pop("target"))
         assert cache.load("cache-test", 3, 224, 3, 1e-20, DIGEST) is None

@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 import mpmath
 from mpmath import mp
-from mpmath.libmp import mpc_abs, to_fixed
+from mpmath.libmp import from_man_exp, mpc_abs, mpf_cos_sin, to_fixed
 
 from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
-                        PoleError, Precision, SpecialValues, dirichlet_l,
+                        PoleError, Precision, SpecialValues, analyze, dirichlet_l,
                         gamma_completed, special_values, sym_lfunction_data,
                         verify_hypothesis)
 from periodpoly import lfunc
@@ -144,6 +144,31 @@ class TestSpecialValues:
         with mp.workprec(192):
             assert sym3_vals.value(2) >= 0  # Lambda(m + 1), m = 1
 
+    @pytest.mark.parametrize("label,sigmas", [("11a1", [1, 2, 3]),
+                                              ("37a1", [1, 3])])
+    def test_central_sum_only_for_eps_plus(self, curve_table, monkeypatch,
+                                           label, sigmas):
+        # eps = -1 forces Lambda(2) = 0: no sum is run for it and it carries
+        # no error, which puts 37a1's deflated root on the circle
+        curve = curve_table[label]
+        plan = AfePlan(sym_header(curve, 3), Precision(64, 1e-3))
+        data = sym_lfunction_data(curve, 3, plan.required)
+        called = []
+        one_sided = AfePlan.one_sided
+
+        def spy(self, sigma, coefficients):
+            called.append(sigma)
+            return one_sided(self, sigma, coefficients)
+
+        monkeypatch.setattr(AfePlan, "one_sided", spy)
+        vals = special_values(data, plan)
+        assert sorted(called) == sigmas
+        if data.root_number == -1:
+            assert vals.values[2] == (0, 0)
+            assert analyze(data, vals).circle.verdicts == ("on",)
+        else:
+            assert vals.error(2) > 0
+
 
 def kernel_data(hodge, conductor=11):
     m = len(hodge) - 1
@@ -184,7 +209,11 @@ def node_sum(engine, line, ell, count=None):
     over its first count nodes (all by default), as an mpf, with ell
     truncated to the ln table's fixed point as every term's ell is."""
     ell = to_fixed(mp.mpf(ell)._mpf_, engine.lnbits)
-    zr, zi = engine._unit(line.h, ell)
+    # z by cos and sin at F + 8 bits, independent of the terms' products
+    fix = engine.fixbits
+    _, hm, he, _ = line.h._mpf_
+    zr, zi = (to_fixed(x, fix) for x in mpf_cos_sin(
+        from_man_exp(hm * ell, he - engine.lnbits), fix + 8))
     total = engine._node_sum(line.gre, line.gim, zr, zi,
                              count or len(line.gre))
     return mp.mpf((total, -line.shift))
@@ -278,6 +307,36 @@ class TestAfeKernel:
                     # Binet's 1/(12 x) is the only slack at large x
                     if x >= 12:
                         assert bound - true <= 1 / (12 * x) + 1e-8
+
+    @pytest.mark.parametrize("power", [3, 5, 7, 9])
+    def test_g_bound_is_the_stirling_formula(self, curve_table, power):
+        # the per-line closure equals log_abs_gamma_bound summed over the
+        # Gamma factors, bit for bit, on the lines c +- a the step picker
+        # reads and out to the node range
+        engine = AfePlan(sym_header(curve_table["11a1"], power),
+                         Precision(64, 1e-3))
+
+        def formula(sigma, c, t):
+            t = abs(t)
+            log_s = -0.5 * math.log(c * c + t * t)
+            decay = 0.0
+            for nu, h in engine._gammas:
+                x = sigma + c - nu
+                log_s += h * (math.log(2) - x * math.log(2 * math.pi)
+                              + log_abs_gamma_bound(x, t))
+                decay += h * math.atan2(t, x)
+            return log_s, decay
+
+        ts = [0.0, 1e-3, -0.37, 1.0, 2.5, 7.75, 31.0, 123.4, 900.0, 4100.5]
+        for sigma in range(1, engine.header.weight + 1):
+            for c in engine._plans[sigma][0]:
+                a_max = min(c, sigma + c - engine._top)
+                lines = [c] + [c + sign * a_max * frac for sign in (-1, 1)
+                               for frac in lfunc._STRIP_FRACTIONS]
+                for line in lines:
+                    bound = engine._g_bound(sigma, line)
+                    for t in ts:
+                        assert bound(t) == formula(sigma, line, t)
 
     @pytest.mark.parametrize("hodge", [(1, 1), (1, 0, 1), (1, 2, 3, 4)])
     def test_kernel_mass_bound_covers_quad(self, hodge):
@@ -397,22 +456,23 @@ class TestFixedPointTerms:
     @pytest.mark.parametrize("bits,target", [(64, 1e-3), (192, 1e-25)])
     def test_tables_within_bounds(self, sym3_data, bits, target):
         # every ln n, weight n^-(sigma + c_min) and e^{i h ell} the terms
-        # use, against mpmath at F + 128 bits
+        # use, against mpmath at F + 128 bits; and e^{i h ell} at n with
+        # many prime factors, at the largest step the lines take
         engine = AfePlan(sym3_data.header, Precision(bits, target))
         weights, units = [], []
-        build_weights, unit = engine._weights, engine._unit
+        build_weights, make_units = engine._weights, engine._units
 
         def recorded_weights(a4, n0):
             out = build_weights(a4, n0)
             weights.append((a4, n0, out))
             return out
 
-        def recorded_unit(h, ell):
-            out = unit(h, ell)
-            units.append((h, ell, out))
+        def recorded_units(h, ns):
+            out = list(make_units(h, ns))
+            units.extend((h, n, z) for n, z in zip(ns, out))
             return out
 
-        engine._weights, engine._unit = recorded_weights, recorded_unit
+        engine._weights, engine._units = recorded_weights, recorded_units
         with mp.workprec(engine.workbits):
             for sigma in (1, 2, 3):
                 engine.one_sided(sigma, sym3_data.coefficients)
@@ -421,23 +481,30 @@ class TestFixedPointTerms:
         with mp.workprec(fix + 128):
             ell_err = engine._ell_err * mp.ldexp(1, -lnbits)
             ln_sqrt = mp.log(sym3_data.conductor) / 2
-            ell_of = {}
             for n in range(1, n0 + 1):
                 ln_n = mp.log(n)
                 assert abs(mp.ldexp(engine._ln[n], -lnbits) - ln_n) <= ell_err
                 ell = engine._ln_sqrt_fix - engine._ln[n]
                 assert abs(mp.ldexp(ell, -lnbits) - (ln_sqrt - ln_n)) <= ell_err
-                ell_of[ell] = ln_sqrt - ln_n
             for a4, n0, (man, exp, delta) in weights:
                 assert delta < mp.ldexp(1, -(bits + 48))
                 for n in range(1, n0 + 1):
                     want = mp.power(n, -mp.mpf(a4) / 4)
                     assert abs(mp.ldexp(man[n], exp[n]) - want) <= delta * want
             assert len(units) > n0
-            for h, ell, (zr, zi) in units:
-                want = mp.expj(h * ell_of[ell])
+            for h, n, (zr, zi) in units:
+                want = mp.expj(h * (ln_sqrt - mp.log(n)))
                 got = mp.mpc(mp.ldexp(zr, -fix), mp.ldexp(zi, -fix))
                 assert abs(got - want) <= engine._z_units(h) * mp.ldexp(1, -fix)
+            # 2^16 and 2^10 3^6 take 16 factors; their angles are exact on
+            # the ln table's ell
+            h = max(h for h, _, _ in units)
+            many = [2 ** 16, 2 ** 10 * 3 ** 6]
+            engine._ln_table(max(many))
+            for n, (zr, zi) in zip(many, make_units(h, many)):
+                ell = mp.ldexp(engine._ln_sqrt_fix - engine._ln[n], -lnbits)
+                got = mp.mpc(mp.ldexp(zr, -fix), mp.ldexp(zi, -fix))
+                assert abs(got - mp.expj(h * ell)) <= engine._z_units(h) * mp.ldexp(1, -fix)
 
     def test_weight_table_grows_for_a_shared_a4(self):
         # sigma = 1, 2 of weight 5 share a4 = 15: the one table grows to the
@@ -665,6 +732,34 @@ class TestTruncationPlanning:
                                 else:
                                     seen["inside"] += 1
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("target", [1e-3, 1e-12, 1e-40])
+    @pytest.mark.parametrize("hodge,conductor", [((1, 1), 11 ** 3),
+                                                 ((1, 1, 1, 1), 11 ** 7)])
+    def test_pruned_plan_equals_full_search(self, monkeypatch, hodge,
+                                            conductor, target):
+        # a later line is bisected only when its excess at n0 - 1 is not
+        # positive; the plan is that of bisecting every line below the best
+        # n0 so far, in fewer bisections
+        data = kernel_data(hodge, conductor)
+        bisect = lfunc._bisect
+        caps = []
+        monkeypatch.setattr(lfunc, "_bisect",
+                            lambda over, cap: caps.append(cap) or bisect(over, cap))
+        engine = AfePlan(data.header, Precision(64, target))
+        assert len(caps) < data.weight * len(_OFFSETS)
+        with mp.workprec(engine.workbits):
+            log_budget = float(mp.log(engine.target / (2 * _TARGET_MARGIN) * 3 / 8))
+            for sigma, (ladder, log_mass, n0, line) in engine._plans.items():
+                want = (None, None)
+                for idx, (c, lm) in enumerate(zip(ladder, log_mass)):
+                    if want[0] == 1:
+                        break
+                    excess = engine._log_excess(sigma, c, lm, log_budget - _LOG_SLACK)
+                    n = bisect(excess, _N0_CAP if want[0] is None else want[0] - 1)
+                    if excess(n) <= 0:
+                        want = (n, idx)
+                assert (n0, line) == want, sigma
 
     def test_few_mpmath_bounds_per_sigma(self, sym3_data, curve_table,
                                          monkeypatch):
