@@ -202,8 +202,9 @@ def _rouche_obj(result):
 def _analysis_report(result, args, inputs, sym):
     """The canonical JSON report of an analysis."""
     data, vals, ratios = result.data, result.vals, result.ratios
-    circ, scan, gate = result.circle, result.trig, result.gate
+    scan, gate = result.trig, result.gate
     zp, zcheck = result.zeta, result.zeta_check
+    dstar_lo, dstar_hi = scan.dstar or (None, None)
     bits = args.precision_bits
     digits = digits_for_bits(bits)
     return {
@@ -242,27 +243,17 @@ def _analysis_report(result, args, inputs, sym):
             "remainder_bound": fmt_mpf(result.remainder_bound, 12),
         },
         "circle": {
-            "tolerance": circ.tolerance,
-            "roots": [
-                {
-                    "re": fmt_mpf(mp.re(z), digits),
-                    "im": fmt_mpf(mp.im(z), digits),
-                    "radius": fmt_mpf(r, 8),
-                    "verdict": v,
-                }
-                for z, r, v in zip(circ.roots, circ.radii, circ.verdicts)
-            ],
-            "num_on": circ.num_on,
-            "num_off": circ.num_off,
-            "num_uncertain": circ.num_uncertain,
-            "star_discrepancy": result.discrepancy,
+            "angles": (None if scan.angles is None else
+                       [_pair(lo, hi, digits) for lo, hi in scan.angles]),
+            "dstar_lo": dstar_lo,
+            "dstar_hi": dstar_hi,
         },
         "trig_certificate": {
             "kind": scan.kind,
             "sign_changes": list(scan.changes),
             "certified_on_circle": scan.certified_on_circle,
             "failing_intervals": list(scan.failing),
-            "boundary_zero": scan.boundary_zero,
+            "boundary_zero": scan.kind == "sin",
         },
         "gate": {
             "case": gate.case,
@@ -300,7 +291,7 @@ def _analysis_report(result, args, inputs, sym):
 def _analysis_lines(result):
     """The human-readable rendering of an analysis."""
     data, vals, violations = result.data, result.vals, result.violations
-    circ, zcheck = result.circle, result.zeta_check
+    scan, zcheck = result.trig, result.zeta_check
     lines = [
         "dataset %s  (weight %d, degree %d, conductor %d, eps %+d)"
         % (data.label or "dataset", data.weight, data.degree, data.conductor,
@@ -315,13 +306,15 @@ def _analysis_lines(result):
                  % (", ".join(violations) if violations else "none"))
     lines.append("gate: %s (satisfied: %s)"
                  % (result.gate.case, result.gate.satisfied))
-    lines.append("circle: %d on / %d off / %d uncertain, discrepancy %.4f"
-                 % (circ.num_on, circ.num_off, circ.num_uncertain,
-                    result.discrepancy))
+    lines.append("trig certificate: %d roots certified on the circle, "
+                 "failing intervals %s" % (scan.certified_on_circle,
+                                           list(scan.failing)))
+    if scan.dstar is not None:
+        lines.append("circle: D* in [%.12f, %.12f], angles in" % scan.dstar)
+        lines += ["  [%s, %s]" % (fmt_mpf(lo, 12), fmt_mpf(hi, 12))
+                  for lo, hi in scan.angles]
     if data.root_number == -1:
         lines.append("forced root at z = 1 (eps = -1)")
-    lines.append("trig certificate: %d roots certified on the circle"
-                 % result.trig.certified_on_circle)
     lines.append("zeta: FE residual %.3e, line deviation %.3e, closed form %s"
                  % (zcheck.fe_residual, zcheck.max_line_deviation,
                     "equal" if result.closed_form_ok else "DIFFERS"))

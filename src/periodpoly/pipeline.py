@@ -25,7 +25,7 @@ from .polys import (build_P_poly, build_Q_poly, build_p_poly, l_value_ratios,
                     partial_sum_T, q_decomposition_residual, s_tail_parts)
 from .rv import (check_zeta_properties, closed_form_ok, deflate_at_one,
                  rv_transform)
-from .zeros import circle_report, star_discrepancy, trig_sign_changes
+from .zeros import trig_sign_changes
 
 
 def scale_estimate(data):
@@ -41,9 +41,8 @@ def scale_estimate(data):
 class Analysis:
     """Everything analyze() computes for one dataset.
 
-    discrepancy counts the forced root at z = 1 when eps = -1.  rouche is
-    None for m = 1, and when the transfer raised (rouche_error then holds
-    the message)."""
+    trig, P's circle census, holds p's root angles and their D*.  rouche
+    is None for m = 1, or when the transfer raised (rouche_error: why)."""
 
     data: object
     vals: object
@@ -53,8 +52,6 @@ class Analysis:
     big_p: object
     ratios: object
     big_q: object
-    circle: object
-    discrepancy: float
     trig: object
     q_residual: object
     remainder_bound: object
@@ -88,10 +85,6 @@ def analyze(data, vals, sym_context=None):
     big_p = build_P_poly(p)
     big_q = build_Q_poly(big_p, vals)
     p_hat = deflate_at_one(p, data.root_number)
-    circ = circle_report(p_hat)
-    angles = circ.on_angles()
-    if data.root_number == -1:
-        angles.append(0.0)
     t = partial_sum_T(data.m, data.degree, data.conductor, bits=big_q.bits)
     ratios = l_value_ratios(big_q, t)
     bound = s_tail_parts(big_q, t)
@@ -113,8 +106,6 @@ def analyze(data, vals, sym_context=None):
         big_p=big_p,
         ratios=ratios,
         big_q=big_q,
-        circle=circ,
-        discrepancy=star_discrepancy(angles),
         trig=trig_sign_changes(big_p, data.root_number),
         q_residual=q_decomposition_residual(ratios, big_q, t),
         remainder_bound=bound,

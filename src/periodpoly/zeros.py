@@ -16,9 +16,9 @@ polynomials live:
 2. trig_sign_changes: on |z| = 1 a (anti)palindromic real polynomial
    reduces to a pure cosine (eps = +1) or sine (eps = -1) polynomial in
    the angle; sign changes across a fixed grid of intervals certify the
-   full complement of circle roots without locating them first.  The
-   samples come from circle_values, one fixed-point evaluator on |z| = 1
-   whose bound covers the coefficient errors and its own rounding.
+   full complement of circle roots, and bisection brackets each angle.
+   The samples come from circle_values, one fixed-point evaluator on
+   |z| = 1 whose bound covers the coefficient errors and its rounding.
 
 3. count_disc_zeros: F_{d,N}(z) = G(y z) with G(u) = sum_j u^j/(j!)^{d/2},
    y = (2 pi)^{d/2}/sqrt(N), has only negative real zeros (1/j! is a
@@ -48,20 +48,29 @@ _ABERTH_ITERS = 60  # cap on complex128 sweeps and on each root's polish steps
 _FLOAT_STOP = 1e-14  # relative step that ends the complex128 sweeps
 _POLISH_GUARD_BITS = 32  # fractional bits of the polish beyond p.bits + 16
 _TRIG_SAMPLES = 16  # grid points per interval of the trig census
+_CIRCLE_TOL = 1e-8  # circle_report's limit on a root's distance and radius
 
 
-def star_discrepancy(angles):
-    """Exact star discrepancy of angles (radians) against the uniform
-    distribution on the circle: D* = sup_u |#{theta/2pi <= u}/n - u|,
-    computed by the order-statistics formula.  Empty input gives 1.0."""
-    n = len(angles)
+def star_discrepancy(intervals):
+    """Bounds (lo, hi) on the star discrepancy D* = sup_u |#{theta/2pi <=
+    u}/n - u| of n angles (1.0 for none), each in an interval (a, b) of
+    radians shorter than a turn; exact angles (a = b) give lo = hi.  In the
+    formula D* = max_i max(i/n - u_i, u_i - (i-1)/n) (Kuipers & Niederreiter,
+    1974, ch. 2) the i-th smallest turn u_i lies between the i-th smallest
+    a and b in turns, mod 1 (an interval across 0 spans all); each step in
+    doubles is monotone, so the bounds hold for D* so computed at any
+    points of the intervals."""
+    n = len(intervals)
     if n == 0:
-        return 1.0
-    us = sorted((float(a) / (2.0 * np.pi)) % 1.0 for a in angles)
-    d = 0.0
-    for i, u in enumerate(us, start=1):
-        d = max(d, i / n - u, u - (i - 1) / n)
-    return d
+        return 1.0, 1.0
+    turns = [[float(x) / (2.0 * np.pi) % 1.0 for x in ab] for ab in intervals]
+    turns = [(u, v) if u <= v else (0.0, 1.0) for u, v in turns]
+    lo = hi = 0.0
+    for i, (u, v) in enumerate(zip(sorted(u for u, _ in turns),
+                                   sorted(v for _, v in turns)), start=1):
+        lo = max(lo, i / n - v, u - (i - 1) / n)
+        hi = max(hi, i / n - u, v - (i - 1) / n)
+    return lo, hi
 
 
 def _fixed(x, f):
@@ -348,62 +357,34 @@ class UnitCircleReport:
     roots: tuple
     radii: tuple
     verdicts: tuple
-    tolerance: float
 
     @property
     def num_on(self):
         return sum(1 for v in self.verdicts if v == "on")
 
-    @property
-    def num_off(self):
-        return sum(1 for v in self.verdicts if v == "off")
 
-    @property
-    def num_uncertain(self):
-        return sum(1 for v in self.verdicts if v == "uncertain")
-
-    @property
-    def all_on(self):
-        return self.num_on == len(self.roots) and self.roots != ()
-
-    def on_angles(self):
-        return [
-            float(mp.arg(z)) % (2.0 * float(mp.pi))
-            for z, v in zip(self.roots, self.verdicts)
-            if v == "on"
-        ]
-
-    @property
-    def discrepancy(self):
-        """Star discrepancy of the angles of the certified-on roots (1.0
-        when there are none)."""
-        return star_discrepancy(self.on_angles())
-
-
-def circle_report(p, tolerance=1e-8):
+def circle_report(p):
     """Locate the roots of p and classify each against |z| = 1.
 
     A root is "on" when both its distance from the circle and its
-    inclusion radius sit within the effective tolerance
-    max(tolerance, 1e-8); it is "off" when its distance exceeds radius +
-    tolerance (certainly off even allowing for location error); anything
-    else is "uncertain"."""
-    tol = max(float(tolerance), 1e-8)
+    inclusion radius are at most _CIRCLE_TOL; it is "off" when its
+    distance exceeds radius + _CIRCLE_TOL (certainly off even allowing
+    for location error); anything else is "uncertain"."""
     located = poly_roots(p)
     verdicts = []
     with mp.workprec(p.bits):
         for z, r in located:
             dist = abs(abs(z) - 1)
-            if dist <= tol and r <= tol:
+            if dist <= _CIRCLE_TOL and r <= _CIRCLE_TOL:
                 verdicts.append("on")
-            elif dist > r + tol:
+            elif dist > r + _CIRCLE_TOL:
                 verdicts.append("off")
             else:
                 verdicts.append("uncertain")
     # tuples of lists, not of generators: see RealPolynomial.__post_init__
     return UnitCircleReport(roots=tuple([z for z, _ in located]),
                             radii=tuple([r for _, r in located]),
-                            verdicts=tuple(verdicts), tolerance=tol)
+                            verdicts=tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -414,12 +395,16 @@ class TrigScan:
     the i-th census interval; failing lists indices of intervals with
     none.  certified_on_circle converts the census to a count of
     unit-circle roots of the original degree-2n polynomial (conjugate
-    doubling, plus the forced pair z = +-1 in the sine case)."""
+    doubling, plus the forced pair z = +-1 in the sine case).  brackets
+    holds an angle interval (lo, hi) in (0, pi) per sign change; angles
+    and dstar are None unless all 2n roots are certified."""
 
     kind: str
     changes: tuple
     failing: tuple
-    boundary_zero: bool
+    brackets: tuple
+    angles: tuple
+    dstar: tuple
 
     @property
     def certified_on_circle(self):
@@ -439,7 +424,12 @@ def trig_sign_changes(P, eps):
     (2k pi/(2n+1), (2k+2) pi/(2n+1)), k = 1..n-1.  P is evaluated by
     circle_values, and a sign change counts only between samples whose
     value beats its bound, so it holds for every polynomial within P's
-    coefficient errors."""
+    coefficient errors.  Those two samples bracket a root, halved by one
+    circle_values call a round until the midpoint's sign is undecided or
+    the width below 2^-P.bits.  With all 2n roots of p certified, angles
+    holds the brackets, their mirrors 2 pi - theta and, for eps = -1, 0 and
+    pi, rounded outward; dstar is star_discrepancy(angles) widened by 2^-50,
+    past its doubles' rounding (at most 2^-51), so it bounds the true D*."""
     if eps not in (1, -1):
         raise InputError("eps must be +1 or -1")
     n = P.degree
@@ -456,19 +446,44 @@ def trig_sign_changes(P, eps):
             grid += [lo + inset + (width - 2 * inset) * i / (_TRIG_SAMPLES - 1)
                      for i in range(_TRIG_SAMPLES)]
     values, bound, _ = circle_values(P, grid)
-    changes = []
+    changes, brackets = [], []
     for k in range(0, len(grid), _TRIG_SAMPLES):
         # samples whose sign the bound could flip are dropped; a change
         # between the remaining neighbours is certain
-        signs = [v[part] > 0 for v in values[k:k + _TRIG_SAMPLES]
-                 if abs(v[part]) > bound]
-        changes.append(sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1))
-    return TrigScan(
-        kind="cos" if eps == 1 else "sin",
-        changes=tuple(changes),
-        failing=tuple([i for i, c in enumerate(changes) if c == 0]),
-        boundary_zero=(eps == -1),
-    )
+        kept = [(theta, v[part] > 0) for theta, v in
+                zip(grid[k:k + _TRIG_SAMPLES], values[k:k + _TRIG_SAMPLES])
+                if abs(v[part]) > bound]
+        found = [[t0, t1, s0] for (t0, s0), (t1, s1) in zip(kept, kept[1:])
+                 if s0 != s1]
+        changes.append(len(found))
+        brackets += found
+    angles = dstar = None
+    # a midpoint rounded at P.bits + 8 lies strictly inside a bracket in
+    # (0, pi) at least 2^-P.bits wide
+    with mp.workprec(P.bits + 8):
+        live = brackets
+        while live:
+            mids = [(lo + hi) / 2 for lo, hi, _ in live]
+            values, bound, _ = circle_values(P, mids)
+            live, halved = [], live
+            for b, mid, v in zip(halved, mids, values):
+                if abs(v[part]) > bound:
+                    b[(v[part] > 0) != b[2]] = mid  # lo if mid's sign is lo's
+                    if b[1] - b[0] >= mp.ldexp(1, -P.bits):
+                        live.append(b)
+        brackets = tuple([(lo, hi) for lo, hi, _ in brackets])
+        if len(brackets) == n - part:
+            pi = [mp.make_mpf(mpf_pi(P.bits, r))
+                  for r in (round_floor, round_ceiling)]
+            ends = [(mp.mpf(0), mp.mpf(0)), tuple(pi)] if part else []
+            angles = tuple(sorted(ends + list(brackets) + [
+                (mp.fsub(2 * pi[0], hi, exact=True),
+                 mp.fsub(2 * pi[1], lo, exact=True)) for lo, hi in brackets]))
+            lo, hi = star_discrepancy(angles)
+            dstar = (max(0.0, lo - 2.0 ** -50), hi + 2.0 ** -50)
+    return TrigScan(kind="cos" if eps == 1 else "sin", changes=tuple(changes),
+                    failing=tuple([k for k, c in enumerate(changes) if not c]),
+                    brackets=brackets, angles=angles, dstar=dstar)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,10 @@ from periodpoly import (
     rv_transform,
     s_tail_parts,
     special_values,
-    star_discrepancy,
     stirling_first,
     sym_lfunction_data,
     theorem_gate,
+    trig_sign_changes,
     verify_hypothesis,
     zeta_poly_closed_form,
 )
@@ -228,13 +228,13 @@ def test_sym3_end_to_end(sym5_data, sym5_vals, sym7_data, sym7_vals):
     data = sym_lfunction_data(curve, 3, 10000)
     vals = special_values(data, Precision(192, 1e-25))
     p = build_p_poly(data, vals)
-    rep = circle_report(p, tolerance=1e-6)
+    rep = circle_report(p)
+    dstar = trig_sign_changes(build_P_poly(p), data.root_number).dstar
     with mp.workprec(192):
         rel = float(mp.mpf(vals.error(3)) / abs(mp.mpf(vals.value(3))))
     ok = (
-        rep.num_on == 2
-        and rep.num_off == 0
-        and rep.num_uncertain == 0
+        rep.verdicts == ("on", "on")
+        and dstar is not None
         and rel < 1e-15
     )
     # The tail majorant is too loose for this to tell the two signs apart
@@ -250,8 +250,8 @@ def test_sym3_end_to_end(sym5_data, sym5_vals, sym7_data, sym7_vals):
     ok = ok and elapsed < 60.0
     criterion(
         "sym3-end-to-end", ok,
-        "roots on=%d/2 rel_err=%.1e D*=%.4f %.1fs; |afe-direct|/bound %s"
-        % (rep.num_on, rel, float(rep.discrepancy), elapsed,
+        "roots on=%d/2 rel_err=%.1e D* <= %s %.1fs; |afe-direct|/bound %s"
+        % (rep.num_on, rel, dstar and "%.4f" % dstar[1], elapsed,
            ", ".join(ratios)),
     )
 
@@ -711,19 +711,14 @@ def test_equidistribution_trend(sym3_data, sym3_vals, sym5_data, sym5_vals,
     ok = True
     for name, data, vals in entries:
         p = build_p_poly(data, vals)
-        phat = deflate_at_one(p, data.root_number)
-        # 1e-5 accommodates the reduced-precision n = 7 values, whose
-        # inclusion radii run to ~2e-6
-        rep = circle_report(phat, tolerance=1e-5)
-        angles = rep.on_angles()
-        if data.root_number == -1:
-            angles = angles + [0.0]  # count the forced root at z = 1 too
-        dstar = float(star_discrepancy(angles))
-        trend.append("%s deg=%d D*=%.4f" % (name, phat.degree, dstar))
-        ok = (
-            ok
-            and rep.all_on
-            and rep.num_on == phat.degree
-            and dstar <= 0.75
-        )
+        scan = trig_sign_changes(build_P_poly(p), data.root_number)
+        if scan.dstar is None:
+            trend.append("%s deg=%d census %d" % (name, p.degree,
+                                                  scan.certified_on_circle))
+            ok = False
+            continue
+        trend.append("%s deg=%d D* in [%.4f, %.4f]"
+                     % ((name, p.degree) + scan.dstar))
+        ok = (ok and scan.certified_on_circle == p.degree
+              and scan.dstar[1] <= 0.75)
     criterion("equidistribution-trend", ok, " | ".join(trend))

@@ -7,6 +7,7 @@ failure.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -208,8 +209,9 @@ class TestAnalyzeCurve:
         assert report["checks"]["hypothesis_clean"] is True
         assert report["checks"]["zeta_fe_ok"] is True
         assert report["checks"]["closed_form_ok"] is True
-        assert report["circle"]["num_off"] == 0
-        assert report["circle"]["num_uncertain"] == 0
+        circle = report["circle"]
+        assert len(circle["angles"]) == 2
+        assert 0 < circle["dstar_lo"] <= circle["dstar_hi"] < 0.35
         assert report["gate"]["case"] == "M1"
         assert report["gate"]["satisfied"] is True
         # P_1 - P_0 in P's units, rendered as [value, error]
@@ -338,6 +340,9 @@ class TestAnalyzeCoefficientFiles:
         code, out, _ = run_cli(capsys, "analyze", "--coeffs", neg_coeffs, "--table")
         assert code == 0
         assert "forced root at z = 1 (eps = -1)" in out
+        # the roots at z = 1 and z = -1, angles 0 and pi
+        assert "circle: D* in [0.500000000000, 0.500000000000]" in out
+        assert out.count("\n  [") == 2
         assert "checks: all pass" in out
 
     def test_eps_minus_one_json_report(self, capsys, neg_coeffs):
@@ -346,6 +351,8 @@ class TestAnalyzeCoefficientFiles:
         report = json.loads(out)
         assert report["root_number"] == -1
         assert report["polynomials"]["forced_root_at_one"] is True
+        assert [float(lo) for lo, _ in report["circle"]["angles"]] == [
+            0.0, math.pi]
         assert report["hypothesis_violations"] == []
         # central value of the completed function vanishes identically,
         # and the functional equation pairs Lambda(1) with -Lambda(3)

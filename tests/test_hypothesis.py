@@ -56,6 +56,15 @@ def real_poly(values, bits=192):
     return RealPolynomial(coeffs, bits=bits)
 
 
+def exact_discrepancy(angles):
+    """D* of exact angles by the order-statistics formula in doubles: the
+    reference the interval form must reproduce."""
+    n = len(angles)
+    us = sorted((float(a) / (2.0 * math.pi)) % 1.0 for a in angles)
+    return max(max(i / n - u, u - (i - 1) / n)
+               for i, u in enumerate(us, start=1))
+
+
 def conv(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -240,10 +249,24 @@ class TestScalarInvariants:
     @LIGHT
     @given(st.lists(st.floats(0.0, 6.283185), min_size=1, max_size=40))
     def test_star_discrepancy_bounds_and_order_independence(self, angles):
-        d = float(star_discrepancy(angles))
+        lo, hi = star_discrepancy([(a, a) for a in angles])
         n = len(angles)
-        assert 1.0 / (2 * n) - 1e-12 <= d <= 1.0 + 1e-12
-        assert float(star_discrepancy(list(reversed(angles)))) == d
+        assert lo == hi == exact_discrepancy(angles)
+        assert 1.0 / (2 * n) - 1e-12 <= hi <= 1.0 + 1e-12
+        assert star_discrepancy([(a, a) for a in reversed(angles)]) == (lo, hi)
+
+    @LIGHT
+    @given(st.lists(st.floats(0.0, 6.283185), min_size=2, max_size=40,
+                    unique=True),
+           st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20))
+    def test_star_discrepancy_brackets_hold_their_points(self, ends, where):
+        # disjoint brackets from sorted ends, a point anywhere in each
+        ends = sorted(ends)
+        brackets = list(zip(ends[::2], ends[1::2]))
+        points = [min(b, a + t * (b - a))
+                  for (a, b), t in zip(brackets, where)]
+        lo, hi = star_discrepancy(brackets)
+        assert lo <= exact_discrepancy(points) <= hi
 
 
 class TestSerializationRoundTrip:

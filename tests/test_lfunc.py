@@ -8,7 +8,8 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_abs, mpf_cos_sin, to_fixed
 
 from periodpoly import (InputError, InsufficientCoefficients, LFunctionData,
-                        PoleError, Precision, SpecialValues, analyze, dirichlet_l,
+                        PoleError, Precision, SpecialValues, build_p_poly,
+                        circle_report, deflate_at_one, dirichlet_l,
                         gamma_completed, special_values, sym_lfunction_data,
                         verify_hypothesis)
 from periodpoly import lfunc
@@ -165,7 +166,8 @@ class TestSpecialValues:
         assert sorted(called) == sigmas
         if data.root_number == -1:
             assert vals.values[2] == (0, 0)
-            assert analyze(data, vals).circle.verdicts == ("on",)
+            p_hat = deflate_at_one(build_p_poly(data, vals), -1)
+            assert circle_report(p_hat).verdicts == ("on",)
         else:
             assert vals.error(2) > 0
 

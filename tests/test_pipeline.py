@@ -1,9 +1,15 @@
 """The library interface: the analysis without the command line, and the
 names the package exports."""
 
+import argparse
+import sys
+from dataclasses import replace
+
 import periodpoly
-from periodpoly import analyze, count_disc_zeros
-from periodpoly.cli import _rouche_obj
+from periodpoly import (AfePlan, CurveSpec, Precision, analyze,
+                        count_disc_zeros, rv, special_values, sym_header,
+                        sym_lfunction_data, zeros)
+from periodpoly.cli import _analysis_lines, _analysis_report, _rouche_obj
 
 
 def test_all_names_resolve_once():
@@ -16,9 +22,54 @@ def test_sym3_analysis_passes(sym3_data, sym3_vals):
     result = analyze(sym3_data, sym3_vals)
     assert result.checks == {"hypothesis_clean": True, "zeta_fe_ok": True,
                              "closed_form_ok": True, "all_pass": True}
-    assert result.circle.num_on == 2
-    # eps = +1: no forced root joins the angles
-    assert result.discrepancy == result.circle.discrepancy
+    assert result.trig.certified_on_circle == len(result.trig.angles) == 2
+    assert result.trig.dstar[1] < 0.35
+
+
+def test_sym3_analysis_isolates_no_circle_root(monkeypatch, sym3_data,
+                                               sym3_vals):
+    # the census is the one circle device: the only root isolation left is
+    # check_zeta_properties' poly_roots call on half of Z, without radii
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, sys._getframe(1).f_code.co_name, kwargs))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("poly_roots", "circle_report"):
+        wrapper = spy(name, getattr(zeros, name))
+        for module in (zeros, rv):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    analyze(sym3_data, sym3_vals)
+    assert calls == [("poly_roots", "check_zeta_properties",
+                      {"radii": False})]
+
+
+def test_census_failure_is_reported_not_raised():
+    # 11a1 Sym^3 with Lambda(2) made ten times Lambda(3): C(theta) =
+    # b_1 Lambda(2)/2 + Lambda(3) cos(theta) keeps its sign on the one
+    # census interval, so p's roots are off the circle
+    curve = CurveSpec(0, -1, 1, -10, -20, 11, "11a1")
+    plan = AfePlan(sym_header(curve, 3), Precision(64, 1e-3))
+    data = sym_lfunction_data(curve, 3, plan.required)
+    vals = special_values(data, plan)
+    values = dict(vals.values)
+    values[2] = (10 * values[3][0], values[3][1])
+    result = analyze(data, replace(vals, values=values))
+    scan = result.trig
+    assert scan.changes == (0,) and scan.certified_on_circle == 0
+    assert scan.angles is None and scan.dstar is None
+    args = argparse.Namespace(precision_bits=64, target_error=1e-3)
+    report = _analysis_report(result, args, {}, 3)
+    assert report["circle"] == {"angles": None, "dstar_lo": None,
+                                "dstar_hi": None}
+    assert report["trig_certificate"]["failing_intervals"] == [0]
+    lines = _analysis_lines(result)
+    assert "failing intervals [0]" in "\n".join(lines)
+    assert not any(line.startswith("circle:") for line in lines)
 
 
 def test_sym5_rouche_transfer_certifies(sym5_data, sym5_vals, sym7_data,

@@ -7,6 +7,7 @@ in the acceptance suite; here the counts themselves are anchored.
 """
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -14,17 +15,23 @@ import pytest
 from mpmath import mp
 
 from periodpoly import (
+    AfePlan,
     CertificationError,
     InputError,
+    Precision,
     RealPolynomial,
     build_P_poly,
     build_p_poly,
     circle_report,
     count_disc_zeros,
+    deflate_at_one,
     disc_transition_table,
     partial_sum_T,
     poly_roots,
+    special_values,
     star_discrepancy,
+    sym_header,
+    sym_lfunction_data,
     trig_sign_changes,
 )
 from periodpoly.zeros import _exact_sign, _neg_series, circle_values
@@ -34,36 +41,40 @@ def rp(*coeffs, bits=192):
     return RealPolynomial(tuple((c, 0) for c in coeffs), bits=bits)
 
 
+def exact(*angles):
+    """star_discrepancy of exact angles, as degenerate intervals."""
+    return star_discrepancy([(a, a) for a in angles])
+
+
 class TestStarDiscrepancy:
     def test_empty(self):
-        assert star_discrepancy([]) == 1.0
+        assert star_discrepancy([]) == (1.0, 1.0)
 
     def test_single_points(self):
-        import math
-
-        assert star_discrepancy([0.0]) == 1.0
-        assert star_discrepancy([math.pi]) == 0.5
+        assert exact(0.0) == (1.0, 1.0)
+        assert exact(math.pi) == (0.5, 0.5)
 
     def test_antipodal_pair(self):
-        import math
-
-        assert star_discrepancy([0.0, math.pi]) == 0.5
+        assert exact(0.0, math.pi) == (0.5, 0.5)
 
     def test_equispaced(self):
-        import math
-
         n = 8
-        anchored = [2 * math.pi * k / n for k in range(n)]
-        assert star_discrepancy(anchored) == pytest.approx(1 / n)
-        centered = [2 * math.pi * (k + 0.5) / n for k in range(n)]
-        assert star_discrepancy(centered) == pytest.approx(1 / (2 * n))
+        lo, hi = exact(*[2 * math.pi * k / n for k in range(n)])
+        assert lo == hi == pytest.approx(1 / n)
+        lo, hi = exact(*[2 * math.pi * (k + 0.5) / n for k in range(n)])
+        assert lo == hi == pytest.approx(1 / (2 * n))
 
     def test_wraps_angles(self):
-        import math
-
-        a = star_discrepancy([0.3, 2.0, 5.0])
-        b = star_discrepancy([0.3 + 2 * math.pi, 2.0, 5.0 - 2 * math.pi])
+        a = exact(0.3, 2.0, 5.0)
+        b = exact(0.3 + 2 * math.pi, 2.0, 5.0 - 2 * math.pi)
         assert a == pytest.approx(b)
+
+    def test_intervals_bound_the_ends(self):
+        # one point anywhere in [0, pi/2]: D* = 1 - theta/2pi runs from 1
+        # (at 0) to 3/4 (at pi/2)
+        assert star_discrepancy([(0.0, math.pi / 2)]) == (0.75, 1.0)
+        # an interval across angle 0 may hold any turn
+        assert star_discrepancy([(6.0, 7.0)]) == (0.0, 1.0)
 
 
 class TestPolyRoots:
@@ -138,14 +149,13 @@ class TestCircleReport:
     def test_on_circle(self):
         rep = circle_report(rp(1, 0, 1))
         assert rep.verdicts == ("on", "on")
-        assert rep.all_on
-        assert rep.num_off == 0
+        assert rep.num_on == 2
 
     def test_off_circle_despite_palindromy(self):
         # (z - 1/2)(z - 2) has reciprocal roots, neither on the circle
         rep = circle_report(rp(1, -2.5, 1))
         assert rep.verdicts == ("off", "off")
-        assert rep.discrepancy == 1.0
+        assert rep.num_on == 0
 
     def test_mixed(self):
         # (z^2 + 1)(z - 3)
@@ -155,10 +165,10 @@ class TestCircleReport:
 
     def test_sym3_roots_on_circle(self, sym3_data, sym3_vals):
         p = build_p_poly(sym3_data, sym3_vals)
-        rep = circle_report(p, tolerance=1e-6)
+        rep = circle_report(p)
         assert rep.verdicts == ("on", "on")
-        assert rep.discrepancy == pytest.approx(0.34170273951485, abs=1e-10)
-        angles = rep.on_angles()
+        assert all(r < mp.mpf("1e-27") for r in rep.radii)
+        angles = [float(mp.arg(z)) % (2 * math.pi) for z in rep.roots]
         assert angles[0] == pytest.approx(2.1469816323427184, abs=1e-9)
         assert angles[1] == pytest.approx(4.136203674836867, abs=1e-9)
 
@@ -171,7 +181,46 @@ class TestTrigCensus:
         assert scan.changes == (1,)
         assert scan.failing == ()
         assert scan.certified_on_circle == 2
-        assert not scan.boundary_zero
+        # the angles and D* pinned from the 192-bit roots, as doubles (good
+        # to 1e-15), lie in the bisected brackets and their mirrors
+        assert len(scan.brackets) == 1
+        assert scan.angles[0] == scan.brackets[0]
+        for (lo, hi), pinned in zip(scan.angles,
+                                    (2.1469816323427184, 4.136203674836867)):
+            assert 0 < hi - lo < mp.mpf("1e-25")
+            assert lo - 1e-15 <= pinned <= hi + 1e-15
+        lo, hi = scan.dstar
+        assert lo <= 0.34170273951485 <= hi
+        assert hi - lo < 1e-14
+
+    def test_brackets_hold_the_located_roots(self, curve_table, sym5_data,
+                                             sym5_vals, sym7_data, sym7_vals):
+        # sym3-cold-batch at 64 bits and 1e-3, and the Sym^5 and Sym^7
+        # fixtures: the census certifies every root of p, and each root
+        # that poly_roots locates on the same coefficients lies in its own
+        # angle interval
+        datasets = [(sym5_data, sym5_vals), (sym7_data, sym7_vals)]
+        for label in ("11a1", "14a1", "15a1", "17a1", "19a1", "37a1",
+                      "43a1"):
+            plan = AfePlan(sym_header(curve_table[label], 3),
+                           Precision(64, 1e-3))
+            data = sym_lfunction_data(curve_table[label], 3, plan.required)
+            datasets.append((data, special_values(data, plan)))
+        for data, vals in datasets:
+            p = build_p_poly(data, vals)
+            P = build_P_poly(p)
+            scan = trig_sign_changes(P, data.root_number)
+            assert scan.certified_on_circle == len(scan.angles) == p.degree
+            assert 0 < scan.dstar[0] <= scan.dstar[1] < 0.5 + 1e-15
+            homes = []
+            with mp.workprec(P.bits + 32):
+                for z in poly_roots(deflate_at_one(p, data.root_number),
+                                    radii=False):
+                    theta = mp.arg(z) % (2 * mp.pi)
+                    homes += [i for i, (lo, hi) in enumerate(scan.angles)
+                              if lo <= theta <= hi]
+            assert len(homes) == len(set(homes)) == p.degree - (
+                data.root_number == -1), data.label
 
     def test_sine_census_counts_forced_pair(self):
         # P = 2.75 z: S(theta) = 2.75 sin(theta) has no zero in (0, pi), so
@@ -181,7 +230,6 @@ class TestTrigCensus:
         scan = trig_sign_changes(P, -1)
         assert scan.changes == ()
         assert scan.kind == "sin"
-        assert scan.boundary_zero
         assert scan.certified_on_circle == 2 * sum(scan.changes) + 2
 
     def test_rejects_bad_eps(self):
@@ -207,6 +255,27 @@ class TestTrigCensus:
         scan = trig_sign_changes(P, 1)
         assert scan.changes == (changes,)
         assert scan.failing == (() if changes else (0,))
+        assert len(scan.brackets) == changes
+        if changes:
+            # the root at 2 pi/3 is in the bracket, its mirror in the other
+            third = 2 * mp.pi / 3
+            (a, b), (c, d) = scan.angles
+            assert a < third < b and c < 2 * mp.pi - third < d
+            lo, hi = scan.dstar
+            assert lo <= 1 / 3 <= hi
+        else:
+            assert scan.angles is None and scan.dstar is None
+
+    def test_no_change_in_one_interval_claims_no_angles(self):
+        # C(theta) = cos(theta) + cos(2 theta)/10 changes sign near pi/2,
+        # in the first interval (pi/5, 3 pi/5), but stays negative on
+        # (3 pi/5, pi): two of the four roots of p are off the circle
+        scan = trig_sign_changes(rp(0, 1, "0.1"), 1)
+        assert scan.changes == (1, 0)
+        assert scan.failing == (1,)
+        assert scan.certified_on_circle == 2
+        assert len(scan.brackets) == 1
+        assert scan.angles is None and scan.dstar is None
 
 
 class TestCircleValues:
