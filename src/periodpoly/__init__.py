@@ -66,8 +66,6 @@ from .zeros import (
 from .gates import (
     GateReport,
     RoucheTransfer,
-    SYM_POWER_GAPS,
-    COROLLARY_LEVEL_FLOORS,
     compute_A_m,
     hodge_condition,
     coefficient_inequalities,
@@ -120,8 +118,7 @@ __all__ = [
     "UnitCircleReport", "DiscCount", "TrigScan", "poly_roots",
     "circle_report", "count_disc_zeros",
     "disc_transition_table", "trig_sign_changes", "star_discrepancy",
-    "GateReport", "RoucheTransfer", "SYM_POWER_GAPS",
-    "COROLLARY_LEVEL_FLOORS", "compute_A_m", "hodge_condition",
+    "GateReport", "RoucheTransfer", "compute_A_m", "hodge_condition",
     "coefficient_inequalities", "theorem_gate", "rouche_transfer",
     "ZetaPolynomial", "ZetaCheck", "stirling_first", "rv_transform",
     "maclaurin_coefficients", "zeta_poly_closed_form",

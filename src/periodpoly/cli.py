@@ -85,7 +85,7 @@ def _emit(args, command, report, lines):
 
 
 def _ingest(args, inputs):
-    """Resolve the input files into (header, sym, curve-or-None, load),
+    """Resolve the input files into (header, sym, load),
     load(plan) giving the LFunctionData the sums of that AfePlan run on."""
     if (args.coeffs_path is None) == (args.curve_path is None):
         raise InputError("exactly one of --coeffs or --curve is required")
@@ -101,7 +101,7 @@ def _ingest(args, inputs):
             args.coeffs_path)
         data = parse_coefficient_file(args.coeffs_path,
                                       bits=args.precision_bits)
-        return data.header, 0, None, lambda plan: data
+        return data.header, 0, lambda plan: data
     if args.sym is None:
         raise InputError("--curve needs --sym, an odd n >= 3")
     inputs[os.path.basename(args.curve_path)] = sha256_file(
@@ -145,12 +145,12 @@ def _ingest(args, inputs):
                                 recorded, data.root_number))
         return data
 
-    return header, args.sym, curve, load
+    return header, args.sym, load
 
 
 def cmd_analyze(args):
     inputs = {}
-    header, sym, curve, load = _ingest(args, inputs)
+    header, sym, load = _ingest(args, inputs)
     target = args.target_error
     if target is None:
         target = scale_estimate(header) * 1e-25
@@ -170,8 +170,7 @@ def cmd_analyze(args):
         if cache is not None:
             cache.store(label, sym, vals, digest)
 
-    sym_context = (sym, curve.conductor) if curve is not None else None
-    result = analyze(data, vals, sym_context)
+    result = analyze(data, vals)
     _emit(args, "analyze", _analysis_report(result, args, inputs, sym),
           _analysis_lines(result))
     checks = result.checks

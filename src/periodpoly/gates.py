@@ -40,20 +40,6 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_div, mpf_mul,
 from .errors import InputError
 from .zeros import circle_values, count_disc_zeros
 
-# Conductor ranges of odd symmetric powers of weight-2 newforms that the
-# sufficient conditions above do not reach (squarefree level only), keyed
-# by the power.  The root numbers recorded in the LMFDB are -1 throughout,
-# except for the two isogeny classes listed under eps_plus.  Reporting
-# only; nothing is decided by this table.
-SYM_POWER_GAPS = {
-    5: {"levels": (11, 43), "eps_plus": (37, 43)},
-    7: {"levels": (11, 15), "eps_plus": ()},
-}
-
-# Level floors above which the LARGE_N gate is known to fire for odd
-# symmetric powers of non-CM weight-2 newforms, keyed by the power.
-COROLLARY_LEVEL_FLOORS = {5: 46, 7: 17}
-
 _ROUCHE_GRID = 4096  # circle points where rouche_transfer samples |T|
 _GATE_BITS = 128  # precision of A_m and A_m^d in theorem_gate
 
@@ -130,14 +116,10 @@ class GateReport:
     m = 1.  margins_11/margin_22 are P's coefficient steps P_{j+1} - P_j
     and P_1 - P_0, positive multiples of the inequalities' slack
     (coefficient_inequalities), filled when P was supplied; positive means
-    the inequality holds.  notes carries reporting-only context (known gap
-    ranges, large-m transfer results)."""
+    the inequality holds.  notes says why the gate did not fire."""
 
-    label: str
     case: str
     m: int
-    degree: int
-    conductor: int
     hodge_ok: bool
     hodge_lhs: int
     hodge_rhs: int
@@ -152,14 +134,12 @@ class GateReport:
         return self.case in ("M1", "LARGE_N")
 
 
-def theorem_gate(data, big_p=None, sym_context=None):
+def theorem_gate(data, big_p=None):
     """Evaluate the unit-circle gates on one dataset.
 
-    sym_context, when given, is (power, base_level) for a symmetric power
-    of a weight-2 newform; it only adds reporting notes from the known
-    gap table, never changes the verdict.  big_p (build_P_poly of the
-    dataset's values) enables the margin measurements: the steps of its
-    coefficients, positive multiples of the inequalities' slack."""
+    big_p (build_P_poly of the dataset's values) enables the margin
+    measurements: the steps of its coefficients, positive multiples of the
+    inequalities' slack."""
     m = data.m
     hodge_ok, lhs, rhs = hodge_condition(m, data.hodge)
     notes = []
@@ -187,35 +167,13 @@ def theorem_gate(data, big_p=None, sym_context=None):
                     "conductor %d does not exceed A_m^d = %s"
                     % (data.conductor, mp.nstr(a_pow, 8))
                 )
-    if sym_context is not None:
-        n, base = sym_context
-        gap = SYM_POWER_GAPS.get(n)
-        if gap and gap["levels"][0] <= base <= gap["levels"][1]:
-            eps_note = (
-                "root number +1 recorded for levels %s" % (gap["eps_plus"],)
-                if base in gap["eps_plus"]
-                else "root number -1 recorded for this level"
-            )
-            notes.append(
-                "level %d lies in the known gap range %d..%d for power %d; %s"
-                % (base, gap["levels"][0], gap["levels"][1], n, eps_note)
-            )
-        floor = COROLLARY_LEVEL_FLOORS.get(n)
-        if floor is not None and base >= floor:
-            notes.append(
-                "level %d meets the known floor %d for (weight 2, power %d)"
-                % (base, floor, n)
-            )
     margins = ()
     central = None
     if big_p is not None:
         margins, central = coefficient_inequalities(big_p)
     return GateReport(
-        label=data.label,
         case=case,
         m=m,
-        degree=data.degree,
-        conductor=data.conductor,
         hodge_ok=hodge_ok,
         hodge_lhs=lhs,
         hodge_rhs=rhs,

@@ -75,11 +75,8 @@ class Analysis:
         return checks
 
 
-def analyze(data, vals, sym_context=None):
-    """Run the full analysis of data on its completed values vals.
-
-    sym_context is passed to theorem_gate: (power, base level) for a
-    symmetric power of a weight-2 newform, else None."""
+def analyze(data, vals):
+    """Run the full analysis of data on its completed values vals."""
     violations = verify_hypothesis(data, vals)
     p = build_p_poly(data, vals)
     big_p = build_P_poly(p)
@@ -109,7 +106,7 @@ def analyze(data, vals, sym_context=None):
         trig=trig_sign_changes(big_p, data.root_number),
         q_residual=q_decomposition_residual(ratios, big_q, t),
         remainder_bound=bound,
-        gate=theorem_gate(data, big_p, sym_context=sym_context),
+        gate=theorem_gate(data, big_p),
         rouche=rouche,
         rouche_error=rouche_error,
         zeta=zeta,

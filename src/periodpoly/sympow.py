@@ -72,9 +72,12 @@ _SHANKS_MESTRE_POINTS = 3
 class CurveSpec:
     """Minimal integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2
     + a4 x + a6 of a semistable curve (squarefree conductor, multiplicative
-    reduction at every bad prime) without CM.  For such a model the primes
-    dividing the conductor are exactly those dividing the discriminant;
-    a conductor that breaks this is an InputError."""
+    reduction at every bad prime) without CM.  gcd(c4, disc) = 1 says
+    exactly that: v_p(c4) = 0 makes the model minimal at p, and a minimal
+    model with p | disc and p not dividing c4 has multiplicative reduction
+    at p, 2 and 3 included.  The primes dividing the conductor are then
+    those dividing the discriminant.  A model or conductor that breaks
+    either is an InputError."""
 
     a1: int
     a2: int
@@ -88,6 +91,12 @@ class CurveSpec:
         disc = self.discriminant
         if disc == 0:
             raise InputError("singular Weierstrass model (discriminant 0)")
+        common = math.gcd(self.c4, disc)
+        if common > 1:
+            raise InputError(
+                "gcd(c4, discriminant) = gcd(%d, %d) = %d: the model is not"
+                " minimal with multiplicative reduction at every bad prime"
+                % (self.c4, disc, common))
         n = self.conductor
         if n < 1:
             raise InputError("conductor must be positive")
@@ -119,6 +128,16 @@ class CurveSpec:
             - self.a4 ** 2
         )
         return b2, b4, b6, b8
+
+    @property
+    def c4(self):
+        b2, b4, _, _ = self.b_invariants
+        return b2 * b2 - 24 * b4
+
+    @property
+    def c6(self):
+        b2, b4, b6, _ = self.b_invariants
+        return -b2 ** 3 + 36 * b2 * b4 - 216 * b6
 
     @property
     def discriminant(self):
@@ -243,10 +262,7 @@ def _hasse_orders(P, a, p, r):
 def _shanks_mestre_ap(curve, p):
     """a_p for a good prime p > 3 when the points of the module docstring
     leave exactly one candidate in Hasse's interval, otherwise None."""
-    b2, b4, b6, _ = curve.b_invariants
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-    A, B = -27 * c4 % p, -54 * c6 % p
+    A, B = -27 * curve.c4 % p, -54 * curve.c6 % p
     r = math.isqrt(4 * p)
     candidates = None
     tried = 0
@@ -406,8 +422,8 @@ def sym_lfunction_data(curve, n, x):
     taking the value a_p at p, with root number (-a_p)^n = -a_p (Martin &
     Watkins, "Symmetric powers of elliptic curve L-functions", ANTS VII,
     2006).  a_p is read from lambda_p = a_p^n = a_p when p <= x and
-    counted otherwise, so each prime is counted once.  Raises InputError
-    when a prime of the conductor has a_p other than +-1.
+    counted otherwise, so each prime is counted once; CurveSpec makes
+    every a_p here +-1.
     """
     header = sym_header(curve, n)
     coeffs = sym_dirichlet_coeffs(curve, n, x)
@@ -415,13 +431,7 @@ def sym_lfunction_data(curve, n, x):
     eps = (-1) ** (sum((n - 2 * nu + 1) * h
                        for nu, h in enumerate(header.hodge)) // 2)
     for p in _prime_factors(curve.conductor):
-        a_p = coeffs[p - 1] if p <= x else ap_count(curve, p)
-        if a_p not in (1, -1):
-            raise InputError(
-                "%s: the reduction at p = %d, a prime of the conductor %d, "
-                "is not multiplicative (a_p is not +-1)"
-                % (curve.label or "curve", p, curve.conductor))
-        eps *= -a_p
+        eps *= -(coeffs[p - 1] if p <= x else ap_count(curve, p))
     return LFunctionData(
         weight=n,
         degree=header.degree,

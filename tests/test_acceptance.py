@@ -636,14 +636,14 @@ def test_gate_implication(sym3_data, sym3_vals, sym5_data, sym5_vals,
     cases = []
     ok = True
     non_vacuous = 0
-    for rep in reports:
-        cases.append("%s:%s" % (rep.label, rep.case))
+    for (data, _), rep in zip(datasets, reports):
+        cases.append("%s:%s" % (data.label, rep.case))
         ok = ok and rep.satisfied == (rep.case in ("M1", "LARGE_N"))
         if rep.case == "M1":
             ok = ok and rep.m == 1 and rep.hodge_ok
         if rep.case == "LARGE_N":
             ok = ok and rep.hodge_ok
-            ok = ok and mp.mpf(rep.conductor) > rep.a_m_power_d
+            ok = ok and mp.mpf(data.conductor) > rep.a_m_power_d
             measured = list(rep.margins_11)
             if rep.margin_22 is not None:
                 measured.append(rep.margin_22)

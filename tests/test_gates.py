@@ -4,6 +4,7 @@ A_2 has a one-term closed form, 2 pi (zeta(3/2)/zeta(5/2))^2, recomputed
 here directly from mpmath as the oracle for the frozen digits.
 """
 
+from math import isqrt
 from types import SimpleNamespace
 
 import mpmath
@@ -27,6 +28,7 @@ from periodpoly import (
     poly_roots,
     rouche_transfer,
     s_tail_parts,
+    sym_hodge,
     theorem_gate,
 )
 
@@ -119,10 +121,23 @@ def _gamma_route(data, vals):
     return margins, central
 
 
+def _squarefree(level):
+    return all(level % (p * p) for p in range(2, isqrt(level) + 1))
+
+
+def _level_floor(n):
+    """Least squarefree L with L^n > A_m^(n+1), m = (n-1)/2."""
+    with mp.workprec(128):
+        a_pow = compute_A_m((n - 1) // 2, bits=128) ** (n + 1)
+        level = 1
+        while not (_squarefree(level) and mp.mpf(level) ** n > a_pow):
+            level += 1
+    return level
+
+
 class TestGateVerdicts:
     def test_sym3_m1(self, sym3_data, sym3_vals):
-        g = theorem_gate(sym3_data, _big_p(sym3_data, sym3_vals),
-                         sym_context=(3, 11))
+        g = theorem_gate(sym3_data, _big_p(sym3_data, sym3_vals))
         assert g.case == "M1"
         assert g.satisfied
         assert g.a_m is None
@@ -133,8 +148,7 @@ class TestGateVerdicts:
         assert float(e) < 1e-20
 
     def test_sym5_none_with_margins(self, sym5_data, sym5_vals):
-        g = theorem_gate(sym5_data, _big_p(sym5_data, sym5_vals),
-                         sym_context=(5, 11))
+        g = theorem_gate(sym5_data, _big_p(sym5_data, sym5_vals))
         assert g.case == "NONE"
         assert not g.satisfied
         assert g.hodge_ok
@@ -142,7 +156,6 @@ class TestGateVerdicts:
         with mp.workprec(128):
             assert mp.mpf(11 ** 5) < g.a_m_power_d
         assert any("does not exceed" in n for n in g.notes)
-        assert any("gap range" in n for n in g.notes)
         # the measured inequalities still hold with room to spare
         assert len(g.margins_11) == 1
         mv, me = g.margins_11[0]
@@ -180,6 +193,28 @@ class TestGateVerdicts:
         g = theorem_gate(data)
         assert g.case == "NONE"
         assert any("Hodge condition fails" in n for n in g.notes)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_sym_power_level_floors(self, n):
+        # Sym^n of a semistable curve of level L has m = (n-1)/2, d = n+1
+        # and N = L^n, so LARGE_N fires exactly from the least squarefree L
+        # with L^n > A_m^(n+1); from n = 9 on that is below 11, the least
+        # conductor of an elliptic curve over Q
+        m, hodge = (n - 1) // 2, sym_hodge(n)
+        assert hodge_condition(m, hodge)[0]
+        floor = _level_floor(n)
+        if n == 5:
+            assert floor == 46
+        elif n == 7:
+            assert floor == 17
+        else:
+            assert floor <= 10
+        below = max(level for level in range(1, floor)
+                    if _squarefree(level))
+        for level, case in ((below, "NONE"), (floor, "LARGE_N")):
+            data = SimpleNamespace(m=m, hodge=hodge, degree=n + 1,
+                                   conductor=level ** n)
+            assert theorem_gate(data).case == case, level
 
     def test_coefficient_inequalities_shape(self, sym5_data, sym5_vals):
         margins, central = coefficient_inequalities(_big_p(sym5_data,
@@ -236,7 +271,7 @@ class TestGateVerdicts:
                             spy(lfunc.gamma_completed), raising=False)
         monkeypatch.setattr(mpmath, "gamma", spy(mpmath.gamma))
         monkeypatch.setattr(mp, "gamma", spy(mp.gamma))
-        g = theorem_gate(sym5_data, big_p, sym_context=(5, 11))
+        g = theorem_gate(sym5_data, big_p)
         assert len(g.margins_11) == 1
         assert calls == []
 

@@ -5,11 +5,14 @@ import argparse
 import sys
 from dataclasses import replace
 
+import pytest
+
 import periodpoly
 from periodpoly import (AfePlan, CurveSpec, Precision, analyze,
                         count_disc_zeros, rv, special_values, sym_header,
                         sym_lfunction_data, zeros)
 from periodpoly.cli import _analysis_lines, _analysis_report, _rouche_obj
+from periodpoly.pipeline import scale_estimate
 
 
 def test_all_names_resolve_once():
@@ -89,3 +92,25 @@ def test_sym5_rouche_transfer_certifies(sym5_data, sym5_vals, sym7_data,
         assert obj["q_disc_zeros"] == data.m
         assert set(obj) == {"certified", "min_t_on_circle", "remainder_bound",
                             "t_disc_zeros", "f_disc_zeros", "q_disc_zeros"}
+
+
+# Odd symmetric powers of the stored semistable curves that the LARGE_N
+# gate does not reach: Sym^5 below level 46, Sym^7 below level 17
+GAP_PAIRS = ([(5, label) for label in ("11a1", "14a1", "15a1", "17a1",
+                                       "19a1", "37a1", "43a1")]
+             + [(7, label) for label in ("11a1", "14a1", "15a1")])
+
+
+@pytest.mark.parametrize("n, label", GAP_PAIRS)
+def test_gate_gaps_are_certified(curve_table, n, label):
+    # where the gate gives no verdict, the census puts every root of p on
+    # the circle and Rouche puts m roots of Q in the disc
+    curve = curve_table[label]
+    header = sym_header(curve, n)
+    plan = AfePlan(header, Precision(64, scale_estimate(header) * 1e-3))
+    data = sym_lfunction_data(curve, n, plan.required)
+    result = analyze(data, special_values(data, plan))
+    assert result.gate.case == "NONE"
+    assert result.trig.certified_on_circle == result.p.degree
+    assert result.rouche.q_disc_zeros == data.m
+    assert result.checks["all_pass"]

@@ -16,6 +16,7 @@ from periodpoly import (
     CurveSpec,
     InputError,
     ap_count,
+    parse_curve_text,
     sym_dirichlet_coeffs,
     sym_hodge,
     sym_lfunction_data,
@@ -303,6 +304,19 @@ class TestRootNumberDetermination:
         with pytest.raises(InputError, match="p = 13"):
             curve = CurveSpec(0, -1, 1, -10, -20, 13, "11a1")
             sym_lfunction_data(curve, 3, 100)
+
+    def test_additive_model_rejected(self, curve_table):
+        # y^2 = x^3 - x declared with N = 2: rad(disc 64) = 2 matches, but
+        # c4 = 48 shares the 2, and the reduction there is additive
+        with pytest.raises(InputError, match=r"gcd\(c4, discriminant\)"):
+            CurveSpec(0, 0, 0, -1, 0, 2, "x3-x")
+        text = ("format=periodpoly-curves-1\n"
+                "0 -1 1 -10 -20 11 11a1\n"
+                "0 0 0 -1 0 2 x3-x\n")
+        with pytest.raises(InputError, match=r"c, line 3: gcd\(c4"):
+            parse_curve_text(text, "c")
+        # every stored model passes
+        assert len(curve_table) == 10
 
     def test_conductor_missing_a_bad_prime_rejected(self):
         # declared with conductor 1, 11 would count as a good prime and
